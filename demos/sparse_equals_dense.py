@@ -5,8 +5,9 @@ positions it kept, against a dense reference run:
 
   ccq  masked dense      -> bitwise identical at any threshold (same
                             arithmetic; it just discards the other cells)
-  csq  submanifold conv  -> matches dense to float precision when the
-                            threshold is 0 (every cell active); above 0 it
+  csq  submanifold conv  -> bitwise identical when the threshold is 0
+                            (every cell active: the same conv kernel runs
+                            over the same neighbour table); above 0 it
                             reads missing neighbors as zero, which is the
                             approximation that buys its speed
   cq   cropped patches   -> matches dense away from borders, but pays for

@@ -21,9 +21,7 @@ from .postproc import (AnchorConfig, Detection, anchor_boxes, box_iou,
                        detections_from_result, detections_to_json, encode_boxes,
                        merge_levels, nms)
 from .query import (CascadeResult, LevelRecord, QueryConfig, extract_queries,
-                    map_queries_to_keys, resolve_threads, run_cascade,
-                    run_crop_query, run_dense, run_full_conv_query,
-                    run_pipeline)
+                    map_queries_to_keys, run_pipeline)
 from .sparse import (KeySet, Rulebook, SparseFeature, build_rulebook, gather,
                      scatter, sparse_conv, sparse_relu)
 from .targets import (GroundTruthObject, GroundTruthSet, LossConfig, TargetMaps,
@@ -52,9 +50,8 @@ __all__ = [
     "load_pyramid", "load_tensor", "load_weights", "make_fixture_weights",
     "make_synthetic_pyramid", "map_queries_to_keys", "merge_levels", "nms",
     "p2_cost_increase", "query_target", "query_target_for_level", "relu",
-    "resolve_threads", "run_benchmark", "run_cascade",
-    "run_crop_query", "run_dense", "run_dense_head", "run_full_conv_query",
-    "run_pipeline", "run_sparse_head", "save_pyramid", "save_tensor",
-    "save_weights", "scatter", "sigma_sweep", "sigmoid", "small_centers_on_grid",
-    "smooth_l1", "sparse_conv", "sparse_relu", "total_loss",
+    "run_benchmark", "run_dense_head", "run_pipeline", "run_sparse_head",
+    "save_pyramid", "save_tensor", "save_weights", "scatter", "sigma_sweep",
+    "sigmoid", "small_centers_on_grid", "smooth_l1", "sparse_conv",
+    "sparse_relu", "total_loss",
 ]

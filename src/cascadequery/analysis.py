@@ -53,23 +53,11 @@ def head_flops_sparse(num_keys: int, rulebook_entries: int, channels: int,
                       num_anchors: int, num_classes: int) -> int:
     """Submanifold head cost: every conv (towers and predictors alike) pays
     C_in * C_out work per rulebook entry. Isolated keys fire only their center
-    offset, giving the 1/9-per-key floor; num_keys is carried for bias
-    accounting, which is tracked separately (see bias_adds_sparse)."""
+    offset, giving the 1/9-per-key floor. Bias adds are not MACs, so num_keys
+    does not enter the count."""
     del num_keys  # MACs depend on entries only
     return (tower_macs_sparse(rulebook_entries, channels)
             + pred_macs_sparse(rulebook_entries, channels, num_anchors, num_classes))
-
-
-def bias_adds_dense(height: int, width: int, channels: int, num_anchors: int,
-                    num_classes: int) -> int:
-    return height * width * (_TOWERS * TOWER_DEPTH * channels
-                             + _pred_channels(num_anchors, num_classes))
-
-
-def bias_adds_sparse(num_keys: int, channels: int, num_anchors: int,
-                     num_classes: int) -> int:
-    return num_keys * (_TOWERS * TOWER_DEPTH * channels
-                       + _pred_channels(num_anchors, num_classes))
 
 
 def inbounds_pairs(height: int, width: int) -> int:

@@ -18,9 +18,7 @@ the next level computes. Four strategies share this skeleton:
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,21 +30,6 @@ from .sparse import KeySet, SparseFeature, build_rulebook, gather
 from .tensor import DenseTensor, sigmoid_array
 
 STRATEGIES = ("dense", "csq", "cq", "ccq")
-
-
-def resolve_threads(value: str | None = None) -> int:
-    """Worker count from QD_THREADS (or an explicit override): 0 means one
-    worker per CPU, unset means single-threaded."""
-    raw = os.environ.get("QD_THREADS") if value is None else value
-    if raw is None or not str(raw).strip():
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"QD_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ConfigurationError(f"QD_THREADS must be >= 0, got {n}")
-    return n if n > 0 else (os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -318,27 +301,13 @@ def _masked_level(feature: DenseTensor, w: HeadWeights,
     return out, flops
 
 
-def _run_dense_levels(pyr: FeaturePyramid, w: HeadWeights, levels: list[int],
-                      sigma_at: dict[int, float], threads: int) -> dict[int, LevelRecord]:
-    def one(l: int) -> LevelRecord:
-        return _dense_record(pyr, w, l, sigma_at.get(l))
-
-    if threads > 1 and len(levels) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            recs = list(pool.map(one, levels))
-    else:
-        recs = [one(l) for l in levels]
-    return {r.level: r for r in recs}
-
-
-def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig,
-                 threads: int | None = None) -> CascadeResult:
+def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig) -> CascadeResult:
     """Run one strategy over the pyramid and record every level.
 
-    Levels at or above cfg.start_level always run the full dense head (and may
-    run concurrently; see resolve_threads). For the cascade strategies, each
-    level below start_level is computed only at the keys derived from the level
-    above, and its own query scores seed the next level down.
+    Levels at or above cfg.start_level always run the full dense head. For the
+    cascade strategies, each level below start_level is computed only at the
+    keys derived from the level above, and its own query scores seed the next
+    level down.
     """
     if pyr.channels != w.channels:
         raise ConfigurationError(
@@ -346,18 +315,15 @@ def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig,
         )
     cascade = cfg.strategy != "dense"
     levels = _check_levels(pyr, cfg, cascade)
-    nthreads = resolve_threads() if threads is None else threads
 
     t_start = time.perf_counter()
     dense_levels = [l for l in levels if l >= cfg.start_level] if cascade else levels
     sigma_at: dict[int, float] = {}
     if cascade and cfg.start_level in dense_levels and cfg.min_level < cfg.start_level:
         sigma_at[cfg.start_level] = cfg.sigma
-    records = _run_dense_levels(pyr, w, dense_levels, sigma_at, nthreads)
-
-    ordered = [records[l] for l in dense_levels]
+    ordered = [_dense_record(pyr, w, l, sigma_at.get(l)) for l in dense_levels]
     if cascade:
-        queries = records[cfg.start_level].extracted_queries if sigma_at else None
+        queries = ordered[-1].extracted_queries if sigma_at else None
         for l in range(cfg.start_level - 1, cfg.min_level - 1, -1):
             t0 = time.perf_counter()
             feature = pyr.levels[l]
@@ -380,34 +346,3 @@ def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig,
     total_millis = (time.perf_counter() - t_start) * 1000.0
     return CascadeResult(cfg.strategy, cfg, pyr.image_height, pyr.image_width,
                          pyr.channels, ordered, total_millis)
-
-
-def _require(cfg: QueryConfig, strategy: str) -> QueryConfig:
-    if cfg.strategy != strategy:
-        raise ConfigurationError(f"config strategy is {cfg.strategy!r}, expected {strategy!r}")
-    return cfg
-
-
-def run_cascade(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig,
-                threads: int | None = None) -> CascadeResult:
-    """Cascade sparse query: sparse heads at keys, queries read from sparse rows."""
-    return run_pipeline(pyr, w, _require(cfg, "csq"), threads)
-
-
-def run_crop_query(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig,
-                   threads: int | None = None) -> CascadeResult:
-    """Crop-patch baseline: one zero-padded patch per key, center output kept."""
-    return run_pipeline(pyr, w, _require(cfg, "cq"), threads)
-
-
-def run_full_conv_query(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig,
-                        threads: int | None = None) -> CascadeResult:
-    """Full-compute baseline: dense head everywhere, outputs kept only at keys."""
-    return run_pipeline(pyr, w, _require(cfg, "ccq"), threads)
-
-
-def run_dense(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig | None = None,
-              threads: int | None = None) -> CascadeResult:
-    """Reference pipeline: every level computed in full, no queries."""
-    cfg = cfg or QueryConfig(strategy="dense")
-    return run_pipeline(pyr, w, _require(cfg, "dense"), threads)

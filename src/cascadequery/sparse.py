@@ -13,11 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .tensor import ConvWeights, DenseTensor
-
-# Kernel offset k in 0..8 encodes the tap displacement (dy, dx) = (k // 3 - 1, k % 3 - 1):
-# an entry (out_key, in_key, k) means in_key sits at out_key + (dx, dy).
-KERNEL_OFFSETS = [(k // 3 - 1, k % 3 - 1) for k in range(9)]
+from .tensor import ConvWeights, DenseTensor, conv_rows, neighbour_table
 
 
 class KeySet:
@@ -119,52 +115,36 @@ class SparseFeature:
 
 @dataclass(frozen=True)
 class Rulebook:
-    """Gather/scatter plan for one key set: per kernel offset, the aligned
-    (output index, input index) pairs whose neighbor is active."""
+    """Neighbour table of one key set: row n holds, for each of the 9 taps of a
+    3x3 kernel, the index of the key at that tap's displacement from key n, or
+    len(keys) (the shared zero row) where that neighbour is not a key.
+
+    Tap k in 0..8 is the displacement (dy, dx) = (k // 3 - 1, k % 3 - 1): an
+    entry (out_key, in_key, k) means in_key sits at out_key + (dx, dy)."""
 
     keys: KeySet
-    out_indices: list[np.ndarray] = field(repr=False)
-    in_indices: list[np.ndarray] = field(repr=False)
+    table: np.ndarray = field(repr=False)
 
     @property
     def num_entries(self) -> int:
-        return int(sum(len(a) for a in self.out_indices))
+        """Pairs (key, tap) whose neighbour is itself a key."""
+        return int(np.count_nonzero(self.table < len(self.keys)))
 
     def entries(self) -> list[tuple[int, int, int]]:
-        """All (output_key_index, input_key_index, kernel_offset) triples."""
-        out = []
-        for k in range(9):
-            out.extend(
-                (int(o), int(i), k)
-                for o, i in zip(self.out_indices[k].tolist(), self.in_indices[k].tolist())
-            )
-        return out
+        """All (output_key_index, input_key_index, kernel_offset) triples,
+        grouped by offset 0..8 and in output-key order within an offset."""
+        offsets, outs = np.nonzero(self.table.T < len(self.keys))
+        ins = self.table[outs, offsets]
+        return list(zip(outs.tolist(), ins.tolist(), offsets.tolist()))
 
 
 def build_rulebook(keys: KeySet) -> Rulebook:
-    """Submanifold rulebook: for each key and each of the 9 offsets, record a pair
-    iff the displaced neighbor is itself a key. Output active set == input set."""
+    """Submanifold rulebook: one lookup of every key's 3x3 neighbourhood in an
+    index grid of the key set. Output active set == input set."""
     n = len(keys)
-    grid = np.full((keys.height, keys.width), -1, dtype=np.int64)
-    if n:
-        grid[keys.ys, keys.xs] = np.arange(n)
-    out_idx: list[np.ndarray] = []
-    in_idx: list[np.ndarray] = []
-    empty = np.empty(0, dtype=np.int64)
-    for dy, dx in KERNEL_OFFSETS:
-        if n == 0:
-            out_idx.append(empty)
-            in_idx.append(empty)
-            continue
-        nx = keys.xs + dx
-        ny = keys.ys + dy
-        valid = (nx >= 0) & (nx < keys.width) & (ny >= 0) & (ny < keys.height)
-        neighbor = np.full(n, -1, dtype=np.int64)
-        neighbor[valid] = grid[ny[valid], nx[valid]]
-        hit = neighbor >= 0
-        out_idx.append(np.flatnonzero(hit))
-        in_idx.append(neighbor[hit])
-    return Rulebook(keys, out_idx, in_idx)
+    index = np.full((keys.height, keys.width), n, dtype=np.int64)
+    index[keys.ys, keys.xs] = np.arange(n)
+    return Rulebook(keys, neighbour_table(index, keys.ys, keys.xs, 3, n))
 
 
 def gather(dense: DenseTensor, keys: KeySet) -> SparseFeature:
@@ -194,10 +174,9 @@ def scatter(sparse: SparseFeature, height: int, width: int) -> DenseTensor:
 def sparse_conv(inp: SparseFeature, w: ConvWeights, rb: Rulebook) -> SparseFeature:
     """Submanifold convolution driven by a rulebook built from `inp.keys`.
 
-    Output row o accumulates bias plus, for offsets 0..8 in order, the matching
-    input rows times the offset's (out, in) weight slice. Missing neighbors
-    contribute nothing, which is exactly the zero-padding behaviour when every
-    position is active.
+    `conv_rows` over the rulebook's table, cut to the kernel's centred k x k
+    taps. Missing neighbors contribute nothing, which is exactly the
+    zero-padding behaviour when every position is active.
     """
     if inp.channels != w.in_channels:
         raise ConfigurationError(
@@ -205,20 +184,9 @@ def sparse_conv(inp: SparseFeature, w: ConvWeights, rb: Rulebook) -> SparseFeatu
         )
     if rb.keys is not inp.keys and rb.keys != inp.keys:
         raise ValidationError("rulebook was not built from the input's key set")
-    n = len(inp.keys)
-    out = np.empty((n, w.out_channels), dtype=np.float32)
-    out[:] = w.bias
-    if w.kernel == 1:
-        oi, ii = rb.out_indices[4], rb.in_indices[4]
-        out[oi] += inp.features[ii] @ w.weights[:, :, 0, 0].T
-        return SparseFeature(inp.keys, out)
-    for k in range(9):
-        oi, ii = rb.out_indices[k], rb.in_indices[k]
-        if len(oi) == 0:
-            continue
-        ky, kx = k // 3, k % 3
-        out[oi] += inp.features[ii] @ w.weights[:, :, ky, kx].T
-    return SparseFeature(inp.keys, out)
+    r = 1 - w.kernel // 2
+    table = rb.table.reshape(-1, 3, 3)[:, r:3 - r, r:3 - r].reshape(-1, w.kernel * w.kernel)
+    return SparseFeature(inp.keys, conv_rows(inp.features, w, table))
 
 
 def sparse_relu(sf: SparseFeature) -> SparseFeature:

@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, FormatError, ValidationError
 
@@ -47,7 +47,9 @@ class DenseTensor:
 
 @dataclass(frozen=True)
 class ConvWeights:
-    """Weights of one convolution layer: (out, in, k, k) kernel plus per-output bias."""
+    """Weights of one convolution layer: (out, in, k, k) kernel plus per-output bias.
+
+    Treated as immutable: `taps` is derived from the kernel once, on first use."""
 
     weights: np.ndarray
     bias: np.ndarray
@@ -78,33 +80,65 @@ class ConvWeights:
     def kernel(self) -> int:
         return self.weights.shape[2]
 
-    def matrix(self) -> np.ndarray:
-        """Weights flattened to (out, in * k * k) with (channel, ky, kx) tap order."""
-        return self.weights.reshape(self.out_channels, -1)
+    @cached_property
+    def taps(self) -> np.ndarray:
+        """Weights as a (k * k * in, out) matrix in (ky, kx, channel) row order,
+        the column order of the rows that `conv_rows` gathers."""
+        return np.ascontiguousarray(
+            self.weights.transpose(2, 3, 1, 0).reshape(-1, self.out_channels))
+
+
+def neighbour_table(index: np.ndarray, ys: np.ndarray, xs: np.ndarray,
+                    kernel: int, zero_row: int) -> np.ndarray:
+    """(N, kernel * kernel) row indices of the neighbours of each (ys, xs) cell.
+
+    `index` is an (H, W) grid holding each cell's row index, or `zero_row`
+    where the cell has no row. Taps run in (ky, kx) row-major order, tap t
+    reading the cell displaced by (t // kernel - r, t % kernel - r) with
+    r = kernel // 2; a neighbour outside the grid also reads `zero_row`.
+    """
+    r = kernel // 2
+    padded = np.pad(index, r, constant_values=zero_row)
+    dy, dx = np.divmod(np.arange(kernel * kernel), kernel)
+    return padded[ys[:, None] + dy, xs[:, None] + dx]
+
+
+def conv_rows(rows: np.ndarray, w: ConvWeights, table: np.ndarray) -> np.ndarray:
+    """The one convolution kernel: output row n = bias + sum over taps t of
+    rows[table[n, t]] times tap t's weights.
+
+    `rows` is (M, C); index M in `table` stands for a shared zero row, used for
+    padding and for inactive neighbours. The neighbours are gathered into one
+    (N, k * k * C) matrix and multiplied in a single float32 GEMM, so the same
+    table and rows give the same bits whichever caller built them.
+    """
+    if not np.isfinite(rows).all():
+        raise ValidationError("convolution input contains non-finite values")
+    m, c = rows.shape
+    padded = np.empty((m + 1, c), dtype=np.float32)
+    padded[:m] = rows
+    padded[m] = 0.0
+    out = padded[table].reshape(len(table), w.taps.shape[0]) @ w.taps
+    out += w.bias
+    return out
 
 
 def conv2d(inp: DenseTensor, w: ConvWeights) -> DenseTensor:
     """Stride-1, zero-padded convolution; output spatial size equals input.
 
-    output[o, y, x] = bias[o] + sum_{c, ky, kx} w[o, c, ky, kx] * padded[c, y+ky-1, x+kx-1]
+    output[o, y, x] = bias[o] + sum_{c, ky, kx} w[o, c, ky, kx] * padded[c, y+ky-r, x+kx-r]
 
-    Implemented as im2col + one float32 GEMM, which is deterministic call to
-    call on a given machine.
+    Every cell is a row, so this is `conv_rows` over the full-grid neighbour
+    table.
     """
     if inp.channels != w.in_channels:
         raise ConfigurationError(
             f"input has {inp.channels} channels, weights expect {w.in_channels}"
         )
-    if not np.isfinite(inp.values).all():
-        raise ValidationError("conv2d input contains non-finite values")
     c, h, wd = inp.values.shape
-    if w.kernel == 1:
-        cols = inp.values.reshape(c, h * wd).T
-    else:
-        padded = np.pad(inp.values, ((0, 0), (1, 1), (1, 1)))
-        win = sliding_window_view(padded, (3, 3), axis=(1, 2))  # (C, H, W, 3, 3)
-        cols = win.transpose(1, 2, 0, 3, 4).reshape(h * wd, c * 9)
-    out = cols @ w.matrix().T + w.bias
+    ys, xs = np.divmod(np.arange(h * wd), wd)
+    table = neighbour_table(np.arange(h * wd).reshape(h, wd), ys, xs, w.kernel, h * wd)
+    out = conv_rows(inp.values.reshape(c, h * wd).T, w, table)
     return DenseTensor(out.T.reshape(w.out_channels, h, wd))
 
 

@@ -5,12 +5,12 @@ import pytest
 
 from cascadequery import (
     ConfigurationError,
+    FeaturePyramid,
     QueryConfig,
+    ValidationError,
     extract_queries,
     make_synthetic_pyramid,
     map_queries_to_keys,
-    resolve_threads,
-    run_cascade,
     run_pipeline,
 )
 from cascadequery.sparse import KeySet, SparseFeature
@@ -90,7 +90,7 @@ def test_empty_queries_give_empty_keys():
     assert len(kids) == 0
 
 
-# --- config and environment ------------------------------------------------------
+# --- config ----------------------------------------------------------------------
 
 def test_query_config_validation():
     with pytest.raises(ConfigurationError):
@@ -101,23 +101,6 @@ def test_query_config_validation():
         QueryConfig(min_level=5, start_level=4)
     with pytest.raises(ConfigurationError):
         QueryConfig(cq_patch=10)
-
-
-def test_resolve_threads():
-    assert resolve_threads("") == 1
-    assert resolve_threads("3") == 3
-    assert resolve_threads("0") >= 1
-    with pytest.raises(ConfigurationError):
-        resolve_threads("many")
-    with pytest.raises(ConfigurationError):
-        resolve_threads("-2")
-
-
-def test_resolve_threads_reads_environment(monkeypatch):
-    monkeypatch.delenv("QD_THREADS", raising=False)
-    assert resolve_threads() == 1
-    monkeypatch.setenv("QD_THREADS", "2")
-    assert resolve_threads() == 2
 
 
 # --- pipeline ---------------------------------------------------------------------
@@ -211,19 +194,6 @@ def test_crop_strategy_counts_patches(pyramid, weights):
     assert rec.output.cls_logits.features.shape == (len(rec.computed_keys), 4)
 
 
-def test_thread_count_does_not_change_results(pyramid, weights):
-    one = run_pipeline(pyramid, weights, QueryConfig(strategy="csq", sigma=0.15), threads=1)
-    four = run_pipeline(pyramid, weights, QueryConfig(strategy="csq", sigma=0.15), threads=4)
-    for level in one.levels:
-        a, b = one.record(level), four.record(level)
-        if a.output.is_sparse:
-            np.testing.assert_array_equal(a.output.cls_logits.features,
-                                          b.output.cls_logits.features)
-        else:
-            np.testing.assert_array_equal(a.output.cls_logits.values,
-                                          b.output.cls_logits.values)
-
-
 def test_report_shape_and_echo(pyramid, weights):
     cfg = QueryConfig(strategy="csq", sigma=0.3, start_level=5, min_level=3)
     res = run_pipeline(pyramid, weights, cfg)
@@ -257,9 +227,20 @@ def test_pipeline_rejects_channel_mismatch(pyramid):
 def test_cascade_requires_start_level_present(weights):
     pyr = make_synthetic_pyramid(0, 512, 512, 5, 7, 16)
     with pytest.raises(ConfigurationError, match="start_level"):
-        run_cascade(pyr, weights, QueryConfig(strategy="csq"))
+        run_pipeline(pyr, weights, QueryConfig(strategy="csq"))
 
 
-def test_strategy_wrappers_enforce_their_strategy(pyramid, weights):
-    with pytest.raises(ConfigurationError):
-        run_cascade(pyramid, weights, QueryConfig(strategy="dense"))
+@pytest.mark.parametrize("strategy", ["dense", "ccq", "csq", "cq"])
+def test_every_strategy_rejects_a_non_finite_key_feature(weights, strategy):
+    # a NaN at a cell that the cascade computes on the finest level must stop
+    # every strategy, the sparse one included
+    pyr = standard_pyramid(4, image=256)
+    csq = run_pipeline(pyr, weights, QueryConfig(strategy="csq", sigma=0.15))
+    keys = csq.record(2).computed_keys
+    assert len(keys)
+    values = pyr.levels[2].values.copy()
+    values[0, keys.ys[0], keys.xs[0]] = np.nan
+    poisoned = FeaturePyramid(pyr.image_height, pyr.image_width,
+                              {**pyr.levels, 2: DenseTensor(values)})
+    with pytest.raises(ValidationError, match="non-finite"):
+        run_pipeline(poisoned, weights, QueryConfig(strategy=strategy, sigma=0.15))

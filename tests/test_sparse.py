@@ -127,13 +127,19 @@ def test_sparse_conv_keeps_the_active_set():
 
 
 def test_sparse_conv_full_grid_equals_dense_conv():
+    # both paths run the same kernel over the same neighbour table, so with
+    # every position active they agree to the bit, at the head's tower and
+    # predictor shapes too
     rng = np.random.default_rng(2)
-    dense = DenseTensor(rng.standard_normal((4, 7, 9)).astype(np.float32))
-    w = rand_conv(rng, 3, 4)
-    ks = KeySet.full(3, 7, 9)
-    got = sparse_conv(gather(dense, ks), w, build_rulebook(ks))
-    want = dense_rows_at(conv2d(dense, w), ks)
-    np.testing.assert_allclose(got.features, want, rtol=1e-5, atol=1e-5)
+    for in_c, out_c, h, w, k in [(4, 3, 7, 9, 3), (16, 16, 12, 10, 3), (16, 5, 1, 6, 3),
+                                 (64, 64, 9, 11, 3), (64, 1, 8, 8, 3), (16, 16, 5, 7, 1)]:
+        dense = DenseTensor(rng.standard_normal((in_c, h, w)).astype(np.float32))
+        conv = ConvWeights(rng.standard_normal((out_c, in_c, k, k)).astype(np.float32),
+                           rng.standard_normal(out_c).astype(np.float32))
+        ks = KeySet.full(3, h, w)
+        got = sparse_conv(gather(dense, ks), conv, build_rulebook(ks))
+        want = dense_rows_at(conv2d(dense, conv), ks)
+        np.testing.assert_array_equal(got.features, want, err_msg=f"{(in_c, out_c, h, w, k)}")
 
 
 def test_sparse_conv_single_key_is_center_tap_only():
