@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -131,6 +132,17 @@ class Options:
             cq_patch=self.get("cq_patch"),
         )
 
+    def postproc_options(self) -> dict:
+        """Validated keyword arguments for detections_from_result."""
+        kw = {key: self.get(key) for key in ("iou_threshold", "score_threshold", "top_k")}
+        for key in ("iou_threshold", "score_threshold"):
+            if not 0.0 <= kw[key] <= 1.0:
+                raise ConfigurationError(f"--{key.replace('_', '-')} must lie in [0, 1], "
+                                         f"got {kw[key]}")
+        if kw["top_k"] < 0:
+            raise ConfigurationError(f"--top-k must be non-negative, got {kw['top_k']}")
+        return kw
+
 
 def _write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as f:
@@ -221,17 +233,17 @@ def cmd_gen_fixture(opts: Options) -> int:
 # --- run ---------------------------------------------------------------------
 
 def cmd_run(opts: Options) -> int:
+    post = opts.postproc_options()
     pyr = load_pyramid(opts.require("pyramid"))
     weights = load_weights(opts.require("weights"))
     out_dir = opts.require("out")
     result = run_pipeline(pyr, weights, opts.query_config())
     anchor_cfg = AnchorConfig(base=opts.get("base"), num_anchors=weights.num_anchors)
-    dets = detections_from_result(
-        result, anchor_cfg, weights.num_classes,
-        iou_threshold=opts.get("iou_threshold"),
-        score_threshold=opts.get("score_threshold"),
-        top_k=opts.get("top_k"))
+    t0 = time.perf_counter()
+    dets = detections_from_result(result, anchor_cfg, weights.num_classes, **post)
+    postproc_millis = (time.perf_counter() - t0) * 1000.0
     report = result.report()
+    report["postproc_millis"] = postproc_millis
     report["detections"] = len(dets)
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "report.json"), report)
@@ -239,7 +251,8 @@ def cmd_run(opts: Options) -> int:
     print(f"{result.strategy}: {len(dets)} detections, "
           f"{result.total_flops} MACs "
           f"({report['flops_fraction_of_dense']:.4f} of dense), "
-          f"{result.total_millis:.1f} ms -> {out_dir}")
+          f"{result.total_millis:.1f} ms + {postproc_millis:.1f} ms post-processing "
+          f"-> {out_dir}")
     return 0
 
 
@@ -263,7 +276,7 @@ def _dense_rows_at(dense_output, keys: KeySet) -> tuple[np.ndarray, np.ndarray, 
             dense_output.query_logits.values[:, ys, xs].T)
 
 
-def _check_ccq_exact(pyr, weights, opts: Options) -> str:
+def _check_ccq_exact(pyr, weights, opts: Options, post: dict) -> str:
     from .tensor import sigmoid_array
 
     base_cfg = opts.query_config()
@@ -275,7 +288,7 @@ def _check_ccq_exact(pyr, weights, opts: Options) -> str:
         min_level=base_cfg.min_level))
     checked_keys = 0
     uncovered = 0
-    thr = opts.get("score_threshold")
+    thr = post["score_threshold"]
     for rec in ccq.records:
         if not rec.output.is_sparse:
             continue
@@ -293,13 +306,11 @@ def _check_ccq_exact(pyr, weights, opts: Options) -> str:
         covered = set(rec.computed_keys.as_tuples())
         uncovered += sum(1 for p in zip(xs.tolist(), ys.tolist()) if p not in covered)
     anchor_cfg = AnchorConfig(base=opts.get("base"), num_anchors=weights.num_anchors)
-    kw = dict(iou_threshold=opts.get("iou_threshold"), score_threshold=thr,
-              top_k=opts.get("top_k"))
     if uncovered == 0:
         d1 = detections_to_json(detections_from_result(dense, anchor_cfg,
-                                                       weights.num_classes, **kw))
+                                                       weights.num_classes, **post))
         d2 = detections_to_json(detections_from_result(ccq, anchor_cfg,
-                                                       weights.num_classes, **kw))
+                                                       weights.num_classes, **post))
         if d1 != d2:
             raise CheckFailure("detections differ between dense and ccq")
         return f"bitwise equal at {checked_keys} keys; {len(d1)} detections identical"
@@ -419,6 +430,7 @@ def _check_flops_identity(pyr, weights, opts: Options) -> str:
 
 def cmd_verify(opts: Options) -> int:
     fdir = opts.require("fixture")
+    post = opts.postproc_options()
     warnings = []
     sums_path = os.path.join(fdir, CHECKSUMS_FILE)
     if os.path.exists(sums_path):
@@ -447,7 +459,7 @@ def cmd_verify(opts: Options) -> int:
             checks.append({"name": name, "passed": False,
                            "detail": f"{type(e).__name__}: {e}"})
 
-    run_check("ccq-exact", _check_ccq_exact, pyr, weights, opts)
+    run_check("ccq-exact", _check_ccq_exact, pyr, weights, opts, post)
     run_check("csq-sigma0", _check_csq_sigma0, pyr, weights, opts)
     run_check("cq-interior", _check_cq_interior, pyr, weights, opts)
     run_check("query-targets", _check_targets, pyr, gt, opts)

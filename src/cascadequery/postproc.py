@@ -121,20 +121,39 @@ def box_iou(a, b) -> float:
 def nms(dets: list[Detection], iou_threshold: float = 0.5,
         score_threshold: float = 0.05, top_k: int = 100) -> list[Detection]:
     """Greedy per-class suppression by descending score; ties broken by
-    (class, box corners, level) so the result is independent of input order."""
+    (class, box corners, level) so the result is independent of input order.
+
+    Each surviving candidate is kept and then clears every later same-class
+    candidate whose IoU with it (box_iou's float64 formula, kept box first)
+    exceeds the threshold. IoU is symmetric and only kept boxes suppress, so
+    this keeps exactly what checking each candidate against all kept boxes
+    keeps; the walk stops once top_k boxes are kept."""
     if not (0.0 <= iou_threshold <= 1.0 and 0.0 <= score_threshold <= 1.0):
         raise ValidationError("thresholds must lie in [0, 1]")
+    if top_k < 0:
+        raise ValidationError(f"top_k must be non-negative, got {top_k}")
     ordered = sorted((d for d in dets if d.score > score_threshold),
                      key=Detection.sort_key)
+    if not ordered or top_k == 0:
+        return []
+    x1, y1, x2, y2 = np.array([d.box for d in ordered], dtype=np.float64).T
+    classes = np.array([d.class_id for d in ordered])
+    areas = (x2 - x1) * (y2 - y1)
+    alive = np.ones(len(ordered), dtype=bool)
     kept: list[Detection] = []
-    for d in ordered:
-        suppressed = any(
-            k.class_id == d.class_id and box_iou(k.box, d.box) > iou_threshold
-            for k in kept
-        )
-        if not suppressed:
-            kept.append(d)
-    return kept[:top_k]
+    for i, d in enumerate(ordered):
+        if not alive[i]:
+            continue
+        kept.append(d)
+        if len(kept) == top_k:
+            break
+        rest = slice(i + 1, None)
+        ix = np.maximum(0.0, np.minimum(x2[i], x2[rest]) - np.maximum(x1[i], x1[rest]))
+        iy = np.maximum(0.0, np.minimum(y2[i], y2[rest]) - np.maximum(y1[i], y1[rest]))
+        inter = ix * iy
+        iou = inter / (areas[i] + areas[rest] - inter)
+        alive[rest] &= ~((classes[rest] == classes[i]) & (inter > 0.0) & (iou > iou_threshold))
+    return kept
 
 
 def merge_levels(per_level: list[list[Detection]], iou_threshold: float = 0.5,

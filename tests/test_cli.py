@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from cascadequery import cli as cli_mod
 from cascadequery import model as model_mod
 from cascadequery.cli import (
     CHECKSUMS_FILE,
@@ -82,6 +83,7 @@ def test_run_writes_report_and_detections(small_fixture, tmp_path):
     assert report["config"]["sigma"] == 0.15
     assert [r["level"] for r in report["levels"]] == [7, 6, 5, 4, 3, 2]
     assert 0.0 < report["flops_fraction_of_dense"] <= 1.0
+    assert report["postproc_millis"] >= 0.0
     dets = json.loads((tmp_path / "detections.json").read_text())
     assert isinstance(dets, list)
     assert report["detections"] == len(dets)
@@ -128,6 +130,36 @@ def test_run_without_inputs_is_a_usage_error(tmp_path, capsys):
     rc = main(["run", "--out", str(tmp_path)])
     assert rc == 2
     assert "--pyramid" in capsys.readouterr().err
+
+
+def _must_not_load(path):
+    raise AssertionError(f"loaded {path} before rejecting the options")
+
+
+BAD_POSTPROC = [("--iou-threshold", "2"), ("--iou-threshold", "nan"),
+                ("--score-threshold", "-0.1"), ("--score-threshold", "1.5"),
+                ("--top-k", "-1")]
+
+
+@pytest.mark.parametrize("flag,value", BAD_POSTPROC)
+def test_bad_postproc_option_fails_run_before_any_work(small_fixture, tmp_path, flag,
+                                                       value, capsys, monkeypatch):
+    monkeypatch.setattr(cli_mod, "load_pyramid", _must_not_load)
+    out = tmp_path / "out"
+    assert main(run_args(small_fixture, out, flag, value)) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", BAD_POSTPROC)
+def test_bad_postproc_option_fails_verify_before_any_work(small_fixture, tmp_path, flag,
+                                                          value, capsys, monkeypatch):
+    monkeypatch.setattr(cli_mod, "load_pyramid", _must_not_load)
+    out = tmp_path / "out"
+    assert main(["verify", "--fixture", str(small_fixture), "--out", str(out),
+                 flag, value]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_strategy_is_rejected_at_parse_time(small_fixture, tmp_path):

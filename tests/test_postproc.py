@@ -1,10 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cascadequery import postproc
 from cascadequery import (
     AnchorConfig,
     Detection,
@@ -129,6 +131,13 @@ def test_nms_top_k_truncates_after_suppression():
     assert kept[0].score == pytest.approx(0.59)
 
 
+def test_nms_rejects_a_negative_top_k():
+    dets = [det([i * 20.0, 0, i * 20.0 + 5, 5], 0.5 + i * 0.01) for i in range(3)]
+    with pytest.raises(ValidationError):
+        nms(dets, top_k=-1)
+    assert nms(dets, top_k=0) == []
+
+
 def test_nms_tie_break_is_stable():
     # identical scores: class then corners decide, so order of arrival is irrelevant
     a = det([0, 0, 5, 5], 0.5, cls=1)
@@ -151,6 +160,43 @@ def test_nms_result_is_permutation_invariant(seed, n):
     shuffled = list(dets)
     rng.shuffle(shuffled)
     assert nms(dets) == nms(shuffled)
+
+
+def greedy_nms_oracle(dets, iou_threshold, score_threshold, top_k):
+    """Check each candidate against every box kept so far, to the end of the
+    list, and truncate afterwards."""
+    ordered = sorted((d for d in dets if d.score > score_threshold),
+                     key=Detection.sort_key)
+    kept = []
+    for d in ordered:
+        if not any(k.class_id == d.class_id and box_iou(k.box, d.box) > iou_threshold
+                   for k in kept):
+            kept.append(d)
+    return kept[:top_k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300),
+       classes=st.integers(1, 4), top_k=st.sampled_from([0, 1, 3, 100, None]),
+       iou_threshold=st.sampled_from([0.0, 0.5, 1.0]))
+def test_nms_matches_the_unbounded_greedy_oracle(seed, n, classes, top_k, iou_threshold):
+    rng = np.random.default_rng(seed)
+    # boxes on a coarse half-pixel grid in a small field: dense overlaps, exact
+    # duplicates and touching edges; a handful of scores, so many ties
+    corners = rng.integers(0, 120, (n, 2)) * 0.5
+    sides = rng.integers(1, 40, (n, 2)) * 0.5
+    sides[rng.random(n) < 0.2] += rng.uniform(0.0, 1.0, 2)
+    scores = rng.integers(1, 9, n) / 8.0
+    dets = [
+        det((float(x), float(y), float(x + w), float(y + h)), float(s),
+            cls=int(c), level=int(lvl))
+        for (x, y), (w, h), s, c, lvl in zip(corners, sides, scores,
+                                             rng.integers(0, classes, n),
+                                             rng.integers(2, 4, n))
+    ]
+    k = n + 5 if top_k is None else top_k
+    assert nms(dets, iou_threshold, 0.05, k) == \
+        greedy_nms_oracle(dets, iou_threshold, 0.05, k)
 
 
 def test_merge_levels_runs_global_nms():
@@ -220,3 +266,35 @@ def test_multi_anchor_channel_layout():
     assert dets[0].class_id == 1
     side = dets[0].box[2] - dets[0].box[0]
     assert side == pytest.approx(4.0 * 16.0 * 2 ** (1 / 3))
+
+
+def test_detections_from_result_calls_decode_and_nms_through_the_module(monkeypatch):
+    # the benchmark's trace hooks these two module attributes; inlining either
+    # would silently empty its spans and counters
+    rng = np.random.default_rng(3)
+    records = []
+    for level, side in ((3, 6), (4, 3)):
+        cls = rng.uniform(-4, 2, (4, side, side)).astype(np.float32)
+        reg = rng.uniform(-0.5, 0.5, (4, side, side)).astype(np.float32)
+        query = np.zeros((1, side, side), dtype=np.float32)
+        records.append(SimpleNamespace(output=head_output_dense(cls, reg, query),
+                                       level=level))
+    decoded, nms_calls = [], []
+    real_decode, real_nms = postproc.detections_from_output, postproc.nms
+
+    def spy_decode(*args, **kwargs):
+        out = real_decode(*args, **kwargs)
+        decoded.extend(out)
+        return out
+
+    def spy_nms(dets, *args, **kwargs):
+        nms_calls.append(list(dets))
+        return real_nms(dets, *args, **kwargs)
+
+    monkeypatch.setattr(postproc, "detections_from_output", spy_decode)
+    monkeypatch.setattr(postproc, "nms", spy_nms)
+    got = postproc.detections_from_result(SimpleNamespace(records=records), CFG, 4,
+                                          top_k=5)
+    assert len(decoded) > 5
+    assert nms_calls == [decoded]
+    assert got == real_nms(decoded, top_k=5)
