@@ -95,38 +95,19 @@ class FlopsLevel:
     width: int
     dense_tower_macs: int
     dense_pred_macs: int
-    keys: int | None = None
-    rulebook_entries: int | None = None
-    sparse_tower_macs: int | None = None
-    sparse_pred_macs: int | None = None
 
     @property
     def dense_total(self) -> int:
         return self.dense_tower_macs + self.dense_pred_macs
 
-    @property
-    def sparse_total(self) -> int | None:
-        if self.sparse_tower_macs is None:
-            return None
-        return self.sparse_tower_macs + self.sparse_pred_macs
-
     def to_json(self) -> dict:
-        out = {
+        return {
             "level": self.level,
             "shape": [self.height, self.width],
             "dense_tower_macs": self.dense_tower_macs,
             "dense_pred_macs": self.dense_pred_macs,
             "dense_total_macs": self.dense_total,
         }
-        if self.sparse_total is not None:
-            out.update({
-                "keys": self.keys,
-                "rulebook_entries": self.rulebook_entries,
-                "sparse_tower_macs": self.sparse_tower_macs,
-                "sparse_pred_macs": self.sparse_pred_macs,
-                "sparse_total_macs": self.sparse_total,
-            })
-        return out
 
 
 @dataclass(frozen=True)
@@ -136,28 +117,12 @@ class FlopsReport:
     num_classes: int
     rows: list[FlopsLevel]
 
-    def __post_init__(self):
-        for r in self.rows:
-            if r.sparse_total is not None and r.sparse_total > r.dense_total:
-                raise ConfigurationError(
-                    f"level {r.level}: sparse MACs {r.sparse_total} exceed dense "
-                    f"{r.dense_total}; counts are inconsistent"
-                )
-
     @property
     def dense_total(self) -> int:
         return sum(r.dense_total for r in self.rows)
 
-    @property
-    def sparse_total(self) -> int | None:
-        parts = [r.sparse_total for r in self.rows]
-        if all(p is None for p in parts):
-            return None
-        return sum(r.sparse_total if r.sparse_total is not None else r.dense_total
-                   for r in self.rows)
-
     def to_json(self) -> dict:
-        out = {
+        return {
             "schema": "qd/1",
             "channels": self.channels,
             "num_anchors": self.num_anchors,
@@ -165,38 +130,19 @@ class FlopsReport:
             "levels": [r.to_json() for r in self.rows],
             "dense_total_macs": self.dense_total,
         }
-        if self.sparse_total is not None:
-            out["sparse_total_macs"] = self.sparse_total
-            out["sparse_fraction_of_dense"] = self.sparse_total / self.dense_total
-        return out
 
 
 def flops_report(image_h: int, image_w: int, levels, channels: int, num_anchors: int,
-                 num_classes: int,
-                 sparse_counts: dict[int, tuple[int, int]] | None = None) -> FlopsReport:
-    """Per-level MAC breakdown for an image. sparse_counts maps level ->
-    (num_keys, rulebook_entries) for levels that ran sparsely."""
-    sparse_counts = sparse_counts or {}
+                 num_classes: int) -> FlopsReport:
+    """Per-level dense MAC breakdown for an image."""
     rows = []
     for l in sorted(levels):
         h, w = level_dims(image_h, image_w, l)
-        row = FlopsLevel(
+        rows.append(FlopsLevel(
             level=l, height=h, width=w,
             dense_tower_macs=tower_macs_dense(h, w, channels),
             dense_pred_macs=pred_macs_dense(h, w, channels, num_anchors, num_classes),
-        )
-        if l in sparse_counts:
-            keys, entries = sparse_counts[l]
-            row = FlopsLevel(
-                level=l, height=h, width=w,
-                dense_tower_macs=row.dense_tower_macs,
-                dense_pred_macs=row.dense_pred_macs,
-                keys=keys, rulebook_entries=entries,
-                sparse_tower_macs=tower_macs_sparse(entries, channels),
-                sparse_pred_macs=pred_macs_sparse(entries, channels, num_anchors,
-                                                  num_classes),
-            )
-        rows.append(row)
+        ))
     return FlopsReport(channels, num_anchors, num_classes, rows)
 
 
@@ -309,18 +255,13 @@ def sweep_sigmas() -> list[float]:
 
 
 def sigma_sweep(pyr, weights, strategy: str = "csq", sigmas=None, repeats: int = 5,
-                warmup: int = 2, start_level: int = 4, min_level: int = 2,
-                cq_patch: int = 11) -> list[BenchResult]:
+                warmup: int = 2) -> list[BenchResult]:
     """Benchmark one strategy across the threshold grid (ascending sigma), every
     threshold timed in the same interleaved rounds (see run_benchmark)."""
     from .query import QueryConfig
 
     sigmas = sweep_sigmas() if sigmas is None else list(sigmas)
-    configs = [
-        QueryConfig(strategy=strategy, sigma=s, start_level=start_level,
-                    min_level=min_level, cq_patch=cq_patch)
-        for s in sigmas
-    ]
+    configs = [QueryConfig(strategy=strategy, sigma=s) for s in sigmas]
     return run_benchmark(pyr, weights, configs, repeats=repeats, warmup=warmup)
 
 

@@ -24,14 +24,14 @@ import numpy as np
 
 from . import analysis
 from .errors import CascadeQueryError, ConfigurationError
-from .model import (Blob, level_dims, load_pyramid, load_weights,
+from .model import (RECEPTIVE_FIELD, Blob, level_dims, load_pyramid, load_weights,
                     make_fixture_weights, make_synthetic_pyramid, save_pyramid,
                     save_weights)
 from .postproc import AnchorConfig, detections_from_result, detections_to_json
-from .query import QueryConfig, run_pipeline
+from .query import CascadeResult, QueryConfig, run_pipeline
 from .sparse import KeySet, build_rulebook
 from .targets import GroundTruthObject, GroundTruthSet, query_target_for_level
-from .tensor import DenseTensor, save_tensor
+from .tensor import DenseTensor, save_tensor, sigmoid_array
 
 PYRAMID_FILE = "pyramid.qdpyr"
 WEIGHTS_FILE = "weights.qdwts"
@@ -49,7 +49,6 @@ DEFAULTS = {
     "start_level": 4,
     "strategy": "csq",
     "sigma": 0.15,
-    "cq_patch": 11,
     "repeats": 5,
     "warmup": 2,
     "blobs": 3,
@@ -129,7 +128,6 @@ class Options:
             sigma=self.get("sigma"),
             start_level=self.get("start_level"),
             min_level=self.get("min_level"),
-            cq_patch=self.get("cq_patch"),
         )
 
     def postproc_options(self) -> dict:
@@ -269,109 +267,62 @@ def _rel_err(actual: np.ndarray, expected: np.ndarray) -> float:
     return float(np.max(np.abs(actual.astype(np.float64) - expected.astype(np.float64)))) / scale
 
 
-def _dense_rows_at(dense_output, keys: KeySet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xs, ys = keys.xs, keys.ys
-    return (dense_output.cls_logits.values[:, ys, xs].T,
-            dense_output.reg_deltas.values[:, ys, xs].T,
-            dense_output.query_logits.values[:, ys, xs].T)
-
-
-def _check_ccq_exact(pyr, weights, opts: Options, post: dict) -> str:
-    from .tensor import sigmoid_array
-
-    base_cfg = opts.query_config()
-    dense = run_pipeline(pyr, weights, QueryConfig(
-        strategy="dense", sigma=base_cfg.sigma, start_level=base_cfg.start_level,
-        min_level=base_cfg.min_level))
-    ccq = run_pipeline(pyr, weights, QueryConfig(
-        strategy="ccq", sigma=base_cfg.sigma, start_level=base_cfg.start_level,
-        min_level=base_cfg.min_level))
-    checked_keys = 0
-    uncovered = 0
-    thr = post["score_threshold"]
-    for rec in ccq.records:
-        if not rec.output.is_sparse:
-            continue
-        dense_rec = dense.record(rec.level)
-        want = _dense_rows_at(dense_rec.output, rec.computed_keys)
-        got = (rec.output.cls_logits.features, rec.output.reg_deltas.features,
-               rec.output.query_logits.features)
-        for name, g, e in zip(("cls", "reg", "query"), got, want):
-            if not np.array_equal(g, e):
-                raise CheckFailure(
-                    f"level {rec.level} {name} outputs not bitwise equal at kept keys")
-        checked_keys += len(rec.computed_keys)
-        scores = sigmoid_array(dense_rec.output.cls_logits.values)
-        _, ys, xs = np.nonzero(scores > thr)
-        covered = set(rec.computed_keys.as_tuples())
-        uncovered += sum(1 for p in zip(xs.tolist(), ys.tolist()) if p not in covered)
-    anchor_cfg = AnchorConfig(base=opts.get("base"), num_anchors=weights.num_anchors)
-    if uncovered == 0:
-        d1 = detections_to_json(detections_from_result(dense, anchor_cfg,
-                                                       weights.num_classes, **post))
-        d2 = detections_to_json(detections_from_result(ccq, anchor_cfg,
-                                                       weights.num_classes, **post))
-        if d1 != d2:
-            raise CheckFailure("detections differ between dense and ccq")
-        return f"bitwise equal at {checked_keys} keys; {len(d1)} detections identical"
-    return (f"bitwise equal at {checked_keys} keys; {uncovered} above-threshold dense "
-            f"positions uncovered by keys, detections comparison skipped")
-
-
-def _check_csq_sigma0(pyr, weights, opts: Options) -> str:
-    base_cfg = opts.query_config()
-    dense = run_pipeline(pyr, weights, QueryConfig(
-        strategy="dense", start_level=base_cfg.start_level, min_level=base_cfg.min_level))
-    csq = run_pipeline(pyr, weights, QueryConfig(
-        strategy="csq", sigma=0.0, start_level=base_cfg.start_level,
-        min_level=base_cfg.min_level))
+def _check_against_dense(pyr, weights, dense: CascadeResult | Exception, cfg: QueryConfig,
+                         margin: int, exact: bool) -> tuple[CascadeResult, str]:
+    """Run `cfg` and compare its rows with the `dense` run at every computed key
+    at least `margin` cells from the border: bitwise if `exact`, else within
+    1e-5 relative. `dense` is the exception instead if the dense run crashed.
+    Returns the run and a summary."""
+    if isinstance(dense, Exception):
+        raise dense
+    result = run_pipeline(pyr, weights, cfg)
     worst = 0.0
     rows = 0
-    for rec in csq.records:
-        if not rec.output.is_sparse:
-            continue
-        want = _dense_rows_at(dense.record(rec.level).output, rec.computed_keys)
-        got = (rec.output.cls_logits.features, rec.output.reg_deltas.features,
-               rec.output.query_logits.features)
-        for g, e in zip(got, want):
-            worst = max(worst, _rel_err(g, e))
-        rows += len(rec.computed_keys)
-    if worst > 1e-5:
-        raise CheckFailure(f"relative error {worst:.3e} exceeds 1e-5 over {rows} keys")
-    return f"max relative error {worst:.3e} over {rows} keys"
-
-
-def _check_cq_interior(pyr, weights, opts: Options) -> str:
-    base_cfg = opts.query_config()
-    margin = base_cfg.cq_patch // 2
-    dense = run_pipeline(pyr, weights, QueryConfig(
-        strategy="dense", start_level=base_cfg.start_level, min_level=base_cfg.min_level))
-    cq = run_pipeline(pyr, weights, QueryConfig(
-        strategy="cq", sigma=base_cfg.sigma, start_level=base_cfg.start_level,
-        min_level=base_cfg.min_level, cq_patch=base_cfg.cq_patch))
-    worst = 0.0
-    rows = 0
-    for rec in cq.records:
+    for rec in result.records:
         if not rec.output.is_sparse:
             continue
         keys = rec.computed_keys
-        interior = ((keys.xs >= margin) & (keys.xs < rec.width - margin)
-                    & (keys.ys >= margin) & (keys.ys < rec.height - margin))
-        if not np.any(interior):
-            continue
-        sub = KeySet(rec.level, rec.height, rec.width, keys.positions[interior])
-        want = _dense_rows_at(dense.record(rec.level).output, sub)
-        got = (rec.output.cls_logits.features[interior],
-               rec.output.reg_deltas.features[interior],
-               rec.output.query_logits.features[interior])
-        for g, e in zip(got, want):
+        inside = ((keys.xs >= margin) & (keys.xs < rec.width - margin)
+                  & (keys.ys >= margin) & (keys.ys < rec.height - margin))
+        xs, ys = keys.xs[inside], keys.ys[inside]
+        want = dense.record(rec.level).output
+        for name in ("cls_logits", "reg_deltas", "query_logits"):
+            g = getattr(rec.output, name).features[inside]
+            e = getattr(want, name).values[:, ys, xs].T
+            if exact and not np.array_equal(g, e):
+                raise CheckFailure(
+                    f"level {rec.level} {name} outputs not bitwise equal at kept keys")
             worst = max(worst, _rel_err(g, e))
-        rows += int(interior.sum())
-    if rows == 0:
-        return "no interior keys on this fixture; nothing to compare"
+        rows += int(inside.sum())
+    where = f"{rows} interior keys" if margin else f"{rows} keys"
+    if exact:
+        return result, f"bitwise equal at {where}"
     if worst > 1e-5:
-        raise CheckFailure(f"relative error {worst:.3e} exceeds 1e-5 over {rows} interior keys")
-    return f"max relative error {worst:.3e} over {rows} interior keys"
+        raise CheckFailure(f"relative error {worst:.3e} exceeds 1e-5 over {where}")
+    return result, f"max relative error {worst:.3e} over {where}"
+
+
+def _check_ccq_exact(pyr, weights, dense: CascadeResult | Exception, cfg: QueryConfig,
+                     base: float, post: dict) -> str:
+    ccq, detail = _check_against_dense(pyr, weights, dense,
+                                       dataclasses.replace(cfg, strategy="ccq"), 0, True)
+    uncovered = 0
+    for rec in ccq.records:
+        if not rec.output.is_sparse:
+            continue
+        scores = sigmoid_array(dense.record(rec.level).output.cls_logits.values)
+        _, ys, xs = np.nonzero(scores > post["score_threshold"])
+        covered = set(rec.computed_keys.as_tuples())
+        uncovered += sum(1 for p in zip(xs.tolist(), ys.tolist()) if p not in covered)
+    if uncovered:
+        return (f"{detail}; {uncovered} above-threshold dense positions uncovered by "
+                f"keys, detections comparison skipped")
+    anchor_cfg = AnchorConfig(base=base, num_anchors=weights.num_anchors)
+    d1, d2 = (detections_to_json(detections_from_result(r, anchor_cfg, weights.num_classes,
+                                                        **post)) for r in (dense, ccq))
+    if d1 != d2:
+        raise CheckFailure("detections differ between dense and ccq")
+    return f"{detail}; {len(d1)} detections identical"
 
 
 def _brute_force_query_target(gt: GroundTruthSet, level: int, height: int, width: int,
@@ -393,8 +344,7 @@ def _brute_force_query_target(gt: GroundTruthSet, level: int, height: int, width
     return out
 
 
-def _check_targets(pyr, gt: GroundTruthSet, opts: Options) -> str:
-    base = opts.get("base")
+def _check_targets(pyr, gt: GroundTruthSet, base: float) -> str:
     cells = 0
     for level in sorted(pyr.levels):
         h, w = pyr.levels[level].height, pyr.levels[level].width
@@ -407,7 +357,7 @@ def _check_targets(pyr, gt: GroundTruthSet, opts: Options) -> str:
     return f"query targets match brute force over {cells} cells"
 
 
-def _check_flops_identity(pyr, weights, opts: Options) -> str:
+def _check_flops_identity(pyr, weights) -> str:
     a, k = weights.num_anchors, weights.num_classes
     c = weights.channels
     dims = sorted({(pyr.levels[l].height, pyr.levels[l].width) for l in pyr.levels})[:2]
@@ -452,6 +402,8 @@ def cmd_verify(opts: Options) -> int:
     def run_check(name, fn, *args):
         try:
             detail = fn(*args)
+            if isinstance(detail, tuple):  # _check_against_dense also returns its run
+                detail = detail[1]
             checks.append({"name": name, "passed": True, "detail": detail})
         except CheckFailure as e:
             checks.append({"name": name, "passed": False, "detail": str(e)})
@@ -459,11 +411,18 @@ def cmd_verify(opts: Options) -> int:
             checks.append({"name": name, "passed": False,
                            "detail": f"{type(e).__name__}: {e}"})
 
-    run_check("ccq-exact", _check_ccq_exact, pyr, weights, opts, post)
-    run_check("csq-sigma0", _check_csq_sigma0, pyr, weights, opts)
-    run_check("cq-interior", _check_cq_interior, pyr, weights, opts)
-    run_check("query-targets", _check_targets, pyr, gt, opts)
-    run_check("flops-identity", _check_flops_identity, pyr, weights, opts)
+    cfg, base = opts.query_config(), opts.get("base")
+    try:  # one dense reference for the three strategy checks
+        dense = run_pipeline(pyr, weights, dataclasses.replace(cfg, strategy="dense"))
+    except Exception as e:  # each of those checks then fails with this error
+        dense = e
+    run_check("ccq-exact", _check_ccq_exact, pyr, weights, dense, cfg, base, post)
+    run_check("csq-sigma0", _check_against_dense, pyr, weights, dense,
+              dataclasses.replace(cfg, strategy="csq", sigma=0.0), 0, False)
+    run_check("cq-interior", _check_against_dense, pyr, weights, dense,
+              dataclasses.replace(cfg, strategy="cq"), RECEPTIVE_FIELD // 2, False)
+    run_check("query-targets", _check_targets, pyr, gt, base)
+    run_check("flops-identity", _check_flops_identity, pyr, weights)
 
     verdict = {
         "schema": "qd/1",
@@ -569,7 +528,6 @@ def _add(p: argparse.ArgumentParser, *names: str) -> None:
         "start_level": dict(type=int),
         "strategy": dict(type=str, choices=["dense", "csq", "cq", "ccq"]),
         "sigma": dict(type=float),
-        "cq_patch": dict(type=int),
         "repeats": dict(type=int),
         "warmup": dict(type=int),
         "blobs": dict(type=int, help="number of random planted objects"),
@@ -596,16 +554,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one strategy and write report + detections")
     _add(p, "pyramid", "weights", "out", "strategy", "sigma", "start_level",
-         "min_level", "cq_patch", "base", "score_threshold", "iou_threshold",
-         "top_k", "config")
+         "min_level", "base", "score_threshold", "iou_threshold", "top_k", "config")
 
     p = sub.add_parser("verify", help="oracle equivalence checks over a fixture")
-    _add(p, "fixture", "out", "sigma", "start_level", "min_level", "cq_patch",
-         "base", "score_threshold", "iou_threshold", "top_k", "config")
+    _add(p, "fixture", "out", "sigma", "start_level", "min_level", "base",
+         "score_threshold", "iou_threshold", "top_k", "config")
 
     p = sub.add_parser("bench", help="timing sweep across thresholds")
     _add(p, "pyramid", "weights", "out", "strategy", "repeats", "warmup",
-         "start_level", "min_level", "cq_patch", "config")
+         "start_level", "min_level", "config")
 
     p = sub.add_parser("flops", help="analytic per-level cost breakdown")
     _add(p, "image_size", "channels", "anchors", "classes", "min_level",

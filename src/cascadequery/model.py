@@ -23,6 +23,10 @@ PYRAMID_MAGIC = b"QDPYR1\n\0"
 WEIGHTS_MAGIC = b"QDWTS1\n\0"
 
 TOWER_DEPTH = 4
+# Side of the square input window one head output depends on: the tower's
+# convs and the predictor are all at most 3x3, each widening it by one cell
+# per side. cq crops exactly this window around each key.
+RECEPTIVE_FIELD = 2 * (TOWER_DEPTH + 1) + 1
 PRIOR_PROB = 0.01  # untrained classification/query scores start near this
 
 
@@ -376,7 +380,10 @@ def load_weights(path) -> HeadWeights:
         role, out_c, in_c, kk = entry["role"], entry["out"], entry["in"], entry["k"]
         wt = r.take(out_c * in_c * kk * kk, f"{role} weights").reshape(out_c, in_c, kk, kk)
         bias = r.take(out_c, f"{role} bias")
-        convs[role] = ConvWeights(wt, bias)
+        try:
+            convs[role] = ConvWeights(wt, bias)
+        except ValidationError as e:
+            raise FormatError(f"{path}: {role}: {e}") from e
     r.finish()
     try:
         return HeadWeights(

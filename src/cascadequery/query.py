@@ -9,9 +9,9 @@ the next level computes. Four strategies share this skeleton:
   csq    children computed with submanifold sparse convolutions; the next
          queries are read from the sparse rows themselves, so sparsity
          compounds level after level
-  cq     children computed by cropping a zero-padded patch per key sized to
-         the head's receptive field, running the dense head on the patch,
-         and keeping the center output
+  cq     children computed by cropping a zero-padded patch per key the size
+         of the head's receptive field (model.RECEPTIVE_FIELD), running the
+         dense head on the patch, and keeping the center output
   ccq    full dense compute at every level, but outputs below the start level
          are kept only at key positions (exactness baseline)
 """
@@ -25,7 +25,8 @@ import numpy as np
 
 from . import analysis
 from .errors import ConfigurationError, ValidationError
-from .model import FeaturePyramid, HeadOutput, HeadWeights, run_dense_head, run_sparse_head
+from .model import (RECEPTIVE_FIELD, FeaturePyramid, HeadOutput, HeadWeights,
+                    run_dense_head, run_sparse_head)
 from .sparse import KeySet, SparseFeature, build_rulebook, gather
 from .tensor import DenseTensor, sigmoid_array
 
@@ -38,7 +39,6 @@ class QueryConfig:
     sigma: float = 0.15
     start_level: int = 4
     min_level: int = 2
-    cq_patch: int = 11
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -51,8 +51,6 @@ class QueryConfig:
             raise ConfigurationError(
                 f"min_level {self.min_level} exceeds start_level {self.start_level}"
             )
-        if self.cq_patch < 1 or self.cq_patch % 2 == 0:
-            raise ConfigurationError(f"cq_patch must be odd and positive, got {self.cq_patch}")
 
 
 def extract_queries(query_scores: DenseTensor | SparseFeature, sigma: float,
@@ -196,7 +194,6 @@ class CascadeResult:
                 "sigma": self.config.sigma,
                 "start_level": self.config.start_level,
                 "min_level": self.config.min_level,
-                "cq_patch": self.config.cq_patch,
             },
             "image": [self.image_height, self.image_width],
             "channels": self.channels,
@@ -269,9 +266,9 @@ def crop_patch(feature: DenseTensor, x: int, y: int, patch: int) -> DenseTensor:
     return DenseTensor(out)
 
 
-def _crop_level(feature: DenseTensor, w: HeadWeights, keys: KeySet,
-                patch: int) -> tuple[HeadOutput, int]:
+def _crop_level(feature: DenseTensor, w: HeadWeights, keys: KeySet) -> tuple[HeadOutput, int]:
     n = len(keys)
+    patch = RECEPTIVE_FIELD
     center = patch // 2
     cls_rows = np.empty((n, w.num_anchors * w.num_classes), dtype=np.float32)
     reg_rows = np.empty((n, w.num_anchors * 4), dtype=np.float32)
@@ -333,7 +330,7 @@ def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig) -> Casca
                 out, entries, flops = _sparse_level(feature, w, keys)
                 mode = "sparse"
             elif cfg.strategy == "cq":
-                out, flops = _crop_level(feature, w, keys, cfg.cq_patch)
+                out, flops = _crop_level(feature, w, keys)
                 mode = "crop"
             else:  # ccq
                 out, flops = _masked_level(feature, w, keys)

@@ -76,11 +76,6 @@ class KeySet:
         """Canonical-order [x, y] pairs, the serialization used in run reports."""
         return self.positions.tolist()
 
-    def is_subset_of(self, other: "KeySet") -> bool:
-        mine = set(map(tuple, self.positions.tolist()))
-        theirs = set(map(tuple, other.positions.tolist()))
-        return mine <= theirs
-
     @classmethod
     def empty(cls, level: int, height: int, width: int) -> "KeySet":
         return cls(level, height, width)

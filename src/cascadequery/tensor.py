@@ -65,6 +65,8 @@ class ConvWeights:
             raise ConfigurationError(
                 f"bias length {b.shape} does not match out_channels {w.shape[0]}"
             )
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValidationError("conv weights or bias contain non-finite values")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cascadequery import (
     Blob,
     ConfigurationError,
-    FlopsReport,
     QueryConfig,
     build_rulebook,
     head_flops_dense,
@@ -23,7 +22,6 @@ from cascadequery import (
 from cascadequery import query as query_mod
 from cascadequery.analysis import (
     BenchResult,
-    FlopsLevel,
     bench_csv,
     bench_json,
     flops_report,
@@ -107,27 +105,12 @@ def test_cost_increase_needs_coarse_levels():
 # --- report assembly ---------------------------------------------------------------
 
 def test_flops_report_totals_and_fraction():
-    rep = flops_report(64, 64, range(2, 8), 16, 1, 4,
-                       sparse_counts={2: (10, 70), 3: (4, 16)})
+    rep = flops_report(64, 64, range(2, 8), 16, 1, 4)
     assert rep.dense_total == sum(r.dense_total for r in rep.rows)
     j = rep.to_json()
     assert j["schema"] == "qd/1"
     assert len(j["levels"]) == 6
-    assert j["sparse_total_macs"] < j["dense_total_macs"]
-    assert 0.0 < j["sparse_fraction_of_dense"] < 1.0
-    # dense-only rows carry no sparse fields
-    lvl7 = next(r for r in j["levels"] if r["level"] == 7)
-    assert "sparse_total_macs" not in lvl7
     json.dumps(j)
-
-
-def test_flops_report_rejects_sparse_above_dense():
-    bad = FlopsLevel(level=2, height=2, width=2,
-                     dense_tower_macs=100, dense_pred_macs=10,
-                     keys=4, rulebook_entries=999,
-                     sparse_tower_macs=5000, sparse_pred_macs=500)
-    with pytest.raises(ConfigurationError, match="exceed"):
-        FlopsReport(16, 1, 4, [bad])
 
 
 # --- wall-clock harness ------------------------------------------------------------

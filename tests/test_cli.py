@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -167,6 +168,20 @@ def test_unknown_strategy_is_rejected_at_parse_time(small_fixture, tmp_path):
         main(run_args(small_fixture, tmp_path, "--strategy", "bogus"))
 
 
+def test_non_finite_weights_file_exits_1_naming_the_conv(small_fixture, tmp_path, capsys):
+    weights = tmp_path / WEIGHTS_FILE
+    data = bytearray((small_fixture / WEIGHTS_FILE).read_bytes())
+    # the payload ends with query_pred's 3x3 kernel, then its one-element bias
+    data[-8:-4] = struct.pack("<f", float("nan"))
+    weights.write_bytes(bytes(data))
+    rc = main(["run", "--pyramid", str(small_fixture / PYRAMID_FILE),
+               "--weights", str(weights), "--out", str(tmp_path / "out"),
+               "--strategy", "csq"])
+    assert rc == 1
+    assert "query_pred" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_pyramid_file_maps_to_io_exit_code(tmp_path, capsys):
     rc = main(["run", "--pyramid", str(tmp_path / "nope.qdpyr"),
                "--weights", str(tmp_path / "nope.qdwts"), "--out", str(tmp_path)])
@@ -197,10 +212,17 @@ def test_flag_beats_config_beats_default(small_fixture, tmp_path):
 
 def test_unknown_config_key_is_rejected(small_fixture, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"sigmaa": 0.5}))
-    rc = main(run_args(small_fixture, tmp_path, "--config", str(cfg)))
-    assert rc == 2
-    assert "unknown keys" in capsys.readouterr().err
+    for payload in ({"sigmaa": 0.5}, {"cq_patch": 11}):  # cq_patch: removed knob
+        cfg.write_text(json.dumps(payload))
+        rc = main(run_args(small_fixture, tmp_path, "--config", str(cfg)))
+        assert rc == 2
+        assert "unknown keys" in capsys.readouterr().err
+
+
+def test_removed_cq_patch_flag_is_rejected_at_parse_time(small_fixture, tmp_path):
+    # cq's crop is always the head's receptive field; there is no flag for it
+    with pytest.raises(SystemExit):
+        main(run_args(small_fixture, tmp_path, "--strategy", "cq", "--cq-patch", "13"))
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", "{not json", '{"sigma": "high"}'])
@@ -226,6 +248,39 @@ def test_verify_passes_on_a_pristine_fixture(small_fixture, tmp_path, capsys):
     assert all(c["passed"] for c in verdict["checks"])
     on_disk = json.loads((tmp_path / "verify.json").read_text())
     assert on_disk == verdict
+
+
+def test_verify_runs_one_dense_pipeline(small_fixture, monkeypatch, capsys):
+    real = cli_mod.run_pipeline
+    strategies = []
+
+    def counting(pyr, weights, cfg):
+        strategies.append(cfg.strategy)
+        return real(pyr, weights, cfg)
+
+    monkeypatch.setattr(cli_mod, "run_pipeline", counting)
+    assert main(["verify", "--fixture", str(small_fixture)]) == 0
+    capsys.readouterr()
+    assert strategies.count("dense") == 1
+    assert sorted(strategies) == ["ccq", "cq", "csq", "dense"]
+
+
+def test_verify_fails_each_strategy_check_when_the_dense_run_crashes(small_fixture,
+                                                                     monkeypatch, capsys):
+    real = cli_mod.run_pipeline
+
+    def dense_crashes(pyr, weights, cfg):
+        if cfg.strategy == "dense":
+            raise RuntimeError("dense exploded")
+        return real(pyr, weights, cfg)
+
+    monkeypatch.setattr(cli_mod, "run_pipeline", dense_crashes)
+    assert main(["verify", "--fixture", str(small_fixture)]) == 1
+    by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    for name in ("ccq-exact", "csq-sigma0", "cq-interior"):
+        assert by_name[name] == {"name": name, "passed": False,
+                                 "detail": "RuntimeError: dense exploded"}
+    assert by_name["query-targets"]["passed"] and by_name["flops-identity"]["passed"]
 
 
 def test_verify_warns_on_edited_file_but_checks_still_pass(tmp_path, capsys):

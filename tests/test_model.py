@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -192,6 +193,16 @@ def test_load_pyramid_rejects_wrong_magic(tmp_path):
     save_weights(w, p)
     with pytest.raises(FormatError, match="magic"):
         load_pyramid(p)  # weights container under the pyramid loader
+
+
+def test_load_weights_rejects_non_finite_values_naming_the_conv(tmp_path):
+    p = tmp_path / "w.qdwts"
+    save_weights(standard_weights(16), p)
+    data = bytearray(p.read_bytes())
+    data[-8:-4] = struct.pack("<f", float("nan"))  # last tap of query_pred's kernel
+    p.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="query_pred"):
+        load_weights(p)
 
 
 def test_load_weights_reports_truncation_with_path(tmp_path):

@@ -99,8 +99,6 @@ def test_query_config_validation():
         QueryConfig(sigma=1.5)
     with pytest.raises(ConfigurationError):
         QueryConfig(min_level=5, start_level=4)
-    with pytest.raises(ConfigurationError):
-        QueryConfig(cq_patch=10)
 
 
 # --- pipeline ---------------------------------------------------------------------
@@ -201,7 +199,7 @@ def test_report_shape_and_echo(pyramid, weights):
     assert rep["schema"] == "qd/1"
     assert rep["strategy"] == "csq"
     assert rep["config"] == {"strategy": "csq", "sigma": 0.3, "start_level": 5,
-                             "min_level": 3, "cq_patch": 11}
+                             "min_level": 3}
     assert [r["level"] for r in rep["levels"]] == [7, 6, 5, 4, 3]
     for row in rep["levels"]:
         for field in ("mode", "computed_keys", "extracted_queries",

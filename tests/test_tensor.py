@@ -124,6 +124,16 @@ def test_conv2d_rejects_non_finite_input():
         conv2d(DenseTensor(x), ConvWeights(ww, np.zeros(1, dtype=np.float32)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["weights", "bias"])
+def test_conv_weights_reject_non_finite_values(part, bad):
+    ww = np.zeros((2, 1, 3, 3), dtype=np.float32)
+    bias = np.zeros(2, dtype=np.float32)
+    (ww if part == "weights" else bias).flat[-1] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        ConvWeights(ww, bias)
+
+
 def test_relu_clamps_negatives_only():
     x = np.array([[[-1.5, 0.0], [2.0, -0.0]]], dtype=np.float32)
     out = relu(DenseTensor(x)).values
