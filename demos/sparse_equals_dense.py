@@ -10,9 +10,11 @@ positions it kept, against a dense reference run:
                             over the same neighbour table); above 0 it
                             reads missing neighbors as zero, which is the
                             approximation that buys its speed
-  cq   cropped patches   -> matches dense away from borders, but pays for
-                            a full 11x11 patch per key, so it only wins
-                            when keys are very scarce
+  cq   submanifold conv  -> matches dense at every key, border keys
+       over the halo        included: it runs over every cell within the
+                            receptive-field radius (5) of a key, so every
+                            input a key's output reads is present; the
+                            halo is the work it pays for
 
 Run:  python demos/sparse_equals_dense.py
 """
@@ -21,7 +23,6 @@ import numpy as np
 
 from cascadequery import (
     Blob,
-    KeySet,
     QueryConfig,
     make_fixture_weights,
     make_synthetic_pyramid,
@@ -40,21 +41,12 @@ def worst_rel(a, b):
     return float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64)))) / scale
 
 
-def compare(result, dense, interior_margin=None):
+def compare(result, dense):
     for rec in result.records:
         if not rec.output.is_sparse:
             continue
         keys = rec.computed_keys
         got = rec.output.cls_logits.features
-        if interior_margin is not None:
-            m = interior_margin
-            inner = ((keys.xs >= m) & (keys.xs < rec.width - m)
-                     & (keys.ys >= m) & (keys.ys < rec.height - m))
-            if not inner.any():
-                print(f"  P{rec.level}: {len(keys)} keys, none interior -> skipped")
-                continue
-            keys = KeySet(rec.level, rec.height, rec.width, keys.positions[inner])
-            got = got[inner]
         want = rows_from_dense(dense.record(rec.level).output.cls_logits, keys)
         tag = ("bitwise" if np.array_equal(got, want)
                else f"rel err {worst_rel(got, want):.1e}")
@@ -74,17 +66,18 @@ def main():
     print(f"\ndense reference: {dense.total_flops:,} MACs, {dense.total_millis:.1f} ms")
 
     runs = [
-        ("ccq", 0.15, None, "masked dense: full arithmetic, rows kept at keys"),
-        ("csq", 0.0, None, "submanifold with every cell active"),
-        ("csq", 0.15, None, "submanifold on the key blanket only; edge rows feel "
-                            "the zeroed neighbors"),
-        ("cq", 0.15, 5, "per-key patches, compared on interior keys"),
+        ("ccq", 0.15, "masked dense: full arithmetic, rows kept at keys"),
+        ("csq", 0.0, "submanifold with every cell active"),
+        ("csq", 0.15, "submanifold on the key blanket only; edge rows feel "
+                      "the zeroed neighbors"),
+        ("cq", 0.15, "submanifold over the keys' receptive-field halo, rows kept "
+                     "at keys"),
     ]
-    for strategy, sigma, margin, story in runs:
+    for strategy, sigma, story in runs:
         result = run_pipeline(pyr, weights, QueryConfig(strategy=strategy, sigma=sigma))
         print(f"\n{strategy} at sigma={sigma} -- {story}")
         print(f"  ({result.total_flops / dense.total_flops:.1%} of dense MACs)")
-        compare(result, dense, interior_margin=margin)
+        compare(result, dense)
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 
 A detection head runs densely on coarse pyramid levels; positions scoring above
 a threshold become queries, map to their 2x2 children one level down, and only
-those children are computed — with submanifold sparse convolutions (csq),
-per-key crops (cq), or masked dense compute (ccq). The analysis module carries
-the matching MAC-level cost model and a benchmark harness.
+those children are computed — with submanifold sparse convolutions at the
+keys (csq) or over the keys' receptive-field halo (cq), or with masked dense
+compute (ccq). The analysis module carries the matching MAC-level cost model
+and a benchmark harness.
 """
 
 from .analysis import (BenchResult, FlopsReport, bench_csv, bench_json,
@@ -22,15 +23,15 @@ from .postproc import (AnchorConfig, Detection, anchor_boxes, box_iou,
                        merge_levels, nms)
 from .query import (CascadeResult, LevelRecord, QueryConfig, extract_queries,
                     map_queries_to_keys, run_pipeline)
-from .sparse import (KeySet, Rulebook, SparseFeature, build_rulebook, gather,
-                     scatter, sparse_conv, sparse_relu)
+from .sparse import (KeySet, Rulebook, SparseFeature, build_rulebook, dilate,
+                     gather, scatter, sparse_conv, sparse_relu)
 from .targets import (GroundTruthObject, GroundTruthSet, LossConfig, TargetMaps,
                       beta_schedule, distance_map, focal_loss, is_small_for_level,
                       level_loss, level_scale, query_target,
                       query_target_for_level, small_centers_on_grid, smooth_l1,
                       total_loss)
 from .tensor import (ConvWeights, DenseTensor, conv2d, load_tensor, relu,
-                     save_tensor, sigmoid)
+                     save_tensor)
 
 __version__ = "0.1.0"
 
@@ -43,7 +44,7 @@ __all__ = [
     "ValidationError", "anchor_boxes", "bench_csv", "bench_json",
     "beta_schedule", "box_iou", "build_rulebook", "conv2d", "decode_boxes",
     "detections_from_output", "detections_from_result", "detections_to_json",
-    "distance_map",
+    "dilate", "distance_map",
     "encode_boxes", "extract_queries", "focal_loss", "gather",
     "head_flops_dense", "head_flops_sparse", "inbounds_pairs",
     "is_small_for_level", "level_dims", "level_loss", "level_scale",
@@ -52,6 +53,6 @@ __all__ = [
     "p2_cost_increase", "query_target", "query_target_for_level", "relu",
     "run_benchmark", "run_dense_head", "run_pipeline", "run_sparse_head",
     "save_pyramid", "save_tensor", "save_weights", "scatter", "sigma_sweep",
-    "sigmoid", "small_centers_on_grid", "smooth_l1", "sparse_conv",
+    "small_centers_on_grid", "smooth_l1", "sparse_conv",
     "sparse_relu", "total_loss",
 ]

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import statistics
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ConfigurationError
 from .model import TOWER_DEPTH, level_dims
@@ -277,5 +280,13 @@ def bench_csv(results: list[BenchResult]) -> str:
     return buf.getvalue()
 
 
+def bench_protocol() -> dict:
+    """The host a benchmark ran on: core count, numpy and its BLAS library."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"cpu_count": os.cpu_count(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")}}
+
+
 def bench_json(results: list[BenchResult]) -> dict:
-    return {"schema": "qd/1", "results": [r.to_json() for r in results]}
+    return {"schema": "qd/1", "protocol": bench_protocol(),
+            "results": [r.to_json() for r in results]}

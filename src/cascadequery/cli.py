@@ -24,9 +24,8 @@ import numpy as np
 
 from . import analysis
 from .errors import CascadeQueryError, ConfigurationError
-from .model import (RECEPTIVE_FIELD, Blob, level_dims, load_pyramid, load_weights,
-                    make_fixture_weights, make_synthetic_pyramid, save_pyramid,
-                    save_weights)
+from .model import (Blob, level_dims, load_pyramid, load_weights, make_fixture_weights,
+                    make_synthetic_pyramid, save_pyramid, save_weights)
 from .postproc import AnchorConfig, detections_from_result, detections_to_json
 from .query import CascadeResult, QueryConfig, run_pipeline
 from .sparse import KeySet, build_rulebook
@@ -268,11 +267,10 @@ def _rel_err(actual: np.ndarray, expected: np.ndarray) -> float:
 
 
 def _check_against_dense(pyr, weights, dense: CascadeResult | Exception, cfg: QueryConfig,
-                         margin: int, exact: bool) -> tuple[CascadeResult, str]:
-    """Run `cfg` and compare its rows with the `dense` run at every computed key
-    at least `margin` cells from the border: bitwise if `exact`, else within
-    1e-5 relative. `dense` is the exception instead if the dense run crashed.
-    Returns the run and a summary."""
+                         exact: bool) -> tuple[CascadeResult, str]:
+    """Run `cfg` and compare its rows with the `dense` run at every computed key:
+    bitwise if `exact`, else within 1e-5 relative. `dense` is the exception
+    instead if the dense run crashed. Returns the run and a summary."""
     if isinstance(dense, Exception):
         raise dense
     result = run_pipeline(pyr, weights, cfg)
@@ -282,19 +280,16 @@ def _check_against_dense(pyr, weights, dense: CascadeResult | Exception, cfg: Qu
         if not rec.output.is_sparse:
             continue
         keys = rec.computed_keys
-        inside = ((keys.xs >= margin) & (keys.xs < rec.width - margin)
-                  & (keys.ys >= margin) & (keys.ys < rec.height - margin))
-        xs, ys = keys.xs[inside], keys.ys[inside]
         want = dense.record(rec.level).output
         for name in ("cls_logits", "reg_deltas", "query_logits"):
-            g = getattr(rec.output, name).features[inside]
-            e = getattr(want, name).values[:, ys, xs].T
+            g = getattr(rec.output, name).features
+            e = getattr(want, name).values[:, keys.ys, keys.xs].T
             if exact and not np.array_equal(g, e):
                 raise CheckFailure(
                     f"level {rec.level} {name} outputs not bitwise equal at kept keys")
             worst = max(worst, _rel_err(g, e))
-        rows += int(inside.sum())
-    where = f"{rows} interior keys" if margin else f"{rows} keys"
+        rows += len(keys)
+    where = f"{rows} keys"
     if exact:
         return result, f"bitwise equal at {where}"
     if worst > 1e-5:
@@ -305,7 +300,7 @@ def _check_against_dense(pyr, weights, dense: CascadeResult | Exception, cfg: Qu
 def _check_ccq_exact(pyr, weights, dense: CascadeResult | Exception, cfg: QueryConfig,
                      base: float, post: dict) -> str:
     ccq, detail = _check_against_dense(pyr, weights, dense,
-                                       dataclasses.replace(cfg, strategy="ccq"), 0, True)
+                                       dataclasses.replace(cfg, strategy="ccq"), True)
     uncovered = 0
     for rec in ccq.records:
         if not rec.output.is_sparse:
@@ -418,9 +413,9 @@ def cmd_verify(opts: Options) -> int:
         dense = e
     run_check("ccq-exact", _check_ccq_exact, pyr, weights, dense, cfg, base, post)
     run_check("csq-sigma0", _check_against_dense, pyr, weights, dense,
-              dataclasses.replace(cfg, strategy="csq", sigma=0.0), 0, False)
-    run_check("cq-interior", _check_against_dense, pyr, weights, dense,
-              dataclasses.replace(cfg, strategy="cq"), RECEPTIVE_FIELD // 2, False)
+              dataclasses.replace(cfg, strategy="csq", sigma=0.0), False)
+    run_check("cq-dense", _check_against_dense, pyr, weights, dense,
+              dataclasses.replace(cfg, strategy="cq"), False)
     run_check("query-targets", _check_targets, pyr, gt, base)
     run_check("flops-identity", _check_flops_identity, pyr, weights)
 

@@ -25,7 +25,7 @@ WEIGHTS_MAGIC = b"QDWTS1\n\0"
 TOWER_DEPTH = 4
 # Side of the square input window one head output depends on: the tower's
 # convs and the predictor are all at most 3x3, each widening it by one cell
-# per side. cq crops exactly this window around each key.
+# per side. cq dilates each key's set by this window's radius.
 RECEPTIVE_FIELD = 2 * (TOWER_DEPTH + 1) + 1
 PRIOR_PROB = 0.01  # untrained classification/query scores start near this
 

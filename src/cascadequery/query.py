@@ -9,9 +9,10 @@ the next level computes. Four strategies share this skeleton:
   csq    children computed with submanifold sparse convolutions; the next
          queries are read from the sparse rows themselves, so sparsity
          compounds level after level
-  cq     children computed by cropping a zero-padded patch per key the size
-         of the head's receptive field (model.RECEPTIVE_FIELD), running the
-         dense head on the patch, and keeping the center output
+  cq     the csq head run once per level over the keys dilated by the
+         receptive-field radius (model.RECEPTIVE_FIELD // 2), keeping the
+         rows at the keys: every input the head reads at a key is then
+         active, so cq matches dense at every key
   ccq    full dense compute at every level, but outputs below the start level
          are kept only at key positions (exactness baseline)
 """
@@ -27,10 +28,13 @@ from . import analysis
 from .errors import ConfigurationError, ValidationError
 from .model import (RECEPTIVE_FIELD, FeaturePyramid, HeadOutput, HeadWeights,
                     run_dense_head, run_sparse_head)
-from .sparse import KeySet, SparseFeature, build_rulebook, gather
+from .sparse import KeySet, SparseFeature, build_rulebook, dilate, gather
 from .tensor import DenseTensor, sigmoid_array
 
 STRATEGIES = ("dense", "csq", "cq", "ccq")
+# Radius by which the sparse strategies widen their keys before the head runs:
+# csq computes at the keys alone, cq over every input its keys' outputs read.
+_HALO = {"csq": 0, "cq": RECEPTIVE_FIELD // 2}
 
 
 @dataclass(frozen=True)
@@ -94,10 +98,12 @@ def map_queries_to_keys(queries: KeySet, child_height: int, child_width: int) ->
 class LevelRecord:
     """What happened at one pyramid level.
 
-    mode is "dense" (full-map head), "sparse" (submanifold at keys), "crop"
-    (per-key patches), or "masked" (full compute, outputs kept at keys only).
-    dense_positions counts full-map positions for dense/masked modes and patch
-    centers for crop mode; sparse_rows counts rows in a sparse output.
+    mode is "dense" (full-map head), "sparse" (submanifold head, rows kept at
+    the keys), or "masked" (full compute, outputs kept at keys only).
+    dense_positions counts full-map positions for dense/masked modes;
+    sparse_rows counts rows in a sparse output. rulebook_entries counts the
+    rulebook the sparse head ran over: for cq that is the keys' halo, so it
+    exceeds what the keys alone would give.
     """
 
     level: int
@@ -115,8 +121,6 @@ class LevelRecord:
     def dense_positions(self) -> int:
         if self.mode in ("dense", "masked"):
             return self.height * self.width
-        if self.mode == "crop":
-            return 0 if self.computed_keys is None else len(self.computed_keys)
         return 0
 
     @property
@@ -244,17 +248,28 @@ def _dense_record(pyr: FeaturePyramid, w: HeadWeights, level: int,
                        rulebook_entries=0, flops=flops, millis=millis)
 
 
-def _sparse_level(feature: DenseTensor, w: HeadWeights, keys: KeySet) -> tuple[HeadOutput, int, int]:
-    rb = build_rulebook(keys)
-    values = gather(feature, keys)
-    out = run_sparse_head(values, w, rb)
-    flops = analysis.head_flops_sparse(len(keys), rb.num_entries, w.channels,
+def _sparse_level(feature: DenseTensor, w: HeadWeights, keys: KeySet,
+                  radius: int) -> tuple[HeadOutput, int, int]:
+    """Submanifold head over `dilate(keys, radius)`, with rows kept at the keys.
+    The level is charged for the dilated set's rulebook."""
+    active = dilate(keys, radius)
+    rb = build_rulebook(active)
+    out = run_sparse_head(gather(feature, active), w, rb)
+    flops = analysis.head_flops_sparse(len(active), rb.num_entries, w.channels,
                                        w.num_anchors, w.num_classes)
+    if len(active) != len(keys):
+        # both sets are in row-major order, so the keys' rows are found by search
+        width = keys.width
+        rows = np.searchsorted(active.ys * width + active.xs, keys.ys * width + keys.xs)
+        out = HeadOutput(*(SparseFeature(keys, f.features[rows]) for f in
+                           (out.cls_logits, out.reg_deltas, out.query_logits)))
     return out, rb.num_entries, flops
 
 
 def crop_patch(feature: DenseTensor, x: int, y: int, patch: int) -> DenseTensor:
-    """Zero-padded patch of side ``patch`` centered on (x, y)."""
+    """Zero-padded patch of side ``patch`` centered on (x, y).
+
+    The cascade no longer calls this; perfbench's tracer still hooks it by name."""
     r = patch // 2
     c = feature.channels
     out = np.zeros((c, patch, patch), dtype=np.float32)
@@ -264,25 +279,6 @@ def crop_patch(feature: DenseTensor, x: int, y: int, patch: int) -> DenseTensor:
         out[:, y0 - (y - r):y1 - (y - r), x0 - (x - r):x1 - (x - r)] = \
             feature.values[:, y0:y1, x0:x1]
     return DenseTensor(out)
-
-
-def _crop_level(feature: DenseTensor, w: HeadWeights, keys: KeySet) -> tuple[HeadOutput, int]:
-    n = len(keys)
-    patch = RECEPTIVE_FIELD
-    center = patch // 2
-    cls_rows = np.empty((n, w.num_anchors * w.num_classes), dtype=np.float32)
-    reg_rows = np.empty((n, w.num_anchors * 4), dtype=np.float32)
-    query_rows = np.empty((n, 1), dtype=np.float32)
-    for i, (x, y) in enumerate(keys.as_tuples()):
-        sub = run_dense_head(crop_patch(feature, x, y, patch), w)
-        cls_rows[i] = sub.cls_logits.values[:, center, center]
-        reg_rows[i] = sub.reg_deltas.values[:, center, center]
-        query_rows[i] = sub.query_logits.values[:, center, center]
-    out = HeadOutput(SparseFeature(keys, cls_rows), SparseFeature(keys, reg_rows),
-                     SparseFeature(keys, query_rows))
-    flops = n * analysis.head_flops_dense(patch, patch, w.channels,
-                                          w.num_anchors, w.num_classes)
-    return out, flops
 
 
 def _masked_level(feature: DenseTensor, w: HeadWeights,
@@ -325,16 +321,12 @@ def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig) -> Casca
             t0 = time.perf_counter()
             feature = pyr.levels[l]
             keys = map_queries_to_keys(queries, feature.height, feature.width)
-            entries = 0
-            if cfg.strategy == "csq":
-                out, entries, flops = _sparse_level(feature, w, keys)
-                mode = "sparse"
-            elif cfg.strategy == "cq":
-                out, flops = _crop_level(feature, w, keys)
-                mode = "crop"
-            else:  # ccq
+            if cfg.strategy == "ccq":
                 out, flops = _masked_level(feature, w, keys)
-                mode = "masked"
+                entries, mode = 0, "masked"
+            else:
+                out, entries, flops = _sparse_level(feature, w, keys, _HALO[cfg.strategy])
+                mode = "sparse"
             queries = extract_queries(_query_scores(out), cfg.sigma)
             millis = (time.perf_counter() - t0) * 1000.0
             ordered.append(LevelRecord(l, mode, feature.height, feature.width, out,

@@ -142,6 +142,24 @@ def build_rulebook(keys: KeySet) -> Rulebook:
     return Rulebook(keys, neighbour_table(index, keys.ys, keys.xs, 3, n))
 
 
+def dilate(keys: KeySet, radius: int) -> KeySet:
+    """Every cell within Chebyshev distance `radius` of a key, clipped to the
+    grid. The square window is separable: the key mask is widened along its
+    rows, transposed, and widened again."""
+    if radius < 0:
+        raise ConfigurationError(f"dilation radius must be non-negative, got {radius}")
+    if radius == 0 or not len(keys):
+        return keys
+    mask = np.zeros((keys.height, keys.width), dtype=bool)
+    mask[keys.ys, keys.xs] = True
+    for _ in range(2):
+        padded = np.pad(mask, ((0, 0), (radius, radius)))
+        n = mask.shape[1]
+        mask = np.logical_or.reduce([padded[:, s:s + n] for s in range(2 * radius + 1)]).T
+    ys, xs = np.nonzero(mask)
+    return KeySet(keys.level, keys.height, keys.width, np.stack([xs, ys], axis=1))
+
+
 def gather(dense: DenseTensor, keys: KeySet) -> SparseFeature:
     """Extract the per-position feature vectors of `dense` at the key positions."""
     if keys.height != dense.height or keys.width != dense.width:

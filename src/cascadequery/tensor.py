@@ -148,12 +148,8 @@ def relu(inp: DenseTensor) -> DenseTensor:
     return DenseTensor(np.maximum(inp.values, np.float32(0.0)))
 
 
-def sigmoid(inp: DenseTensor) -> DenseTensor:
-    """Elementwise logistic function, computed in float64 and rounded to float32."""
-    return DenseTensor(sigmoid_array(inp.values))
-
-
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function, computed in float64 and rounded to float32."""
     z = np.asarray(x, dtype=np.float64)
     out = np.empty_like(z)
     pos = z >= 0

@@ -1,4 +1,5 @@
 import json
+import os
 import statistics
 
 import numpy as np
@@ -204,6 +205,10 @@ def test_bench_serializers(tiny_bench):
 
     j = bench_json(tiny_bench)
     assert j["schema"] == "qd/1"
+    assert j["protocol"]["cpu_count"] == os.cpu_count()
+    assert j["protocol"]["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert j["protocol"]["blas"] == {"name": blas["name"], "version": blas["version"]}
     assert [r["strategy"] for r in j["results"]] == ["dense", "csq"]
     for r in j["results"]:
         assert r["best_end_to_end_millis"] <= r["end_to_end_millis"]

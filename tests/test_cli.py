@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from cascadequery import KeySet, build_rulebook, dilate, head_flops_sparse
 from cascadequery import cli as cli_mod
 from cascadequery import model as model_mod
 from cascadequery.cli import (
@@ -17,6 +18,7 @@ from cascadequery.cli import (
     WEIGHTS_FILE,
     main,
 )
+from cascadequery.model import RECEPTIVE_FIELD
 
 SMALL = ["--seed", "3", "--image-size", "128", "--channels", "8"]
 
@@ -116,15 +118,23 @@ def test_impossible_threshold_empties_every_sparse_level(small_fixture, tmp_path
         assert row["flops"] == 0
 
 
-def test_crop_run_computes_one_patch_per_key(small_fixture, tmp_path):
-    assert main(run_args(small_fixture, tmp_path, "--strategy", "cq")) == 0
+def test_cq_run_charges_each_level_for_its_halo_rulebook(small_fixture, tmp_path):
+    # sigma 0.02 gives this fixture keys on both levels below the start level
+    assert main(run_args(small_fixture, tmp_path, "--strategy", "cq",
+                         "--sigma", "0.02")) == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    crop_rows = [r for r in report["levels"] if r["mode"] == "crop"]
-    assert crop_rows
-    for row in crop_rows:
-        n_keys = len(row["computed_keys"])
-        assert row["sparse_rows"] == n_keys
-        assert row["dense_positions"] == n_keys  # one full-conv patch per key
+    weights = model_mod.load_weights(small_fixture / WEIGHTS_FILE)
+    cq_rows = [r for r in report["levels"] if r["level"] < 4]
+    assert [r["mode"] for r in cq_rows] == ["sparse", "sparse"]
+    for row in cq_rows:
+        keys = KeySet(row["level"], *row["shape"], row["computed_keys"])
+        rb = build_rulebook(dilate(keys, RECEPTIVE_FIELD // 2))
+        assert len(keys) and row["sparse_rows"] == len(keys)
+        assert row["dense_positions"] == 0
+        assert row["rulebook_entries"] == rb.num_entries
+        assert row["flops"] == head_flops_sparse(len(rb.keys), rb.num_entries,
+                                                 weights.channels, weights.num_anchors,
+                                                 weights.num_classes)
 
 
 def test_run_without_inputs_is_a_usage_error(tmp_path, capsys):
@@ -243,7 +253,7 @@ def test_verify_passes_on_a_pristine_fixture(small_fixture, tmp_path, capsys):
     assert verdict["passed"] is True
     assert verdict["warnings"] == []
     assert {c["name"] for c in verdict["checks"]} == {
-        "ccq-exact", "csq-sigma0", "cq-interior", "query-targets", "flops-identity",
+        "ccq-exact", "csq-sigma0", "cq-dense", "query-targets", "flops-identity",
     }
     assert all(c["passed"] for c in verdict["checks"])
     on_disk = json.loads((tmp_path / "verify.json").read_text())
@@ -277,7 +287,7 @@ def test_verify_fails_each_strategy_check_when_the_dense_run_crashes(small_fixtu
     monkeypatch.setattr(cli_mod, "run_pipeline", dense_crashes)
     assert main(["verify", "--fixture", str(small_fixture)]) == 1
     by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-    for name in ("ccq-exact", "csq-sigma0", "cq-interior"):
+    for name in ("ccq-exact", "csq-sigma0", "cq-dense"):
         assert by_name[name] == {"name": name, "passed": False,
                                  "detail": "RuntimeError: dense exploded"}
     assert by_name["query-targets"]["passed"] and by_name["flops-identity"]["passed"]
@@ -304,13 +314,14 @@ def test_verify_catches_a_sparse_conv_that_drops_bias(small_fixture, monkeypatch
         return real(inp, stripped, rulebook)
 
     monkeypatch.setattr(model_mod, "sparse_conv", no_bias)
-    rc = main(["verify", "--fixture", str(small_fixture)])
+    # sigma 0.02 gives cq keys on this fixture; the default gives it none
+    rc = main(["verify", "--fixture", str(small_fixture), "--sigma", "0.02"])
     verdict = json.loads(capsys.readouterr().out)
     assert rc == 1 and verdict["passed"] is False
     by_name = {c["name"]: c for c in verdict["checks"]}
     assert by_name["csq-sigma0"]["passed"] is False  # the injected fault
+    assert by_name["cq-dense"]["passed"] is False    # cq runs the same sparse head
     assert by_name["ccq-exact"]["passed"] is True    # masked-dense path unaffected
-    assert by_name["cq-interior"]["passed"] is True  # crop path unaffected
     assert by_name["query-targets"]["passed"] is True
 
 

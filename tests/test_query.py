@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from cascadequery import (
+    Blob,
     ConfigurationError,
     FeaturePyramid,
     QueryConfig,
     ValidationError,
     extract_queries,
+    head_flops_sparse,
     make_synthetic_pyramid,
     map_queries_to_keys,
     run_pipeline,
 )
-from cascadequery.sparse import KeySet, SparseFeature
+from cascadequery.model import RECEPTIVE_FIELD
+from cascadequery.sparse import KeySet, SparseFeature, build_rulebook, dilate
 from cascadequery.tensor import DenseTensor, conv2d
 
 from conftest import (
@@ -184,12 +187,40 @@ def test_sparse_cascade_matches_masked_dense_emulation(pyramid, weights):
     assert rel_err(got, truly_dense) > 1e-3
 
 
-def test_crop_strategy_counts_patches(pyramid, weights):
+def test_cq_level_is_charged_for_its_halo_rulebook(pyramid, weights):
     res = run_pipeline(pyramid, weights, QueryConfig(strategy="cq", sigma=0.15))
     rec = res.record(3)
-    assert rec.mode == "crop"
-    assert rec.dense_positions == len(rec.computed_keys)
-    assert rec.output.cls_logits.features.shape == (len(rec.computed_keys), 4)
+    keys = rec.computed_keys
+    assert rec.mode == "sparse"
+    assert rec.dense_positions == 0
+    assert len(keys) and rec.sparse_rows == len(keys)
+    assert rec.output.cls_logits.features.shape == (len(keys), 4)
+    rb = build_rulebook(dilate(keys, RECEPTIVE_FIELD // 2))
+    assert rec.rulebook_entries == rb.num_entries > build_rulebook(keys).num_entries
+    assert rec.flops == head_flops_sparse(len(rb.keys), rb.num_entries, weights.channels,
+                                          weights.num_anchors, weights.num_classes)
+
+
+def test_cq_matches_dense_at_every_key_border_keys_included():
+    # broad gate (weight seed 2, C=16) and bright objects by two image edges,
+    # so keys on both sparse levels sit within the receptive-field radius of
+    # a border
+    w = standard_weights(16)
+    blobs = [Blob(10.0, 120.0, 8.0, 8.0, 1, 35.0), Blob(200.0, 248.0, 8.0, 8.0, 2, 35.0)]
+    pyr = make_synthetic_pyramid(5, 256, 256, 2, 7, 16, blobs)
+    dense = run_pipeline(pyr, w, QueryConfig(strategy="dense"))
+    res = run_pipeline(pyr, w, QueryConfig(strategy="cq", sigma=0.15))
+    r = RECEPTIVE_FIELD // 2
+    for level in (3, 2):
+        rec = res.record(level)
+        keys = rec.computed_keys
+        near_border = ((keys.xs < r) | (keys.ys < r)
+                       | (keys.xs >= rec.width - r) | (keys.ys >= rec.height - r))
+        assert near_border.any()
+        want = dense.record(level).output
+        for attr in ("cls_logits", "reg_deltas", "query_logits"):
+            got = getattr(rec.output, attr).features
+            assert rel_err(got, dense_rows_at(getattr(want, attr), keys)) < 1e-5, (level, attr)
 
 
 def test_report_shape_and_echo(pyramid, weights):

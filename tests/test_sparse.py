@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadequery import ValidationError
+from cascadequery import ConfigurationError, ValidationError
 from cascadequery.sparse import (
     KeySet,
     SparseFeature,
     build_rulebook,
+    dilate,
     gather,
     scatter,
     sparse_conv,
@@ -47,6 +48,51 @@ def test_keyset_full_and_empty():
 def test_keyset_equality_includes_bounds():
     assert keyset([(1, 1)]) == keyset([(1, 1)])
     assert keyset([(1, 1)], h=8, w=8) != keyset([(1, 1)], h=8, w=9)
+
+
+# --- dilation -----------------------------------------------------------------
+
+def chebyshev_oracle(keys, radius):
+    """Every grid cell within Chebyshev distance `radius` of a key, row-major."""
+    pairs = keys.as_tuples()
+    return [(x, y) for y in range(keys.height) for x in range(keys.width)
+            if any(max(abs(x - kx), abs(y - ky)) <= radius for kx, ky in pairs)]
+
+
+@pytest.mark.parametrize("h,w", [(7, 9), (11, 5), (1, 13), (13, 1), (9, 9)])
+@pytest.mark.parametrize("radius", [1, 2, 5, 12])
+def test_dilate_matches_the_chebyshev_oracle_with_keys_on_every_border(h, w, radius):
+    rng = np.random.default_rng([h, w, radius])
+    border = [(0, h // 2), (w - 1, h // 3), (w // 2, 0), (w // 3, h - 1)]
+    inner = rng.integers(0, [w, h], size=(3, 2)).tolist()
+    keys = KeySet(4, h, w, border + inner)
+    got = dilate(keys, radius)
+    assert (got.level, got.height, got.width) == (4, h, w)
+    assert got.as_tuples() == chebyshev_oracle(keys, radius)
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.integers(1, 12), w=st.integers(1, 12), radius=st.integers(0, 6),
+       data=st.data())
+def test_dilate_matches_the_chebyshev_oracle_on_random_key_sets(h, w, radius, data):
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)),
+                               max_size=8))
+    keys = KeySet(2, h, w, pairs)
+    # the oracle lists cells row-major, so equality also checks canonical order
+    assert dilate(keys, radius).as_tuples() == chebyshev_oracle(keys, radius)
+
+
+def test_dilate_by_zero_keeps_the_keys_and_an_empty_set_stays_empty():
+    keys = keyset([(0, 0), (7, 7), (3, 4)])
+    assert dilate(keys, 0) == keys
+    empty = KeySet.empty(3, 8, 8)
+    assert len(dilate(empty, 5)) == 0
+    assert dilate(empty, 5) == empty
+
+
+def test_dilate_rejects_a_negative_radius():
+    with pytest.raises(ConfigurationError):
+        dilate(keyset([(1, 1)]), -1)
 
 
 # --- rulebook -----------------------------------------------------------------
