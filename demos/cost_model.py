@@ -38,10 +38,10 @@ def main():
         h, w = level_dims(512, 512, level)
         keys = h * w // 100
         dense = head_flops_dense(h, w, C, A, K)
-        worst = head_flops_sparse(keys, 9 * keys, C, A, K)   # fully surrounded keys
+        worst = head_flops_sparse(9 * keys, C, A, K)   # fully surrounded keys
         flat = rng.choice(h * w, size=keys, replace=False)   # scattered keys
         rb = build_rulebook(KeySet(level, h, w, np.stack([flat % w, flat // w], axis=1)))
-        real = head_flops_sparse(keys, rb.num_entries, C, A, K)
+        real = head_flops_sparse(rb.num_entries, C, A, K)
         total_dense, total_worst, total_real = (
             total_dense + dense, total_worst + worst, total_real + real)
         print(f"  P{level} ({h}x{w}): {keys} keys -> worst {worst / dense:.4%}, "

@@ -1,7 +1,8 @@
 """Show how each sparse execution path relates to the dense head.
 
 Builds one synthetic fixture and compares every strategy's outputs, at the
-positions it kept, against a dense reference run:
+positions it kept, against a dense reference run. Every level's output is rows
+at a key set; the dense levels' set is the full grid, so they match trivially:
 
   ccq  masked dense      -> bitwise identical at any threshold (same
                             arithmetic; it just discards the other cells)
@@ -32,22 +33,19 @@ from cascadequery import (
 SEED, IMAGE, CHANNELS = 7, 256, 16
 
 
-def rows_from_dense(dense_map, keys):
-    return dense_map.values[:, keys.ys, keys.xs].T
-
-
 def worst_rel(a, b):
     scale = max(float(np.max(np.abs(b))), 1e-12)
     return float(np.max(np.abs(a.astype(np.float64) - b.astype(np.float64)))) / scale
 
 
 def compare(result, dense):
+    # every level holds rows at its key set: the full grid down to the start
+    # level, the cascade's keys below it
     for rec in result.records:
-        if not rec.output.is_sparse:
-            continue
-        keys = rec.computed_keys
+        keys = rec.output.keys
         got = rec.output.cls_logits.features
-        want = rows_from_dense(dense.record(rec.level).output.cls_logits, keys)
+        ref = dense.record(rec.level).output.cls_logits
+        want = ref.features[ref.keys.rows_of(keys)]
         tag = ("bitwise" if np.array_equal(got, want)
                else f"rel err {worst_rel(got, want):.1e}")
         print(f"  P{rec.level}: {len(keys):4d} keys vs dense -> {tag}")

@@ -20,7 +20,7 @@ from .model import (Blob, FeaturePyramid, HeadOutput, HeadWeights, level_dims,
 from .postproc import (AnchorConfig, Detection, anchor_boxes, box_iou,
                        decode_boxes, detections_from_output,
                        detections_from_result, detections_to_json, encode_boxes,
-                       merge_levels, nms)
+                       nms)
 from .query import (CascadeResult, LevelRecord, QueryConfig, extract_queries,
                     map_queries_to_keys, run_pipeline)
 from .sparse import (KeySet, Rulebook, SparseFeature, build_rulebook, dilate,
@@ -49,7 +49,7 @@ __all__ = [
     "head_flops_dense", "head_flops_sparse", "inbounds_pairs",
     "is_small_for_level", "level_dims", "level_loss", "level_scale",
     "load_pyramid", "load_tensor", "load_weights", "make_fixture_weights",
-    "make_synthetic_pyramid", "map_queries_to_keys", "merge_levels", "nms",
+    "make_synthetic_pyramid", "map_queries_to_keys", "nms",
     "p2_cost_increase", "query_target", "query_target_for_level", "relu",
     "run_benchmark", "run_dense_head", "run_pipeline", "run_sparse_head",
     "save_pyramid", "save_tensor", "save_weights", "scatter", "sigma_sweep",

@@ -52,13 +52,12 @@ def pred_macs_sparse(rulebook_entries: int, channels: int, num_anchors: int,
     return rulebook_entries * channels * _pred_channels(num_anchors, num_classes)
 
 
-def head_flops_sparse(num_keys: int, rulebook_entries: int, channels: int,
-                      num_anchors: int, num_classes: int) -> int:
+def head_flops_sparse(rulebook_entries: int, channels: int, num_anchors: int,
+                      num_classes: int) -> int:
     """Submanifold head cost: every conv (towers and predictors alike) pays
     C_in * C_out work per rulebook entry. Isolated keys fire only their center
-    offset, giving the 1/9-per-key floor. Bias adds are not MACs, so num_keys
-    does not enter the count."""
-    del num_keys  # MACs depend on entries only
+    offset, giving the 1/9-per-key floor. Bias adds are not MACs, so the key
+    count does not enter."""
     return (tower_macs_sparse(rulebook_entries, channels)
             + pred_macs_sparse(rulebook_entries, channels, num_anchors, num_classes))
 

@@ -267,23 +267,25 @@ def _rel_err(actual: np.ndarray, expected: np.ndarray) -> float:
 
 
 def _check_against_dense(pyr, weights, dense: CascadeResult | Exception, cfg: QueryConfig,
-                         exact: bool) -> tuple[CascadeResult, str]:
+                         exact: bool) -> tuple[CascadeResult, int, str]:
     """Run `cfg` and compare its rows with the `dense` run at every computed key:
     bitwise if `exact`, else within 1e-5 relative. `dense` is the exception
-    instead if the dense run crashed. Returns the run and a summary."""
+    instead if the dense run crashed. Returns the run, the number of keys
+    compared and a summary."""
     if isinstance(dense, Exception):
         raise dense
     result = run_pipeline(pyr, weights, cfg)
     worst = 0.0
     rows = 0
     for rec in result.records:
-        if not rec.output.is_sparse:
-            continue
         keys = rec.computed_keys
+        if keys is None:
+            continue
         want = dense.record(rec.level).output
+        at = want.keys.rows_of(keys)
         for name in ("cls_logits", "reg_deltas", "query_logits"):
             g = getattr(rec.output, name).features
-            e = getattr(want, name).values[:, keys.ys, keys.xs].T
+            e = getattr(want, name).features[at]
             if exact and not np.array_equal(g, e):
                 raise CheckFailure(
                     f"level {rec.level} {name} outputs not bitwise equal at kept keys")
@@ -291,33 +293,34 @@ def _check_against_dense(pyr, weights, dense: CascadeResult | Exception, cfg: Qu
         rows += len(keys)
     where = f"{rows} keys"
     if exact:
-        return result, f"bitwise equal at {where}"
+        return result, rows, f"bitwise equal at {where}"
     if worst > 1e-5:
         raise CheckFailure(f"relative error {worst:.3e} exceeds 1e-5 over {where}")
-    return result, f"max relative error {worst:.3e} over {where}"
+    return result, rows, f"max relative error {worst:.3e} over {where}"
 
 
 def _check_ccq_exact(pyr, weights, dense: CascadeResult | Exception, cfg: QueryConfig,
-                     base: float, post: dict) -> str:
-    ccq, detail = _check_against_dense(pyr, weights, dense,
-                                       dataclasses.replace(cfg, strategy="ccq"), True)
+                     base: float, post: dict) -> tuple[int, str]:
+    ccq, rows, detail = _check_against_dense(pyr, weights, dense,
+                                             dataclasses.replace(cfg, strategy="ccq"), True)
     uncovered = 0
     for rec in ccq.records:
-        if not rec.output.is_sparse:
+        if rec.computed_keys is None:
             continue
-        scores = sigmoid_array(dense.record(rec.level).output.cls_logits.values)
-        _, ys, xs = np.nonzero(scores > post["score_threshold"])
+        cls = dense.record(rec.level).output.cls_logits
+        hot, _ = np.nonzero(sigmoid_array(cls.features) > post["score_threshold"])
         covered = set(rec.computed_keys.as_tuples())
-        uncovered += sum(1 for p in zip(xs.tolist(), ys.tolist()) if p not in covered)
+        uncovered += sum(1 for p in map(tuple, cls.keys.positions[hot].tolist())
+                         if p not in covered)
     if uncovered:
-        return (f"{detail}; {uncovered} above-threshold dense positions uncovered by "
-                f"keys, detections comparison skipped")
+        return rows, (f"{detail}; {uncovered} above-threshold dense positions uncovered by "
+                      f"keys, detections comparison skipped")
     anchor_cfg = AnchorConfig(base=base, num_anchors=weights.num_anchors)
     d1, d2 = (detections_to_json(detections_from_result(r, anchor_cfg, weights.num_classes,
                                                         **post)) for r in (dense, ccq))
     if d1 != d2:
         raise CheckFailure("detections differ between dense and ccq")
-    return f"{detail}; {len(d1)} detections identical"
+    return rows, f"{detail}; {len(d1)} detections identical"
 
 
 def _brute_force_query_target(gt: GroundTruthSet, level: int, height: int, width: int,
@@ -364,11 +367,11 @@ def _check_flops_identity(pyr, weights) -> str:
             raise CheckFailure(
                 f"full-coverage rulebook at {h}x{w} has {rb.num_entries} entries, "
                 f"expected {expect}")
-        sparse = analysis.head_flops_sparse(h * w, rb.num_entries, c, a, k)
+        sparse = analysis.head_flops_sparse(rb.num_entries, c, a, k)
         dense = analysis.head_flops_dense(h, w, c, a, k)
         if sparse > dense:
             raise CheckFailure(f"sparse MACs exceed dense at full coverage ({h}x{w})")
-    if 9 * analysis.head_flops_sparse(1, 1, c, a, k) != analysis.head_flops_dense(1, 1, c, a, k):
+    if 9 * analysis.head_flops_sparse(1, c, a, k) != analysis.head_flops_dense(1, 1, c, a, k):
         raise CheckFailure("isolated key is not 1/9 of a dense position")
     return f"entry counts match (3H-2)(3W-2) on {len(dims)} grids; isolated key is dense/9"
 
@@ -397,8 +400,11 @@ def cmd_verify(opts: Options) -> int:
     def run_check(name, fn, *args):
         try:
             detail = fn(*args)
-            if isinstance(detail, tuple):  # _check_against_dense also returns its run
-                detail = detail[1]
+            if isinstance(detail, tuple):  # a comparison with dense: (..., keys, detail)
+                compared, detail = detail[-2:]
+                if compared == 0:
+                    warnings.append(f"{name}: compared 0 keys below the start level, "
+                                    f"so it checked nothing on this fixture")
             checks.append({"name": name, "passed": True, "detail": detail})
         except CheckFailure as e:
             checks.append({"name": name, "passed": False, "detail": str(e)})

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, ValidationError
-from .sparse import KeySet, Rulebook, SparseFeature, build_rulebook, sparse_conv, sparse_relu
+from .sparse import (KeySet, Rulebook, SparseFeature, build_rulebook, gather, sparse_conv,
+                     sparse_relu)
 from .tensor import ConvWeights, DenseTensor, conv2d, relu
 
 PYRAMID_MAGIC = b"QDPYR1\n\0"
@@ -109,29 +110,21 @@ class HeadWeights:
 
 @dataclass(frozen=True)
 class HeadOutput:
-    """Per-level head outputs; the three maps are all dense or all sparse over
-    one shared KeySet."""
+    """Per-level head outputs: three row sets over one shared KeySet, which is
+    the full grid where the whole level was kept."""
 
-    cls_logits: DenseTensor | SparseFeature
-    reg_deltas: DenseTensor | SparseFeature
-    query_logits: DenseTensor | SparseFeature
+    cls_logits: SparseFeature
+    reg_deltas: SparseFeature
+    query_logits: SparseFeature
 
     def __post_init__(self):
-        kinds = {type(x) for x in (self.cls_logits, self.reg_deltas, self.query_logits)}
-        if len(kinds) != 1:
-            raise ValidationError("head output branches must all be dense or all sparse")
-        if self.is_sparse:
-            k = self.cls_logits.keys
-            if self.reg_deltas.keys is not k or self.query_logits.keys is not k:
-                raise ValidationError("sparse head outputs must share one key set")
+        k = self.keys
+        if self.reg_deltas.keys is not k or self.query_logits.keys is not k:
+            raise ValidationError("head outputs must share one key set")
 
     @property
-    def is_sparse(self) -> bool:
-        return isinstance(self.cls_logits, SparseFeature)
-
-    @property
-    def keys(self) -> KeySet | None:
-        return self.cls_logits.keys if self.is_sparse else None
+    def keys(self) -> KeySet:
+        return self.cls_logits.keys
 
 
 def _dense_branch(feature: DenseTensor, tower: list[ConvWeights], pred: ConvWeights) -> DenseTensor:
@@ -141,16 +134,17 @@ def _dense_branch(feature: DenseTensor, tower: list[ConvWeights], pred: ConvWeig
     return conv2d(x, pred)
 
 
-def run_dense_head(feature: DenseTensor, w: HeadWeights) -> HeadOutput:
-    """Full-map head pass; spatial size is preserved, logits carry no activation."""
+def run_dense_head(feature: DenseTensor, w: HeadWeights, keys: KeySet) -> HeadOutput:
+    """Full-map head pass with the rows kept at `keys` (KeySet.full keeps them
+    all); logits carry no activation."""
     if feature.channels != w.channels:
         raise ConfigurationError(
             f"feature has {feature.channels} channels, head expects {w.channels}"
         )
     return HeadOutput(
-        cls_logits=_dense_branch(feature, w.cls_tower, w.cls_pred),
-        reg_deltas=_dense_branch(feature, w.reg_tower, w.reg_pred),
-        query_logits=_dense_branch(feature, w.query_tower, w.query_pred),
+        cls_logits=gather(_dense_branch(feature, w.cls_tower, w.cls_pred), keys),
+        reg_deltas=gather(_dense_branch(feature, w.reg_tower, w.reg_pred), keys),
+        query_logits=gather(_dense_branch(feature, w.query_tower, w.query_pred), keys),
     )
 
 

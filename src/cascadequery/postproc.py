@@ -1,4 +1,4 @@
-"""Head outputs to final detections: anchors, box decoding, NMS, level merging.
+"""Head outputs to final detections: anchors, box decoding, NMS over all levels.
 
 All geometry runs in float64 so that two pipelines handing in bitwise-equal
 logits produce bitwise-equal detections.
@@ -12,8 +12,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import HeadOutput
-from .sparse import SparseFeature
-from .tensor import DenseTensor, sigmoid_array
+from .tensor import sigmoid_array
 
 
 @dataclass(frozen=True)
@@ -156,15 +155,6 @@ def nms(dets: list[Detection], iou_threshold: float = 0.5,
     return kept
 
 
-def merge_levels(per_level: list[list[Detection]], iou_threshold: float = 0.5,
-                 score_threshold: float = 0.05, top_k: int = 100) -> list[Detection]:
-    """Concatenate all levels' candidates, then one global NMS."""
-    merged: list[Detection] = []
-    for dets in per_level:
-        merged.extend(dets)
-    return nms(merged, iou_threshold, score_threshold, top_k)
-
-
 def detections_from_output(output: HeadOutput, level: int, cfg: AnchorConfig,
                            num_classes: int, score_threshold: float = 0.05) -> list[Detection]:
     """Score-filtered candidate detections from one level's head output.
@@ -172,29 +162,16 @@ def detections_from_output(output: HeadOutput, level: int, cfg: AnchorConfig,
     Channel layout: class logit for anchor slot a, class k sits at a*K + k;
     box deltas for slot a at a*4 .. a*4+3.
     """
-    cls, reg = output.cls_logits, output.reg_deltas
-    if isinstance(cls, SparseFeature):
-        scores = sigmoid_array(cls.features)          # (N, A*K)
-        pos = cls.keys.positions                      # (N, 2) as (x, y)
-        rows, chans = np.nonzero(scores > score_threshold)
-        if len(rows) == 0:
-            return []
-        xs, ys = pos[rows, 0], pos[rows, 1]
-        slots, classes = chans // num_classes, chans % num_classes
-        picked_scores = scores[rows, chans]
-        deltas = np.stack(
-            [reg.features[rows, slots * 4 + i] for i in range(4)], axis=1
-        )
-    else:
-        scores = sigmoid_array(cls.values)            # (A*K, H, W)
-        chans, ys, xs = np.nonzero(scores > score_threshold)
-        if len(chans) == 0:
-            return []
-        slots, classes = chans // num_classes, chans % num_classes
-        picked_scores = scores[chans, ys, xs]
-        deltas = np.stack(
-            [reg.values[slots * 4 + i, ys, xs] for i in range(4)], axis=1
-        )
+    scores = sigmoid_array(output.cls_logits.features)  # (N, A*K)
+    rows, chans = np.nonzero(scores > score_threshold)
+    if len(rows) == 0:
+        return []
+    pos = output.keys.positions                         # (N, 2) as (x, y)
+    xs, ys = pos[rows, 0], pos[rows, 1]
+    slots, classes = chans // num_classes, chans % num_classes
+    picked_scores = scores[rows, chans]
+    reg = output.reg_deltas.features
+    deltas = np.stack([reg[rows, slots * 4 + i] for i in range(4)], axis=1)
     anchors = anchor_boxes(xs, ys, slots, level, cfg)
     boxes = decode_boxes(deltas, anchors)
     return [
@@ -207,13 +184,13 @@ def detections_from_output(output: HeadOutput, level: int, cfg: AnchorConfig,
 def detections_from_result(result, cfg: AnchorConfig, num_classes: int,
                            iou_threshold: float = 0.5, score_threshold: float = 0.05,
                            top_k: int = 100) -> list[Detection]:
-    """Final detections for a whole pipeline run (all levels, merged + NMS)."""
-    per_level = [
-        detections_from_output(rec.output, rec.level, cfg, num_classes,
-                               score_threshold)
-        for rec in result.records
-    ]
-    return merge_levels(per_level, iou_threshold, score_threshold, top_k)
+    """Final detections for a whole pipeline run: every level's candidates,
+    then one global NMS."""
+    candidates = []
+    for rec in result.records:
+        candidates.extend(detections_from_output(rec.output, rec.level, cfg, num_classes,
+                                                 score_threshold))
+    return nms(candidates, iou_threshold, score_threshold, top_k)
 
 
 def detections_to_json(dets: list[Detection]) -> list[dict]:

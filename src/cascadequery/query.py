@@ -3,7 +3,9 @@
 High pyramid levels run the dense head; positions whose query score exceeds a
 threshold become *queries*, each query maps to its 2x2 children one level down
 (``(2x+i, 2y+j)`` for i,j in {0,1}), and those children are the only positions
-the next level computes. Four strategies share this skeleton:
+the next level computes. Every level returns its head's rows at a key set: the
+full grid on the dense levels, the children below. Four strategies share this
+skeleton and differ only in how the children's rows are computed:
 
   dense  every level computed in full (reference / upper cost bound)
   csq    children computed with submanifold sparse convolutions; the next
@@ -57,29 +59,18 @@ class QueryConfig:
             )
 
 
-def extract_queries(query_scores: DenseTensor | SparseFeature, sigma: float,
-                    level: int | None = None) -> KeySet:
-    """Positions whose score is strictly greater than sigma.
+def extract_queries(query_scores: SparseFeature, sigma: float) -> KeySet:
+    """Keys whose score is strictly greater than sigma.
 
-    Scores are expected in [0, 1] (sigmoid outputs). A dense map needs its
-    pyramid level passed explicitly; sparse rows carry it in their key set and
-    only existing keys are considered.
-    """
-    if isinstance(query_scores, SparseFeature):
-        if query_scores.channels != 1:
-            raise ValidationError(
-                f"query scores must be single-channel, got {query_scores.channels}"
-            )
-        keep = query_scores.features[:, 0] > sigma
-        keys = query_scores.keys
-        return KeySet(keys.level, keys.height, keys.width, keys.positions[keep])
-    if level is None:
-        raise ConfigurationError("dense query maps need an explicit level")
+    Scores are single-channel rows, expected in [0, 1] (sigmoid outputs); the
+    queries keep the rows' level and grid."""
     if query_scores.channels != 1:
-        raise ValidationError(f"query scores must be single-channel, got {query_scores.channels}")
-    ys, xs = np.nonzero(query_scores.values[0] > sigma)
-    positions = np.stack([xs, ys], axis=1)
-    return KeySet(level, query_scores.height, query_scores.width, positions)
+        raise ValidationError(
+            f"query scores must be single-channel, got {query_scores.channels}"
+        )
+    keys = query_scores.keys
+    keep = query_scores.features[:, 0] > sigma
+    return KeySet(keys.level, keys.height, keys.width, keys.positions[keep])
 
 
 def map_queries_to_keys(queries: KeySet, child_height: int, child_width: int) -> KeySet:
@@ -99,9 +90,11 @@ class LevelRecord:
     """What happened at one pyramid level.
 
     mode is "dense" (full-map head), "sparse" (submanifold head, rows kept at
-    the keys), or "masked" (full compute, outputs kept at keys only).
+    the keys), or "masked" (full compute, outputs kept at keys only). The
+    output's rows sit at the full grid on dense levels and at computed_keys
+    elsewhere; computed_keys is None on dense levels.
     dense_positions counts full-map positions for dense/masked modes;
-    sparse_rows counts rows in a sparse output. rulebook_entries counts the
+    sparse_rows counts the rows kept at computed_keys. rulebook_entries counts the
     rulebook the sparse head ran over: for cq that is the keys' halo, so it
     exceeds what the keys alone would give.
     """
@@ -125,7 +118,7 @@ class LevelRecord:
 
     @property
     def sparse_rows(self) -> int:
-        return len(self.computed_keys) if self.output.is_sparse else 0
+        return 0 if self.computed_keys is None else len(self.computed_keys)
 
     def to_json(self) -> dict:
         return {
@@ -178,15 +171,11 @@ class CascadeResult:
 
     @property
     def _anchors(self) -> int:
-        reg = self.records[0].output.reg_deltas
-        n = reg.values.shape[0] if isinstance(reg, DenseTensor) else reg.features.shape[1]
-        return n // 4
+        return self.records[0].output.reg_deltas.channels // 4
 
     @property
     def _classes(self) -> int:
-        cls = self.records[0].output.cls_logits
-        n = cls.values.shape[0] if isinstance(cls, DenseTensor) else cls.features.shape[1]
-        return n // self._anchors
+        return self.records[0].output.cls_logits.channels // self._anchors
 
     def report(self) -> dict:
         dense_equiv = self.dense_equiv_flops
@@ -225,29 +214,6 @@ def _check_levels(pyr: FeaturePyramid, cfg: QueryConfig, cascade: bool) -> list[
     return levels
 
 
-def _query_scores(output: HeadOutput) -> DenseTensor | SparseFeature:
-    q = output.query_logits
-    if isinstance(q, SparseFeature):
-        return SparseFeature(q.keys, sigmoid_array(q.features))
-    return DenseTensor(sigmoid_array(q.values))
-
-
-def _dense_record(pyr: FeaturePyramid, w: HeadWeights, level: int,
-                  extract_sigma: float | None) -> LevelRecord:
-    t0 = time.perf_counter()
-    feature = pyr.levels[level]
-    out = run_dense_head(feature, w)
-    queries = None
-    if extract_sigma is not None:
-        queries = extract_queries(_query_scores(out), extract_sigma, level=level)
-    millis = (time.perf_counter() - t0) * 1000.0
-    flops = analysis.head_flops_dense(feature.height, feature.width, w.channels,
-                                      w.num_anchors, w.num_classes)
-    return LevelRecord(level, "dense", feature.height, feature.width, out,
-                       computed_keys=None, extracted_queries=queries,
-                       rulebook_entries=0, flops=flops, millis=millis)
-
-
 def _sparse_level(feature: DenseTensor, w: HeadWeights, keys: KeySet,
                   radius: int) -> tuple[HeadOutput, int, int]:
     """Submanifold head over `dilate(keys, radius)`, with rows kept at the keys.
@@ -255,12 +221,10 @@ def _sparse_level(feature: DenseTensor, w: HeadWeights, keys: KeySet,
     active = dilate(keys, radius)
     rb = build_rulebook(active)
     out = run_sparse_head(gather(feature, active), w, rb)
-    flops = analysis.head_flops_sparse(len(active), rb.num_entries, w.channels,
+    flops = analysis.head_flops_sparse(rb.num_entries, w.channels,
                                        w.num_anchors, w.num_classes)
-    if len(active) != len(keys):
-        # both sets are in row-major order, so the keys' rows are found by search
-        width = keys.width
-        rows = np.searchsorted(active.ys * width + active.xs, keys.ys * width + keys.xs)
+    if active is not keys:
+        rows = active.rows_of(keys)
         out = HeadOutput(*(SparseFeature(keys, f.features[rows]) for f in
                            (out.cls_logits, out.reg_deltas, out.query_logits)))
     return out, rb.num_entries, flops
@@ -281,26 +245,13 @@ def crop_patch(feature: DenseTensor, x: int, y: int, patch: int) -> DenseTensor:
     return DenseTensor(out)
 
 
-def _masked_level(feature: DenseTensor, w: HeadWeights,
-                  keys: KeySet) -> tuple[HeadOutput, int]:
-    full = run_dense_head(feature, w)
-    out = HeadOutput(
-        gather(full.cls_logits, keys),
-        gather(full.reg_deltas, keys),
-        gather(full.query_logits, keys),
-    )
-    flops = analysis.head_flops_dense(feature.height, feature.width, w.channels,
-                                      w.num_anchors, w.num_classes)
-    return out, flops
-
-
 def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig) -> CascadeResult:
-    """Run one strategy over the pyramid and record every level.
+    """Run one strategy over the pyramid and record every level, top down.
 
     Levels at or above cfg.start_level always run the full dense head. For the
     cascade strategies, each level below start_level is computed only at the
-    keys derived from the level above, and its own query scores seed the next
-    level down.
+    keys derived from the level above, and its own query scores, from
+    start_level down, seed the next level.
     """
     if pyr.channels != w.channels:
         raise ConfigurationError(
@@ -308,30 +259,35 @@ def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig) -> Casca
         )
     cascade = cfg.strategy != "dense"
     levels = _check_levels(pyr, cfg, cascade)
+    # query scores are read from start_level down, if the cascade reaches below it
+    reads_queries = cascade and cfg.min_level < cfg.start_level
 
     t_start = time.perf_counter()
-    dense_levels = [l for l in levels if l >= cfg.start_level] if cascade else levels
-    sigma_at: dict[int, float] = {}
-    if cascade and cfg.start_level in dense_levels and cfg.min_level < cfg.start_level:
-        sigma_at[cfg.start_level] = cfg.sigma
-    ordered = [_dense_record(pyr, w, l, sigma_at.get(l)) for l in dense_levels]
-    if cascade:
-        queries = ordered[-1].extracted_queries if sigma_at else None
-        for l in range(cfg.start_level - 1, cfg.min_level - 1, -1):
-            t0 = time.perf_counter()
-            feature = pyr.levels[l]
-            keys = map_queries_to_keys(queries, feature.height, feature.width)
-            if cfg.strategy == "ccq":
-                out, flops = _masked_level(feature, w, keys)
-                entries, mode = 0, "masked"
-            else:
-                out, entries, flops = _sparse_level(feature, w, keys, _HALO[cfg.strategy])
-                mode = "sparse"
-            queries = extract_queries(_query_scores(out), cfg.sigma)
-            millis = (time.perf_counter() - t0) * 1000.0
-            ordered.append(LevelRecord(l, mode, feature.height, feature.width, out,
-                                       computed_keys=keys, extracted_queries=queries,
-                                       rulebook_entries=entries, flops=flops, millis=millis))
+    records = []
+    queries = None
+    for l in levels:
+        t0 = time.perf_counter()
+        feature = pyr.levels[l]
+        child = cascade and l < cfg.start_level
+        keys = (map_queries_to_keys(queries, feature.height, feature.width) if child
+                else KeySet.full(l, feature.height, feature.width))
+        if child and cfg.strategy in _HALO:
+            out, entries, flops = _sparse_level(feature, w, keys, _HALO[cfg.strategy])
+            mode = "sparse"
+        else:
+            out = run_dense_head(feature, w, keys)
+            entries, mode = 0, "masked" if child else "dense"
+            flops = analysis.head_flops_dense(feature.height, feature.width, w.channels,
+                                              w.num_anchors, w.num_classes)
+        queries = None
+        if reads_queries and l <= cfg.start_level:
+            scores = SparseFeature(keys, sigmoid_array(out.query_logits.features))
+            queries = extract_queries(scores, cfg.sigma)
+        millis = (time.perf_counter() - t0) * 1000.0
+        records.append(LevelRecord(l, mode, feature.height, feature.width, out,
+                                   computed_keys=keys if child else None,
+                                   extracted_queries=queries, rulebook_entries=entries,
+                                   flops=flops, millis=millis))
     total_millis = (time.perf_counter() - t_start) * 1000.0
     return CascadeResult(cfg.strategy, cfg, pyr.image_height, pyr.image_width,
-                         pyr.channels, ordered, total_millis)
+                         pyr.channels, records, total_millis)

@@ -26,18 +26,16 @@ class KeySet:
     def __init__(self, level: int, height: int, width: int, positions=None):
         if height <= 0 or width <= 0:
             raise ValidationError(f"key set bounds must be positive, got {height}x{width}")
-        pos = np.asarray([] if positions is None else positions, dtype=np.int64).reshape(-1, 2)
+        pos = np.array([] if positions is None else positions, dtype=np.int64).reshape(-1, 2)
         if pos.size:
             if (pos[:, 0] < 0).any() or (pos[:, 0] >= width).any() \
                     or (pos[:, 1] < 0).any() or (pos[:, 1] >= height).any():
                 raise ValidationError(
                     f"key position out of bounds for {width}x{height} level {level}"
                 )
-            order = np.lexsort((pos[:, 0], pos[:, 1]))
-            pos = pos[order]
-            keep = np.ones(len(pos), dtype=bool)
-            keep[1:] = (np.diff(pos, axis=0) != 0).any(axis=1)
-            pos = pos[keep]
+            flat = pos[:, 1] * width + pos[:, 0]
+            if (np.diff(flat) <= 0).any():  # not yet canonical: sort and deduplicate
+                pos = pos[np.unique(flat, return_index=True)[1]]
         self.level = level
         self.height = height
         self.width = width
@@ -75,6 +73,19 @@ class KeySet:
     def to_json(self) -> list[list[int]]:
         """Canonical-order [x, y] pairs, the serialization used in run reports."""
         return self.positions.tolist()
+
+    def rows_of(self, keys: "KeySet") -> np.ndarray:
+        """Row of each of `keys` in this set. Both sets are in row-major order,
+        so the rows are found by search; `keys` must be a subset on this grid."""
+        if (keys.height, keys.width) != (self.height, self.width):
+            raise ValidationError(f"keys on a {keys.width}x{keys.height} grid looked up "
+                                  f"in {self.width}x{self.height}")
+        have = self.ys * self.width + self.xs
+        want = keys.ys * self.width + keys.xs
+        rows = np.searchsorted(have, want)
+        if (rows >= len(have)).any() or (have[rows] != want).any():
+            raise ValidationError("keys are not a subset of this key set")
+        return rows
 
     @classmethod
     def empty(cls, level: int, height: int, width: int) -> "KeySet":
@@ -124,13 +135,6 @@ class Rulebook:
     def num_entries(self) -> int:
         """Pairs (key, tap) whose neighbour is itself a key."""
         return int(np.count_nonzero(self.table < len(self.keys)))
-
-    def entries(self) -> list[tuple[int, int, int]]:
-        """All (output_key_index, input_key_index, kernel_offset) triples,
-        grouped by offset 0..8 and in output-key order within an offset."""
-        offsets, outs = np.nonzero(self.table.T < len(self.keys))
-        ins = self.table[outs, offsets]
-        return list(zip(outs.tolist(), ins.tolist(), offsets.tolist()))
 
 
 def build_rulebook(keys: KeySet) -> Rulebook:

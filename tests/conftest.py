@@ -67,10 +67,10 @@ def standard_weights(channels=16, seed=FIXTURE_WEIGHT_SEED):
     return cq.make_fixture_weights(seed, channels, 1, 4)
 
 
-def dense_rows_at(dense_map, keys):
-    """Gather a (C, H, W) map at a KeySet into key-ordered (N, C) rows."""
-    xs, ys = keys.xs, keys.ys
-    return dense_map.values[:, ys, xs].T
+def dense_rows_at(dense_rows, keys):
+    """Key-ordered (N, C) rows of a dense level's output, whose rows cover the
+    full grid, at a KeySet."""
+    return dense_rows.features[dense_rows.keys.rows_of(keys)]
 
 
 def rel_err(a, b):

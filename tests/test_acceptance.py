@@ -63,7 +63,7 @@ def suite():
 
 
 def sparse_records(result):
-    return [r for r in result.records if r.output.is_sparse]
+    return [r for r in result.records if r.computed_keys is not None]
 
 
 def test_criterion_01_masked_cascade_is_bitwise_dense_and_detections_match():
@@ -153,8 +153,8 @@ def test_criterion_05_one_percent_active_cuts_fine_level_cost_to_one_percent():
     (h2, w2), (h3, w3) = level_dims(512, 512, 2), level_dims(512, 512, 3)
     k2, k3 = h2 * w2 // 100, h3 * w3 // 100
     # worst case: every key fully surrounded, nine rulebook entries each
-    sparse = (head_flops_sparse(k2, 9 * k2, c, 1, 4)
-              + head_flops_sparse(k3, 9 * k3, c, 1, 4))
+    sparse = (head_flops_sparse(9 * k2, c, 1, 4)
+              + head_flops_sparse(9 * k3, c, 1, 4))
     dense = head_flops_dense(h2, w2, c, 1, 4) + head_flops_dense(h3, w3, c, 1, 4)
     assert sparse <= 0.01 * dense
 
@@ -163,7 +163,7 @@ def test_criterion_05_one_percent_active_cuts_fine_level_cost_to_one_percent():
     flat = rng.choice(h2 * w2, size=k2, replace=False)
     rb = build_rulebook(KeySet(2, h2, w2, np.stack([flat % w2, flat // w2], axis=1)))
     assert rb.num_entries <= 9 * k2
-    real = head_flops_sparse(k2, rb.num_entries, c, 1, 4)
+    real = head_flops_sparse(rb.num_entries, c, 1, 4)
     assert real <= 0.01 * head_flops_dense(h2, w2, c, 1, 4)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -372,16 +372,11 @@ def test_criterion_11_every_confident_parent_has_its_children_as_keys():
             prec = result.record(parent)
             for b in blobs:
                 px, py = int(b.cx) >> parent, int(b.cy) >> parent
-                if prec.output.is_sparse:
-                    keys = prec.computed_keys
-                    hit = np.nonzero((keys.xs == px) & (keys.ys == py))[0]
-                    if len(hit) == 0:
-                        continue  # parent cell never computed: no score to exceed
-                    score = sigmoid_array(
-                        prec.output.query_logits.features[hit[0], :1])[0]
-                else:
-                    score = sigmoid_array(
-                        prec.output.query_logits.values[:1, py, px])[0]
+                keys = prec.output.keys
+                hit = np.nonzero((keys.xs == px) & (keys.ys == py))[0]
+                if len(hit) == 0:
+                    continue  # parent cell never computed: no score to exceed
+                score = sigmoid_array(prec.output.query_logits.features[hit[0], :1])[0]
                 if not bool(score > sigma):  # same float32 comparison as extraction
                     continue
                 evaluated += 1

@@ -132,9 +132,8 @@ def test_cq_run_charges_each_level_for_its_halo_rulebook(small_fixture, tmp_path
         assert len(keys) and row["sparse_rows"] == len(keys)
         assert row["dense_positions"] == 0
         assert row["rulebook_entries"] == rb.num_entries
-        assert row["flops"] == head_flops_sparse(len(rb.keys), rb.num_entries,
-                                                 weights.channels, weights.num_anchors,
-                                                 weights.num_classes)
+        assert row["flops"] == head_flops_sparse(rb.num_entries, weights.channels,
+                                                 weights.num_anchors, weights.num_classes)
 
 
 def test_run_without_inputs_is_a_usage_error(tmp_path, capsys):
@@ -247,7 +246,9 @@ def test_malformed_config_is_rejected(small_fixture, tmp_path, text, capsys):
 # --- verify ------------------------------------------------------------------------
 
 def test_verify_passes_on_a_pristine_fixture(small_fixture, tmp_path, capsys):
-    rc = main(["verify", "--fixture", str(small_fixture), "--out", str(tmp_path)])
+    # sigma 0.02 gives this fixture cascade keys, so every comparison has rows
+    rc = main(["verify", "--fixture", str(small_fixture), "--out", str(tmp_path),
+               "--sigma", "0.02"])
     verdict = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert verdict["passed"] is True
@@ -298,12 +299,24 @@ def test_verify_warns_on_edited_file_but_checks_still_pass(tmp_path, capsys):
     gt_path = tmp_path / GROUND_TRUTH_FILE
     gt_path.write_bytes(gt_path.read_bytes() + b" \n")  # content-equivalent edit
     capsys.readouterr()  # drop the gen-fixture status line
-    rc = main(["verify", "--fixture", str(fix)])
+    rc = main(["verify", "--fixture", str(fix), "--sigma", "0.02"])
     verdict = json.loads(capsys.readouterr().out)
     assert rc == 0 and verdict["passed"] is True
     assert len(verdict["warnings"]) == 1
     assert GROUND_TRUTH_FILE in verdict["warnings"][0]
     assert "checksum" in verdict["warnings"][0]
+
+
+def test_verify_warns_when_a_comparison_checked_no_keys(small_fixture, capsys):
+    # at the default sigma this fixture has no keys below the start level, so
+    # ccq-exact and cq-dense pass on zero rows; only csq-sigma0 compares any
+    rc = main(["verify", "--fixture", str(small_fixture)])
+    verdict = json.loads(capsys.readouterr().out)
+    assert rc == 0 and verdict["passed"] is True
+    by_name = {c["name"]: c["detail"] for c in verdict["checks"]}
+    assert "at 0 keys" in by_name["ccq-exact"] and "over 0 keys" in by_name["cq-dense"]
+    assert sorted(w.split(":")[0] for w in verdict["warnings"]) == ["ccq-exact", "cq-dense"]
+    assert all("compared 0 keys" in w for w in verdict["warnings"])
 
 
 def test_verify_catches_a_sparse_conv_that_drops_bias(small_fixture, monkeypatch, capsys):

@@ -94,19 +94,21 @@ def test_head_weights_validation_catches_bad_tower():
 def test_dense_head_output_shapes():
     w = make_fixture_weights(3, 8, 2, 3)
     feature = DenseTensor(np.random.default_rng(0).standard_normal((8, 6, 7)).astype(np.float32))
-    out = run_dense_head(feature, w)
-    assert not out.is_sparse
-    assert out.cls_logits.values.shape == (6, 6, 7)
-    assert out.reg_deltas.values.shape == (8, 6, 7)
-    assert out.query_logits.values.shape == (1, 6, 7)
+    full = KeySet.full(0, 6, 7)
+    out = run_dense_head(feature, w, full)
+    assert out.keys is full
+    assert out.cls_logits.features.shape == (42, 6)
+    assert out.reg_deltas.features.shape == (42, 8)
+    assert out.query_logits.features.shape == (42, 1)
 
 
 def test_untrained_scores_start_near_the_prior():
     # on pure noise the prior bias keeps sigmoid scores close to 0.01
     pyr = small_pyramid(seed=2)
     w = make_fixture_weights(2, 8, 1, 4)
-    out = run_dense_head(pyr.levels[3], w)
-    scores = 1.0 / (1.0 + np.exp(-out.query_logits.values.astype(np.float64)))
+    feature = pyr.levels[3]
+    out = run_dense_head(feature, w, KeySet.full(3, feature.height, feature.width))
+    scores = 1.0 / (1.0 + np.exp(-out.query_logits.features.astype(np.float64)))
     assert np.median(scores) < 0.05
 
 
@@ -115,7 +117,7 @@ def test_sparse_head_matches_dense_head_on_full_grid():
     w = make_fixture_weights(5, 8, 1, 4)
     feature = pyr.levels[4]
     ks = KeySet.full(4, feature.height, feature.width)
-    dense = run_dense_head(feature, w)
+    dense = run_dense_head(feature, w, ks)
     sparse = run_sparse_head(gather(feature, ks), w)
     for d, s in ((dense.cls_logits, sparse.cls_logits),
                  (dense.reg_deltas, sparse.reg_deltas),
@@ -138,7 +140,7 @@ def test_head_output_rejects_mixed_density():
     pyr = small_pyramid(seed=4)
     w = make_fixture_weights(5, 8, 1, 4)
     feature = pyr.levels[4]
-    dense = run_dense_head(feature, w)
+    dense = run_dense_head(feature, w, KeySet.full(4, feature.height, feature.width))
     ks = KeySet(4, feature.height, feature.width, [(0, 0)])
     sparse = run_sparse_head(gather(feature, ks), w)
     with pytest.raises(ValidationError):

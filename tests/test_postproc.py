@@ -16,13 +16,11 @@ from cascadequery import (
     decode_boxes,
     detections_from_output,
     encode_boxes,
-    merge_levels,
     nms,
 )
 from cascadequery.model import HeadOutput
 from cascadequery.postproc import SCALE_CLAMP
 from cascadequery.sparse import KeySet, SparseFeature
-from cascadequery.tensor import DenseTensor
 
 CFG = AnchorConfig(base=4.0, num_anchors=1)
 
@@ -199,10 +197,10 @@ def test_nms_matches_the_unbounded_greedy_oracle(seed, n, classes, top_k, iou_th
         greedy_nms_oracle(dets, iou_threshold, 0.05, k)
 
 
-def test_merge_levels_runs_global_nms():
+def test_nms_over_both_levels_candidates_is_global():
     lvl2 = [det([0, 0, 10, 10], 0.9, level=2)]
     lvl3 = [det([0, 0, 10, 10], 0.95, level=3)]
-    merged = merge_levels([lvl2, lvl3])
+    merged = nms(lvl2 + lvl3)
     assert len(merged) == 1 and merged[0].level == 3
 
 
@@ -221,7 +219,9 @@ def test_detection_rejects_degenerate_box():
 # --- candidate extraction ------------------------------------------------------------
 
 def head_output_dense(cls, reg, query):
-    return HeadOutput(DenseTensor(cls), DenseTensor(reg), DenseTensor(query))
+    """A dense level's output: the (C, H, W) maps as rows over the full grid."""
+    ks = KeySet.full(3, *cls.shape[1:])
+    return HeadOutput(*(SparseFeature(ks, m.reshape(len(m), -1).T) for m in (cls, reg, query)))
 
 
 def test_candidates_respect_the_score_threshold():
@@ -242,13 +242,18 @@ def test_sparse_and_dense_candidates_agree_at_keys():
     cls = rng.uniform(-6, 2, (4, 6, 6)).astype(np.float32)
     reg = rng.uniform(-0.5, 0.5, (4, 6, 6)).astype(np.float32)
     query = np.zeros((1, 6, 6), dtype=np.float32)
-    ks = KeySet.full(3, 6, 6)
+    ks = KeySet(3, 6, 6, [(x, y) for y in range(6) for x in range(6) if (x + y) % 3])
     sparse = HeadOutput(
-        SparseFeature(ks, cls.reshape(4, -1).T),
-        SparseFeature(ks, reg.reshape(4, -1).T),
-        SparseFeature(ks, query.reshape(1, -1).T),
+        SparseFeature(ks, cls[:, ks.ys, ks.xs].T),
+        SparseFeature(ks, reg[:, ks.ys, ks.xs].T),
+        SparseFeature(ks, query[:, ks.ys, ks.xs].T),
     )
+    # the full grid with every non-key cell scored far below the threshold
+    off_keys = np.ones((6, 6), dtype=bool)
+    off_keys[ks.ys, ks.xs] = False
+    cls[:, off_keys] = -50.0
     dense_dets = detections_from_output(head_output_dense(cls, reg, query), 3, CFG, 4)
+    assert 0 < len(dense_dets) < 4 * 36
     sparse_dets = detections_from_output(sparse, 3, CFG, 4)
     assert sorted(dense_dets, key=Detection.sort_key) == \
         sorted(sparse_dets, key=Detection.sort_key)

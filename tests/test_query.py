@@ -16,6 +16,7 @@ from cascadequery import (
     run_pipeline,
 )
 from cascadequery.model import RECEPTIVE_FIELD
+from cascadequery.query import STRATEGIES
 from cascadequery.sparse import KeySet, SparseFeature, build_rulebook, dilate
 from cascadequery.tensor import DenseTensor, conv2d
 
@@ -28,25 +29,27 @@ from conftest import (
 )
 
 
-def score_map(h, w, scores):
-    m = np.zeros((1, h, w), dtype=np.float32)
+def score_rows(h, w, scores, level=4):
+    """Single-channel scores at every cell of a level, the rows a dense level
+    hands to extraction."""
+    m = np.zeros((h, w), dtype=np.float32)
     for (x, y), s in scores.items():
-        m[0, y, x] = s
-    return DenseTensor(m)
+        m[y, x] = s
+    return SparseFeature(KeySet.full(level, h, w), m.reshape(-1, 1))
 
 
 # --- extraction and the child mapping -------------------------------------------
 
 def test_extract_keeps_only_scores_above_sigma():
-    scores = score_map(4, 4, {(1, 1): 0.2, (3, 0): 0.1})
-    out = extract_queries(scores, 0.15, level=4)
+    scores = score_rows(4, 4, {(1, 1): 0.2, (3, 0): 0.1})
+    out = extract_queries(scores, 0.15)
     assert out.as_tuples() == [(1, 1)]
 
 
 def test_extract_threshold_is_strict():
     # 0.5 is exact in float32, so a score equal to sigma must not pass
-    scores = score_map(2, 2, {(0, 0): 0.5, (1, 1): 0.50001})
-    out = extract_queries(scores, 0.5, level=3)
+    scores = score_rows(2, 2, {(0, 0): 0.5, (1, 1): 0.50001}, level=3)
+    out = extract_queries(scores, 0.5)
     assert out.as_tuples() == [(1, 1)]
 
 
@@ -58,9 +61,12 @@ def test_extract_from_sparse_rows_considers_existing_keys_only():
     assert (out.height, out.width, out.level) == (8, 8, 3)
 
 
-def test_extract_dense_requires_level():
-    with pytest.raises(ConfigurationError):
-        extract_queries(score_map(2, 2, {}), 0.5)
+def test_extract_takes_level_and_grid_from_the_rows():
+    out = extract_queries(score_rows(2, 3, {(2, 1): 0.9}, level=5), 0.5)
+    assert out.as_tuples() == [(2, 1)]
+    assert (out.level, out.height, out.width) == (5, 2, 3)
+    with pytest.raises(ValidationError, match="single-channel"):
+        extract_queries(SparseFeature(out, np.ones((1, 2), dtype=np.float32)), 0.5)
 
 
 def test_children_of_one_query():
@@ -127,6 +133,24 @@ def test_cascade_splits_dense_and_sparse_levels(pyramid, weights):
     modes = {r.level: r.mode for r in res.records}
     assert modes == {7: "dense", 6: "dense", 5: "dense", 4: "dense",
                      3: "sparse", 2: "sparse"}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_every_level_returns_rows_at_one_key_set(pyramid, weights, strategy):
+    # one output type: the three branches share one KeySet, the full grid on
+    # dense levels and the computed keys below the start level
+    res = run_pipeline(pyramid, weights, QueryConfig(strategy=strategy, sigma=0.15))
+    for rec in res.records:
+        keys = rec.output.keys
+        assert rec.output.reg_deltas.keys is keys and rec.output.query_logits.keys is keys
+        if rec.mode == "dense":
+            assert rec.computed_keys is None and rec.sparse_rows == 0
+            assert keys == KeySet.full(rec.level, rec.height, rec.width)
+        else:
+            assert keys is rec.computed_keys and len(keys) > 0
+            assert rec.sparse_rows == len(keys)
+    assert [r.mode == "dense" for r in res.records] == \
+        [strategy == "dense" or r.level >= 4 for r in res.records]
 
 
 def test_cascade_keys_come_from_the_level_above(pyramid, weights):
@@ -197,7 +221,7 @@ def test_cq_level_is_charged_for_its_halo_rulebook(pyramid, weights):
     assert rec.output.cls_logits.features.shape == (len(keys), 4)
     rb = build_rulebook(dilate(keys, RECEPTIVE_FIELD // 2))
     assert rec.rulebook_entries == rb.num_entries > build_rulebook(keys).num_entries
-    assert rec.flops == head_flops_sparse(len(rb.keys), rb.num_entries, weights.channels,
+    assert rec.flops == head_flops_sparse(rb.num_entries, weights.channels,
                                           weights.num_anchors, weights.num_classes)
 
 

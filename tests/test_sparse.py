@@ -16,8 +16,6 @@ from cascadequery.sparse import (
 )
 from cascadequery.tensor import ConvWeights, DenseTensor, conv2d
 
-from conftest import dense_rows_at
-
 
 def keyset(pairs, h=8, w=8, level=3):
     return KeySet(level, h, w, pairs)
@@ -29,6 +27,17 @@ def test_keyset_sorts_and_dedupes():
     ks = keyset([(3, 1), (0, 0), (3, 1), (1, 0)])
     assert ks.as_tuples() == [(0, 0), (1, 0), (3, 1)]
     assert len(ks) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 4)), max_size=30), st.booleans())
+def test_keyset_is_canonical_whatever_the_input_order(pairs, presorted):
+    want = sorted(set(pairs), key=lambda p: (p[1], p[0]))
+    src = np.array(want if presorted else pairs, dtype=np.int64).reshape(-1, 2)
+    ks = KeySet(0, 5, 7, src)
+    assert ks.as_tuples() == want
+    src[...] = 0  # the set keeps its own copy of the positions
+    assert ks.as_tuples() == want
 
 
 def test_keyset_rejects_out_of_bounds():
@@ -95,12 +104,32 @@ def test_dilate_rejects_a_negative_radius():
         dilate(keyset([(1, 1)]), -1)
 
 
+def test_rows_of_finds_each_key_in_a_superset():
+    big = KeySet.full(3, 4, 5)
+    sub = keyset([(4, 3), (0, 0), (2, 1)], h=4, w=5)
+    rows = big.rows_of(sub)
+    assert [tuple(p) for p in big.positions[rows].tolist()] == sub.as_tuples()
+    assert big.rows_of(KeySet.empty(3, 4, 5)).tolist() == []
+
+
+def test_rows_of_rejects_keys_outside_the_set_or_grid():
+    some = keyset([(1, 1), (3, 2)])
+    with pytest.raises(ValidationError, match="subset"):
+        some.rows_of(keyset([(1, 1), (2, 2)]))
+    with pytest.raises(ValidationError, match="subset"):
+        some.rows_of(keyset([(7, 7)]))
+    with pytest.raises(ValidationError, match="grid"):
+        some.rows_of(keyset([(1, 1)], h=9))
+
+
 # --- rulebook -----------------------------------------------------------------
 
 def test_rulebook_single_key_has_center_entry_only():
     rb = build_rulebook(keyset([(4, 4)]))
     assert rb.num_entries == 1
-    assert rb.entries() == [(0, 0, 4)]
+    # only the centre tap (offset 4) finds a key, itself; the rest read the
+    # zero row, index len(keys)
+    assert rb.table.tolist() == [[1, 1, 1, 1, 0, 1, 1, 1, 1]]
 
 
 def test_rulebook_adjacent_pair():
@@ -108,14 +137,15 @@ def test_rulebook_adjacent_pair():
     # reads key 1 through the (dy,dx)=(0,+1) tap (offset 5) and vice versa.
     rb = build_rulebook(keyset([(0, 0), (1, 0)]))
     assert rb.num_entries == 4
-    assert set(rb.entries()) == {(0, 0, 4), (1, 1, 4), (0, 1, 5), (1, 0, 3)}
+    assert rb.table.tolist() == [[2, 2, 2, 2, 0, 1, 2, 2, 2],
+                                 [2, 2, 2, 0, 1, 2, 2, 2, 2]]
 
 
 def test_rulebook_offset_geometry():
     # key (2,3) reads key (1,2) through the (dy,dx)=(-1,-1) tap, offset 0
     rb = build_rulebook(keyset([(1, 2), (2, 3)]))
-    assert (1, 0, 0) in rb.entries()
-    assert (0, 1, 8) in rb.entries()
+    assert rb.table[1, 0] == 0
+    assert rb.table[0, 8] == 1
 
 
 def test_rulebook_full_grid_entry_count():
@@ -183,7 +213,7 @@ def test_sparse_conv_full_grid_equals_dense_conv():
                            rng.standard_normal(out_c).astype(np.float32))
         ks = KeySet.full(3, h, w)
         got = sparse_conv(gather(dense, ks), conv, build_rulebook(ks))
-        want = dense_rows_at(conv2d(dense, conv), ks)
+        want = conv2d(dense, conv).values[:, ks.ys, ks.xs].T
         np.testing.assert_array_equal(got.features, want, err_msg=f"{(in_c, out_c, h, w, k)}")
 
 
@@ -220,7 +250,7 @@ def test_sparse_conv_inactive_neighbors_match_zero_padding():
     w = rand_conv(rng, 4, 3)
     got = sparse_conv(sf, w, build_rulebook(ks))
     densified = scatter(sf, 6, 7)
-    want = dense_rows_at(conv2d(densified, w), ks)
+    want = conv2d(densified, w).values[:, ks.ys, ks.xs].T
     np.testing.assert_allclose(got.features, want, rtol=1e-5, atol=1e-5)
 
 
@@ -270,5 +300,5 @@ def test_sparse_conv_agrees_with_masked_dense(seed, h, w, density):
     sf = SparseFeature(ks, rng.standard_normal((len(ks), 2)).astype(np.float32))
     w_ = rand_conv(rng, 2, 2)
     got = sparse_conv(sf, w_, build_rulebook(ks))
-    want = dense_rows_at(conv2d(scatter(sf, h, w), w_), ks)
+    want = conv2d(scatter(sf, h, w), w_).values[:, ks.ys, ks.xs].T
     np.testing.assert_allclose(got.features, want, rtol=1e-4, atol=1e-4)
