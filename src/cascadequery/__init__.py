@@ -8,9 +8,9 @@ compute (ccq). The analysis module carries the matching MAC-level cost model
 and a benchmark harness.
 """
 
-from .analysis import (BenchResult, FlopsReport, bench_csv, bench_json,
-                       head_flops_dense, head_flops_sparse, inbounds_pairs,
-                       p2_cost_increase, run_benchmark, sigma_sweep)
+from .analysis import (BenchResult, bench_csv, bench_json, head_flops_dense,
+                       head_flops_sparse, inbounds_pairs, p2_cost_increase,
+                       run_benchmark, sigma_sweep)
 from .errors import (CascadeQueryError, ConfigurationError, FormatError,
                      ValidationError)
 from .model import (Blob, FeaturePyramid, HeadOutput, HeadWeights, level_dims,
@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnchorConfig", "BenchResult", "Blob", "CascadeQueryError", "CascadeResult",
     "ConfigurationError", "ConvWeights", "DenseTensor", "Detection",
-    "FeaturePyramid", "FlopsReport", "FormatError", "GroundTruthObject",
+    "FeaturePyramid", "FormatError", "GroundTruthObject",
     "GroundTruthSet", "HeadOutput", "HeadWeights", "KeySet", "LevelRecord",
     "LossConfig", "QueryConfig", "Rulebook", "SparseFeature", "TargetMaps",
     "ValidationError", "anchor_boxes", "bench_csv", "bench_json",

@@ -13,7 +13,7 @@ import io
 import os
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,23 +43,14 @@ def head_flops_dense(height: int, width: int, channels: int, num_anchors: int,
             + pred_macs_dense(height, width, channels, num_anchors, num_classes))
 
 
-def tower_macs_sparse(rulebook_entries: int, channels: int) -> int:
-    return _TOWERS * TOWER_DEPTH * rulebook_entries * channels * channels
-
-
-def pred_macs_sparse(rulebook_entries: int, channels: int, num_anchors: int,
-                     num_classes: int) -> int:
-    return rulebook_entries * channels * _pred_channels(num_anchors, num_classes)
-
-
 def head_flops_sparse(rulebook_entries: int, channels: int, num_anchors: int,
                       num_classes: int) -> int:
     """Submanifold head cost: every conv (towers and predictors alike) pays
     C_in * C_out work per rulebook entry. Isolated keys fire only their center
     offset, giving the 1/9-per-key floor. Bias adds are not MACs, so the key
     count does not enter."""
-    return (tower_macs_sparse(rulebook_entries, channels)
-            + pred_macs_sparse(rulebook_entries, channels, num_anchors, num_classes))
+    return rulebook_entries * channels * (_TOWERS * TOWER_DEPTH * channels
+                                          + _pred_channels(num_anchors, num_classes))
 
 
 def inbounds_pairs(height: int, width: int) -> int:
@@ -90,62 +81,24 @@ def p2_cost_increase(image_h: int, image_w: int, channels: int = 16,
     return p2 / rest
 
 
-@dataclass(frozen=True)
-class FlopsLevel:
-    level: int
-    height: int
-    width: int
-    dense_tower_macs: int
-    dense_pred_macs: int
-
-    @property
-    def dense_total(self) -> int:
-        return self.dense_tower_macs + self.dense_pred_macs
-
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "shape": [self.height, self.width],
-            "dense_tower_macs": self.dense_tower_macs,
-            "dense_pred_macs": self.dense_pred_macs,
-            "dense_total_macs": self.dense_total,
-        }
-
-
-@dataclass(frozen=True)
-class FlopsReport:
-    channels: int
-    num_anchors: int
-    num_classes: int
-    rows: list[FlopsLevel]
-
-    @property
-    def dense_total(self) -> int:
-        return sum(r.dense_total for r in self.rows)
-
-    def to_json(self) -> dict:
-        return {
-            "schema": "qd/1",
-            "channels": self.channels,
-            "num_anchors": self.num_anchors,
-            "num_classes": self.num_classes,
-            "levels": [r.to_json() for r in self.rows],
-            "dense_total_macs": self.dense_total,
-        }
-
-
 def flops_report(image_h: int, image_w: int, levels, channels: int, num_anchors: int,
-                 num_classes: int) -> FlopsReport:
-    """Per-level dense MAC breakdown for an image."""
+                 num_classes: int) -> dict:
+    """Per-level dense MAC breakdown for an image: the `flops` command's JSON."""
     rows = []
     for l in sorted(levels):
         h, w = level_dims(image_h, image_w, l)
-        rows.append(FlopsLevel(
-            level=l, height=h, width=w,
-            dense_tower_macs=tower_macs_dense(h, w, channels),
-            dense_pred_macs=pred_macs_dense(h, w, channels, num_anchors, num_classes),
-        ))
-    return FlopsReport(channels, num_anchors, num_classes, rows)
+        tower = tower_macs_dense(h, w, channels)
+        pred = pred_macs_dense(h, w, channels, num_anchors, num_classes)
+        rows.append({"level": l, "shape": [h, w], "dense_tower_macs": tower,
+                     "dense_pred_macs": pred, "dense_total_macs": tower + pred})
+    return {
+        "schema": "qd/1",
+        "channels": channels,
+        "num_anchors": num_anchors,
+        "num_classes": num_classes,
+        "levels": rows,
+        "dense_total_macs": sum(r["dense_total_macs"] for r in rows),
+    }
 
 
 # --- wall-clock harness ------------------------------------------------------

@@ -27,7 +27,7 @@ from .errors import CascadeQueryError, ConfigurationError
 from .model import (Blob, level_dims, load_pyramid, load_weights, make_fixture_weights,
                     make_synthetic_pyramid, save_pyramid, save_weights)
 from .postproc import AnchorConfig, detections_from_result, detections_to_json
-from .query import CascadeResult, QueryConfig, run_pipeline
+from .query import STRATEGIES, CascadeResult, QueryConfig, run_pipeline
 from .sparse import KeySet, build_rulebook
 from .targets import GroundTruthObject, GroundTruthSet, query_target_for_level
 from .tensor import DenseTensor, save_tensor, sigmoid_array
@@ -470,9 +470,8 @@ def cmd_bench(opts: Options) -> int:
 def cmd_flops(opts: Options) -> int:
     size = opts.get("image_size")
     levels = list(range(opts.get("min_level"), opts.get("max_level") + 1))
-    report = analysis.flops_report(size, size, levels, opts.get("channels"),
-                                   opts.get("anchors"), opts.get("classes"))
-    payload = report.to_json()
+    payload = analysis.flops_report(size, size, levels, opts.get("channels"),
+                                    opts.get("anchors"), opts.get("classes"))
     payload["image"] = [size, size]
     if min(levels) <= 2 and max(levels) >= 7:
         payload["p2_cost_increase"] = analysis.p2_cost_increase(
@@ -527,7 +526,7 @@ def _add(p: argparse.ArgumentParser, *names: str) -> None:
         "min_level": dict(type=int),
         "max_level": dict(type=int),
         "start_level": dict(type=int),
-        "strategy": dict(type=str, choices=["dense", "csq", "cq", "ccq"]),
+        "strategy": dict(type=str, choices=STRATEGIES),
         "sigma": dict(type=float),
         "repeats": dict(type=int),
         "warmup": dict(type=int),

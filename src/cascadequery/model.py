@@ -8,25 +8,23 @@ each, followed by a 3x3 prediction conv with no activation.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, ValidationError
 from .sparse import (KeySet, Rulebook, SparseFeature, build_rulebook, gather, sparse_conv,
                      sparse_relu)
-from .tensor import ConvWeights, DenseTensor, conv2d, relu
+from .tensor import ConvWeights, ContainerReader, DenseTensor, conv2d, relu, write_container
 
 PYRAMID_MAGIC = b"QDPYR1\n\0"
 WEIGHTS_MAGIC = b"QDWTS1\n\0"
 
 TOWER_DEPTH = 4
 # Side of the square input window one head output depends on: the tower's
-# convs and the predictor are all at most 3x3, each widening it by one cell
-# per side. cq dilates each key's set by this window's radius.
+# convs and the predictor are all 3x3, each widening it by one cell per side.
+# cq dilates each key's set by this window's radius.
 RECEPTIVE_FIELD = 2 * (TOWER_DEPTH + 1) + 1
 PRIOR_PROB = 0.01  # untrained classification/query scores start near this
 
@@ -248,44 +246,11 @@ def make_fixture_weights(seed: int, channels: int, num_anchors: int, num_classes
 
 # --- containers -------------------------------------------------------------
 
-def _write_block(f, magic: bytes, manifest: dict, payloads: list[np.ndarray]) -> None:
-    header = json.dumps(manifest).encode("utf-8")
-    f.write(magic)
-    f.write(struct.pack("<I", len(header)))
-    f.write(header)
-    for arr in payloads:
-        f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-class _Reader:
-    def __init__(self, path, magic: bytes):
-        self.path = path
-        with open(path, "rb") as f:
-            self.data = f.read()
-        if self.data[:8] != magic:
-            raise FormatError(f"{path}: bad magic, expected {magic!r}")
-        if len(self.data) < 12:
-            raise FormatError(f"{path}: truncated header")
-        (hlen,) = struct.unpack("<I", self.data[8:12])
-        if len(self.data) < 12 + hlen:
-            raise FormatError(f"{path}: truncated JSON manifest")
-        try:
-            self.manifest = json.loads(self.data[12:12 + hlen].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise FormatError(f"{path}: unreadable manifest: {e}") from e
-        self.offset = 12 + hlen
-
-    def take(self, count: int, what: str) -> np.ndarray:
-        nbytes = count * 4
-        if self.offset + nbytes > len(self.data):
-            raise FormatError(f"{self.path}: payload truncated while reading {what}")
-        arr = np.frombuffer(self.data, dtype="<f4", count=count, offset=self.offset)
-        self.offset += nbytes
-        return arr.copy()
-
-    def finish(self) -> None:
-        if self.offset != len(self.data):
-            raise FormatError(f"{self.path}: {len(self.data) - self.offset} trailing bytes")
+def _entry_list(manifest: dict, key: str) -> list[dict]:
+    entries = manifest[key]
+    if not (isinstance(entries, list) and all(isinstance(e, dict) for e in entries)):
+        raise TypeError(f"{key!r} must be a list of objects, got {entries!r}")
+    return entries
 
 
 def save_pyramid(pyr: FeaturePyramid, path) -> None:
@@ -297,28 +262,26 @@ def save_pyramid(pyr: FeaturePyramid, path) -> None:
             for l in sorted(pyr.levels)
         ],
     }
-    with open(path, "wb") as f:
-        _write_block(f, PYRAMID_MAGIC, manifest,
-                     [pyr.levels[l].values for l in sorted(pyr.levels)])
+    write_container(path, PYRAMID_MAGIC, manifest,
+                    [pyr.levels[l].values for l in sorted(pyr.levels)])
 
 
 def load_pyramid(path) -> FeaturePyramid:
-    r = _Reader(path, PYRAMID_MAGIC)
+    r = ContainerReader(path, PYRAMID_MAGIC)
     m = r.manifest
     try:
         image_h, image_w = m["image"]
         channels = m["channels"]
-        level_entries = m["levels"]
+        level_entries = _entry_list(m, "levels")
     except (KeyError, TypeError, ValueError) as e:
         raise FormatError(f"{path}: malformed pyramid manifest: {e}") from e
     levels: dict[int, DenseTensor] = {}
     for entry in level_entries:
-        l, shape = entry["l"], entry["shape"]
-        if len(shape) != 3 or shape[0] != channels:
+        l, shape = entry.get("l"), entry.get("shape")
+        values = r.take(shape, f"level {l}")
+        if values.ndim != 3 or values.shape[0] != channels:
             raise FormatError(f"{path}: level {l} shape {shape} conflicts with manifest")
-        c, h, w = shape
-        flat = r.take(c * h * w, f"level {l}")
-        levels[l] = DenseTensor(flat.reshape(c, h, w))
+        levels[l] = DenseTensor(values)
     r.finish()
     try:
         return FeaturePyramid(image_h, image_w, levels)
@@ -354,29 +317,28 @@ def save_weights(w: HeadWeights, path) -> None:
         "num_classes": w.num_classes,
         "convs": entries,
     }
-    with open(path, "wb") as f:
-        _write_block(f, WEIGHTS_MAGIC, manifest, payloads)
+    write_container(path, WEIGHTS_MAGIC, manifest, payloads)
 
 
 def load_weights(path) -> HeadWeights:
-    r = _Reader(path, WEIGHTS_MAGIC)
+    r = ContainerReader(path, WEIGHTS_MAGIC)
     m = r.manifest
     try:
         channels, a, k = m["channels"], m["num_anchors"], m["num_classes"]
-        entries = m["convs"]
+        entries = _entry_list(m, "convs")
     except (KeyError, TypeError) as e:
         raise FormatError(f"{path}: malformed weights manifest: {e}") from e
     roles = [e.get("role") for e in entries]
     if roles != _CONV_ROLES:
         raise FormatError(f"{path}: manifest conv roles {roles} != expected {_CONV_ROLES}")
     convs: dict[str, ConvWeights] = {}
-    for entry in entries:
-        role, out_c, in_c, kk = entry["role"], entry["out"], entry["in"], entry["k"]
-        wt = r.take(out_c * in_c * kk * kk, f"{role} weights").reshape(out_c, in_c, kk, kk)
-        bias = r.take(out_c, f"{role} bias")
+    for role, entry in zip(roles, entries):
+        out_c, in_c, kk = entry.get("out"), entry.get("in"), entry.get("k")
+        wt = r.take([out_c, in_c, kk, kk], f"{role} weights")
+        bias = r.take([out_c], f"{role} bias")
         try:
             convs[role] = ConvWeights(wt, bias)
-        except ValidationError as e:
+        except (ConfigurationError, ValidationError) as e:
             raise FormatError(f"{path}: {role}: {e}") from e
     r.finish()
     try:

@@ -29,9 +29,6 @@ class AnchorConfig:
         if self.num_anchors < 1:
             raise ValidationError(f"need at least one anchor, got {self.num_anchors}")
 
-    def side(self, level: int, slot: int) -> float:
-        return self.base * (1 << level) * (2.0 ** (slot / 3.0))
-
 
 def anchor_boxes(xs, ys, slots, level: int, cfg: AnchorConfig) -> np.ndarray:
     """(N, 4) float64 anchor corners for grid positions (x, y) and anchor slots."""

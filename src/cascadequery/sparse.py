@@ -126,7 +126,8 @@ class Rulebook:
     len(keys) (the shared zero row) where that neighbour is not a key.
 
     Tap k in 0..8 is the displacement (dy, dx) = (k // 3 - 1, k % 3 - 1): an
-    entry (out_key, in_key, k) means in_key sits at out_key + (dx, dy)."""
+    entry (out_key, in_key, k) means in_key sits at out_key + (dx, dy). Every
+    conv is 3x3, so `sparse_conv` hands the whole table to `conv_rows`."""
 
     keys: KeySet
     table: np.ndarray = field(repr=False)
@@ -143,7 +144,7 @@ def build_rulebook(keys: KeySet) -> Rulebook:
     n = len(keys)
     index = np.full((keys.height, keys.width), n, dtype=np.int64)
     index[keys.ys, keys.xs] = np.arange(n)
-    return Rulebook(keys, neighbour_table(index, keys.ys, keys.xs, 3, n))
+    return Rulebook(keys, neighbour_table(index, keys.ys, keys.xs, n))
 
 
 def dilate(keys: KeySet, radius: int) -> KeySet:
@@ -189,11 +190,11 @@ def scatter(sparse: SparseFeature, height: int, width: int) -> DenseTensor:
 
 
 def sparse_conv(inp: SparseFeature, w: ConvWeights, rb: Rulebook) -> SparseFeature:
-    """Submanifold convolution driven by a rulebook built from `inp.keys`.
+    """Submanifold 3x3 convolution driven by a rulebook built from `inp.keys`.
 
-    `conv_rows` over the rulebook's table, cut to the kernel's centred k x k
-    taps. Missing neighbors contribute nothing, which is exactly the
-    zero-padding behaviour when every position is active.
+    `conv_rows` over the rulebook's table. Missing neighbors contribute
+    nothing, which is exactly the zero-padding behaviour when every position
+    is active.
     """
     if inp.channels != w.in_channels:
         raise ConfigurationError(
@@ -201,9 +202,7 @@ def sparse_conv(inp: SparseFeature, w: ConvWeights, rb: Rulebook) -> SparseFeatu
         )
     if rb.keys is not inp.keys and rb.keys != inp.keys:
         raise ValidationError("rulebook was not built from the input's key set")
-    r = 1 - w.kernel // 2
-    table = rb.table.reshape(-1, 3, 3)[:, r:3 - r, r:3 - r].reshape(-1, w.kernel * w.kernel)
-    return SparseFeature(inp.keys, conv_rows(inp.features, w, table))
+    return SparseFeature(inp.keys, conv_rows(inp.features, w, rb.table))
 
 
 def sparse_relu(sf: SparseFeature) -> SparseFeature:

@@ -9,6 +9,7 @@ QDT1 on-disk order.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,9 +48,11 @@ class DenseTensor:
 
 @dataclass(frozen=True)
 class ConvWeights:
-    """Weights of one convolution layer: (out, in, k, k) kernel plus per-output bias.
+    """Weights of one 3x3 convolution layer: (out, in, 3, 3) kernel plus per-output bias.
 
-    Treated as immutable: `taps` is derived from the kernel once, on first use."""
+    3x3 is the only kernel: the cost model charges every conv 9 taps and
+    `model.RECEPTIVE_FIELD` widens by one cell per side per conv. Treated as
+    immutable: `taps` is derived from the kernel once, on first use."""
 
     weights: np.ndarray
     bias: np.ndarray
@@ -57,10 +60,8 @@ class ConvWeights:
     def __post_init__(self):
         w = np.ascontiguousarray(self.weights, dtype=np.float32)
         b = np.ascontiguousarray(self.bias, dtype=np.float32)
-        if w.ndim != 4 or w.shape[2] != w.shape[3]:
-            raise ConfigurationError(f"conv weights must be (out, in, k, k), got {w.shape}")
-        if w.shape[2] not in (1, 3):
-            raise ConfigurationError(f"kernel size must be 1 or 3, got {w.shape[2]}")
+        if w.ndim != 4 or w.shape[2:] != (3, 3):
+            raise ConfigurationError(f"conv weights must be (out, in, 3, 3), got {w.shape}")
         if b.shape != (w.shape[0],):
             raise ConfigurationError(
                 f"bias length {b.shape} does not match out_channels {w.shape[0]}"
@@ -80,28 +81,28 @@ class ConvWeights:
 
     @property
     def kernel(self) -> int:
+        """Always 3; the QDWTS1 manifest records it as `k`."""
         return self.weights.shape[2]
 
     @cached_property
     def taps(self) -> np.ndarray:
-        """Weights as a (k * k * in, out) matrix in (ky, kx, channel) row order,
+        """Weights as a (9 * in, out) matrix in (ky, kx, channel) row order,
         the column order of the rows that `conv_rows` gathers."""
         return np.ascontiguousarray(
             self.weights.transpose(2, 3, 1, 0).reshape(-1, self.out_channels))
 
 
 def neighbour_table(index: np.ndarray, ys: np.ndarray, xs: np.ndarray,
-                    kernel: int, zero_row: int) -> np.ndarray:
-    """(N, kernel * kernel) row indices of the neighbours of each (ys, xs) cell.
+                    zero_row: int) -> np.ndarray:
+    """(N, 9) row indices of the 3x3 neighbours of each (ys, xs) cell.
 
     `index` is an (H, W) grid holding each cell's row index, or `zero_row`
     where the cell has no row. Taps run in (ky, kx) row-major order, tap t
-    reading the cell displaced by (t // kernel - r, t % kernel - r) with
-    r = kernel // 2; a neighbour outside the grid also reads `zero_row`.
+    reading the cell displaced by (t // 3 - 1, t % 3 - 1); a neighbour
+    outside the grid also reads `zero_row`.
     """
-    r = kernel // 2
-    padded = np.pad(index, r, constant_values=zero_row)
-    dy, dx = np.divmod(np.arange(kernel * kernel), kernel)
+    padded = np.pad(index, 1, constant_values=zero_row)
+    dy, dx = np.divmod(np.arange(9), 3)
     return padded[ys[:, None] + dy, xs[:, None] + dx]
 
 
@@ -111,7 +112,7 @@ def conv_rows(rows: np.ndarray, w: ConvWeights, table: np.ndarray) -> np.ndarray
 
     `rows` is (M, C); index M in `table` stands for a shared zero row, used for
     padding and for inactive neighbours. The neighbours are gathered into one
-    (N, k * k * C) matrix and multiplied in a single float32 GEMM, so the same
+    (N, 9 * C) matrix and multiplied in a single float32 GEMM, so the same
     table and rows give the same bits whichever caller built them.
     """
     if not np.isfinite(rows).all():
@@ -128,7 +129,7 @@ def conv_rows(rows: np.ndarray, w: ConvWeights, table: np.ndarray) -> np.ndarray
 def conv2d(inp: DenseTensor, w: ConvWeights) -> DenseTensor:
     """Stride-1, zero-padded convolution; output spatial size equals input.
 
-    output[o, y, x] = bias[o] + sum_{c, ky, kx} w[o, c, ky, kx] * padded[c, y+ky-r, x+kx-r]
+    output[o, y, x] = bias[o] + sum_{c, ky, kx} w[o, c, ky, kx] * padded[c, y+ky-1, x+kx-1]
 
     Every cell is a row, so this is `conv_rows` over the full-grid neighbour
     table.
@@ -139,7 +140,7 @@ def conv2d(inp: DenseTensor, w: ConvWeights) -> DenseTensor:
         )
     c, h, wd = inp.values.shape
     ys, xs = np.divmod(np.arange(h * wd), wd)
-    table = neighbour_table(np.arange(h * wd).reshape(h, wd), ys, xs, w.kernel, h * wd)
+    table = neighbour_table(np.arange(h * wd).reshape(h, wd), ys, xs, h * wd)
     out = conv_rows(inp.values.reshape(c, h * wd).T, w, table)
     return DenseTensor(out.T.reshape(w.out_channels, h, wd))
 
@@ -159,39 +160,72 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
     return out.astype(np.float32)
 
 
-def save_tensor(t: DenseTensor, path) -> None:
-    """Write one tensor in the QDT1 container format."""
-    header = json.dumps({"dtype": "f32", "shape": list(t.values.shape)}).encode("utf-8")
+# --- containers -------------------------------------------------------------
+# QDT1, QDPYR1 and QDWTS1 share one layout: an 8-byte magic, a little-endian
+# u32 manifest length, the JSON manifest, then little-endian f32 payloads.
+
+def write_container(path, magic: bytes, manifest: dict, payloads) -> None:
+    header = json.dumps(manifest).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(TENSOR_MAGIC)
+        f.write(magic)
         f.write(struct.pack("<I", len(header)))
         f.write(header)
-        f.write(t.values.astype("<f4").tobytes())
+        for arr in payloads:
+            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+
+
+class ContainerReader:
+    """Reads one container: checks the magic, parses the manifest, then hands
+    out the payloads in order with `take`."""
+
+    def __init__(self, path, magic: bytes):
+        self.path = path
+        with open(path, "rb") as f:
+            self.data = f.read()
+        if self.data[:8] != magic:
+            raise FormatError(f"{path}: bad magic, expected {magic!r}")
+        if len(self.data) < 12:
+            raise FormatError(f"{path}: truncated header")
+        (hlen,) = struct.unpack("<I", self.data[8:12])
+        if len(self.data) < 12 + hlen:
+            raise FormatError(f"{path}: truncated JSON manifest")
+        try:
+            self.manifest = json.loads(self.data[12:12 + hlen].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise FormatError(f"{path}: unreadable manifest: {e}") from e
+        if not isinstance(self.manifest, dict):
+            raise FormatError(f"{path}: manifest is not a JSON object")
+        self.offset = 12 + hlen
+
+    def take(self, shape, what: str) -> np.ndarray:
+        """The next payload, as a float32 array of `shape`: a list of positive ints."""
+        if not (isinstance(shape, list) and shape
+                and all(isinstance(d, int) and d > 0 for d in shape)):
+            raise FormatError(f"{self.path}: {what}: bad shape {shape!r}")
+        count = math.prod(shape)
+        if self.offset + count * 4 > len(self.data):
+            raise FormatError(f"{self.path}: payload truncated while reading {what}")
+        arr = np.frombuffer(self.data, dtype="<f4", count=count, offset=self.offset)
+        self.offset += count * 4
+        return arr.reshape(shape).copy()
+
+    def finish(self) -> None:
+        if self.offset != len(self.data):
+            raise FormatError(f"{self.path}: {len(self.data) - self.offset} trailing bytes")
+
+
+def save_tensor(t: DenseTensor, path) -> None:
+    """Write one tensor in the QDT1 container format."""
+    write_container(path, TENSOR_MAGIC, {"dtype": "f32", "shape": list(t.values.shape)},
+                    [t.values])
 
 
 def load_tensor(path) -> DenseTensor:
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:8] != TENSOR_MAGIC:
-        raise FormatError(f"{path}: bad magic, not a QDT1 tensor file")
-    if len(data) < 12:
-        raise FormatError(f"{path}: truncated header")
-    (hlen,) = struct.unpack("<I", data[8:12])
-    if len(data) < 12 + hlen:
-        raise FormatError(f"{path}: truncated JSON header")
-    try:
-        header = json.loads(data[12 : 12 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise FormatError(f"{path}: unreadable header: {e}") from e
-    if header.get("dtype") != "f32":
-        raise FormatError(f"{path}: unsupported dtype {header.get('dtype')!r}")
-    shape = header.get("shape")
-    if not (isinstance(shape, list) and len(shape) == 3 and all(isinstance(d, int) and d > 0 for d in shape)):
-        raise FormatError(f"{path}: bad shape in header: {shape!r}")
-    c, h, wd = shape
-    payload = data[12 + hlen :]
-    expected = c * h * wd * 4
-    if len(payload) != expected:
-        raise FormatError(f"{path}: payload is {len(payload)} bytes, header implies {expected}")
-    values = np.frombuffer(payload, dtype="<f4").reshape(c, h, wd)
-    return DenseTensor(values.copy())
+    r = ContainerReader(path, TENSOR_MAGIC)
+    if r.manifest.get("dtype") != "f32":
+        raise FormatError(f"{path}: unsupported dtype {r.manifest.get('dtype')!r}")
+    values = r.take(r.manifest.get("shape"), "tensor")
+    if values.ndim != 3:
+        raise FormatError(f"{path}: tensor shape {list(values.shape)} is not (C, H, W)")
+    r.finish()
+    return DenseTensor(values)

@@ -23,7 +23,6 @@ from cascadequery import (
     head_flops_dense,
     head_flops_sparse,
     level_dims,
-    make_fixture_weights,
     make_synthetic_pyramid,
     p2_cost_increase,
     query_target_for_level,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cascadequery
 from cascadequery import (
     Blob,
     ConfigurationError,
@@ -22,7 +23,6 @@ from cascadequery import (
 )
 from cascadequery import query as query_mod
 from cascadequery.analysis import (
-    BenchResult,
     bench_csv,
     bench_json,
     flops_report,
@@ -107,11 +107,14 @@ def test_cost_increase_needs_coarse_levels():
 
 def test_flops_report_totals_and_fraction():
     rep = flops_report(64, 64, range(2, 8), 16, 1, 4)
-    assert rep.dense_total == sum(r.dense_total for r in rep.rows)
-    j = rep.to_json()
-    assert j["schema"] == "qd/1"
-    assert len(j["levels"]) == 6
-    json.dumps(j)
+    assert rep["dense_total_macs"] == sum(r["dense_total_macs"] for r in rep["levels"])
+    assert rep["schema"] == "qd/1"
+    assert len(rep["levels"]) == 6
+    json.dumps(rep)
+
+
+def test_every_exported_name_resolves():
+    assert [n for n in cascadequery.__all__ if not hasattr(cascadequery, n)] == []
 
 
 # --- wall-clock harness ------------------------------------------------------------

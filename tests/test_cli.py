@@ -191,6 +191,50 @@ def test_non_finite_weights_file_exits_1_naming_the_conv(small_fixture, tmp_path
     assert not (tmp_path / "out").exists()
 
 
+def _rewrite_manifest(src, dst, edit):
+    """Copy a container with its JSON manifest passed through `edit`."""
+    data = src.read_bytes()
+    (hlen,) = struct.unpack("<I", data[8:12])
+    manifest = json.loads(data[12:12 + hlen])
+    edit(manifest)
+    header = json.dumps(manifest).encode("utf-8")
+    dst.write_bytes(data[:8] + struct.pack("<I", len(header)) + header + data[12 + hlen:])
+
+
+# conv 0 is cls_tower.0, conv 5 is reg_tower.1; level entry 0 is level 2 (16x16 at C=4)
+CORRUPT_MANIFESTS = [
+    pytest.param("weights", lambda m: m["convs"][0].pop("k"), "cls_tower.0", id="conv-without-k"),
+    pytest.param("weights", lambda m: m["convs"][5].update(out=-4), "reg_tower.1",
+                 id="conv-out-negative"),
+    pytest.param("weights", lambda m: m.update(convs=5), "convs", id="convs-not-a-list"),
+    pytest.param("pyramid", lambda m: m["levels"][0].pop("shape"), "level 2",
+                 id="level-without-shape"),
+    pytest.param("pyramid", lambda m: m["levels"][0].update(shape=[4, -16, -16]), "level 2",
+                 id="level-shape-negative"),
+    pytest.param("pyramid", lambda m: m["levels"][0].update(shape=[4, "16", 16]), "level 2",
+                 id="level-shape-string"),
+    pytest.param("weights", lambda m: m["convs"][0].update(k=5), "cls_tower.0", id="conv-k5"),
+]
+
+
+@pytest.mark.parametrize("kind,edit,named", CORRUPT_MANIFESTS)
+def test_corrupt_manifest_exits_1_naming_the_file_and_entry(tmp_path, capsys, kind, edit,
+                                                            named):
+    files = {"pyramid": tmp_path / PYRAMID_FILE, "weights": tmp_path / WEIGHTS_FILE}
+    model_mod.save_pyramid(model_mod.make_synthetic_pyramid(1, 64, 64, 2, 5, 4), files["pyramid"])
+    model_mod.save_weights(model_mod.make_fixture_weights(1, 4, 1, 4), files["weights"])
+    bad = tmp_path / f"bad-{files[kind].name}"
+    _rewrite_manifest(files[kind], bad, edit)
+    files[kind] = bad
+    rc = main(["run", "--pyramid", str(files["pyramid"]), "--weights", str(files["weights"]),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {bad}: ")
+    assert named in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_pyramid_file_maps_to_io_exit_code(tmp_path, capsys):
     rc = main(["run", "--pyramid", str(tmp_path / "nope.qdpyr"),
                "--weights", str(tmp_path / "nope.qdwts"), "--out", str(tmp_path)])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 
@@ -22,7 +23,7 @@ from cascadequery import (
     save_weights,
 )
 from cascadequery.sparse import KeySet, build_rulebook, gather
-from cascadequery.tensor import ConvWeights, DenseTensor
+from cascadequery.tensor import DenseTensor, save_tensor
 
 from conftest import dense_rows_at, standard_weights
 
@@ -176,6 +177,23 @@ def test_pyramid_save_is_byte_stable(tmp_path):
     save_pyramid(pyr, a)
     save_pyramid(pyr, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_container_bytes_are_pinned(tmp_path):
+    # the on-disk layout of all three containers, fixed by sha256
+    pyr = make_synthetic_pyramid(11, 64, 64, 2, 5, 4, [Blob(20.0, 30.0, 6.0, 6.0)])
+    save_pyramid(pyr, tmp_path / "p.qdpyr")
+    save_weights(make_fixture_weights(5, 4, 2, 3), tmp_path / "w.qdwts")
+    rng = np.random.default_rng(9)
+    save_tensor(DenseTensor(rng.standard_normal((2, 3, 5), dtype=np.float32)),
+                tmp_path / "t.qdt")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("p.qdpyr", "w.qdwts", "t.qdt")}
+    assert digests == {
+        "p.qdpyr": "a0b85e5389f16f14b717b275164f47e19c5515a92fc46d7b737a2d8081dd8df5",
+        "w.qdwts": "0641316a737eb01d0539338b5aada2a093e9d22f83a3c3b8c8f172632396534a",
+        "t.qdt": "059ae1e389ef4bc2c083a5e367ae47490203522dae523246e89f525dce7f6a50",
+    }
 
 
 def test_weights_roundtrip(tmp_path):

@@ -21,7 +21,6 @@ from cascadequery.sparse import KeySet, SparseFeature, build_rulebook, dilate
 from cascadequery.tensor import DenseTensor, conv2d
 
 from conftest import (
-    FIXTURE_WEIGHT_SEED,
     dense_rows_at,
     rel_err,
     standard_pyramid,
