@@ -9,11 +9,13 @@ rulebook entries, i.e. (output, offset) pairs whose neighbor is an active key.
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import os
 import statistics
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -232,11 +234,32 @@ def bench_csv(results: list[BenchResult]) -> str:
     return buf.getvalue()
 
 
+def _blas_threads() -> int | None:
+    """Thread count of the OpenBLAS that numpy loaded, or None if no library
+    bundled with numpy answers the question."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            fn = getattr(handle, name, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                fn.argtypes = []
+                return int(fn())
+    return None
+
+
 def bench_protocol() -> dict:
-    """The host a benchmark ran on: core count, numpy and its BLAS library."""
+    """The host a benchmark ran on: core count, numpy, its BLAS library and
+    the number of threads that library runs its GEMMs on."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {"cpu_count": os.cpu_count(), "numpy": np.__version__,
-            "blas": {"name": blas.get("name"), "version": blas.get("version")}}
+            "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                     "threads": _blas_threads()}}
 
 
 def bench_json(results: list[BenchResult]) -> dict:

@@ -31,7 +31,7 @@ PRIOR_PROB = 0.01  # untrained classification/query scores start near this
 
 def level_dims(image_h: int, image_w: int, level: int) -> tuple[int, int]:
     """Grid size of pyramid level l for an H x W image: floor(H / 2^l) x floor(W / 2^l)."""
-    return image_h // (1 << level), image_w // (1 << level)
+    return image_h >> level, image_w >> level
 
 
 @dataclass(frozen=True)
@@ -266,25 +266,36 @@ def save_pyramid(pyr: FeaturePyramid, path) -> None:
                     [pyr.levels[l].values for l in sorted(pyr.levels)])
 
 
+def _is_int(v, minimum: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= minimum
+
+
 def load_pyramid(path) -> FeaturePyramid:
     r = ContainerReader(path, PYRAMID_MAGIC)
     m = r.manifest
     try:
-        image_h, image_w = m["image"]
+        image = m["image"]
         channels = m["channels"]
         level_entries = _entry_list(m, "levels")
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError) as e:
         raise FormatError(f"{path}: malformed pyramid manifest: {e}") from e
+    if not (isinstance(image, list) and len(image) == 2 and all(_is_int(d, 1) for d in image)):
+        raise FormatError(f"{path}: image must be two positive ints, got {image!r}")
     levels: dict[int, DenseTensor] = {}
-    for entry in level_entries:
+    for i, entry in enumerate(level_entries):
         l, shape = entry.get("l"), entry.get("shape")
+        if not _is_int(l, 0):
+            raise FormatError(f"{path}: level entry {i}: l must be a non-negative int, "
+                              f"got {l!r}")
+        if l in levels:
+            raise FormatError(f"{path}: level entry {i}: level {l} is given twice")
         values = r.take(shape, f"level {l}")
         if values.ndim != 3 or values.shape[0] != channels:
             raise FormatError(f"{path}: level {l} shape {shape} conflicts with manifest")
         levels[l] = DenseTensor(values)
     r.finish()
     try:
-        return FeaturePyramid(image_h, image_w, levels)
+        return FeaturePyramid(*image, levels)
     except ConfigurationError as e:
         raise FormatError(f"{path}: {e}") from e
 

@@ -12,7 +12,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -111,9 +111,10 @@ def conv_rows(rows: np.ndarray, w: ConvWeights, table: np.ndarray) -> np.ndarray
     rows[table[n, t]] times tap t's weights.
 
     `rows` is (M, C); index M in `table` stands for a shared zero row, used for
-    padding and for inactive neighbours. The neighbours are gathered into one
-    (N, 9 * C) matrix and multiplied in a single float32 GEMM, so the same
-    table and rows give the same bits whichever caller built them.
+    padding and for inactive neighbours. The neighbours are gathered with
+    `np.take` into one (N, 9 * C) matrix and multiplied in a single float32
+    GEMM, so the same table and rows give the same bits whichever caller built
+    them. `table` is only read, so a cached read-only table can be passed.
     """
     if not np.isfinite(rows).all():
         raise ValidationError("convolution input contains non-finite values")
@@ -121,9 +122,21 @@ def conv_rows(rows: np.ndarray, w: ConvWeights, table: np.ndarray) -> np.ndarray
     padded = np.empty((m + 1, c), dtype=np.float32)
     padded[:m] = rows
     padded[m] = 0.0
-    out = padded[table].reshape(len(table), w.taps.shape[0]) @ w.taps
+    out = np.take(padded, table, axis=0).reshape(len(table), w.taps.shape[0]) @ w.taps
     out += w.bias
     return out
+
+
+@lru_cache(maxsize=16)
+def _full_grid_table(height: int, width: int) -> np.ndarray:
+    """The (H * W, 9) neighbour table of an H x W grid in which every cell is
+    a row, built once per grid shape by `neighbour_table` and returned
+    read-only, since every caller shares it."""
+    ys, xs = np.divmod(np.arange(height * width), width)
+    table = neighbour_table(np.arange(height * width).reshape(height, width), ys, xs,
+                            height * width)
+    table.flags.writeable = False
+    return table
 
 
 def conv2d(inp: DenseTensor, w: ConvWeights) -> DenseTensor:
@@ -132,16 +145,14 @@ def conv2d(inp: DenseTensor, w: ConvWeights) -> DenseTensor:
     output[o, y, x] = bias[o] + sum_{c, ky, kx} w[o, c, ky, kx] * padded[c, y+ky-1, x+kx-1]
 
     Every cell is a row, so this is `conv_rows` over the full-grid neighbour
-    table.
+    table, which `_full_grid_table` caches per grid shape (read-only).
     """
     if inp.channels != w.in_channels:
         raise ConfigurationError(
             f"input has {inp.channels} channels, weights expect {w.in_channels}"
         )
     c, h, wd = inp.values.shape
-    ys, xs = np.divmod(np.arange(h * wd), wd)
-    table = neighbour_table(np.arange(h * wd).reshape(h, wd), ys, xs, h * wd)
-    out = conv_rows(inp.values.reshape(c, h * wd).T, w, table)
+    out = conv_rows(inp.values.reshape(c, h * wd).T, w, _full_grid_table(h, wd))
     return DenseTensor(out.T.reshape(w.out_channels, h, wd))
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,7 +212,14 @@ def test_bench_serializers(tiny_bench):
     assert j["protocol"]["cpu_count"] == os.cpu_count()
     assert j["protocol"]["numpy"] == np.__version__
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    assert j["protocol"]["blas"] == {"name": blas["name"], "version": blas["version"]}
+    threads = j["protocol"]["blas"]["threads"]
+    assert j["protocol"]["blas"] == {"name": blas["name"], "version": blas["version"],
+                                     "threads": threads}
+    # the OpenBLAS bundled with numpy reports its thread count; anything else gives None
+    if any((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        assert isinstance(threads, int) and threads >= 1
+    else:
+        assert threads is None
     assert [r["strategy"] for r in j["results"]] == ["dense", "csq"]
     for r in j["results"]:
         assert r["best_end_to_end_millis"] <= r["end_to_end_millis"]

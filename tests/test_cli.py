@@ -214,6 +214,19 @@ CORRUPT_MANIFESTS = [
     pytest.param("pyramid", lambda m: m["levels"][0].update(shape=[4, "16", 16]), "level 2",
                  id="level-shape-string"),
     pytest.param("weights", lambda m: m["convs"][0].update(k=5), "cls_tower.0", id="conv-k5"),
+    pytest.param("pyramid", lambda m: m["levels"][0].pop("l"), "level entry 0",
+                 id="level-without-l"),
+    pytest.param("pyramid", lambda m: m["levels"][0].update(l="2"), "level entry 0",
+                 id="level-l-string"),
+    pytest.param("pyramid", lambda m: m["levels"][0].update(l=-1), "level entry 0",
+                 id="level-l-negative"),
+    pytest.param("pyramid", lambda m: m["levels"][0].update(l=True), "level entry 0",
+                 id="level-l-bool"),
+    pytest.param("pyramid", lambda m: m["levels"][1].update(l=2), "level entry 1",
+                 id="level-l-duplicated"),
+    pytest.param("pyramid", lambda m: m.update(image=["64", 64]), "image", id="image-string"),
+    pytest.param("pyramid", lambda m: m.update(image=[64.5, 64]), "image", id="image-float"),
+    pytest.param("pyramid", lambda m: m.update(image=[64]), "image", id="image-one-side"),
 ]
 
 

@@ -14,6 +14,7 @@ from cascadequery.sparse import (
     sparse_conv,
     sparse_relu,
 )
+from cascadequery import tensor
 from cascadequery.tensor import ConvWeights, DenseTensor, conv2d
 
 
@@ -204,17 +205,20 @@ def test_sparse_conv_keeps_the_active_set():
 def test_sparse_conv_full_grid_equals_dense_conv():
     # both paths run the same kernel over the same neighbour table, so with
     # every position active they agree to the bit, at the head's tower and
-    # predictor shapes too
+    # predictor shapes too; each shape runs twice, so conv2d's table is
+    # checked both freshly built and taken from its per-shape cache
+    tensor._full_grid_table.cache_clear()
     rng = np.random.default_rng(2)
     for in_c, out_c, h, w in [(4, 3, 7, 9), (16, 16, 12, 10), (16, 5, 1, 6),
-                              (64, 64, 9, 11), (64, 1, 8, 8)]:
+                              (64, 64, 9, 11), (64, 1, 8, 8), (4, 3, 1, 1), (4, 3, 7, 1)]:
         dense = DenseTensor(rng.standard_normal((in_c, h, w)).astype(np.float32))
         conv = ConvWeights(rng.standard_normal((out_c, in_c, 3, 3)).astype(np.float32),
                            rng.standard_normal(out_c).astype(np.float32))
         ks = KeySet.full(3, h, w)
         got = sparse_conv(gather(dense, ks), conv, build_rulebook(ks))
-        want = conv2d(dense, conv).values[:, ks.ys, ks.xs].T
-        np.testing.assert_array_equal(got.features, want, err_msg=f"{(in_c, out_c, h, w)}")
+        for _ in range(2):
+            want = conv2d(dense, conv).values[:, ks.ys, ks.xs].T
+            np.testing.assert_array_equal(got.features, want, err_msg=f"{(in_c, out_c, h, w)}")
 
 
 def test_sparse_conv_single_key_is_center_tap_only():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadequery import ConfigurationError, FormatError, ValidationError
+from cascadequery import ConfigurationError, FormatError, ValidationError, tensor
 from cascadequery.tensor import (
     ConvWeights,
     DenseTensor,
@@ -100,6 +100,33 @@ def test_conv2d_oracle_property(out_c, in_c, h, w, seed):
     x, ww, b = random_case(rng, out_c, in_c, h, w)
     got = conv2d(DenseTensor(x), ConvWeights(ww, b)).values
     np.testing.assert_allclose(got, conv_oracle(x, ww, b), rtol=1e-4, atol=1e-4)
+
+
+def test_conv2d_builds_each_grid_shape_table_once(monkeypatch):
+    calls = []
+    build = tensor.neighbour_table
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(tensor, "neighbour_table", counting)
+    tensor._full_grid_table.cache_clear()
+    rng = np.random.default_rng(6)
+    x, ww, b = random_case(rng, 2, 3, 6, 5)
+    first = conv2d(DenseTensor(x), ConvWeights(ww, b)).values
+    second = conv2d(DenseTensor(x), ConvWeights(ww, b)).values
+    assert len(calls) == 1
+    np.testing.assert_array_equal(first, second)
+
+
+def test_cached_conv2d_table_is_read_only():
+    conv2d(DenseTensor(np.zeros((1, 4, 3), dtype=np.float32)),
+           ConvWeights(np.zeros((1, 1, 3, 3), dtype=np.float32), np.zeros(1, dtype=np.float32)))
+    table = tensor._full_grid_table(4, 3)
+    assert table.shape == (12, 9)
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
 
 
 def test_conv2d_rejects_channel_mismatch():
