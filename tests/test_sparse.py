@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadequery import ConfigurationError, ValidationError
+from cascadequery import ConfigurationError, ValidationError, tensor
 from cascadequery.sparse import (
     KeySet,
     SparseFeature,
@@ -14,7 +14,6 @@ from cascadequery.sparse import (
     sparse_conv,
     sparse_relu,
 )
-from cascadequery import tensor
 from cascadequery.tensor import ConvWeights, DenseTensor, conv2d
 
 
