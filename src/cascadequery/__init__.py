@@ -17,8 +17,8 @@ from .model import (Blob, FeaturePyramid, HeadOutput, HeadWeights, level_dims,
                     load_pyramid, load_weights, make_fixture_weights,
                     make_synthetic_pyramid, run_dense_head, run_sparse_head,
                     save_pyramid, save_weights)
-from .postproc import (AnchorConfig, Detection, anchor_boxes, box_iou,
-                       decode_boxes, detections_from_output,
+from .postproc import (AnchorConfig, Candidates, Detection, anchor_boxes,
+                       box_iou, decode_boxes, detections_from_output,
                        detections_from_result, detections_to_json, encode_boxes,
                        nms)
 from .query import (CascadeResult, LevelRecord, QueryConfig, extract_queries,
@@ -36,7 +36,8 @@ from .tensor import (ConvWeights, DenseTensor, conv2d, load_tensor, relu,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorConfig", "BenchResult", "Blob", "CascadeQueryError", "CascadeResult",
+    "AnchorConfig", "BenchResult", "Blob", "Candidates", "CascadeQueryError",
+    "CascadeResult",
     "ConfigurationError", "ConvWeights", "DenseTensor", "Detection",
     "FeaturePyramid", "FormatError", "GroundTruthObject",
     "GroundTruthSet", "HeadOutput", "HeadWeights", "KeySet", "LevelRecord",

@@ -1,7 +1,9 @@
 """Head outputs to final detections: anchors, box decoding, NMS over all levels.
 
-All geometry runs in float64 so that two pipelines handing in bitwise-equal
-logits produce bitwise-equal detections.
+Decoding yields a `Candidates` batch, parallel arrays with one row per
+candidate; the levels' batches are concatenated and NMS builds a `Detection`
+only for each box it keeps. All geometry runs in float64 so that two pipelines
+handing in bitwise-equal logits produce bitwise-equal detections.
 """
 
 from __future__ import annotations
@@ -114,7 +116,74 @@ def box_iou(a, b) -> float:
     return inter / (area_a + area_b - inter)
 
 
-def nms(dets: list[Detection], iou_threshold: float = 0.5,
+@dataclass(frozen=True, eq=False)
+class Candidates:
+    """Candidate detections as parallel arrays, one row per candidate: the
+    form decode hands to NMS, so that `Detection`s are built only for the
+    boxes NMS keeps.
+
+    `boxes` is (N, 4) float64 (x1, y1, x2, y2 image pixels); `scores` is
+    float64 and holds the float32 sigmoid values exactly; `classes` and
+    `levels` are int. Every box is checked at once, with the same rule and
+    error as `Detection`."""
+
+    boxes: np.ndarray
+    scores: np.ndarray
+    classes: np.ndarray
+    levels: np.ndarray
+
+    def __post_init__(self):
+        boxes = np.asarray(self.boxes, dtype=np.float64)
+        scores = np.asarray(self.scores, dtype=np.float64)
+        classes = np.asarray(self.classes, dtype=np.int64)
+        levels = np.asarray(self.levels, dtype=np.int64)
+        n = scores.size
+        if boxes.shape != (n, 4) or any(a.shape != (n,) for a in (scores, classes, levels)):
+            raise ValidationError(
+                f"candidate fields disagree in length: boxes {boxes.shape}, scores "
+                f"{scores.shape}, classes {classes.shape}, levels {levels.shape}")
+        x1, y1, x2, y2 = boxes.T
+        bad = np.flatnonzero(~((x2 > x1) & (y2 > y1)))
+        if len(bad):
+            raise ValidationError(f"degenerate box {tuple(boxes[bad[0]].tolist())}")
+        for name, arr in (("boxes", boxes), ("scores", scores), ("classes", classes),
+                          ("levels", levels)):
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    @classmethod
+    def of(cls, dets) -> Candidates:
+        """The batch of a sequence of `Detection`s, in their order."""
+        dets = list(dets)
+        return cls(np.array([d.box for d in dets], dtype=np.float64).reshape(-1, 4),
+                   [d.score for d in dets], [d.class_id for d in dets],
+                   [d.level for d in dets])
+
+    @classmethod
+    def concat(cls, parts) -> Candidates:
+        """One batch holding the rows of `parts` in order."""
+        parts = list(parts)
+        if not parts:
+            return cls.of([])
+        return cls(*(np.concatenate([getattr(p, f) for p in parts])
+                     for f in ("boxes", "scores", "classes", "levels")))
+
+    def order(self) -> np.ndarray:
+        """Row indices in `Detection.sort_key` order: one stable lexsort,
+        whose last key is the primary one."""
+        x1, y1, x2, y2 = self.boxes.T
+        return np.lexsort((self.levels, y2, x2, y1, x1, self.classes, -self.scores))
+
+    def detection(self, row: int) -> Detection:
+        """The `Detection` of one row."""
+        x1, y1, x2, y2 = self.boxes[row].tolist()
+        return Detection(box=(x1, y1, x2, y2), score=float(self.scores[row]),
+                         class_id=int(self.classes[row]), level=int(self.levels[row]))
+
+
+def nms(candidates: Candidates, iou_threshold: float = 0.5,
         score_threshold: float = 0.05, top_k: int = 100) -> list[Detection]:
     """Greedy per-class suppression by descending score; ties broken by
     (class, box corners, level) so the result is independent of input order.
@@ -123,24 +192,25 @@ def nms(dets: list[Detection], iou_threshold: float = 0.5,
     candidate whose IoU with it (box_iou's float64 formula, kept box first)
     exceeds the threshold. IoU is symmetric and only kept boxes suppress, so
     this keeps exactly what checking each candidate against all kept boxes
-    keeps; the walk stops once top_k boxes are kept."""
+    keeps; the walk stops once top_k boxes are kept. Only the kept rows become
+    `Detection`s."""
     if not (0.0 <= iou_threshold <= 1.0 and 0.0 <= score_threshold <= 1.0):
         raise ValidationError("thresholds must lie in [0, 1]")
     if top_k < 0:
         raise ValidationError(f"top_k must be non-negative, got {top_k}")
-    ordered = sorted((d for d in dets if d.score > score_threshold),
-                     key=Detection.sort_key)
-    if not ordered or top_k == 0:
+    rows = candidates.order()
+    rows = rows[candidates.scores[rows] > score_threshold]
+    if not len(rows) or top_k == 0:
         return []
-    x1, y1, x2, y2 = np.array([d.box for d in ordered], dtype=np.float64).T
-    classes = np.array([d.class_id for d in ordered])
+    x1, y1, x2, y2 = candidates.boxes[rows].T
+    classes = candidates.classes[rows]
     areas = (x2 - x1) * (y2 - y1)
-    alive = np.ones(len(ordered), dtype=bool)
-    kept: list[Detection] = []
-    for i, d in enumerate(ordered):
+    alive = np.ones(len(rows), dtype=bool)
+    kept: list[int] = []
+    for i in range(len(rows)):
         if not alive[i]:
             continue
-        kept.append(d)
+        kept.append(i)
         if len(kept) == top_k:
             break
         rest = slice(i + 1, None)
@@ -149,11 +219,11 @@ def nms(dets: list[Detection], iou_threshold: float = 0.5,
         inter = ix * iy
         iou = inter / (areas[i] + areas[rest] - inter)
         alive[rest] &= ~((classes[rest] == classes[i]) & (inter > 0.0) & (iou > iou_threshold))
-    return kept
+    return [candidates.detection(r) for r in rows[kept].tolist()]
 
 
 def detections_from_output(output: HeadOutput, level: int, cfg: AnchorConfig,
-                           num_classes: int, score_threshold: float = 0.05) -> list[Detection]:
+                           num_classes: int, score_threshold: float = 0.05) -> Candidates:
     """Score-filtered candidate detections from one level's head output.
 
     Channel layout: class logit for anchor slot a, class k sits at a*K + k;
@@ -161,32 +231,24 @@ def detections_from_output(output: HeadOutput, level: int, cfg: AnchorConfig,
     """
     scores = sigmoid_array(output.cls_logits.features)  # (N, A*K)
     rows, chans = np.nonzero(scores > score_threshold)
-    if len(rows) == 0:
-        return []
     pos = output.keys.positions                         # (N, 2) as (x, y)
     xs, ys = pos[rows, 0], pos[rows, 1]
     slots, classes = chans // num_classes, chans % num_classes
-    picked_scores = scores[rows, chans]
     reg = output.reg_deltas.features
     deltas = np.stack([reg[rows, slots * 4 + i] for i in range(4)], axis=1)
     anchors = anchor_boxes(xs, ys, slots, level, cfg)
-    boxes = decode_boxes(deltas, anchors)
-    return [
-        Detection(box=(float(b[0]), float(b[1]), float(b[2]), float(b[3])),
-                  score=float(s), class_id=int(k), level=level)
-        for b, s, k in zip(boxes, picked_scores, classes)
-    ]
+    return Candidates(decode_boxes(deltas, anchors), scores[rows, chans], classes,
+                      np.full(len(rows), level))
 
 
 def detections_from_result(result, cfg: AnchorConfig, num_classes: int,
                            iou_threshold: float = 0.5, score_threshold: float = 0.05,
                            top_k: int = 100) -> list[Detection]:
-    """Final detections for a whole pipeline run: every level's candidates,
-    then one global NMS."""
-    candidates = []
-    for rec in result.records:
-        candidates.extend(detections_from_output(rec.output, rec.level, cfg, num_classes,
-                                                 score_threshold))
+    """Final detections for a whole pipeline run: every level's candidates in
+    one batch, then one global NMS."""
+    candidates = Candidates.concat(
+        detections_from_output(rec.output, rec.level, cfg, num_classes, score_threshold)
+        for rec in result.records)
     return nms(candidates, iou_threshold, score_threshold, top_k)
 
 

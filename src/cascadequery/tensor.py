@@ -1,9 +1,12 @@
 """Dense feature tensors and reference convolution arithmetic.
 
-Layout is channel-major: a tensor of C channels over an H x W grid is a
-C-contiguous float32 array of shape (C, H, W), so the per-position feature
-vector ``values[:, y, x]`` is a strided view and the flat buffer matches the
-QDT1 on-disk order.
+A tensor of C channels over an H x W grid is a float32 array of shape
+(C, H, W), whatever its memory layout. Pyramid levels load channel-major, in
+the QDT1 on-disk order. `conv2d` returns a (C, H, W) view of its (H * W, C)
+GEMM rows (channel-last memory), and reads its input through
+``values.transpose(1, 2, 0)``, so chained convs and `relu`, which keeps its
+input's layout, hand rows to one another without transposing copies.
+`write_container` makes every payload contiguous before writing it.
 """
 
 from __future__ import annotations
@@ -23,12 +26,12 @@ TENSOR_MAGIC = b"QDTENS1\n"
 
 @dataclass(frozen=True)
 class DenseTensor:
-    """A dense C x H x W float32 feature map."""
+    """A dense C x H x W float32 feature map, in any memory layout."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.float32)
+        arr = np.asarray(self.values, dtype=np.float32)
         if arr.ndim != 3:
             raise ValidationError(f"dense tensor must be (C, H, W), got shape {arr.shape}")
         object.__setattr__(self, "values", arr)
@@ -110,18 +113,21 @@ def conv_rows(rows: np.ndarray, w: ConvWeights, table: np.ndarray) -> np.ndarray
     """The one convolution kernel: output row n = bias + sum over taps t of
     rows[table[n, t]] times tap t's weights.
 
-    `rows` is (M, C); index M in `table` stands for a shared zero row, used for
+    `rows` is (M, C), or any (..., C) array whose leading axes flatten to M
+    rows in row-major order; it is copied once into the padded buffer, whatever
+    its layout. Index M in `table` stands for a shared zero row, used for
     padding and for inactive neighbours. The neighbours are gathered with
     `np.take` into one (N, 9 * C) matrix and multiplied in a single float32
     GEMM, so the same table and rows give the same bits whichever caller built
     them. `table` is only read, so a cached read-only table can be passed.
     """
-    if not np.isfinite(rows).all():
-        raise ValidationError("convolution input contains non-finite values")
-    m, c = rows.shape
+    c = rows.shape[-1]
+    m = math.prod(rows.shape[:-1])
     padded = np.empty((m + 1, c), dtype=np.float32)
-    padded[:m] = rows
+    padded[:m].reshape(rows.shape)[...] = rows
     padded[m] = 0.0
+    if not np.isfinite(padded).all():
+        raise ValidationError("convolution input contains non-finite values")
     out = np.take(padded, table, axis=0).reshape(len(table), w.taps.shape[0]) @ w.taps
     out += w.bias
     return out
@@ -145,15 +151,16 @@ def conv2d(inp: DenseTensor, w: ConvWeights) -> DenseTensor:
     output[o, y, x] = bias[o] + sum_{c, ky, kx} w[o, c, ky, kx] * padded[c, y+ky-1, x+kx-1]
 
     Every cell is a row, so this is `conv_rows` over the full-grid neighbour
-    table, which `_full_grid_table` caches per grid shape (read-only).
+    table, which `_full_grid_table` caches per grid shape (read-only). The
+    output is a (C, H, W) view of the GEMM's (H * W, C) rows.
     """
     if inp.channels != w.in_channels:
         raise ConfigurationError(
             f"input has {inp.channels} channels, weights expect {w.in_channels}"
         )
-    c, h, wd = inp.values.shape
-    out = conv_rows(inp.values.reshape(c, h * wd).T, w, _full_grid_table(h, wd))
-    return DenseTensor(out.T.reshape(w.out_channels, h, wd))
+    _, h, wd = inp.values.shape
+    out = conv_rows(inp.values.transpose(1, 2, 0), w, _full_grid_table(h, wd))
+    return DenseTensor(out.reshape(h, wd, w.out_channels).transpose(2, 0, 1))
 
 
 def relu(inp: DenseTensor) -> DenseTensor:

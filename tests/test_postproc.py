@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from types import SimpleNamespace
 
@@ -9,18 +11,26 @@ from hypothesis import strategies as st
 from cascadequery import postproc
 from cascadequery import (
     AnchorConfig,
+    Candidates,
     Detection,
+    QueryConfig,
     ValidationError,
     anchor_boxes,
     box_iou,
     decode_boxes,
     detections_from_output,
+    detections_from_result,
+    detections_to_json,
     encode_boxes,
+    make_synthetic_pyramid,
     nms,
+    run_pipeline,
 )
 from cascadequery.model import HeadOutput
 from cascadequery.postproc import SCALE_CLAMP
 from cascadequery.sparse import KeySet, SparseFeature
+from conftest import (SPEEDUP_PYRAMID_SEED, SPEEDUP_WEIGHT_SEED, speedup_blobs,
+                      standard_pyramid, standard_weights)
 
 CFG = AnchorConfig(base=4.0, num_anchors=1)
 
@@ -104,7 +114,7 @@ def test_nms_suppresses_overlaps_keeps_best():
         det([1, 1, 11, 11], 0.8),    # IoU with first ~0.68 -> suppressed
         det([30, 30, 40, 40], 0.7),  # far away -> kept
     ]
-    kept = nms(dets, iou_threshold=0.5)
+    kept = nms(Candidates.of(dets), iou_threshold=0.5)
     assert [d.score for d in kept] == [0.9, 0.7]
 
 
@@ -113,18 +123,18 @@ def test_nms_is_per_class():
         det([0, 0, 10, 10], 0.9, cls=0),
         det([0, 0, 10, 10], 0.8, cls=1),  # same box, other class -> survives
     ]
-    assert len(nms(dets)) == 2
+    assert len(nms(Candidates.of(dets))) == 2
 
 
 def test_nms_score_filter_is_strict():
     dets = [det([0, 0, 5, 5], 0.05), det([20, 20, 25, 25], 0.050001)]
-    kept = nms(dets, score_threshold=0.05)
+    kept = nms(Candidates.of(dets), score_threshold=0.05)
     assert len(kept) == 1 and kept[0].score > 0.05
 
 
 def test_nms_top_k_truncates_after_suppression():
     dets = [det([i * 20.0, 0, i * 20.0 + 5, 5], 0.5 + i * 0.01) for i in range(10)]
-    kept = nms(dets, top_k=3)
+    kept = nms(Candidates.of(dets), top_k=3)
     assert len(kept) == 3
     assert kept[0].score == pytest.approx(0.59)
 
@@ -132,16 +142,17 @@ def test_nms_top_k_truncates_after_suppression():
 def test_nms_rejects_a_negative_top_k():
     dets = [det([i * 20.0, 0, i * 20.0 + 5, 5], 0.5 + i * 0.01) for i in range(3)]
     with pytest.raises(ValidationError):
-        nms(dets, top_k=-1)
-    assert nms(dets, top_k=0) == []
+        nms(Candidates.of(dets), top_k=-1)
+    assert nms(Candidates.of(dets), top_k=0) == []
 
 
 def test_nms_tie_break_is_stable():
     # identical scores: class then corners decide, so order of arrival is irrelevant
     a = det([0, 0, 5, 5], 0.5, cls=1)
     b = det([40, 0, 45, 5], 0.5, cls=0)
-    assert nms([a, b]) == nms([b, a])
-    assert nms([a, b])[0].class_id == 0
+    ab, ba = Candidates.of([a, b]), Candidates.of([b, a])
+    assert nms(ab) == nms(ba)
+    assert nms(ab)[0].class_id == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,7 +168,7 @@ def test_nms_result_is_permutation_invariant(seed, n):
     ]
     shuffled = list(dets)
     rng.shuffle(shuffled)
-    assert nms(dets) == nms(shuffled)
+    assert nms(Candidates.of(dets)) == nms(Candidates.of(shuffled))
 
 
 def greedy_nms_oracle(dets, iou_threshold, score_threshold, top_k):
@@ -193,14 +204,52 @@ def test_nms_matches_the_unbounded_greedy_oracle(seed, n, classes, top_k, iou_th
                                              rng.integers(2, 4, n))
     ]
     k = n + 5 if top_k is None else top_k
-    assert nms(dets, iou_threshold, 0.05, k) == \
+    assert nms(Candidates.of(dets), iou_threshold, 0.05, k) == \
         greedy_nms_oracle(dets, iou_threshold, 0.05, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 80))
+def test_candidate_order_is_detection_sort_key_order(seed, n):
+    # few scores and a small pool of boxes, so scores tie and boxes repeat
+    # across classes and levels; the order must still be sorted()'s, row by row
+    rng = np.random.default_rng(seed)
+    pool = [(float(x), float(y), float(x + w), float(y + h))
+            for x, y, w, h in zip(rng.integers(-8, 8, 6) * 0.5, rng.integers(-8, 8, 6) * 0.5,
+                                  rng.integers(1, 6, 6) * 0.5, rng.integers(1, 6, 6) * 0.5)]
+    dets = [det(pool[int(b)], float(s), cls=int(c), level=int(lvl))
+            for b, s, c, lvl in zip(rng.integers(0, len(pool), n), rng.integers(1, 4, n) / 4.0,
+                                    rng.integers(0, 3, n), rng.integers(2, 5, n))]
+    cands = Candidates.of(dets)
+    assert [cands.detection(i) for i in cands.order()] == \
+        sorted(dets, key=Detection.sort_key)
+
+
+def test_candidates_of_and_concat_keep_rows_in_order():
+    dets = [det((0.0, 0.0, 4.0, 4.0), 0.25, cls=1, level=3),
+            det((1.0, 2.0, 3.5, 9.0), 0.75, cls=0, level=2),
+            det((0.0, 0.0, 4.0, 4.0), 0.5, cls=2, level=4)]
+    whole = Candidates.of(dets)
+    assert len(whole) == 3
+    assert [whole.detection(i) for i in range(3)] == dets
+    joined = Candidates.concat([Candidates.of(dets[:1]), Candidates.of([]),
+                                Candidates.of(dets[1:])])
+    assert_same_rows(rows_of(joined), rows_of(whole))
+    assert len(Candidates.concat([])) == 0
+    assert nms(Candidates.of([])) == []
+
+
+def test_candidates_reject_mismatched_fields():
+    with pytest.raises(ValidationError):
+        Candidates(np.zeros((2, 4)), [0.5], [0, 1], [2, 2])
+    with pytest.raises(ValidationError):
+        Candidates(np.zeros((2, 3)), [0.5, 0.5], [0, 1], [2, 2])
 
 
 def test_nms_over_both_levels_candidates_is_global():
     lvl2 = [det([0, 0, 10, 10], 0.9, level=2)]
     lvl3 = [det([0, 0, 10, 10], 0.95, level=3)]
-    merged = nms(lvl2 + lvl3)
+    merged = nms(Candidates.of(lvl2 + lvl3))
     assert len(merged) == 1 and merged[0].level == 3
 
 
@@ -224,17 +273,45 @@ def head_output_dense(cls, reg, query):
     return HeadOutput(*(SparseFeature(ks, m.reshape(len(m), -1).T) for m in (cls, reg, query)))
 
 
+def rows_of(cands):
+    return cands.boxes, cands.scores, cands.classes, cands.levels
+
+
+def row_sorted(cands):
+    """The batch's fields with its rows in Detection.sort_key order."""
+    order = cands.order()
+    return tuple(f[order] for f in rows_of(cands))
+
+
+def assert_same_rows(a, b):
+    for x, y in zip(a, b, strict=True):
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+
+
 def test_candidates_respect_the_score_threshold():
     cls = np.full((2, 4, 4), -6.0, dtype=np.float32)
     cls[1, 2, 3] = 2.0  # one confident cell, class 1
     reg = np.zeros((4, 4, 4), dtype=np.float32)
     query = np.zeros((1, 4, 4), dtype=np.float32)
-    dets = detections_from_output(head_output_dense(cls, reg, query), 3, CFG, 2)
-    assert len(dets) == 1
-    d = dets[0]
+    cands = detections_from_output(head_output_dense(cls, reg, query), 3, CFG, 2)
+    assert len(cands) == 1
+    d = cands.detection(0)
     assert d.class_id == 1 and d.level == 3
     assert d.score == pytest.approx(1 / (1 + math.exp(-2.0)))
     np.testing.assert_allclose(d.box, anchor_boxes([3], [2], [0], 3, CFG)[0])
+
+
+def test_candidates_reject_a_collapsed_box():
+    # dx = 1e30 moves the center to 3.2e31, where the 32 px anchor width no
+    # longer shows: x1 == x2, so the decoded box is degenerate
+    cls = np.full((1, 3, 3), -6.0, dtype=np.float32)
+    cls[0, 1, 1] = 2.0
+    reg = np.zeros((4, 3, 3), dtype=np.float32)
+    reg[0, 1, 1] = 1e30
+    query = np.zeros((1, 3, 3), dtype=np.float32)
+    with pytest.raises(ValidationError, match="degenerate box"):
+        detections_from_output(head_output_dense(cls, reg, query), 3, CFG, 1)
 
 
 def test_sparse_and_dense_candidates_agree_at_keys():
@@ -252,11 +329,10 @@ def test_sparse_and_dense_candidates_agree_at_keys():
     off_keys = np.ones((6, 6), dtype=bool)
     off_keys[ks.ys, ks.xs] = False
     cls[:, off_keys] = -50.0
-    dense_dets = detections_from_output(head_output_dense(cls, reg, query), 3, CFG, 4)
-    assert 0 < len(dense_dets) < 4 * 36
-    sparse_dets = detections_from_output(sparse, 3, CFG, 4)
-    assert sorted(dense_dets, key=Detection.sort_key) == \
-        sorted(sparse_dets, key=Detection.sort_key)
+    dense_cands = detections_from_output(head_output_dense(cls, reg, query), 3, CFG, 4)
+    assert 0 < len(dense_cands) < 4 * 36
+    assert_same_rows(row_sorted(dense_cands),
+                     row_sorted(detections_from_output(sparse, 3, CFG, 4)))
 
 
 def test_multi_anchor_channel_layout():
@@ -266,11 +342,33 @@ def test_multi_anchor_channel_layout():
     cls[3, 0, 0] = 3.0  # slot 1, class 1 under K=2
     reg = np.zeros((8, 2, 2), dtype=np.float32)
     query = np.zeros((1, 2, 2), dtype=np.float32)
-    dets = detections_from_output(head_output_dense(cls, reg, query), 4, cfg2, 2)
-    assert len(dets) == 1
-    assert dets[0].class_id == 1
-    side = dets[0].box[2] - dets[0].box[0]
+    cands = detections_from_output(head_output_dense(cls, reg, query), 4, cfg2, 2)
+    assert len(cands) == 1
+    assert cands.classes[0] == 1
+    side = cands.boxes[0, 2] - cands.boxes[0, 0]
     assert side == pytest.approx(4.0 * 16.0 * 2 ** (1 / 3))
+
+
+def test_only_kept_candidates_become_detections(monkeypatch):
+    rng = np.random.default_rng(11)
+    cls = rng.uniform(-1, 3, (4, 12, 12)).astype(np.float32)
+    reg = rng.uniform(-0.5, 0.5, (4, 12, 12)).astype(np.float32)
+    query = np.zeros((1, 12, 12), dtype=np.float32)
+    result = SimpleNamespace(records=[
+        SimpleNamespace(output=head_output_dense(cls, reg, query), level=3)])
+    want = detections_to_json(detections_from_result(result, CFG, 4, top_k=5))
+    made = []
+
+    class CountingDetection(Detection):
+        def __post_init__(self):
+            made.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(postproc, "Detection", CountingDetection)
+    assert len(detections_from_output(result.records[0].output, 3, CFG, 4)) >= 300
+    got = detections_from_result(result, CFG, 4, top_k=5)
+    assert len(made) <= 5
+    assert detections_to_json(got) == want and len(want) == 5
 
 
 def test_detections_from_result_calls_decode_and_nms_through_the_module(monkeypatch):
@@ -289,17 +387,46 @@ def test_detections_from_result_calls_decode_and_nms_through_the_module(monkeypa
 
     def spy_decode(*args, **kwargs):
         out = real_decode(*args, **kwargs)
-        decoded.extend(out)
+        decoded.append(out)
         return out
 
-    def spy_nms(dets, *args, **kwargs):
-        nms_calls.append(list(dets))
-        return real_nms(dets, *args, **kwargs)
+    def spy_nms(cands, *args, **kwargs):
+        nms_calls.append(cands)
+        return real_nms(cands, *args, **kwargs)
 
     monkeypatch.setattr(postproc, "detections_from_output", spy_decode)
     monkeypatch.setattr(postproc, "nms", spy_nms)
     got = postproc.detections_from_result(SimpleNamespace(records=records), CFG, 4,
                                           top_k=5)
-    assert len(decoded) > 5
-    assert nms_calls == [decoded]
-    assert got == real_nms(decoded, top_k=5)
+    assert len(decoded) == 2 and sum(map(len, decoded)) > 5
+    assert len(nms_calls) == 1
+    assert_same_rows(rows_of(nms_calls[0]), rows_of(Candidates.concat(decoded)))
+    assert got == real_nms(Candidates.concat(decoded), top_k=5)
+
+
+def test_detection_json_is_pinned():
+    # every strategy's final detections, fixed by sha256 of their JSON: weak
+    # objects under the tight C=64 gate, bright ones under the broad C=16 gate
+    fixtures = {
+        "weak64": (make_synthetic_pyramid(SPEEDUP_PYRAMID_SEED, 256, 256, 2, 7, 64,
+                                          speedup_blobs(SPEEDUP_PYRAMID_SEED, 256.0)),
+                   standard_weights(64, SPEEDUP_WEIGHT_SEED), 0.15),
+        "bright16": (standard_pyramid(4, 256, 16), standard_weights(16), 0.02),
+    }
+    digests = {}
+    for name, (pyr, w, sigma) in fixtures.items():
+        for strategy in ("dense", "csq", "cq", "ccq"):
+            result = run_pipeline(pyr, w, QueryConfig(strategy=strategy, sigma=sigma))
+            dets = detections_to_json(detections_from_result(result, CFG, 4))
+            digests[f"{name}/{strategy}"] = hashlib.sha256(
+                json.dumps(dets).encode()).hexdigest()
+    assert digests == {
+        "weak64/dense": "56a617879a103cad32064ecae74feb7bfd4115a934579419cd14e0958a5cb585",
+        "weak64/csq": "f2668e80ae55e2f6aa4037b16edc0e33c5fe3be8c5cbb6aa7cf1ed8274fdcc8b",
+        "weak64/cq": "e08cc57f7070ec4b7c2f83f7b2dc333c2a0aab90921ba83319c6eb324657141c",
+        "weak64/ccq": "ddbf65f59cac1fb9b133418a37066b62f5b01234b5d45d11eda0e2f7cbbfb6a6",
+        "bright16/dense": "7c4aecdb16fc4f8c1718751996520470f26ed0b340c9477b00f9756e47c8fa61",
+        "bright16/csq": "8ff752ff0f9805d069d5eed8f113d66ca0a032da34fd6f1f1111b85fe19e5168",
+        "bright16/cq": "7c4aecdb16fc4f8c1718751996520470f26ed0b340c9477b00f9756e47c8fa61",
+        "bright16/ccq": "7c4aecdb16fc4f8c1718751996520470f26ed0b340c9477b00f9756e47c8fa61",
+    }

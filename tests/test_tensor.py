@@ -102,6 +102,31 @@ def test_conv2d_oracle_property(out_c, in_c, h, w, seed):
     np.testing.assert_allclose(got, conv_oracle(x, ww, b), rtol=1e-4, atol=1e-4)
 
 
+def test_conv2d_output_is_a_channel_last_view(tmp_path):
+    # the (C, H, W) result is a view of the GEMM's (H * W, C) rows, so the
+    # next conv reads it through transpose(1, 2, 0) without a copy
+    rng = np.random.default_rng(7)
+    x, ww, b = random_case(rng, 4, 3, 5, 6)
+    got = conv2d(DenseTensor(x), ConvWeights(ww, b)).values
+    assert got.shape == (4, 5, 6)
+    assert got.base is not None and not got.flags.c_contiguous
+    assert got.transpose(1, 2, 0).flags.c_contiguous
+    save_tensor(DenseTensor(got), tmp_path / "t.qdt")
+    np.testing.assert_array_equal(load_tensor(tmp_path / "t.qdt").values, got)
+
+
+def test_chained_conv2d_and_relu_match_loop_oracle():
+    rng = np.random.default_rng(8)
+    x, w1, b1 = random_case(rng, 4, 3, 6, 5)
+    _, w2, b2 = random_case(rng, 2, 4, 6, 5)
+    got = relu(conv2d(relu(conv2d(DenseTensor(x), ConvWeights(w1, b1))),
+                      ConvWeights(w2, b2))).values
+    mid = np.maximum(conv_oracle(x, w1, b1), 0.0)
+    want = np.maximum(conv_oracle(mid, w2, b2), 0.0)
+    assert got.shape == (2, 6, 5)
+    np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
+
+
 def test_conv2d_builds_each_grid_shape_table_once(monkeypatch):
     calls = []
     build = tensor.neighbour_table
