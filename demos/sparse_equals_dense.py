@@ -11,11 +11,12 @@ at a key set; the dense levels' set is the full grid, so they match trivially:
                             over the same neighbour table); above 0 it
                             reads missing neighbors as zero, which is the
                             approximation that buys its speed
-  cq   submanifold conv  -> matches dense at every key, border keys
-       over the halo        included: it runs over every cell within the
-                            receptive-field radius (5) of a key, so every
-                            input a key's output reads is present; the
-                            halo is the work it pays for
+  cq   sparse conv over  -> matches dense at every key, border keys
+       a shrinking halo     included: it gathers every cell within the
+                            receptive-field radius (5) of a key, and each
+                            conv writes one cell less of halo than it
+                            reads, so every input a key's output reads is
+                            present; the halo is the work it pays for
 
 Run:  python demos/sparse_equals_dense.py
 """
@@ -68,8 +69,8 @@ def main():
         ("csq", 0.0, "submanifold with every cell active"),
         ("csq", 0.15, "submanifold on the key blanket only; edge rows feel "
                       "the zeroed neighbors"),
-        ("cq", 0.15, "submanifold over the keys' receptive-field halo, rows kept "
-                     "at keys"),
+        ("cq", 0.15, "over the keys' receptive-field halo, narrowed by one cell "
+                     "per conv down to the keys"),
     ]
     for strategy, sigma, story in runs:
         result = run_pipeline(pyr, weights, QueryConfig(strategy=strategy, sigma=sigma))

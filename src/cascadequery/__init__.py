@@ -3,9 +3,9 @@
 A detection head runs densely on coarse pyramid levels; positions scoring above
 a threshold become queries, map to their 2x2 children one level down, and only
 those children are computed — with submanifold sparse convolutions at the
-keys (csq) or over the keys' receptive-field halo (cq), or with masked dense
-compute (ccq). The analysis module carries the matching MAC-level cost model
-and a benchmark harness.
+keys (csq) or over the keys' receptive-field halo, narrowed conv by conv (cq),
+or with masked dense compute (ccq). The analysis module carries the matching
+MAC-level cost model and a benchmark harness.
 """
 
 from .analysis import (BenchResult, bench_csv, bench_json, head_flops_dense,
@@ -24,7 +24,7 @@ from .postproc import (AnchorConfig, Candidates, Detection, anchor_boxes,
 from .query import (CascadeResult, LevelRecord, QueryConfig, extract_queries,
                     map_queries_to_keys, run_pipeline)
 from .sparse import (KeySet, Rulebook, SparseFeature, build_rulebook, dilate,
-                     gather, scatter, sparse_conv, sparse_relu)
+                     gather, sparse_conv, sparse_relu)
 from .targets import (GroundTruthObject, GroundTruthSet, LossConfig, TargetMaps,
                       beta_schedule, distance_map, focal_loss, is_small_for_level,
                       level_loss, level_scale, query_target,
@@ -53,7 +53,7 @@ __all__ = [
     "make_synthetic_pyramid", "map_queries_to_keys", "nms",
     "p2_cost_increase", "query_target", "query_target_for_level", "relu",
     "run_benchmark", "run_dense_head", "run_pipeline", "run_sparse_head",
-    "save_pyramid", "save_tensor", "save_weights", "scatter", "sigma_sweep",
+    "save_pyramid", "save_tensor", "save_weights", "sigma_sweep",
     "small_centers_on_grid", "smooth_l1", "sparse_conv",
     "sparse_relu", "total_loss",
 ]

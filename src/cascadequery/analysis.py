@@ -45,14 +45,23 @@ def head_flops_dense(height: int, width: int, channels: int, num_anchors: int,
             + pred_macs_dense(height, width, channels, num_anchors, num_classes))
 
 
-def head_flops_sparse(rulebook_entries: int, channels: int, num_anchors: int,
+def head_flops_sparse(rulebook_entries, channels: int, num_anchors: int,
                       num_classes: int) -> int:
-    """Submanifold head cost: every conv (towers and predictors alike) pays
-    C_in * C_out work per rulebook entry. Isolated keys fire only their center
-    offset, giving the 1/9-per-key floor. Bias adds are not MACs, so the key
-    count does not enter."""
-    return rulebook_entries * channels * (_TOWERS * TOWER_DEPTH * channels
-                                          + _pred_channels(num_anchors, num_classes))
+    """Sparse head cost: every conv (towers and predictors alike) pays
+    C_in * C_out work per entry of its rulebook. `rulebook_entries` is either
+    one count, for a rulebook shared by every conv, or one count per conv of a
+    branch (the TOWER_DEPTH tower convs, then the predictor), for a schedule
+    of rulebooks shared by the three branches. Isolated keys fire only their
+    center offset, giving the 1/9-per-key floor. Bias adds are not MACs, so
+    the key count does not enter."""
+    pred = _pred_channels(num_anchors, num_classes)
+    if np.ndim(rulebook_entries) == 0:
+        return int(rulebook_entries) * channels * (_TOWERS * TOWER_DEPTH * channels + pred)
+    if len(rulebook_entries) != TOWER_DEPTH + 1:
+        raise ConfigurationError(f"{len(rulebook_entries)} per-conv entry counts, the head "
+                                 f"has {TOWER_DEPTH + 1} convs")
+    *tower, last = rulebook_entries
+    return channels * (_TOWERS * channels * sum(tower) + pred * last)
 
 
 def inbounds_pairs(height: int, width: int) -> int:

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import analysis
 from .errors import CascadeQueryError, ConfigurationError
-from .model import (Blob, level_dims, load_pyramid, load_weights, make_fixture_weights,
-                    make_synthetic_pyramid, save_pyramid, save_weights)
+from .model import (TOWER_DEPTH, Blob, level_dims, load_pyramid, load_weights,
+                    make_fixture_weights, make_synthetic_pyramid, save_pyramid, save_weights)
 from .postproc import AnchorConfig, detections_from_result, detections_to_json
 from .query import STRATEGIES, CascadeResult, QueryConfig, run_pipeline
 from .sparse import KeySet, build_rulebook
@@ -371,9 +371,14 @@ def _check_flops_identity(pyr, weights) -> str:
         dense = analysis.head_flops_dense(h, w, c, a, k)
         if sparse > dense:
             raise CheckFailure(f"sparse MACs exceed dense at full coverage ({h}x{w})")
+        per_conv = analysis.head_flops_sparse([rb.num_entries] * (TOWER_DEPTH + 1), c, a, k)
+        if per_conv != sparse:
+            raise CheckFailure(f"a constant schedule at {h}x{w} is charged {per_conv} MACs, "
+                               f"one shared rulebook {sparse}")
     if 9 * analysis.head_flops_sparse(1, c, a, k) != analysis.head_flops_dense(1, 1, c, a, k):
         raise CheckFailure("isolated key is not 1/9 of a dense position")
-    return f"entry counts match (3H-2)(3W-2) on {len(dims)} grids; isolated key is dense/9"
+    return (f"entry counts match (3H-2)(3W-2) on {len(dims)} grids; a constant schedule "
+            f"costs one shared rulebook; isolated key is dense/9")
 
 
 def cmd_verify(opts: Options) -> int:

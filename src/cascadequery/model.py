@@ -9,6 +9,7 @@ each, followed by a 3x3 prediction conv with no activation.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,8 @@ WEIGHTS_MAGIC = b"QDWTS1\n\0"
 TOWER_DEPTH = 4
 # Side of the square input window one head output depends on: the tower's
 # convs and the predictor are all 3x3, each widening it by one cell per side.
-# cq dilates each key's set by this window's radius.
+# cq gathers its keys dilated by this window's radius, and each conv narrows
+# the set it writes by one cell until the predictors write at the keys.
 RECEPTIVE_FIELD = 2 * (TOWER_DEPTH + 1) + 1
 PRIOR_PROB = 0.01  # untrained classification/query scores start near this
 
@@ -147,26 +149,37 @@ def run_dense_head(feature: DenseTensor, w: HeadWeights, keys: KeySet) -> HeadOu
 
 
 def _sparse_branch(vf: SparseFeature, tower: list[ConvWeights], pred: ConvWeights,
-                   rb: Rulebook) -> SparseFeature:
+                   schedule: Rulebook | Sequence[Rulebook]) -> SparseFeature:
+    books = [schedule] * (TOWER_DEPTH + 1) if isinstance(schedule, Rulebook) else schedule
     x = vf
-    for conv in tower:
+    for conv, rb in zip(tower, books):
         x = sparse_relu(sparse_conv(x, conv, rb))
-    return sparse_conv(x, pred, rb)
+    return sparse_conv(x, pred, books[-1])
 
 
 def run_sparse_head(value_features: SparseFeature, w: HeadWeights,
-                    rulebook: Rulebook | None = None) -> HeadOutput:
-    """Head pass over gathered value features. One rulebook is built from the key
-    set and reused by every layer; submanifold semantics keep the active set fixed."""
+                    schedule: Rulebook | Sequence[Rulebook] | None = None) -> HeadOutput:
+    """Head pass over gathered value features, driven by a schedule that the
+    three branches share: one rulebook for every conv (submanifold: the active
+    set stays fixed), or one per conv of a branch, the TOWER_DEPTH tower convs
+    then the predictor. Conv j reads rows at its rulebook's inputs and writes
+    rows at its keys, so the first rulebook reads the value features' keys and
+    the outputs sit at the last one's keys. By default one rulebook of the
+    value features' keys serves every conv."""
     if value_features.channels != w.channels:
         raise ConfigurationError(
             f"value features have {value_features.channels} channels, head expects {w.channels}"
         )
-    rb = rulebook if rulebook is not None else build_rulebook(value_features.keys)
+    if schedule is None:
+        schedule = build_rulebook(value_features.keys)
+    elif not isinstance(schedule, Rulebook) and len(schedule) != TOWER_DEPTH + 1:
+        raise ConfigurationError(
+            f"schedule has {len(schedule)} rulebooks, the head has {TOWER_DEPTH + 1} convs"
+        )
     return HeadOutput(
-        cls_logits=_sparse_branch(value_features, w.cls_tower, w.cls_pred, rb),
-        reg_deltas=_sparse_branch(value_features, w.reg_tower, w.reg_pred, rb),
-        query_logits=_sparse_branch(value_features, w.query_tower, w.query_pred, rb),
+        cls_logits=_sparse_branch(value_features, w.cls_tower, w.cls_pred, schedule),
+        reg_deltas=_sparse_branch(value_features, w.reg_tower, w.reg_pred, schedule),
+        query_logits=_sparse_branch(value_features, w.query_tower, w.query_pred, schedule),
     )
 
 

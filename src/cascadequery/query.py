@@ -11,10 +11,12 @@ skeleton and differ only in how the children's rows are computed:
   csq    children computed with submanifold sparse convolutions; the next
          queries are read from the sparse rows themselves, so sparsity
          compounds level after level
-  cq     the csq head run once per level over the keys dilated by the
-         receptive-field radius (model.RECEPTIVE_FIELD // 2), keeping the
-         rows at the keys: every input the head reads at a key is then
-         active, so cq matches dense at every key
+  cq     the csq head run once per level over a shrinking schedule of key
+         sets: the level is gathered at the keys dilated by the
+         receptive-field radius (model.RECEPTIVE_FIELD // 2), and each conv
+         writes a halo one cell narrower than the one it reads, so the
+         predictors write at the keys. Every input a key's output depends on
+         is computed, so cq matches dense at every key
   ccq    full dense compute at every level, but outputs below the start level
          are kept only at key positions (exactness baseline)
 """
@@ -28,14 +30,15 @@ import numpy as np
 
 from . import analysis
 from .errors import ConfigurationError, ValidationError
-from .model import (RECEPTIVE_FIELD, FeaturePyramid, HeadOutput, HeadWeights,
+from .model import (RECEPTIVE_FIELD, TOWER_DEPTH, FeaturePyramid, HeadOutput, HeadWeights,
                     run_dense_head, run_sparse_head)
-from .sparse import KeySet, SparseFeature, build_rulebook, dilate, gather
+from .sparse import KeySet, Rulebook, SparseFeature, build_rulebook, dilate, gather
 from .tensor import DenseTensor, sigmoid_array
 
 STRATEGIES = ("dense", "csq", "cq", "ccq")
 # Radius by which the sparse strategies widen their keys before the head runs:
-# csq computes at the keys alone, cq over every input its keys' outputs read.
+# csq computes at the keys alone, cq gathers every input its keys' outputs
+# read. Conv j of the head then writes at the keys widened by radius - j.
 _HALO = {"csq": 0, "cq": RECEPTIVE_FIELD // 2}
 
 
@@ -94,9 +97,11 @@ class LevelRecord:
     output's rows sit at the full grid on dense levels and at computed_keys
     elsewhere; computed_keys is None on dense levels.
     dense_positions counts full-map positions for dense/masked modes;
-    sparse_rows counts the rows kept at computed_keys. rulebook_entries counts the
-    rulebook the sparse head ran over: for cq that is the keys' halo, so it
-    exceeds what the keys alone would give.
+    sparse_rows counts the rows kept at computed_keys. rulebook_entries sums
+    the entries of the rulebooks the sparse head built: for csq the one
+    rulebook of the keys, shared by every conv; for cq one rulebook per conv,
+    each from the halo it reads to the narrower halo it writes, the last one
+    writing at the keys.
     """
 
     level: int
@@ -214,20 +219,33 @@ def _check_levels(pyr: FeaturePyramid, cfg: QueryConfig, cascade: bool) -> list[
     return levels
 
 
+def _schedule(keys: KeySet, radius: int) -> list[Rulebook]:
+    """One rulebook per conv of a head branch (TOWER_DEPTH tower convs, then
+    the predictor). Conv j reads `dilate(keys, radius - j + 1)` and writes
+    `dilate(keys, radius - j)`, radii stopping at 0, so every conv computes
+    only rows a later conv reads and the predictor writes at the keys. Convs
+    with the same input and output sets share one rulebook."""
+    sets = [dilate(keys, max(radius - j, 0)) for j in range(TOWER_DEPTH + 2)]
+    books: list[Rulebook] = []
+    for inputs, outputs in zip(sets, sets[1:]):
+        same = books and books[-1].inputs is inputs and books[-1].keys is outputs
+        books.append(books[-1] if same else build_rulebook(outputs, inputs))
+    return books
+
+
 def _sparse_level(feature: DenseTensor, w: HeadWeights, keys: KeySet,
                   radius: int) -> tuple[HeadOutput, int, int]:
-    """Submanifold head over `dilate(keys, radius)`, with rows kept at the keys.
-    The level is charged for the dilated set's rulebook."""
-    active = dilate(keys, radius)
-    rb = build_rulebook(active)
-    out = run_sparse_head(gather(feature, active), w, rb)
-    flops = analysis.head_flops_sparse(rb.num_entries, w.channels,
+    """Sparse head over `_schedule(keys, radius)`, gathered at its widest set
+    and with rows at the keys. Each conv is charged for its own rulebook.
+    Returns the output, the entries summed over the distinct rulebooks, and
+    the level's MACs."""
+    per_conv = _schedule(keys, radius)
+    built = list(dict.fromkeys(per_conv))
+    out = run_sparse_head(gather(feature, per_conv[0].inputs), w,
+                          built[0] if len(built) == 1 else per_conv)
+    flops = analysis.head_flops_sparse([rb.num_entries for rb in per_conv], w.channels,
                                        w.num_anchors, w.num_classes)
-    if active is not keys:
-        rows = active.rows_of(keys)
-        out = HeadOutput(*(SparseFeature(keys, f.features[rows]) for f in
-                           (out.cls_logits, out.reg_deltas, out.query_logits)))
-    return out, rb.num_entries, flops
+    return out, sum(rb.num_entries for rb in built), flops
 
 
 def crop_patch(feature: DenseTensor, x: int, y: int, patch: int) -> DenseTensor:

@@ -1,14 +1,16 @@
-"""Sparse spatial tensors, rulebook construction, and submanifold 3x3 convolution.
+"""Sparse spatial tensors, rulebook construction, and sparse 3x3 convolution.
 
 Active positions are tracked as integer (x, y) grid coordinates in a KeySet;
-features gathered at those positions form a SparseFeature. Convolution over a
-SparseFeature follows submanifold semantics: the output active set equals the
-input active set and inactive neighbors contribute zero.
+features gathered at those positions form a SparseFeature. A rulebook maps an
+input key set to an output key set on the same grid; convolution over it reads
+rows at the input set, writes rows at the output set, and inactive neighbours
+contribute zero. With equal sets this is submanifold convolution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -119,38 +121,49 @@ class SparseFeature:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rulebook:
-    """Neighbour table of one key set: row n holds, for each of the 9 taps of a
-    3x3 kernel, the index of the key at that tap's displacement from key n, or
-    len(keys) (the shared zero row) where that neighbour is not a key.
+    """Neighbour table from an input key set to an output key set on the same
+    grid: row n holds, for each of the 9 taps of a 3x3 kernel, the index in
+    `inputs` of the key at that tap's displacement from output key n, or
+    len(inputs) (the shared zero row) where that neighbour is not an input key.
 
     Tap k in 0..8 is the displacement (dy, dx) = (k // 3 - 1, k % 3 - 1): an
     entry (out_key, in_key, k) means in_key sits at out_key + (dx, dy). Every
-    conv is 3x3, so `sparse_conv` hands the whole table to `conv_rows`."""
+    conv is 3x3, so `sparse_conv` hands the whole table to `conv_rows`.
+    Rulebooks compare by identity."""
 
     keys: KeySet
+    inputs: KeySet
     table: np.ndarray = field(repr=False)
 
-    @property
+    @cached_property
     def num_entries(self) -> int:
-        """Pairs (key, tap) whose neighbour is itself a key."""
-        return int(np.count_nonzero(self.table < len(self.keys)))
+        """Pairs (output key, tap) whose neighbour is an input key."""
+        return int(np.count_nonzero(self.table < len(self.inputs)))
 
 
-def build_rulebook(keys: KeySet) -> Rulebook:
-    """Submanifold rulebook: one lookup of every key's 3x3 neighbourhood in an
-    index grid of the key set. Output active set == input set."""
-    n = len(keys)
+def build_rulebook(keys: KeySet, inputs: KeySet | None = None) -> Rulebook:
+    """Rulebook writing at `keys` and reading `inputs` (default: `keys`
+    itself, the submanifold case): one lookup of every key's 3x3
+    neighbourhood in an index grid of the input set."""
+    if inputs is None:
+        inputs = keys
+    elif (inputs.level, inputs.height, inputs.width) != (keys.level, keys.height, keys.width):
+        raise ValidationError(f"input keys on level {inputs.level} {inputs.width}x"
+                              f"{inputs.height}, output keys on level {keys.level} "
+                              f"{keys.width}x{keys.height}")
+    n = len(inputs)
     index = np.full((keys.height, keys.width), n, dtype=np.int64)
-    index[keys.ys, keys.xs] = np.arange(n)
-    return Rulebook(keys, neighbour_table(index, keys.ys, keys.xs, n))
+    index[inputs.ys, inputs.xs] = np.arange(n)
+    return Rulebook(keys, inputs, neighbour_table(index, keys.ys, keys.xs, n))
 
 
 def dilate(keys: KeySet, radius: int) -> KeySet:
     """Every cell within Chebyshev distance `radius` of a key, clipped to the
     grid. The square window is separable: the key mask is widened along its
-    rows, transposed, and widened again."""
+    columns by OR-ing in copies shifted by up to `radius` cells each way, then
+    transposed and widened again."""
     if radius < 0:
         raise ConfigurationError(f"dilation radius must be non-negative, got {radius}")
     if radius == 0 or not len(keys):
@@ -158,9 +171,11 @@ def dilate(keys: KeySet, radius: int) -> KeySet:
     mask = np.zeros((keys.height, keys.width), dtype=bool)
     mask[keys.ys, keys.xs] = True
     for _ in range(2):
-        padded = np.pad(mask, ((0, 0), (radius, radius)))
-        n = mask.shape[1]
-        mask = np.logical_or.reduce([padded[:, s:s + n] for s in range(2 * radius + 1)]).T
+        grown = mask.copy()
+        for s in range(1, min(radius, len(mask) - 1) + 1):
+            grown[s:] |= mask[:-s]
+            grown[:-s] |= mask[s:]
+        mask = grown.T
     ys, xs = np.nonzero(mask)
     return KeySet(keys.level, keys.height, keys.width, np.stack([xs, ys], axis=1))
 
@@ -176,23 +191,10 @@ def gather(dense: DenseTensor, keys: KeySet) -> SparseFeature:
     return SparseFeature(keys, feats)
 
 
-def scatter(sparse: SparseFeature, height: int, width: int) -> DenseTensor:
-    """Place sparse rows back on a dense zero canvas of the given size."""
-    if len(sparse.keys):
-        if int(sparse.keys.xs.max()) >= width or int(sparse.keys.ys.max()) >= height:
-            raise ValidationError(
-                f"key positions exceed scatter target {width}x{height}"
-            )
-    values = np.zeros((sparse.channels, height, width), dtype=np.float32)
-    if len(sparse.keys):
-        values[:, sparse.keys.ys, sparse.keys.xs] = sparse.features.T
-    return DenseTensor(values)
-
-
 def sparse_conv(inp: SparseFeature, w: ConvWeights, rb: Rulebook) -> SparseFeature:
-    """Submanifold 3x3 convolution driven by a rulebook built from `inp.keys`.
+    """3x3 convolution of rows at `rb.inputs` into rows at `rb.keys`.
 
-    `conv_rows` over the rulebook's table. Missing neighbors contribute
+    `conv_rows` over the rulebook's table. Missing neighbours contribute
     nothing, which is exactly the zero-padding behaviour when every position
     is active.
     """
@@ -200,9 +202,9 @@ def sparse_conv(inp: SparseFeature, w: ConvWeights, rb: Rulebook) -> SparseFeatu
         raise ConfigurationError(
             f"sparse input has {inp.channels} channels, weights expect {w.in_channels}"
         )
-    if rb.keys is not inp.keys and rb.keys != inp.keys:
-        raise ValidationError("rulebook was not built from the input's key set")
-    return SparseFeature(inp.keys, conv_rows(inp.features, w, rb.table))
+    if rb.inputs is not inp.keys and rb.inputs != inp.keys:
+        raise ValidationError("input rows are not on the rulebook's input key set")
+    return SparseFeature(rb.keys, conv_rows(inp.features, w, rb.table))
 
 
 def sparse_relu(sf: SparseFeature) -> SparseFeature:

@@ -63,6 +63,18 @@ def test_sparse_matches_dense_at_nine_entries_per_cell(h, w):
     assert head_flops_sparse(9 * h * w, 16, 1, 4) == head_flops_dense(h, w, 16, 1, 4)
 
 
+def test_sparse_cost_charges_each_conv_its_own_entries():
+    # a constant schedule costs what one shared rulebook does; otherwise the
+    # three tower convs at layer j pay 16*16 per entry and the predictors
+    # 16*(4 + 4 + 1)
+    for e in (0, 1, 37):
+        assert head_flops_sparse([e] * 5, 16, 1, 4) == head_flops_sparse(e, 16, 1, 4)
+    assert head_flops_sparse([5, 4, 3, 2, 1], 16, 1, 4) == \
+        3 * 16 * 16 * (5 + 4 + 3 + 2) + 16 * 9 * 1
+    with pytest.raises(ConfigurationError):
+        head_flops_sparse([1, 1, 1, 1], 16, 1, 4)
+
+
 @pytest.mark.parametrize("h,w", [(1, 1), (2, 5), (5, 9), (7, 3), (16, 16)])
 def test_inbounds_pairs_counts_real_rulebook_entries(h, w):
     assert inbounds_pairs(h, w) == (3 * h - 2) * (3 * w - 2)

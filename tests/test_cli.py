@@ -8,7 +8,8 @@ import struct
 import numpy as np
 import pytest
 
-from cascadequery import KeySet, build_rulebook, dilate, head_flops_sparse
+from cascadequery import KeySet, build_rulebook, dilate
+from cascadequery import analysis as analysis_mod
 from cascadequery import cli as cli_mod
 from cascadequery import model as model_mod
 from cascadequery.cli import (
@@ -126,14 +127,18 @@ def test_cq_run_charges_each_level_for_its_halo_rulebook(small_fixture, tmp_path
     weights = model_mod.load_weights(small_fixture / WEIGHTS_FILE)
     cq_rows = [r for r in report["levels"] if r["level"] < 4]
     assert [r["mode"] for r in cq_rows] == ["sparse", "sparse"]
+    c, a, k = weights.channels, weights.num_anchors, weights.num_classes
     for row in cq_rows:
         keys = KeySet(row["level"], *row["shape"], row["computed_keys"])
-        rb = build_rulebook(dilate(keys, RECEPTIVE_FIELD // 2))
+        # conv j reads the keys widened by 6 - j and writes them widened by 5 - j
+        sets = [dilate(keys, RECEPTIVE_FIELD // 2 - j) for j in range(6)]
+        books = [build_rulebook(out, inp) for inp, out in zip(sets, sets[1:])]
+        charges = [rb.num_entries * 3 * c * c for rb in books[:-1]]
+        charges.append(books[-1].num_entries * c * (a * k + 4 * a + 1))
         assert len(keys) and row["sparse_rows"] == len(keys)
         assert row["dense_positions"] == 0
-        assert row["rulebook_entries"] == rb.num_entries
-        assert row["flops"] == head_flops_sparse(rb.num_entries, weights.channels,
-                                                 weights.num_anchors, weights.num_classes)
+        assert row["rulebook_entries"] == sum(rb.num_entries for rb in books)
+        assert row["flops"] == sum(charges)
 
 
 def test_run_without_inputs_is_a_usage_error(tmp_path, capsys):
@@ -393,6 +398,23 @@ def test_verify_catches_a_sparse_conv_that_drops_bias(small_fixture, monkeypatch
     assert by_name["cq-dense"]["passed"] is False    # cq runs the same sparse head
     assert by_name["ccq-exact"]["passed"] is True    # masked-dense path unaffected
     assert by_name["query-targets"]["passed"] is True
+
+
+def test_verify_catches_a_schedule_charge_that_skips_the_predictors(small_fixture,
+                                                                    monkeypatch, capsys):
+    real = analysis_mod.head_flops_sparse
+
+    def no_predictors(entries, *args):
+        if np.ndim(entries) == 0:
+            return real(entries, *args)
+        return real([*entries[:-1], 0], *args)
+
+    monkeypatch.setattr(analysis_mod, "head_flops_sparse", no_predictors)
+    rc = main(["verify", "--fixture", str(small_fixture)])
+    by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert rc == 1
+    assert by_name["flops-identity"]["passed"] is False
+    assert "constant schedule" in by_name["flops-identity"]["detail"]
 
 
 # --- bench / flops / targets-check -------------------------------------------------

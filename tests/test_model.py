@@ -22,6 +22,7 @@ from cascadequery import (
     save_pyramid,
     save_weights,
 )
+from cascadequery.model import TOWER_DEPTH
 from cascadequery.sparse import KeySet, build_rulebook, gather
 from cascadequery.tensor import DenseTensor, save_tensor
 
@@ -134,7 +135,11 @@ def test_sparse_head_accepts_prebuilt_rulebook():
     vf = gather(feature, ks)
     a = run_sparse_head(vf, w)
     b = run_sparse_head(vf, w, build_rulebook(ks))
+    c = run_sparse_head(vf, w, [build_rulebook(ks)] * (TOWER_DEPTH + 1))
     np.testing.assert_array_equal(a.cls_logits.features, b.cls_logits.features)
+    np.testing.assert_array_equal(a.cls_logits.features, c.cls_logits.features)
+    with pytest.raises(ConfigurationError, match="schedule"):
+        run_sparse_head(vf, w, [build_rulebook(ks)] * TOWER_DEPTH)
 
 
 def test_head_output_rejects_mixed_density():

@@ -427,6 +427,6 @@ def test_detection_json_is_pinned():
         "weak64/ccq": "ddbf65f59cac1fb9b133418a37066b62f5b01234b5d45d11eda0e2f7cbbfb6a6",
         "bright16/dense": "7c4aecdb16fc4f8c1718751996520470f26ed0b340c9477b00f9756e47c8fa61",
         "bright16/csq": "8ff752ff0f9805d069d5eed8f113d66ca0a032da34fd6f1f1111b85fe19e5168",
-        "bright16/cq": "7c4aecdb16fc4f8c1718751996520470f26ed0b340c9477b00f9756e47c8fa61",
+        "bright16/cq": "bcb1276464a053e72e72ee6f1aac895dc7c7ef138ef243bc86216305c52fa43e",
         "bright16/ccq": "7c4aecdb16fc4f8c1718751996520470f26ed0b340c9477b00f9756e47c8fa61",
     }

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cascadequery import (
     Blob,
@@ -15,8 +17,8 @@ from cascadequery import (
     map_queries_to_keys,
     run_pipeline,
 )
-from cascadequery.model import RECEPTIVE_FIELD
-from cascadequery.query import STRATEGIES
+from cascadequery.model import RECEPTIVE_FIELD, TOWER_DEPTH
+from cascadequery.query import STRATEGIES, _schedule
 from cascadequery.sparse import KeySet, SparseFeature, build_rulebook, dilate
 from cascadequery.tensor import DenseTensor, conv2d
 
@@ -218,10 +220,56 @@ def test_cq_level_is_charged_for_its_halo_rulebook(pyramid, weights):
     assert rec.dense_positions == 0
     assert len(keys) and rec.sparse_rows == len(keys)
     assert rec.output.cls_logits.features.shape == (len(keys), 4)
-    rb = build_rulebook(dilate(keys, RECEPTIVE_FIELD // 2))
-    assert rec.rulebook_entries == rb.num_entries > build_rulebook(keys).num_entries
-    assert rec.flops == head_flops_sparse(rb.num_entries, weights.channels,
-                                          weights.num_anchors, weights.num_classes)
+    # conv j of each branch reads the keys widened by 6 - j and writes them
+    # widened by 5 - j: four C->C tower convs per branch, then the predictors
+    sets = [dilate(keys, RECEPTIVE_FIELD // 2 - j) for j in range(6)]
+    books = [build_rulebook(out, inp) for inp, out in zip(sets, sets[1:])]
+    c, a, k = weights.channels, weights.num_anchors, weights.num_classes
+    charges = [rb.num_entries * 3 * c * c for rb in books[:-1]]
+    charges.append(books[-1].num_entries * c * (a * k + 4 * a + 1))
+    assert rec.rulebook_entries == sum(rb.num_entries for rb in books)
+    assert rec.rulebook_entries > build_rulebook(keys).num_entries
+    assert rec.flops == sum(charges)
+
+
+def test_cq_is_charged_below_the_full_halo(pyramid, weights):
+    # the charge of running every conv over the radius-5 halo, as cq once did
+    res = run_pipeline(pyramid, weights, QueryConfig(strategy="cq", sigma=0.15))
+    full_halo = 0
+    for rec in res.records:
+        if rec.computed_keys is None:
+            full_halo += rec.flops
+            continue
+        rb = build_rulebook(dilate(rec.computed_keys, RECEPTIVE_FIELD // 2))
+        full_halo += head_flops_sparse(rb.num_entries, weights.channels,
+                                       weights.num_anchors, weights.num_classes)
+    assert res.total_flops < full_halo
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), h=st.integers(1, 16), w=st.integers(1, 16),
+       density=st.floats(0.0, 0.3))
+def test_schedule_narrows_by_one_cell_per_conv(seed, h, w, density):
+    rng = np.random.default_rng(seed)
+    mask = rng.random((h, w)) < density
+    mask[h - 1, rng.integers(w)] = True  # a key on the border
+    ys, xs = np.nonzero(mask)
+    keys = KeySet(3, h, w, np.stack([xs, ys], axis=1))
+    books = _schedule(keys, RECEPTIVE_FIELD // 2)
+    assert len(books) == TOWER_DEPTH + 1
+    assert books[0].inputs == dilate(keys, RECEPTIVE_FIELD // 2)
+    assert books[-1].keys is keys
+    for prev, rb in zip(books, books[1:]):
+        assert rb.inputs is prev.keys
+    for rb in books:
+        # every in-grid 3x3 neighbour of an output cell is an input cell, so
+        # the only misses are taps off the grid
+        out = rb.keys
+        rows = np.minimum(out.ys + 1, h - 1) - np.maximum(out.ys - 1, 0) + 1
+        cols = np.minimum(out.xs + 1, w - 1) - np.maximum(out.xs - 1, 0) + 1
+        assert rb.num_entries == int((rows * cols).sum())
+    csq = _schedule(keys, 0)
+    assert all(rb is csq[0] for rb in csq) and csq[0].inputs is csq[0].keys is keys
 
 
 def test_cq_matches_dense_at_every_key_border_keys_included():

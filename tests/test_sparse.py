@@ -10,7 +10,6 @@ from cascadequery.sparse import (
     build_rulebook,
     dilate,
     gather,
-    scatter,
     sparse_conv,
     sparse_relu,
 )
@@ -160,7 +159,17 @@ def test_rulebook_isolated_keys_have_one_entry_each():
     assert build_rulebook(ks).num_entries == 4
 
 
-# --- gather / scatter -----------------------------------------------------------
+def test_rulebook_reads_an_input_set_apart_from_its_output_set():
+    # output (1, 1) reads inputs (0, 0) and (2, 1) through taps 0 and 5;
+    # output (4, 4) has no input neighbour and reads only the zero row
+    rb = build_rulebook(keyset([(1, 1), (4, 4)]), keyset([(0, 0), (2, 1), (6, 6)]))
+    assert rb.num_entries == 2
+    assert rb.table.tolist() == [[0, 3, 3, 3, 3, 1, 3, 3, 3], [3] * 9]
+    with pytest.raises(ValidationError, match="level"):
+        build_rulebook(keyset([(1, 1)]), keyset([(1, 1)], h=9))
+
+
+# --- gather ---------------------------------------------------------------------
 
 def test_gather_scatter_roundtrip():
     rng = np.random.default_rng(0)
@@ -168,11 +177,11 @@ def test_gather_scatter_roundtrip():
     ks = keyset([(0, 0), (4, 2), (2, 5)], h=6, w=5)
     sf = gather(dense, ks)
     assert sf.features.shape == (3, 3)
-    back = scatter(sf, 6, 5)
-    np.testing.assert_array_equal(back.values[:, ks.ys, ks.xs], sf.features.T)
-    mask = np.ones((6, 5), dtype=bool)
-    mask[ks.ys, ks.xs] = False
-    assert (back.values[:, mask] == 0).all()
+    back = np.zeros((3, 6, 5), dtype=np.float32)
+    back[:, ks.ys, ks.xs] = sf.features.T
+    mask = np.zeros((6, 5), dtype=np.float32)
+    mask[ks.ys, ks.xs] = 1.0
+    np.testing.assert_array_equal(back, dense.values * mask)
 
 
 def test_gather_rows_follow_key_order():
@@ -252,9 +261,38 @@ def test_sparse_conv_inactive_neighbors_match_zero_padding():
     sf = SparseFeature(ks, rng.standard_normal((5, 3)).astype(np.float32))
     w = rand_conv(rng, 4, 3)
     got = sparse_conv(sf, w, build_rulebook(ks))
-    densified = scatter(sf, 6, 7)
-    want = conv2d(densified, w).values[:, ks.ys, ks.xs].T
+    densified = np.zeros((3, 6, 7), dtype=np.float32)
+    densified[:, ks.ys, ks.xs] = sf.features.T
+    want = conv2d(DenseTensor(densified), w).values[:, ks.ys, ks.xs].T
     np.testing.assert_allclose(got.features, want, rtol=1e-5, atol=1e-5)
+
+
+def test_sparse_conv_writes_at_the_output_set():
+    # a halo shrinking by one cell: the rows at the output set equal a dense
+    # conv of the input rows on a zero canvas
+    rng = np.random.default_rng(9)
+    outputs = keyset([(0, 0), (3, 2), (7, 7)])
+    inputs = dilate(outputs, 1)
+    sf = SparseFeature(inputs, rng.standard_normal((len(inputs), 3)).astype(np.float32))
+    w = rand_conv(rng, 2, 3)
+    got = sparse_conv(sf, w, build_rulebook(outputs, inputs))
+    assert got.keys is outputs
+    densified = np.zeros((3, 8, 8), dtype=np.float32)
+    densified[:, inputs.ys, inputs.xs] = sf.features.T
+    want = conv2d(DenseTensor(densified), w).values[:, outputs.ys, outputs.xs].T
+    np.testing.assert_allclose(got.features, want, rtol=1e-5, atol=1e-5)
+
+
+def test_sparse_conv_rejects_rows_off_the_input_set():
+    rng = np.random.default_rng(10)
+    outputs = keyset([(3, 2)])
+    inputs = dilate(outputs, 1)
+    rb = build_rulebook(outputs, inputs)
+    w = rand_conv(rng, 2, 3)
+    for keys in (outputs, dilate(outputs, 2), keyset([(3, 2)], h=9)):
+        sf = SparseFeature(keys, rng.standard_normal((len(keys), 3)).astype(np.float32))
+        with pytest.raises(ValidationError, match="input key set"):
+            sparse_conv(sf, w, rb)
 
 
 def test_sparse_conv_rejects_foreign_rulebook():
@@ -303,5 +341,7 @@ def test_sparse_conv_agrees_with_masked_dense(seed, h, w, density):
     sf = SparseFeature(ks, rng.standard_normal((len(ks), 2)).astype(np.float32))
     w_ = rand_conv(rng, 2, 2)
     got = sparse_conv(sf, w_, build_rulebook(ks))
-    want = conv2d(scatter(sf, h, w), w_).values[:, ks.ys, ks.xs].T
+    densified = np.zeros((2, h, w), dtype=np.float32)
+    densified[:, ks.ys, ks.xs] = sf.features.T
+    want = conv2d(DenseTensor(densified), w_).values[:, ks.ys, ks.xs].T
     np.testing.assert_allclose(got.features, want, rtol=1e-4, atol=1e-4)
