@@ -12,11 +12,12 @@ skeleton and differ only in how the children's rows are computed:
          queries are read from the sparse rows themselves, so sparsity
          compounds level after level
   cq     the csq head run once per level over a shrinking schedule of key
-         sets: the level is gathered at the keys dilated by the
-         receptive-field radius (model.RECEPTIVE_FIELD // 2), and each conv
-         writes a halo one cell narrower than the one it reads, so the
-         predictors write at the keys. Every input a key's output depends on
-         is computed, so cq matches dense at every key
+         sets: rings grown outward from the keys one cell at a time through
+         the conv's own neighbour table, out to the receptive-field radius
+         (model.RECEPTIVE_FIELD // 2). The level is gathered at the widest
+         ring, and each conv reads one ring and writes the next one in, so
+         the predictors write at the keys. Every input a key's output
+         depends on is computed, so cq matches dense at every key
   ccq    full dense compute at every level, but outputs below the start level
          are kept only at key positions (exactness baseline)
 """
@@ -221,15 +222,18 @@ def _check_levels(pyr: FeaturePyramid, cfg: QueryConfig, cascade: bool) -> list[
 
 def _schedule(keys: KeySet, radius: int) -> list[Rulebook]:
     """One rulebook per conv of a head branch (TOWER_DEPTH tower convs, then
-    the predictor). Conv j reads `dilate(keys, radius - j + 1)` and writes
-    `dilate(keys, radius - j)`, radii stopping at 0, so every conv computes
-    only rows a later conv reads and the predictor writes at the keys. Convs
-    with the same input and output sets share one rulebook."""
-    sets = [dilate(keys, max(radius - j, 0)) for j in range(TOWER_DEPTH + 2)]
-    books: list[Rulebook] = []
-    for inputs, outputs in zip(sets, sets[1:]):
-        same = books and books[-1].inputs is inputs and books[-1].keys is outputs
-        books.append(books[-1] if same else build_rulebook(outputs, inputs))
+    the predictor). Rings grow outward from the keys through the conv's own
+    neighbour table, A_(j-1) = `dilate(A_j, 1)` with A_radius the keys, so the
+    cells conv j reads are exactly A_(j-1), and conv j writes A_j: the first
+    conv reads the keys dilated by `radius` and each later one writes a ring
+    narrower, down to the keys. Every conv left once the radius is used up
+    shares one submanifold rulebook of the keys."""
+    rings = [keys]
+    for _ in range(radius):
+        rings.insert(0, dilate(rings[0], 1))
+    books = [build_rulebook(out, inp) for inp, out in zip(rings, rings[1:])]
+    if radius <= TOWER_DEPTH:
+        books += [build_rulebook(keys)] * (TOWER_DEPTH + 1 - radius)
     return books
 
 

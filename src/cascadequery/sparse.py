@@ -4,7 +4,10 @@ Active positions are tracked as integer (x, y) grid coordinates in a KeySet;
 features gathered at those positions form a SparseFeature. A rulebook maps an
 input key set to an output key set on the same grid; convolution over it reads
 rows at the input set, writes rows at the output set, and inactive neighbours
-contribute zero. With equal sets this is submanifold convolution.
+contribute zero. With equal sets this is submanifold convolution. Rulebooks
+and dilation both read `tensor.neighbour_table`, the grid table `conv2d`
+caches per grid shape: a rulebook remaps its cells to input rows, and a
+dilation grows rings through it.
 """
 
 from __future__ import annotations
@@ -124,14 +127,12 @@ class SparseFeature:
 @dataclass(frozen=True, eq=False)
 class Rulebook:
     """Neighbour table from an input key set to an output key set on the same
-    grid: row n holds, for each of the 9 taps of a 3x3 kernel, the index in
-    `inputs` of the key at that tap's displacement from output key n, or
-    len(inputs) (the shared zero row) where that neighbour is not an input key.
-
-    Tap k in 0..8 is the displacement (dy, dx) = (k // 3 - 1, k % 3 - 1): an
-    entry (out_key, in_key, k) means in_key sits at out_key + (dx, dy). Every
-    conv is 3x3, so `sparse_conv` hands the whole table to `conv_rows`.
-    Rulebooks compare by identity."""
+    grid: row n holds, for each of the 9 taps of a 3x3 kernel (in the tap
+    order of `tensor.neighbour_table`), the index in `inputs` of the key at
+    that tap's displacement from output key n, or len(inputs) (the shared zero
+    row) where that neighbour is off the grid or not an input key. Every conv
+    is 3x3, so `sparse_conv` hands the whole table to `conv_rows`. Rulebooks
+    compare by identity."""
 
     keys: KeySet
     inputs: KeySet
@@ -145,39 +146,43 @@ class Rulebook:
 
 def build_rulebook(keys: KeySet, inputs: KeySet | None = None) -> Rulebook:
     """Rulebook writing at `keys` and reading `inputs` (default: `keys`
-    itself, the submanifold case): one lookup of every key's 3x3
-    neighbourhood in an index grid of the input set."""
+    itself, the submanifold case): the grid's neighbour table at the keys'
+    cells, looked up in a cell -> input row map whose off-grid entry, like
+    every cell that is not an input, is len(inputs)."""
     if inputs is None:
         inputs = keys
     elif (inputs.level, inputs.height, inputs.width) != (keys.level, keys.height, keys.width):
         raise ValidationError(f"input keys on level {inputs.level} {inputs.width}x"
                               f"{inputs.height}, output keys on level {keys.level} "
                               f"{keys.width}x{keys.height}")
-    n = len(inputs)
-    index = np.full((keys.height, keys.width), n, dtype=np.int64)
-    index[inputs.ys, inputs.xs] = np.arange(n)
-    return Rulebook(keys, inputs, neighbour_table(index, keys.ys, keys.xs, n))
+    w = keys.width
+    row = np.full(keys.height * w + 1, len(inputs), dtype=np.int64)
+    row[inputs.ys * w + inputs.xs] = np.arange(len(inputs))
+    return Rulebook(keys, inputs, row[neighbour_table(keys.height, w)[keys.ys * w + keys.xs]])
 
 
 def dilate(keys: KeySet, radius: int) -> KeySet:
     """Every cell within Chebyshev distance `radius` of a key, clipped to the
-    grid. The square window is separable: the key mask is widened along its
-    columns by OR-ing in copies shifted by up to `radius` cells each way, then
-    transposed and widened again."""
+    grid, grown one ring per step: the neighbour-table rows of the last ring
+    are scattered into a copy of the cell mask (length H * W + 1, the last
+    entry catching off-grid taps), and the cells it newly sets are the next
+    ring. max(H, W) steps cover the grid, so no radius takes more."""
     if radius < 0:
         raise ConfigurationError(f"dilation radius must be non-negative, got {radius}")
     if radius == 0 or not len(keys):
         return keys
-    mask = np.zeros((keys.height, keys.width), dtype=bool)
-    mask[keys.ys, keys.xs] = True
-    for _ in range(2):
+    h, w = keys.height, keys.width
+    table = neighbour_table(h, w)
+    mask = np.zeros(h * w + 1, dtype=bool)
+    ring = keys.ys * w + keys.xs
+    mask[ring] = True
+    for _ in range(min(radius, max(h, w))):
         grown = mask.copy()
-        for s in range(1, min(radius, len(mask) - 1) + 1):
-            grown[s:] |= mask[:-s]
-            grown[:-s] |= mask[s:]
-        mask = grown.T
-    ys, xs = np.nonzero(mask)
-    return KeySet(keys.level, keys.height, keys.width, np.stack([xs, ys], axis=1))
+        grown[table[ring]] = True
+        ring = np.flatnonzero(grown[:-1] > mask[:-1])
+        mask = grown
+    ys, xs = np.divmod(np.flatnonzero(mask[:-1]), w)
+    return KeySet(keys.level, h, w, np.stack([xs, ys], axis=1))
 
 
 def gather(dense: DenseTensor, keys: KeySet) -> SparseFeature:

@@ -95,20 +95,6 @@ class ConvWeights:
             self.weights.transpose(2, 3, 1, 0).reshape(-1, self.out_channels))
 
 
-def neighbour_table(index: np.ndarray, ys: np.ndarray, xs: np.ndarray,
-                    zero_row: int) -> np.ndarray:
-    """(N, 9) row indices of the 3x3 neighbours of each (ys, xs) cell.
-
-    `index` is an (H, W) grid holding each cell's row index, or `zero_row`
-    where the cell has no row. Taps run in (ky, kx) row-major order, tap t
-    reading the cell displaced by (t // 3 - 1, t % 3 - 1); a neighbour
-    outside the grid also reads `zero_row`.
-    """
-    padded = np.pad(index, 1, constant_values=zero_row)
-    dy, dx = np.divmod(np.arange(9), 3)
-    return padded[ys[:, None] + dy, xs[:, None] + dx]
-
-
 def conv_rows(rows: np.ndarray, w: ConvWeights, table: np.ndarray) -> np.ndarray:
     """The one convolution kernel: output row n = bias + sum over taps t of
     rows[table[n, t]] times tap t's weights.
@@ -134,13 +120,20 @@ def conv_rows(rows: np.ndarray, w: ConvWeights, table: np.ndarray) -> np.ndarray
 
 
 @lru_cache(maxsize=16)
-def _full_grid_table(height: int, width: int) -> np.ndarray:
-    """The (H * W, 9) neighbour table of an H x W grid in which every cell is
-    a row, built once per grid shape by `neighbour_table` and returned
-    read-only, since every caller shares it."""
-    ys, xs = np.divmod(np.arange(height * width), width)
-    table = neighbour_table(np.arange(height * width).reshape(height, width), ys, xs,
-                            height * width)
+def neighbour_table(height: int, width: int) -> np.ndarray:
+    """The (H * W, 9) 3x3 neighbour table of an H x W grid, the one place the
+    3x3 offsets live: row y * W + x holds the flat cells y' * W + x' of that
+    cell's neighbours, tap t reading the cell displaced by
+    (dy, dx) = (t // 3 - 1, t % 3 - 1), so taps run in (ky, kx) row-major
+    order. A neighbour outside the grid reads H * W. Built once per grid shape
+    and returned read-only, since every caller shares it: `conv2d` reads it
+    as is, and `sparse` remaps its cells to rulebook rows and dilates through
+    it."""
+    off_grid = height * width
+    index = np.pad(np.arange(off_grid).reshape(height, width), 1, constant_values=off_grid)
+    ys, xs = np.divmod(np.arange(off_grid), width)
+    dy, dx = np.divmod(np.arange(9), 3)
+    table = index[ys[:, None] + dy, xs[:, None] + dx]
     table.flags.writeable = False
     return table
 
@@ -150,16 +143,16 @@ def conv2d(inp: DenseTensor, w: ConvWeights) -> DenseTensor:
 
     output[o, y, x] = bias[o] + sum_{c, ky, kx} w[o, c, ky, kx] * padded[c, y+ky-1, x+kx-1]
 
-    Every cell is a row, so this is `conv_rows` over the full-grid neighbour
-    table, which `_full_grid_table` caches per grid shape (read-only). The
-    output is a (C, H, W) view of the GEMM's (H * W, C) rows.
+    Every cell is a row, so this is `conv_rows` over `neighbour_table(H, W)`,
+    cached per grid shape. The output is a (C, H, W) view of the GEMM's
+    (H * W, C) rows.
     """
     if inp.channels != w.in_channels:
         raise ConfigurationError(
             f"input has {inp.channels} channels, weights expect {w.in_channels}"
         )
     _, h, wd = inp.values.shape
-    out = conv_rows(inp.values.transpose(1, 2, 0), w, _full_grid_table(h, wd))
+    out = conv_rows(inp.values.transpose(1, 2, 0), w, neighbour_table(h, wd))
     return DenseTensor(out.reshape(h, wd, w.out_channels).transpose(2, 0, 1))
 
 

@@ -18,6 +18,7 @@ from cascadequery import (
     run_pipeline,
 )
 from cascadequery.model import RECEPTIVE_FIELD, TOWER_DEPTH
+from cascadequery import query
 from cascadequery.query import STRATEGIES, _schedule
 from cascadequery.sparse import KeySet, SparseFeature, build_rulebook, dilate
 from cascadequery.tensor import DenseTensor, conv2d
@@ -270,6 +271,22 @@ def test_schedule_narrows_by_one_cell_per_conv(seed, h, w, density):
         assert rb.num_entries == int((rows * cols).sum())
     csq = _schedule(keys, 0)
     assert all(rb is csq[0] for rb in csq) and csq[0].inputs is csq[0].keys is keys
+
+
+def test_schedule_builds_each_rulebook_it_returns_once(monkeypatch):
+    built = []
+
+    def build(*args):
+        built.append(build_rulebook(*args))
+        return built[-1]
+
+    monkeypatch.setattr(query, "build_rulebook", build)
+    keys = KeySet(3, 9, 9, [(4, 4), (0, 8)])
+    for radius in (0, 2, RECEPTIVE_FIELD // 2):
+        built.clear()
+        books = _schedule(keys, radius)
+        assert len(built) == radius + (radius <= TOWER_DEPTH)
+        assert {id(rb) for rb in books} == {id(rb) for rb in built}
 
 
 def test_cq_matches_dense_at_every_key_border_keys_included():

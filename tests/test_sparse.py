@@ -103,6 +103,11 @@ def test_dilate_rejects_a_negative_radius():
         dilate(keyset([(1, 1)]), -1)
 
 
+def test_dilate_by_a_huge_radius_fills_the_grid_in_bounded_steps():
+    keys = KeySet(1, 3, 4, [(0, 0)])
+    assert dilate(keys, 10**9) == KeySet.full(1, 3, 4)
+
+
 def test_rows_of_finds_each_key_in_a_superset():
     big = KeySet.full(3, 4, 5)
     sub = keyset([(4, 3), (0, 0), (2, 1)], h=4, w=5)
@@ -169,6 +174,31 @@ def test_rulebook_reads_an_input_set_apart_from_its_output_set():
         build_rulebook(keyset([(1, 1)]), keyset([(1, 1)], h=9))
 
 
+def rulebook_oracle(keys, inputs):
+    """Row of the input at each tap of each output key, taps in (ky, kx)
+    order, or len(inputs) where the neighbour is off the grid or no input."""
+    row = {p: n for n, p in enumerate(inputs.as_tuples())}
+    return [[row.get((x + kx - 1, y + ky - 1), len(inputs))
+             for ky in range(3) for kx in range(3)] for x, y in keys.as_tuples()]
+
+
+# 1x1, 1xN, Nx1 and N x M grids, drawn about equally often
+GRIDS = st.one_of(st.just((1, 1)), st.tuples(st.just(1), st.integers(2, 9)),
+                  st.tuples(st.integers(2, 9), st.just(1)),
+                  st.tuples(st.integers(2, 9), st.integers(2, 9)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid=GRIDS, data=st.data())
+def test_rulebook_matches_a_per_tap_lookup_on_random_grids(grid, data):
+    h, w = grid
+    cells = st.lists(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)), max_size=20)
+    keys, inputs = (KeySet(2, h, w, data.draw(cells)) for _ in range(2))
+    rb = build_rulebook(keys, inputs)
+    assert rb.table.tolist() == rulebook_oracle(keys, inputs)
+    assert rb.num_entries == sum(n < len(inputs) for r in rb.table.tolist() for n in r)
+
+
 # --- gather ---------------------------------------------------------------------
 
 def test_gather_scatter_roundtrip():
@@ -215,7 +245,7 @@ def test_sparse_conv_full_grid_equals_dense_conv():
     # every position active they agree to the bit, at the head's tower and
     # predictor shapes too; each shape runs twice, so conv2d's table is
     # checked both freshly built and taken from its per-shape cache
-    tensor._full_grid_table.cache_clear()
+    tensor.neighbour_table.cache_clear()
     rng = np.random.default_rng(2)
     for in_c, out_c, h, w in [(4, 3, 7, 9), (16, 16, 12, 10), (16, 5, 1, 6),
                               (64, 64, 9, 11), (64, 1, 8, 8), (4, 3, 1, 1), (4, 3, 7, 1)]:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascadequery import ConfigurationError, FormatError, ValidationError, tensor
+from cascadequery.sparse import KeySet, build_rulebook, dilate
 from cascadequery.tensor import (
     ConvWeights,
     DenseTensor,
@@ -127,28 +128,26 @@ def test_chained_conv2d_and_relu_match_loop_oracle():
     np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
 
 
-def test_conv2d_builds_each_grid_shape_table_once(monkeypatch):
-    calls = []
-    build = tensor.neighbour_table
-
-    def counting(*args):
-        calls.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(tensor, "neighbour_table", counting)
-    tensor._full_grid_table.cache_clear()
+def test_conv2d_builds_each_grid_shape_table_once():
+    # conv2d, build_rulebook and dilate all read the one cached table, so a
+    # grid shape costs one build however many of them run on it
+    tensor.neighbour_table.cache_clear()
     rng = np.random.default_rng(6)
     x, ww, b = random_case(rng, 2, 3, 6, 5)
     first = conv2d(DenseTensor(x), ConvWeights(ww, b)).values
     second = conv2d(DenseTensor(x), ConvWeights(ww, b)).values
-    assert len(calls) == 1
+    keys = KeySet(2, 6, 5, [(1, 2), (4, 5)])
+    build_rulebook(dilate(keys, 2), keys)
+    assert tensor.neighbour_table.cache_info().misses == 1
     np.testing.assert_array_equal(first, second)
+    conv2d(DenseTensor(x[:, :4]), ConvWeights(ww, b))
+    assert tensor.neighbour_table.cache_info().misses == 2
 
 
 def test_cached_conv2d_table_is_read_only():
     conv2d(DenseTensor(np.zeros((1, 4, 3), dtype=np.float32)),
            ConvWeights(np.zeros((1, 1, 3, 3), dtype=np.float32), np.zeros(1, dtype=np.float32)))
-    table = tensor._full_grid_table(4, 3)
+    table = tensor.neighbour_table(4, 3)
     assert table.shape == (12, 9)
     with pytest.raises(ValueError):
         table[0, 0] = 0
