@@ -5,8 +5,12 @@ pipeline, report + detections JSON), verify (oracle equivalence checks over a
 fixture directory), bench (threshold sweep timing), flops (analytic cost
 breakdown), targets-check (query-target maps from a ground-truth file).
 
-Option precedence is CLI flag > JSON config file (--config) > built-in default;
-unknown config keys are rejected.
+Every option is declared once, in OPTIONS: its type, default, bound and help
+text. `main` resolves each option once, CLI flag > JSON config file (--config)
+> default, and checks its type and bound before any subcommand reads or writes
+a file; a bad value exits 2 naming the flag. A config file may set any
+option, whether the subcommand reads it or not, and its values are checked
+either way; unknown config keys are rejected.
 """
 
 from __future__ import annotations
@@ -37,28 +41,39 @@ WEIGHTS_FILE = "weights.qdwts"
 GROUND_TRUTH_FILE = "ground_truth.json"
 CHECKSUMS_FILE = "checksums.json"
 
-DEFAULTS = {
-    "seed": 0,
-    "image_size": 512,
-    "channels": 16,
-    "anchors": 1,
-    "classes": 4,
-    "min_level": 2,
-    "max_level": 7,
-    "start_level": 4,
-    "strategy": "csq",
-    "sigma": 0.15,
-    "repeats": 5,
-    "warmup": 2,
-    "blobs": 3,
-    "base": 4.0,
-    "score_threshold": 0.05,
-    "iou_threshold": 0.5,
-    "top_k": 100,
+# name: (type, default, bound, help). A default of None means required or
+# unset. A number's bound is an interval, a string's the values it may take;
+# sigma and the level order are QueryConfig's to check.
+OPTIONS = {
+    "pyramid": (str, None, None, "QDPYR1 pyramid file"),
+    "weights": (str, None, None, "QDWTS1 head weights file"),
+    "out": (str, None, None, "output file or directory"),
+    "gt": (str, None, None, "ground-truth JSON file"),
+    "fixture": (str, None, None, "fixture directory from gen-fixture"),
+    "seed": (int, 0, "[0, inf)", "fixture seed"),
+    "image_size": (int, 512, "[1, inf)", "square image side in pixels"),
+    "channels": (int, 16, "[1, inf)", "feature channels per level"),
+    "anchors": (int, 1, "[1, inf)", "anchors per grid cell"),
+    "classes": (int, 4, "[1, inf)", "object classes"),
+    "min_level": (int, 2, "[0, inf)", "finest pyramid level"),
+    "max_level": (int, 7, "[0, inf)", "coarsest pyramid level"),
+    "start_level": (int, 4, "[0, inf)", "finest level the head runs densely"),
+    "strategy": (str, "csq", STRATEGIES, "how the cascade computes query children"),
+    "sigma": (float, 0.15, None, "query score threshold"),
+    "repeats": (int, 5, "[5, inf)", "timed rounds"),
+    "warmup": (int, 2, "[2, inf)", "untimed rounds before the timed ones"),
+    "blobs": (int, 3, "[0, inf)", "number of random planted objects"),
+    "blob": (list, None, None, "explicit object 'cx,cy,w,h[,class[,amplitude]]'"),
+    "base": (float, 4.0, "(0, inf)", "anchor base scale"),
+    "score_threshold": (float, 0.05, "[0, 1]", "least detection score"),
+    "iou_threshold": (float, 0.5, "[0, 1]", "NMS overlap threshold"),
+    "top_k": (int, 100, "[0, inf)", "most detections kept"),
 }
-PATH_KEYS = {"pyramid", "weights", "out", "gt", "fixture"}
-LIST_KEYS = {"blob"}
-ALLOWED_CONFIG_KEYS = set(DEFAULTS) | PATH_KEYS | LIST_KEYS
+POSTPROC_KEYS = ("score_threshold", "iou_threshold", "top_k")
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _load_config(path: str) -> dict:
@@ -69,76 +84,53 @@ def _load_config(path: str) -> dict:
         raise ConfigurationError(f"config file {path} is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - ALLOWED_CONFIG_KEYS)
+    unknown = sorted(set(data) - set(OPTIONS))
     if unknown:
         raise ConfigurationError(f"config file {path} has unknown keys: {unknown}")
     return data
 
 
-def _coerce(key: str, value):
-    if key in PATH_KEYS:
-        if not isinstance(value, str):
-            raise ConfigurationError(f"option {key!r} must be a path string")
-        return value
-    if key in LIST_KEYS:
-        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-            raise ConfigurationError(f"option {key!r} must be a list of strings")
-        return value
-    default = DEFAULTS[key]
-    if isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(f"option {key!r} must be a number, got {value!r}")
-        return float(value)
-    if isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigurationError(f"option {key!r} must be an integer, got {value!r}")
-        return value
-    if not isinstance(value, str):
-        raise ConfigurationError(f"option {key!r} must be a string, got {value!r}")
+def _config_value(name: str, kind: type, value):
+    """A config file's value for `name`, which must have the option's type (an
+    integer stands for a float)."""
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind or (kind is list and not all(type(v) is str for v in value)):
+        what = "a list of strings" if kind is list else kind.__name__
+        raise ConfigurationError(f"config key {name!r} must be {what}, got {value!r}")
     return value
 
 
-class Options:
-    """Merged view of CLI flags, config file, and defaults."""
+def _check_bound(name: str, value, bound) -> None:
+    if isinstance(bound, tuple):
+        ok = value in bound
+    else:  # an interval such as "[0, 1]" or "(0, inf)"; NaN lies in none
+        lo, hi = (float(end) for end in bound[1:-1].split(","))
+        ok = ((lo < value if bound[0] == "(" else lo <= value)
+              and (value < hi if bound[-1] == ")" else value <= hi))
+    if not ok:
+        raise ConfigurationError(f"{_flag(name)} must lie in {bound}, got {value!r}")
 
-    def __init__(self, args: argparse.Namespace):
-        self._cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-        self._args = args
 
-    def get(self, key: str):
-        v = getattr(self._args, key, None)
-        if v is not None:
-            return v
-        if key in self._cfg:
-            return _coerce(key, self._cfg[key])
-        if key in DEFAULTS:
-            return DEFAULTS[key]
-        return None
+def resolve_options(args: argparse.Namespace, required: list[str]) -> dict:
+    """Every option's value, CLI flag > config file > default, each checked
+    against OPTIONS; `required` names the options that may not stay None."""
+    cfg = _load_config(args.config) if args.config else {}
+    opts = {}
+    for name, (kind, default, bound, _) in OPTIONS.items():
+        value = getattr(args, name, None)
+        if value is None:
+            value = _config_value(name, kind, cfg[name]) if name in cfg else default
+        if value is None and name in required:
+            raise ConfigurationError(f"missing required option {_flag(name)}")
+        if value is not None and bound is not None:
+            _check_bound(name, value, bound)
+        opts[name] = value
+    return opts
 
-    def require(self, key: str):
-        v = self.get(key)
-        if v is None:
-            raise ConfigurationError(f"missing required option --{key.replace('_', '-')}")
-        return v
 
-    def query_config(self) -> QueryConfig:
-        return QueryConfig(
-            strategy=self.get("strategy"),
-            sigma=self.get("sigma"),
-            start_level=self.get("start_level"),
-            min_level=self.get("min_level"),
-        )
-
-    def postproc_options(self) -> dict:
-        """Validated keyword arguments for detections_from_result."""
-        kw = {key: self.get(key) for key in ("iou_threshold", "score_threshold", "top_k")}
-        for key in ("iou_threshold", "score_threshold"):
-            if not 0.0 <= kw[key] <= 1.0:
-                raise ConfigurationError(f"--{key.replace('_', '-')} must lie in [0, 1], "
-                                         f"got {kw[key]}")
-        if kw["top_k"] < 0:
-            raise ConfigurationError(f"--top-k must be non-negative, got {kw['top_k']}")
-        return kw
+def _query_config(opts: dict) -> QueryConfig:
+    return QueryConfig(**{k: opts[k] for k in ("strategy", "sigma", "start_level", "min_level")})
 
 
 def _write_json(path: str, obj) -> None:
@@ -201,16 +193,14 @@ def make_fixture(seed: int, image_size: int, channels: int, anchors: int, classe
     return pyr, weights, blobs
 
 
-def cmd_gen_fixture(opts: Options) -> int:
-    out_dir = opts.require("out")
-    image_size = opts.get("image_size")
-    explicit = None
-    if opts.get("blob"):
-        explicit = [_parse_blob(b, image_size) for b in opts.get("blob")]
+def cmd_gen_fixture(opts: dict) -> int:
+    out_dir = opts["out"]
+    image_size = opts["image_size"]
+    explicit = [_parse_blob(b, image_size) for b in opts["blob"]] if opts["blob"] else None
     pyr, weights, blobs = make_fixture(
-        opts.get("seed"), image_size, opts.get("channels"), opts.get("anchors"),
-        opts.get("classes"), opts.get("min_level"), opts.get("max_level"),
-        opts.get("blobs"), explicit)
+        opts["seed"], image_size, opts["channels"], opts["anchors"],
+        opts["classes"], opts["min_level"], opts["max_level"],
+        opts["blobs"], explicit)
     gt = GroundTruthSet(image_size, image_size, [
         GroundTruthObject(b.cx, b.cy, b.width, b.height, b.class_id) for b in blobs
     ])
@@ -223,19 +213,19 @@ def cmd_gen_fixture(opts: Options) -> int:
         for name in (PYRAMID_FILE, WEIGHTS_FILE, GROUND_TRUTH_FILE)
     }
     _write_json(os.path.join(out_dir, CHECKSUMS_FILE), {"schema": "qd/1", "files": sums})
-    print(f"fixture written to {out_dir} ({len(blobs)} objects, seed {opts.get('seed')})")
+    print(f"fixture written to {out_dir} ({len(blobs)} objects, seed {opts['seed']})")
     return 0
 
 
 # --- run ---------------------------------------------------------------------
 
-def cmd_run(opts: Options) -> int:
-    post = opts.postproc_options()
-    pyr = load_pyramid(opts.require("pyramid"))
-    weights = load_weights(opts.require("weights"))
-    out_dir = opts.require("out")
-    result = run_pipeline(pyr, weights, opts.query_config())
-    anchor_cfg = AnchorConfig(base=opts.get("base"), num_anchors=weights.num_anchors)
+def cmd_run(opts: dict) -> int:
+    cfg, post = _query_config(opts), {k: opts[k] for k in POSTPROC_KEYS}
+    pyr = load_pyramid(opts["pyramid"])
+    weights = load_weights(opts["weights"])
+    out_dir = opts["out"]
+    result = run_pipeline(pyr, weights, cfg)
+    anchor_cfg = AnchorConfig(base=opts["base"], num_anchors=weights.num_anchors)
     t0 = time.perf_counter()
     dets = detections_from_result(result, anchor_cfg, weights.num_classes, **post)
     postproc_millis = (time.perf_counter() - t0) * 1000.0
@@ -381,9 +371,9 @@ def _check_flops_identity(pyr, weights) -> str:
             f"costs one shared rulebook; isolated key is dense/9")
 
 
-def cmd_verify(opts: Options) -> int:
-    fdir = opts.require("fixture")
-    post = opts.postproc_options()
+def cmd_verify(opts: dict) -> int:
+    fdir, base, cfg = opts["fixture"], opts["base"], _query_config(opts)
+    post = {k: opts[k] for k in POSTPROC_KEYS}
     warnings = []
     sums_path = os.path.join(fdir, CHECKSUMS_FILE)
     if os.path.exists(sums_path):
@@ -417,7 +407,6 @@ def cmd_verify(opts: Options) -> int:
             checks.append({"name": name, "passed": False,
                            "detail": f"{type(e).__name__}: {e}"})
 
-    cfg, base = opts.query_config(), opts.get("base")
     try:  # one dense reference for the three strategy checks
         dense = run_pipeline(pyr, weights, dataclasses.replace(cfg, strategy="dense"))
     except Exception as e:  # each of those checks then fails with this error
@@ -437,7 +426,7 @@ def cmd_verify(opts: Options) -> int:
         "warnings": warnings,
         "passed": all(c["passed"] for c in checks),
     }
-    out = opts.get("out")
+    out = opts["out"]
     if out:
         os.makedirs(out, exist_ok=True)
         _write_json(os.path.join(out, "verify.json"), verdict)
@@ -447,19 +436,18 @@ def cmd_verify(opts: Options) -> int:
 
 # --- bench / flops -----------------------------------------------------------
 
-def cmd_bench(opts: Options) -> int:
-    pyr = load_pyramid(opts.require("pyramid"))
-    weights = load_weights(opts.require("weights"))
-    out_dir = opts.require("out")
-    repeats, warmup = opts.get("repeats"), opts.get("warmup")
-    base_cfg = opts.query_config()
+def cmd_bench(opts: dict) -> int:
+    base_cfg = _query_config(opts)
     dense_cfg = QueryConfig(strategy="dense", start_level=base_cfg.start_level,
                             min_level=base_cfg.min_level)
     # One call, so the baseline and the sweep share every timing round.
     configs = [dense_cfg] + [dataclasses.replace(base_cfg, sigma=s)
                              for s in analysis.sweep_sigmas()]
-    results = analysis.run_benchmark(pyr, weights, configs, repeats=repeats,
-                                     warmup=warmup)
+    pyr = load_pyramid(opts["pyramid"])
+    weights = load_weights(opts["weights"])
+    out_dir = opts["out"]
+    results = analysis.run_benchmark(pyr, weights, configs, repeats=opts["repeats"],
+                                     warmup=opts["warmup"])
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "bench.csv"), "w", encoding="utf-8") as f:
         f.write(analysis.bench_csv(results))
@@ -472,16 +460,16 @@ def cmd_bench(opts: Options) -> int:
     return 0
 
 
-def cmd_flops(opts: Options) -> int:
-    size = opts.get("image_size")
-    levels = list(range(opts.get("min_level"), opts.get("max_level") + 1))
-    payload = analysis.flops_report(size, size, levels, opts.get("channels"),
-                                    opts.get("anchors"), opts.get("classes"))
+def cmd_flops(opts: dict) -> int:
+    size = opts["image_size"]
+    levels = list(range(opts["min_level"], opts["max_level"] + 1))
+    payload = analysis.flops_report(size, size, levels, opts["channels"],
+                                    opts["anchors"], opts["classes"])
     payload["image"] = [size, size]
     if min(levels) <= 2 and max(levels) >= 7:
         payload["p2_cost_increase"] = analysis.p2_cost_increase(
-            size, size, opts.get("channels"), opts.get("anchors"), opts.get("classes"))
-    out = opts.get("out")
+            size, size, opts["channels"], opts["anchors"], opts["classes"])
+    out = opts["out"]
     if out:
         _write_json(out, payload)
         print(f"flops report -> {out}")
@@ -490,16 +478,13 @@ def cmd_flops(opts: Options) -> int:
     return 0
 
 
-def cmd_targets_check(opts: Options) -> int:
-    gt_path = opts.require("gt")
-    out_dir = opts.require("out")
-    size = opts.get("image_size")
-    base = opts.get("base")
-    with open(gt_path, "r", encoding="utf-8") as f:
+def cmd_targets_check(opts: dict) -> int:
+    out_dir, size, base = opts["out"], opts["image_size"], opts["base"]
+    with open(opts["gt"], "r", encoding="utf-8") as f:
         gt = GroundTruthSet.from_json(json.load(f), size, size)
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    for level in range(opts.get("min_level"), opts.get("max_level") + 1):
+    for level in range(opts["min_level"], opts["max_level"] + 1):
         h, w = level_dims(size, size, level)
         vmap = query_target_for_level(gt, level, h, w, base)
         name = f"v_star_l{level}.qdt"
@@ -515,35 +500,22 @@ def cmd_targets_check(opts: Options) -> int:
 
 # --- argument plumbing -------------------------------------------------------
 
-def _add(p: argparse.ArgumentParser, *names: str) -> None:
-    spec = {
-        "pyramid": dict(type=str, help="QDPYR1 pyramid file"),
-        "weights": dict(type=str, help="QDWTS1 head weights file"),
-        "out": dict(type=str, help="output file or directory"),
-        "gt": dict(type=str, help="ground-truth JSON file"),
-        "fixture": dict(type=str, help="fixture directory from gen-fixture"),
-        "config": dict(type=str, help="JSON config file (flags override it)"),
-        "seed": dict(type=int),
-        "image_size": dict(type=int, help="square image side in pixels"),
-        "channels": dict(type=int),
-        "anchors": dict(type=int),
-        "classes": dict(type=int),
-        "min_level": dict(type=int),
-        "max_level": dict(type=int),
-        "start_level": dict(type=int),
-        "strategy": dict(type=str, choices=STRATEGIES),
-        "sigma": dict(type=float),
-        "repeats": dict(type=int),
-        "warmup": dict(type=int),
-        "blobs": dict(type=int, help="number of random planted objects"),
-        "blob": dict(type=str, action="append", help="explicit object 'cx,cy,w,h[,class[,amplitude]]'"),
-        "base": dict(type=float, help="anchor base scale"),
-        "score_threshold": dict(type=float),
-        "iou_threshold": dict(type=float),
-        "top_k": dict(type=int),
-    }
-    for n in names:
-        p.add_argument(f"--{n.replace('_', '-')}", default=None, **spec[n])
+# subcommand: (handler, help, required options, other options); every
+# subcommand also takes --config
+COMMANDS = {
+    "gen-fixture": (cmd_gen_fixture, "write a seeded pyramid/weights/ground-truth set", "out",
+                    "seed image_size channels anchors classes min_level max_level blobs blob"),
+    "run": (cmd_run, "run one strategy and write report + detections", "pyramid weights out",
+            "strategy sigma start_level min_level base score_threshold iou_threshold top_k"),
+    "verify": (cmd_verify, "oracle equivalence checks over a fixture", "fixture",
+               "out sigma start_level min_level base score_threshold iou_threshold top_k"),
+    "bench": (cmd_bench, "timing sweep across thresholds", "pyramid weights out",
+              "strategy repeats warmup start_level min_level"),
+    "flops": (cmd_flops, "analytic per-level cost breakdown", "",
+              "image_size channels anchors classes min_level max_level out"),
+    "targets-check": (cmd_targets_check, "emit per-level query-target maps", "gt out",
+                      "image_size base min_level max_level"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -552,48 +524,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sparse query cascade over feature pyramids: fixtures, "
                     "pipelines, verification, and cost analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-fixture", help="write a seeded pyramid/weights/ground-truth set")
-    _add(p, "out", "seed", "image_size", "channels", "anchors", "classes",
-         "min_level", "max_level", "blobs", "blob", "config")
-
-    p = sub.add_parser("run", help="run one strategy and write report + detections")
-    _add(p, "pyramid", "weights", "out", "strategy", "sigma", "start_level",
-         "min_level", "base", "score_threshold", "iou_threshold", "top_k", "config")
-
-    p = sub.add_parser("verify", help="oracle equivalence checks over a fixture")
-    _add(p, "fixture", "out", "sigma", "start_level", "min_level", "base",
-         "score_threshold", "iou_threshold", "top_k", "config")
-
-    p = sub.add_parser("bench", help="timing sweep across thresholds")
-    _add(p, "pyramid", "weights", "out", "strategy", "repeats", "warmup",
-         "start_level", "min_level", "config")
-
-    p = sub.add_parser("flops", help="analytic per-level cost breakdown")
-    _add(p, "image_size", "channels", "anchors", "classes", "min_level",
-         "max_level", "out", "config")
-
-    p = sub.add_parser("targets-check", help="emit per-level query-target maps")
-    _add(p, "gt", "out", "image_size", "base", "min_level", "max_level", "config")
-
+    for command, (_, text, required, other) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name in (required + " " + other).split():
+            kind, _, bound, help_text = OPTIONS[name]
+            p.add_argument(_flag(name), type=str if kind is list else kind,
+                           action="append" if kind is list else "store",
+                           choices=bound if kind is str else None, help=help_text)
+        p.add_argument("--config", help="JSON config file (flags override it)")
     return parser
-
-
-COMMANDS = {
-    "gen-fixture": cmd_gen_fixture,
-    "run": cmd_run,
-    "verify": cmd_verify,
-    "bench": cmd_bench,
-    "flops": cmd_flops,
-    "targets-check": cmd_targets_check,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler, _, required, _ = COMMANDS[args.command]
     try:
-        opts = Options(args)
-        return COMMANDS[args.command](opts)
+        return handler(resolve_options(args, required.split()))
     except ConfigurationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConfigurationError, ValidationError
 from .model import HeadOutput
 from .tensor import sigmoid_array
 
@@ -27,9 +27,9 @@ class AnchorConfig:
 
     def __post_init__(self):
         if self.base <= 0:
-            raise ValidationError(f"anchor base must be positive, got {self.base}")
+            raise ConfigurationError(f"anchor base must be positive, got {self.base}")
         if self.num_anchors < 1:
-            raise ValidationError(f"need at least one anchor, got {self.num_anchors}")
+            raise ConfigurationError(f"need at least one anchor, got {self.num_anchors}")
 
 
 def anchor_boxes(xs, ys, slots, level: int, cfg: AnchorConfig) -> np.ndarray:

@@ -135,19 +135,12 @@ class TargetMaps:
 class LossConfig:
     alpha: float = 0.25
     gamma: float = 2.0
-    base: float = 4.0
-    betas: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ConfigurationError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.gamma < 0:
             raise ConfigurationError(f"gamma must be >= 0, got {self.gamma}")
-        if self.base <= 0:
-            raise ConfigurationError(f"base must be positive, got {self.base}")
-        for l, b in self.betas.items():
-            if b <= 0:
-                raise ConfigurationError(f"beta for level {l} must be positive, got {b}")
 
 
 def _as_f64(x) -> np.ndarray:

@@ -153,7 +153,7 @@ def _must_not_load(path):
 
 BAD_POSTPROC = [("--iou-threshold", "2"), ("--iou-threshold", "nan"),
                 ("--score-threshold", "-0.1"), ("--score-threshold", "1.5"),
-                ("--top-k", "-1")]
+                ("--top-k", "-1"), ("--base", "-1"), ("--base", "0")]
 
 
 @pytest.mark.parametrize("flag,value", BAD_POSTPROC)
@@ -174,6 +174,25 @@ def test_bad_postproc_option_fails_verify_before_any_work(small_fixture, tmp_pat
     assert main(["verify", "--fixture", str(small_fixture), "--out", str(out),
                  flag, value]) == 2
     assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("gen-fixture", "--seed", "-1"), ("gen-fixture", "--blobs", "-3"),
+    ("flops", "--channels", "-1"), ("targets-check", "--base", "-1"),
+    ("bench", "--warmup", "1"),
+])
+def test_bad_option_fails_before_any_file_is_touched(small_fixture, tmp_path, command, flag,
+                                                     value, capsys, monkeypatch):
+    monkeypatch.setattr(cli_mod, "load_pyramid", _must_not_load)
+    out = tmp_path / "out"
+    inputs = {  # a ground-truth file that is not there: reading it would exit 1
+        "targets-check": ["--gt", str(tmp_path / "missing.json")],
+        "bench": ["--pyramid", str(small_fixture / PYRAMID_FILE),
+                  "--weights", str(small_fixture / WEIGHTS_FILE)],
+    }
+    assert main([command, "--out", str(out), *inputs.get(command, []), flag, value]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag} ")
     assert not out.exists()
 
 
@@ -296,7 +315,9 @@ def test_removed_cq_patch_flag_is_rejected_at_parse_time(small_fixture, tmp_path
         main(run_args(small_fixture, tmp_path, "--strategy", "cq", "--cq-patch", "13"))
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", "{not json", '{"sigma": "high"}'])
+# run never reads repeats, but a config value of the wrong type fails all the same
+@pytest.mark.parametrize("text", ["[1, 2]", "{not json", '{"sigma": "high"}',
+                                  '{"repeats": "x"}'])
 def test_malformed_config_is_rejected(small_fixture, tmp_path, text, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)

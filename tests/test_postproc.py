@@ -12,6 +12,7 @@ from cascadequery import postproc
 from cascadequery import (
     AnchorConfig,
     Candidates,
+    ConfigurationError,
     Detection,
     QueryConfig,
     ValidationError,
@@ -53,6 +54,13 @@ def test_anchor_slots_grow_by_cuberoot_of_two():
     b = anchor_boxes([0, 0, 0], [0, 0, 0], [0, 1, 2], level=3, cfg=cfg3)
     sides = b[:, 2] - b[:, 0]
     np.testing.assert_allclose(sides, [32.0, 32.0 * 2 ** (1 / 3), 32.0 * 2 ** (2 / 3)])
+
+
+@pytest.mark.parametrize("kw", [{"base": 0.0}, {"base": -4.0}, {"num_anchors": 0}])
+def test_anchor_config_rejects_bad_settings_as_configuration_errors(kw):
+    # targets.level_scale raises the same type for the same base
+    with pytest.raises(ConfigurationError):
+        AnchorConfig(**kw)
 
 
 def test_decode_zero_deltas_returns_anchor():
