@@ -21,6 +21,7 @@ from cascadequery import (
     level_dims,
     p2_cost_increase,
 )
+from cascadequery.model import TOWER_DEPTH
 
 C, A, K = 256, 1, 4  # production-scale head width
 
@@ -38,10 +39,11 @@ def main():
         h, w = level_dims(512, 512, level)
         keys = h * w // 100
         dense = head_flops_dense(h, w, C, A, K)
-        worst = head_flops_sparse(9 * keys, C, A, K)   # fully surrounded keys
+        # one rulebook per level, shared by every conv of the head
+        worst = head_flops_sparse([9 * keys] * (TOWER_DEPTH + 1), C, A, K)  # fully surrounded
         flat = rng.choice(h * w, size=keys, replace=False)   # scattered keys
         rb = build_rulebook(KeySet(level, h, w, np.stack([flat % w, flat // w], axis=1)))
-        real = head_flops_sparse(rb.num_entries, C, A, K)
+        real = head_flops_sparse([rb.num_entries] * (TOWER_DEPTH + 1), C, A, K)
         total_dense, total_worst, total_real = (
             total_dense + dense, total_worst + worst, total_real + real)
         print(f"  P{level} ({h}x{w}): {keys} keys -> worst {worst / dense:.4%}, "

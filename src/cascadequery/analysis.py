@@ -1,9 +1,12 @@
 """Analytic cost model (multiply-accumulates) and a wall-clock benchmark harness.
 
-MACs are the cost unit; bias additions are counted separately. The dense model
+MACs are the cost unit; bias additions are not counted. The dense model
 charges every output position the full 3x3 window (zero-padding taps included,
-matching the usual conv-FLOPs convention); the sparse model charges only
-rulebook entries, i.e. (output, offset) pairs whose neighbor is an active key.
+matching the usual conv-FLOPs convention); the sparse model charges each conv
+only its own rulebook's entries, i.e. (output, offset) pairs whose neighbor is
+in the conv's input set, so it takes one entry count per conv of a branch.
+`query.run_pipeline` charges every level once, where it runs it, with both
+its MACs and the dense model's charge for its grid (its dense-equivalent cost).
 """
 
 from __future__ import annotations
@@ -48,20 +51,17 @@ def head_flops_dense(height: int, width: int, channels: int, num_anchors: int,
 def head_flops_sparse(rulebook_entries, channels: int, num_anchors: int,
                       num_classes: int) -> int:
     """Sparse head cost: every conv (towers and predictors alike) pays
-    C_in * C_out work per entry of its rulebook. `rulebook_entries` is either
-    one count, for a rulebook shared by every conv, or one count per conv of a
-    branch (the TOWER_DEPTH tower convs, then the predictor), for a schedule
-    of rulebooks shared by the three branches. Isolated keys fire only their
-    center offset, giving the 1/9-per-key floor. Bias adds are not MACs, so
-    the key count does not enter."""
-    pred = _pred_channels(num_anchors, num_classes)
-    if np.ndim(rulebook_entries) == 0:
-        return int(rulebook_entries) * channels * (_TOWERS * TOWER_DEPTH * channels + pred)
+    C_in * C_out work per entry of its rulebook. `rulebook_entries` holds one
+    count per conv of a branch (the TOWER_DEPTH tower convs, then the
+    predictor); the three branches share that schedule of rulebooks. Isolated
+    keys fire only their center offset, giving the 1/9-per-key floor. Bias
+    adds are not MACs, so the key count does not enter."""
     if len(rulebook_entries) != TOWER_DEPTH + 1:
         raise ConfigurationError(f"{len(rulebook_entries)} per-conv entry counts, the head "
                                  f"has {TOWER_DEPTH + 1} convs")
     *tower, last = rulebook_entries
-    return channels * (_TOWERS * channels * sum(tower) + pred * last)
+    return channels * (_TOWERS * channels * sum(tower)
+                       + _pred_channels(num_anchors, num_classes) * last)
 
 
 def inbounds_pairs(height: int, width: int) -> int:
@@ -203,11 +203,7 @@ def run_benchmark(pyr, weights, configs, repeats: int = 5, warmup: int = 2) -> l
             repeats=repeats,
             warmup=warmup,
             level_millis={l: statistics.median(v) for l, v in levels.items()},
-            level_keys={
-                r.level: (len(r.computed_keys) if r.computed_keys is not None
-                          else r.height * r.width)
-                for r in res.records
-            },
+            level_keys={r.level: len(r.output.keys) for r in res.records},
             level_flops={r.level: r.flops for r in res.records},
             end_to_end_samples=tuple(samples),
             timer_warning=timer_resolution_warning(samples, resolution),

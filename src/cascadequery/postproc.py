@@ -195,9 +195,9 @@ def nms(candidates: Candidates, iou_threshold: float = 0.5,
     keeps; the walk stops once top_k boxes are kept. Only the kept rows become
     `Detection`s."""
     if not (0.0 <= iou_threshold <= 1.0 and 0.0 <= score_threshold <= 1.0):
-        raise ValidationError("thresholds must lie in [0, 1]")
+        raise ConfigurationError("thresholds must lie in [0, 1]")
     if top_k < 0:
-        raise ValidationError(f"top_k must be non-negative, got {top_k}")
+        raise ConfigurationError(f"top_k must be non-negative, got {top_k}")
     rows = candidates.order()
     rows = rows[candidates.scores[rows] > score_threshold]
     if not len(rows) or top_k == 0:

@@ -25,7 +25,7 @@ skeleton and differ only in how the children's rows are computed:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,8 +149,9 @@ class CascadeResult:
     image_height: int
     image_width: int
     channels: int
-    records: list[LevelRecord] = field(default_factory=list)  # execution order: top level first
-    total_millis: float = 0.0
+    records: list[LevelRecord]  # execution order: top level first
+    total_millis: float
+    dense_equiv_flops: int  # what a fully dense head pass over the same levels costs
 
     def record(self, level: int) -> LevelRecord:
         for r in self.records:
@@ -165,23 +166,6 @@ class CascadeResult:
     @property
     def total_flops(self) -> int:
         return sum(r.flops for r in self.records)
-
-    @property
-    def dense_equiv_flops(self) -> int:
-        """What a fully dense head pass over the same levels would cost."""
-        return sum(
-            analysis.head_flops_dense(r.height, r.width, self.channels,
-                                      self._anchors, self._classes)
-            for r in self.records
-        )
-
-    @property
-    def _anchors(self) -> int:
-        return self.records[0].output.reg_deltas.channels // 4
-
-    @property
-    def _classes(self) -> int:
-        return self.records[0].output.cls_logits.channels // self._anchors
 
     def report(self) -> dict:
         dense_equiv = self.dense_equiv_flops
@@ -207,11 +191,9 @@ class CascadeResult:
 def _check_levels(pyr: FeaturePyramid, cfg: QueryConfig, cascade: bool) -> list[int]:
     if cascade:
         missing = [l for l in range(cfg.min_level, cfg.start_level + 1) if l not in pyr.levels]
-        if cfg.start_level > pyr.max_level:
-            missing.append(cfg.start_level)
         if missing:
             raise ConfigurationError(
-                f"pyramid lacks levels {sorted(set(missing))} required for "
+                f"pyramid lacks levels {missing} required for "
                 f"min_level={cfg.min_level}, start_level={cfg.start_level}"
             )
     levels = [l for l in sorted(pyr.levels, reverse=True) if l >= cfg.min_level]
@@ -287,20 +269,22 @@ def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig) -> Casca
     t_start = time.perf_counter()
     records = []
     queries = None
+    dense_equiv = 0
     for l in levels:
         t0 = time.perf_counter()
         feature = pyr.levels[l]
         child = cascade and l < cfg.start_level
         keys = (map_queries_to_keys(queries, feature.height, feature.width) if child
                 else KeySet.full(l, feature.height, feature.width))
+        dense = analysis.head_flops_dense(feature.height, feature.width, w.channels,
+                                          w.num_anchors, w.num_classes)
+        dense_equiv += dense
         if child and cfg.strategy in _HALO:
             out, entries, flops = _sparse_level(feature, w, keys, _HALO[cfg.strategy])
             mode = "sparse"
         else:
             out = run_dense_head(feature, w, keys)
-            entries, mode = 0, "masked" if child else "dense"
-            flops = analysis.head_flops_dense(feature.height, feature.width, w.channels,
-                                              w.num_anchors, w.num_classes)
+            entries, flops, mode = 0, dense, "masked" if child else "dense"
         queries = None
         if reads_queries and l <= cfg.start_level:
             scores = SparseFeature(keys, sigmoid_array(out.query_logits.features))
@@ -312,4 +296,4 @@ def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig) -> Casca
                                    flops=flops, millis=millis))
     total_millis = (time.perf_counter() - t_start) * 1000.0
     return CascadeResult(cfg.strategy, cfg, pyr.image_height, pyr.image_width,
-                         pyr.channels, records, total_millis)
+                         pyr.channels, records, total_millis, dense_equiv)

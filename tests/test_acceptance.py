@@ -30,6 +30,7 @@ from cascadequery import (
     smooth_l1,
 )
 from cascadequery.analysis import run_benchmark, sigma_sweep
+from cascadequery.model import TOWER_DEPTH
 from cascadequery.postproc import AnchorConfig, detections_from_result, detections_to_json
 from cascadequery.query import map_queries_to_keys
 from cascadequery.tensor import sigmoid_array
@@ -152,8 +153,8 @@ def test_criterion_05_one_percent_active_cuts_fine_level_cost_to_one_percent():
     (h2, w2), (h3, w3) = level_dims(512, 512, 2), level_dims(512, 512, 3)
     k2, k3 = h2 * w2 // 100, h3 * w3 // 100
     # worst case: every key fully surrounded, nine rulebook entries each
-    sparse = (head_flops_sparse(9 * k2, c, 1, 4)
-              + head_flops_sparse(9 * k3, c, 1, 4))
+    sparse = (head_flops_sparse([9 * k2] * (TOWER_DEPTH + 1), c, 1, 4)
+              + head_flops_sparse([9 * k3] * (TOWER_DEPTH + 1), c, 1, 4))
     dense = head_flops_dense(h2, w2, c, 1, 4) + head_flops_dense(h3, w3, c, 1, 4)
     assert sparse <= 0.01 * dense
 
@@ -162,7 +163,7 @@ def test_criterion_05_one_percent_active_cuts_fine_level_cost_to_one_percent():
     flat = rng.choice(h2 * w2, size=k2, replace=False)
     rb = build_rulebook(KeySet(2, h2, w2, np.stack([flat % w2, flat // w2], axis=1)))
     assert rb.num_entries <= 9 * k2
-    real = head_flops_sparse(rb.num_entries, c, 1, 4)
+    real = head_flops_sparse([rb.num_entries] * (TOWER_DEPTH + 1), c, 1, 4)
     assert real <= 0.01 * head_flops_dense(h2, w2, c, 1, 4)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0

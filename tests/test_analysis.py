@@ -30,6 +30,7 @@ from cascadequery.analysis import (
     sweep_sigmas,
     timer_resolution_warning,
 )
+from cascadequery.model import TOWER_DEPTH
 from cascadequery.sparse import KeySet
 
 
@@ -47,28 +48,31 @@ def test_dense_cost_scales_with_area():
         assert head_flops_dense(h, w, 64, 1, 4) == h * w * unit
 
 
+def every_conv(entries):
+    """The per-conv entry counts of one rulebook shared by every conv."""
+    return [entries] * (TOWER_DEPTH + 1)
+
+
 def test_sparse_cost_is_zero_without_entries():
-    assert head_flops_sparse(0, 256, 1, 4) == 0
+    assert head_flops_sparse(every_conv(0), 256, 1, 4) == 0
 
 
 def test_isolated_key_pays_one_ninth_of_a_dense_cell():
     # an isolated key has exactly one rulebook entry: its own center tap
-    assert 9 * head_flops_sparse(1, 32, 1, 4) == head_flops_dense(1, 1, 32, 1, 4)
+    assert 9 * head_flops_sparse(every_conv(1), 32, 1, 4) == head_flops_dense(1, 1, 32, 1, 4)
 
 
 @pytest.mark.parametrize("h,w", [(1, 1), (4, 4), (7, 13), (60, 31), (128, 128)])
 def test_sparse_matches_dense_at_nine_entries_per_cell(h, w):
     # the dense model charges 9 taps per cell (padding included); a sparse run
     # fed the same padded tap count costs exactly the same
-    assert head_flops_sparse(9 * h * w, 16, 1, 4) == head_flops_dense(h, w, 16, 1, 4)
+    assert head_flops_sparse(every_conv(9 * h * w), 16, 1, 4) == \
+        head_flops_dense(h, w, 16, 1, 4)
 
 
 def test_sparse_cost_charges_each_conv_its_own_entries():
-    # a constant schedule costs what one shared rulebook does; otherwise the
-    # three tower convs at layer j pay 16*16 per entry and the predictors
+    # the three tower convs at layer j pay 16*16 per entry and the predictors
     # 16*(4 + 4 + 1)
-    for e in (0, 1, 37):
-        assert head_flops_sparse([e] * 5, 16, 1, 4) == head_flops_sparse(e, 16, 1, 4)
     assert head_flops_sparse([5, 4, 3, 2, 1], 16, 1, 4) == \
         3 * 16 * 16 * (5 + 4 + 3 + 2) + 16 * 9 * 1
     with pytest.raises(ConfigurationError):
@@ -84,7 +88,7 @@ def test_inbounds_pairs_counts_real_rulebook_entries(h, w):
 
 def test_full_coverage_sparse_never_exceeds_dense():
     for h, w in [(1, 1), (3, 3), (10, 20), (128, 128)]:
-        sparse = head_flops_sparse(inbounds_pairs(h, w), 16, 1, 4)
+        sparse = head_flops_sparse(every_conv(inbounds_pairs(h, w)), 16, 1, 4)
         assert sparse <= head_flops_dense(h, w, 16, 1, 4)
 
 
@@ -94,7 +98,7 @@ def test_sparse_entry_bound_property(h, w, c):
     # in-bounds pairs stay below the dense 9-per-cell charge, so full-coverage
     # sparse runs are never billed above dense
     assert inbounds_pairs(h, w) <= 9 * h * w
-    assert head_flops_sparse(inbounds_pairs(h, w), c, 1, 4) \
+    assert head_flops_sparse(every_conv(inbounds_pairs(h, w)), c, 1, 4) \
         <= head_flops_dense(h, w, c, 1, 4)
 
 
@@ -103,7 +107,7 @@ def test_one_percent_active_costs_at_most_one_percent():
     keys = h * w // 100
     worst_entries = 9 * keys  # every key fully surrounded
     dense = head_flops_dense(h, w, 256, 1, 4)
-    assert head_flops_sparse(worst_entries, 256, 1, 4) <= 0.01 * dense
+    assert head_flops_sparse(every_conv(worst_entries), 256, 1, 4) <= 0.01 * dense
 
 
 def test_stride4_level_triples_the_head_cost():

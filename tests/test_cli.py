@@ -177,13 +177,17 @@ def test_bad_postproc_option_fails_verify_before_any_work(small_fixture, tmp_pat
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command,flag,value", [
-    ("gen-fixture", "--seed", "-1"), ("gen-fixture", "--blobs", "-3"),
-    ("flops", "--channels", "-1"), ("targets-check", "--base", "-1"),
-    ("bench", "--warmup", "1"),
-])
-def test_bad_option_fails_before_any_file_is_touched(small_fixture, tmp_path, command, flag,
-                                                     value, capsys, monkeypatch):
+@pytest.mark.parametrize("command,flags", [
+    ("gen-fixture", ("--seed", "-1")), ("gen-fixture", ("--blobs", "-3")),
+    ("flops", ("--channels", "-1")), ("targets-check", ("--base", "-1")),
+    ("bench", ("--warmup", "1")),
+    # an inverted level range, and a level whose grid vanishes at 512 px
+    ("flops", ("--min-level", "5", "--max-level", "3")),
+    ("targets-check", ("--min-level", "5", "--max-level", "3")),
+    ("flops", ("--max-level", "12")), ("targets-check", ("--max-level", "12")),
+], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
+def test_bad_option_fails_before_any_file_is_touched(small_fixture, tmp_path, command, flags,
+                                                     capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "load_pyramid", _must_not_load)
     out = tmp_path / "out"
     inputs = {  # a ground-truth file that is not there: reading it would exit 1
@@ -191,8 +195,8 @@ def test_bad_option_fails_before_any_file_is_touched(small_fixture, tmp_path, co
         "bench": ["--pyramid", str(small_fixture / PYRAMID_FILE),
                   "--weights", str(small_fixture / WEIGHTS_FILE)],
     }
-    assert main([command, "--out", str(out), *inputs.get(command, []), flag, value]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {flag} ")
+    assert main([command, "--out", str(out), *inputs.get(command, []), *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flags[0]} ")
     assert not out.exists()
 
 
@@ -426,8 +430,6 @@ def test_verify_catches_a_schedule_charge_that_skips_the_predictors(small_fixtur
     real = analysis_mod.head_flops_sparse
 
     def no_predictors(entries, *args):
-        if np.ndim(entries) == 0:
-            return real(entries, *args)
         return real([*entries[:-1], 0], *args)
 
     monkeypatch.setattr(analysis_mod, "head_flops_sparse", no_predictors)
@@ -435,7 +437,7 @@ def test_verify_catches_a_schedule_charge_that_skips_the_predictors(small_fixtur
     by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert rc == 1
     assert by_name["flops-identity"]["passed"] is False
-    assert "constant schedule" in by_name["flops-identity"]["detail"]
+    assert "isolated key" in by_name["flops-identity"]["detail"]
 
 
 # --- bench / flops / targets-check -------------------------------------------------

@@ -149,7 +149,7 @@ def test_nms_top_k_truncates_after_suppression():
 
 def test_nms_rejects_a_negative_top_k():
     dets = [det([i * 20.0, 0, i * 20.0 + 5, 5], 0.5 + i * 0.01) for i in range(3)]
-    with pytest.raises(ValidationError):
+    with pytest.raises(ConfigurationError):
         nms(Candidates.of(dets), top_k=-1)
     assert nms(Candidates.of(dets), top_k=0) == []
 
@@ -377,6 +377,16 @@ def test_only_kept_candidates_become_detections(monkeypatch):
     got = detections_from_result(result, CFG, 4, top_k=5)
     assert len(made) <= 5
     assert detections_to_json(got) == want and len(want) == 5
+
+
+@pytest.mark.parametrize("kw", [{"score_threshold": 1.5}, {"iou_threshold": -0.1}])
+def test_detections_reject_a_bad_setting_as_a_configuration_error(kw):
+    # the same kind of fault as a sigma outside [0, 1] in QueryConfig
+    cls = np.zeros((4, 3, 3), dtype=np.float32)
+    result = SimpleNamespace(records=[SimpleNamespace(
+        output=head_output_dense(cls, np.zeros_like(cls), cls[:1]), level=3)])
+    with pytest.raises(ConfigurationError):
+        detections_from_result(result, CFG, 4, **kw)
 
 
 def test_detections_from_result_calls_decode_and_nms_through_the_module(monkeypatch):

@@ -12,7 +12,9 @@ from cascadequery import (
     QueryConfig,
     ValidationError,
     extract_queries,
+    head_flops_dense,
     head_flops_sparse,
+    make_fixture_weights,
     make_synthetic_pyramid,
     map_queries_to_keys,
     run_pipeline,
@@ -242,8 +244,9 @@ def test_cq_is_charged_below_the_full_halo(pyramid, weights):
             full_halo += rec.flops
             continue
         rb = build_rulebook(dilate(rec.computed_keys, RECEPTIVE_FIELD // 2))
-        full_halo += head_flops_sparse(rb.num_entries, weights.channels,
-                                       weights.num_anchors, weights.num_classes)
+        full_halo += head_flops_sparse([rb.num_entries] * (TOWER_DEPTH + 1),
+                                       weights.channels, weights.num_anchors,
+                                       weights.num_classes)
     assert res.total_flops < full_halo
 
 
@@ -333,6 +336,22 @@ def test_sparse_flops_fraction_shrinks_with_sigma(pyramid, weights):
     high = run_pipeline(pyramid, weights, QueryConfig(strategy="csq", sigma=0.9))
     assert high.total_flops <= low.total_flops
     assert high.report()["flops_fraction_of_dense"] < 1.0
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_dense_equiv_flops_is_the_dense_charge_of_every_level(pyramid, strategy):
+    # three anchors and five classes, so that swapping the two changes the
+    # predictors' width (3*5 + 3*4 + 1 = 28 outputs, not 5*3 + 5*4 + 1 = 36)
+    w = make_fixture_weights(2, 16, 3, 5)
+    res = run_pipeline(pyramid, w, QueryConfig(strategy=strategy))
+    if strategy != "dense":  # seed 2 leaves keys on both levels below the start level
+        assert all(r.sparse_rows for r in res.records if r.level < 4)
+    dense = {r.level: head_flops_dense(r.height, r.width, 16, 3, 5) for r in res.records}
+    assert res.dense_equiv_flops == sum(dense.values())
+    assert res.report()["dense_equiv_flops"] == sum(dense.values())
+    for r in res.records:
+        if r.mode != "sparse":
+            assert r.flops == dense[r.level]
 
 
 def test_pipeline_rejects_channel_mismatch(pyramid):
