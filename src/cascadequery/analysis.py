@@ -23,13 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import TOWER_DEPTH, level_dims
+from .model import BRANCHES, TOWER_DEPTH, level_dims, pred_widths
 
-_TOWERS = 3
+_TOWERS = len(BRANCHES)
 
 
 def _pred_channels(num_anchors: int, num_classes: int) -> int:
-    return num_anchors * num_classes + num_anchors * 4 + 1
+    return sum(pred_widths(num_anchors, num_classes))
 
 
 def tower_macs_dense(height: int, width: int, channels: int) -> int:
@@ -43,7 +43,7 @@ def pred_macs_dense(height: int, width: int, channels: int, num_anchors: int,
 
 def head_flops_dense(height: int, width: int, channels: int, num_anchors: int,
                      num_classes: int) -> int:
-    """Full-map head cost: H*W * [3 towers * 4 layers * 9C^2 + 9C*(A*K + 4A + 1)]."""
+    """Full-map head cost: H*W * 9C * [branches * TOWER_DEPTH * C + sum(pred_widths)]."""
     return (tower_macs_dense(height, width, channels)
             + pred_macs_dense(height, width, channels, num_anchors, num_classes))
 
@@ -53,7 +53,7 @@ def head_flops_sparse(rulebook_entries, channels: int, num_anchors: int,
     """Sparse head cost: every conv (towers and predictors alike) pays
     C_in * C_out work per entry of its rulebook. `rulebook_entries` holds one
     count per conv of a branch (the TOWER_DEPTH tower convs, then the
-    predictor); the three branches share that schedule of rulebooks. Isolated
+    predictor); every branch shares that schedule of rulebooks. Isolated
     keys fire only their center offset, giving the 1/9-per-key floor. Bias
     adds are not MACs, so the key count does not enter."""
     if len(rulebook_entries) != TOWER_DEPTH + 1:
@@ -116,6 +116,10 @@ def flops_report(image_h: int, image_w: int, levels, channels: int, num_anchors:
 
 @dataclass(frozen=True)
 class BenchResult:
+    """Timings of one config from `run_benchmark`, which `cascadequery bench`
+    writes. They time `query.run_pipeline` only: box decoding and NMS are left
+    out."""
+
     strategy: str
     sigma: float
     repeats: int

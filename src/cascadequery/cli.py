@@ -27,8 +27,8 @@ import time
 import numpy as np
 
 from . import analysis
-from .errors import CascadeQueryError, ConfigurationError
-from .model import (TOWER_DEPTH, Blob, level_dims, load_pyramid, load_weights,
+from .errors import CascadeQueryError, ConfigurationError, FormatError
+from .model import (TOWER_DEPTH, Blob, HeadOutput, level_dims, load_pyramid, load_weights,
                     make_fixture_weights, make_synthetic_pyramid, save_pyramid, save_weights)
 from .postproc import AnchorConfig, detections_from_result, detections_to_json
 from .query import STRATEGIES, CascadeResult, QueryConfig, run_pipeline
@@ -139,6 +139,15 @@ def _write_json(path: str, obj) -> None:
         f.write("\n")
 
 
+def _read_json(path: str):
+    """A JSON file's contents; text that is not JSON raises FormatError naming the file."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+            raise FormatError(f"{path}: not valid JSON: {e}") from e
+
+
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -149,7 +158,7 @@ def _sha256(path: str) -> str:
 
 # --- gen-fixture -------------------------------------------------------------
 
-def _parse_blob(text: str, image_size: int) -> Blob:
+def _parse_blob(text: str, image_size: int, num_classes: int) -> Blob:
     parts = text.split(",")
     if len(parts) not in (4, 5, 6):
         raise ConfigurationError(
@@ -161,8 +170,15 @@ def _parse_blob(text: str, image_size: int) -> Blob:
         amp = float(parts[5]) if len(parts) > 5 else 8.0
     except ValueError:
         raise ConfigurationError(f"--blob has non-numeric fields: {text!r}") from None
+    if not all(map(math.isfinite, (cx, cy, w, h, amp))):
+        raise ConfigurationError(f"--blob has non-finite fields: {text!r}")
+    if w <= 0 or h <= 0:
+        raise ConfigurationError(f"--blob sides must be positive, got {text!r}")
+    if not 0 <= cls < num_classes:
+        raise ConfigurationError(f"--blob class {cls} lies outside [0, {num_classes}), "
+                                 f"got {text!r}")
     if not (0 <= cx < image_size and 0 <= cy < image_size):
-        raise ConfigurationError(f"blob center ({cx}, {cy}) outside {image_size}px image")
+        raise ConfigurationError(f"--blob center ({cx}, {cy}) outside {image_size}px image")
     return Blob(cx=cx, cy=cy, width=w, height=h, class_id=cls, amplitude=amp)
 
 
@@ -196,7 +212,8 @@ def make_fixture(seed: int, image_size: int, channels: int, anchors: int, classe
 def cmd_gen_fixture(opts: dict) -> int:
     out_dir = opts["out"]
     image_size = opts["image_size"]
-    explicit = [_parse_blob(b, image_size) for b in opts["blob"]] if opts["blob"] else None
+    explicit = ([_parse_blob(b, image_size, opts["classes"]) for b in opts["blob"]]
+                if opts["blob"] else None)
     pyr, weights, blobs = make_fixture(
         opts["seed"], image_size, opts["channels"], opts["anchors"],
         opts["classes"], opts["min_level"], opts["max_level"],
@@ -273,7 +290,7 @@ def _check_against_dense(pyr, weights, dense: CascadeResult | Exception, cfg: Qu
             continue
         want = dense.record(rec.level).output
         at = want.keys.rows_of(keys)
-        for name in ("cls_logits", "reg_deltas", "query_logits"):
+        for name in (f.name for f in dataclasses.fields(HeadOutput)):
             g = getattr(rec.output, name).features
             e = getattr(want, name).features[at]
             if exact and not np.array_equal(g, e):
@@ -372,8 +389,11 @@ def cmd_verify(opts: dict) -> int:
     warnings = []
     sums_path = os.path.join(fdir, CHECKSUMS_FILE)
     if os.path.exists(sums_path):
-        with open(sums_path, "r", encoding="utf-8") as f:
-            recorded = json.load(f).get("files", {})
+        sums = _read_json(sums_path)
+        recorded = sums.get("files", {}) if isinstance(sums, dict) else None
+        if not (isinstance(recorded, dict)
+                and all(isinstance(v, str) for v in recorded.values())):
+            raise FormatError(f"{sums_path}: 'files' must map file names to sha256 strings")
         for name, want in recorded.items():
             path = os.path.join(fdir, name)
             if not os.path.exists(path):
@@ -382,8 +402,9 @@ def cmd_verify(opts: dict) -> int:
                 warnings.append(f"{name}: checksum mismatch (file changed since generation)")
     pyr = load_pyramid(os.path.join(fdir, PYRAMID_FILE))
     weights = load_weights(os.path.join(fdir, WEIGHTS_FILE))
-    with open(os.path.join(fdir, GROUND_TRUTH_FILE), "r", encoding="utf-8") as f:
-        gt = GroundTruthSet.from_json(json.load(f), pyr.image_height, pyr.image_width)
+    gt_path = os.path.join(fdir, GROUND_TRUTH_FILE)
+    gt = GroundTruthSet.from_json(_read_json(gt_path), pyr.image_height, pyr.image_width,
+                                  gt_path)
 
     checks = []
 
@@ -485,8 +506,7 @@ def cmd_flops(opts: dict) -> int:
 def cmd_targets_check(opts: dict) -> int:
     out_dir, size, base = opts["out"], opts["image_size"], opts["base"]
     levels = _level_range(opts)
-    with open(opts["gt"], "r", encoding="utf-8") as f:
-        gt = GroundTruthSet.from_json(json.load(f), size, size)
+    gt = GroundTruthSet.from_json(_read_json(opts["gt"]), size, size, opts["gt"])
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for level in levels:

@@ -3,7 +3,12 @@ and the QDPYR1 / QDWTS1 container formats.
 
 One HeadWeights object serves every pyramid level; there are no per-level
 parameters anywhere. Each branch is a tower of four 3x3 convs with ReLU after
-each, followed by a 3x3 prediction conv with no activation.
+each, followed by a 3x3 prediction conv with no activation. The layout is
+stated once: BRANCHES names the branches in the order of HeadWeights' fields,
+HeadOutput's fields and the weights manifest, and pred_widths gives their
+predictors' widths. The weight checks, both head passes, the fixture weights,
+the manifest and the cost model iterate over BRANCHES, or over its
+(tower, predictor) pairs, `HeadWeights.branches`.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +35,13 @@ TOWER_DEPTH = 4
 # the set it writes by one cell until the predictors write at the keys.
 RECEPTIVE_FIELD = 2 * (TOWER_DEPTH + 1) + 1
 PRIOR_PROB = 0.01  # untrained classification/query scores start near this
+BRANCHES = ("cls", "reg", "query")
+
+
+def pred_widths(num_anchors: int, num_classes: int) -> tuple[int, int, int]:
+    """Output channels of each branch's predictor, in BRANCHES order: a class
+    logit per anchor and class, four box deltas per anchor, one query logit."""
+    return num_anchors * num_classes, num_anchors * 4, 1
 
 
 def level_dims(image_h: int, image_w: int, level: int) -> tuple[int, int]:
@@ -84,28 +97,28 @@ class HeadWeights:
 
     def __post_init__(self):
         c = self.channels
-        for name, tower in (("cls", self.cls_tower), ("reg", self.reg_tower),
-                            ("query", self.query_tower)):
+        for name, (tower, pred), out in zip(BRANCHES, self.branches,
+                                            pred_widths(self.num_anchors, self.num_classes)):
             if len(tower) != TOWER_DEPTH:
                 raise ConfigurationError(f"{name} tower must have {TOWER_DEPTH} convs")
             for conv in tower:
                 if conv.in_channels != c or conv.out_channels != c:
                     raise ConfigurationError(f"{name} tower convs must map {c}->{c}")
-        a, k = self.num_anchors, self.num_classes
-        checks = (
-            ("cls_pred", self.cls_pred, a * k),
-            ("reg_pred", self.reg_pred, a * 4),
-            ("query_pred", self.query_pred, 1),
-        )
-        for name, conv, out in checks:
-            if conv.in_channels != c:
-                raise ConfigurationError(f"{name} must take {c} input channels")
-            if conv.out_channels != out:
-                raise ConfigurationError(f"{name} must emit {out} channels, has {conv.out_channels}")
+            if pred.in_channels != c:
+                raise ConfigurationError(f"{name}_pred must take {c} input channels")
+            if pred.out_channels != out:
+                raise ConfigurationError(
+                    f"{name}_pred must emit {out} channels, has {pred.out_channels}")
 
     @property
     def channels(self) -> int:
         return self.cls_tower[0].in_channels
+
+    @cached_property
+    def branches(self) -> tuple[tuple[list[ConvWeights], ConvWeights], ...]:
+        """Each branch's (tower, predictor), in BRANCHES order; built once, on
+        first use, as the fields are frozen."""
+        return tuple((getattr(self, f"{b}_tower"), getattr(self, f"{b}_pred")) for b in BRANCHES)
 
 
 @dataclass(frozen=True)
@@ -141,11 +154,7 @@ def run_dense_head(feature: DenseTensor, w: HeadWeights, keys: KeySet) -> HeadOu
         raise ConfigurationError(
             f"feature has {feature.channels} channels, head expects {w.channels}"
         )
-    return HeadOutput(
-        cls_logits=gather(_dense_branch(feature, w.cls_tower, w.cls_pred), keys),
-        reg_deltas=gather(_dense_branch(feature, w.reg_tower, w.reg_pred), keys),
-        query_logits=gather(_dense_branch(feature, w.query_tower, w.query_pred), keys),
-    )
+    return HeadOutput(*[gather(_dense_branch(feature, t, p), keys) for t, p in w.branches])
 
 
 def _sparse_branch(vf: SparseFeature, tower: list[ConvWeights], pred: ConvWeights,
@@ -176,11 +185,7 @@ def run_sparse_head(value_features: SparseFeature, w: HeadWeights,
         raise ConfigurationError(
             f"schedule has {len(schedule)} rulebooks, the head has {TOWER_DEPTH + 1} convs"
         )
-    return HeadOutput(
-        cls_logits=_sparse_branch(value_features, w.cls_tower, w.cls_pred, schedule),
-        reg_deltas=_sparse_branch(value_features, w.reg_tower, w.reg_pred, schedule),
-        query_logits=_sparse_branch(value_features, w.query_tower, w.query_pred, schedule),
-    )
+    return HeadOutput(*[_sparse_branch(value_features, t, p, schedule) for t, p in w.branches])
 
 
 @dataclass(frozen=True)
@@ -247,14 +252,11 @@ def make_fixture_weights(seed: int, channels: int, num_anchors: int, num_classes
     rng = np.random.default_rng(seed)
     relu_gain = math.sqrt(2.0)
     prior_bias = -math.log((1.0 - PRIOR_PROB) / PRIOR_PROB)
-    cls_tower = [_seeded_conv(rng, channels, channels, relu_gain) for _ in range(TOWER_DEPTH)]
-    reg_tower = [_seeded_conv(rng, channels, channels, relu_gain) for _ in range(TOWER_DEPTH)]
-    query_tower = [_seeded_conv(rng, channels, channels, relu_gain) for _ in range(TOWER_DEPTH)]
-    cls_pred = _seeded_conv(rng, num_anchors * num_classes, channels, bias_value=prior_bias)
-    reg_pred = _seeded_conv(rng, num_anchors * 4, channels)
-    query_pred = _seeded_conv(rng, 1, channels, bias_value=prior_bias)
-    return HeadWeights(cls_tower, reg_tower, query_tower, cls_pred, reg_pred, query_pred,
-                       num_anchors, num_classes)
+    towers = [[_seeded_conv(rng, channels, channels, relu_gain) for _ in range(TOWER_DEPTH)]
+              for _ in BRANCHES]
+    preds = [_seeded_conv(rng, out, channels, bias_value=0.0 if name == "reg" else prior_bias)
+             for name, out in zip(BRANCHES, pred_widths(num_anchors, num_classes))]
+    return HeadWeights(*towers, *preds, num_anchors, num_classes)
 
 
 # --- containers -------------------------------------------------------------
@@ -313,18 +315,14 @@ def load_pyramid(path) -> FeaturePyramid:
         raise FormatError(f"{path}: {e}") from e
 
 
-_CONV_ROLES = (
-    [f"cls_tower.{i}" for i in range(TOWER_DEPTH)]
-    + [f"reg_tower.{i}" for i in range(TOWER_DEPTH)]
-    + [f"query_tower.{i}" for i in range(TOWER_DEPTH)]
-    + ["cls_pred", "reg_pred", "query_pred"]
-)
+# every tower conv, branch by branch, then every predictor
+_CONV_ROLES = ([f"{b}_tower.{i}" for b in BRANCHES for i in range(TOWER_DEPTH)]
+               + [f"{b}_pred" for b in BRANCHES])
 
 
 def _iter_convs(w: HeadWeights) -> list[tuple[str, ConvWeights]]:
-    convs = list(w.cls_tower) + list(w.reg_tower) + list(w.query_tower)
-    convs += [w.cls_pred, w.reg_pred, w.query_pred]
-    return list(zip(_CONV_ROLES, convs))
+    towers, preds = zip(*w.branches)
+    return list(zip(_CONV_ROLES, [conv for tower in towers for conv in tower] + list(preds)))
 
 
 def save_weights(w: HeadWeights, path) -> None:
@@ -355,26 +353,19 @@ def load_weights(path) -> HeadWeights:
     roles = [e.get("role") for e in entries]
     if roles != _CONV_ROLES:
         raise FormatError(f"{path}: manifest conv roles {roles} != expected {_CONV_ROLES}")
-    convs: dict[str, ConvWeights] = {}
+    convs: list[ConvWeights] = []  # in _CONV_ROLES order
     for role, entry in zip(roles, entries):
         out_c, in_c, kk = entry.get("out"), entry.get("in"), entry.get("k")
         wt = r.take([out_c, in_c, kk, kk], f"{role} weights")
         bias = r.take([out_c], f"{role} bias")
         try:
-            convs[role] = ConvWeights(wt, bias)
+            convs.append(ConvWeights(wt, bias))
         except (ConfigurationError, ValidationError) as e:
             raise FormatError(f"{path}: {role}: {e}") from e
     r.finish()
+    n = len(BRANCHES) * TOWER_DEPTH
+    towers = [convs[i:i + TOWER_DEPTH] for i in range(0, n, TOWER_DEPTH)]
     try:
-        return HeadWeights(
-            cls_tower=[convs[f"cls_tower.{i}"] for i in range(TOWER_DEPTH)],
-            reg_tower=[convs[f"reg_tower.{i}"] for i in range(TOWER_DEPTH)],
-            query_tower=[convs[f"query_tower.{i}"] for i in range(TOWER_DEPTH)],
-            cls_pred=convs["cls_pred"],
-            reg_pred=convs["reg_pred"],
-            query_pred=convs["query_pred"],
-            num_anchors=a,
-            num_classes=k,
-        )
+        return HeadWeights(*towers, *convs[n:], a, k)
     except ConfigurationError as e:
         raise FormatError(f"{path}: {e}") from e

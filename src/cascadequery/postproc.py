@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .model import HeadOutput
+from .model import HeadOutput, pred_widths
 from .tensor import sigmoid_array
 
 
@@ -227,8 +227,16 @@ def detections_from_output(output: HeadOutput, level: int, cfg: AnchorConfig,
     """Score-filtered candidate detections from one level's head output.
 
     Channel layout: class logit for anchor slot a, class k sits at a*K + k;
-    box deltas for slot a at a*4 .. a*4+3.
+    box deltas for slot a at a*4 .. a*4+3. A head whose class or box width
+    is not `pred_widths(cfg.num_anchors, num_classes)`'s raises
+    ConfigurationError.
     """
+    cls_width, reg_width, _ = pred_widths(cfg.num_anchors, num_classes)
+    got = output.cls_logits.channels, output.reg_deltas.channels
+    if got != (cls_width, reg_width):
+        raise ConfigurationError(
+            f"head emits {got[0]} class and {got[1]} box channels; {cfg.num_anchors} "
+            f"anchors and {num_classes} classes need {cls_width} and {reg_width}")
     scores = sigmoid_array(output.cls_logits.features)  # (N, A*K)
     rows, chans = np.nonzero(scores > score_threshold)
     pos = output.keys.positions                         # (N, 2) as (x, y)

@@ -9,12 +9,13 @@ s_l / 2^l).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, FormatError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,13 @@ class GroundTruthObject:
     width: float
     height: float
     class_id: int = 0
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.cx, self.cy, self.width, self.height)):
+            raise ValidationError(f"object center and sides must be finite, got "
+                                  f"({self.cx}, {self.cy}) {self.width}x{self.height}")
+        if self.width <= 0 or self.height <= 0:
+            raise ValidationError(f"object sides must be positive, got {self.width}x{self.height}")
 
     @property
     def max_side(self) -> float:
@@ -41,24 +49,40 @@ class GroundTruthSet:
     objects: list[GroundTruthObject] = field(default_factory=list)
 
     def __post_init__(self):
-        for o in self.objects:
-            if o.width <= 0 or o.height <= 0:
-                raise ValidationError(f"object sides must be positive, got {o.width}x{o.height}")
+        for i, o in enumerate(self.objects):
             if not (0 <= o.cx < self.image_width and 0 <= o.cy < self.image_height):
                 raise ValidationError(
-                    f"center ({o.cx}, {o.cy}) outside {self.image_height}x{self.image_width} image"
+                    f"object {i}: center ({o.cx}, {o.cy}) outside "
+                    f"{self.image_height}x{self.image_width} image"
                 )
 
     def to_json(self) -> list[dict]:
         return [o.to_json() for o in self.objects]
 
     @classmethod
-    def from_json(cls, entries: list[dict], image_height: int, image_width: int) -> "GroundTruthSet":
-        objects = [
-            GroundTruthObject(e["cx"], e["cy"], e["w"], e["h"], int(e.get("class", 0)))
-            for e in entries
-        ]
-        return cls(image_height, image_width, objects)
+    def from_json(cls, entries, image_height: int, image_width: int,
+                  source: str = "ground truth") -> "GroundTruthSet":
+        """The set `to_json` wrote: a list of objects with numeric cx, cy, w
+        and h and an optional integer class. Anything else raises FormatError
+        naming `source` (the file) and the entry."""
+        if not isinstance(entries, list):
+            raise FormatError(f"{source}: must hold a list of objects, "
+                              f"got {type(entries).__name__}")
+        objects = []
+        for i, e in enumerate(entries):
+            d = e if isinstance(e, dict) else {}
+            fields = [d.get(k) for k in ("cx", "cy", "w", "h")] + [d.get("class", 0)]
+            if not (all(type(v) in (int, float) for v in fields) and type(fields[-1]) is int):
+                raise FormatError(f"{source}: entry {i} must be an object with numeric "
+                                  f"cx, cy, w, h and an integer class, got {e!r}")
+            try:
+                objects.append(GroundTruthObject(*fields))
+            except ValidationError as err:
+                raise FormatError(f"{source}: entry {i}: {err}") from err
+        try:
+            return cls(image_height, image_width, objects)
+        except ValidationError as err:
+            raise FormatError(f"{source}: {err}") from err
 
 
 def level_scale(level: int, base: float = 4.0) -> float:

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -185,6 +186,9 @@ def test_bad_postproc_option_fails_verify_before_any_work(small_fixture, tmp_pat
     ("flops", ("--min-level", "5", "--max-level", "3")),
     ("targets-check", ("--min-level", "5", "--max-level", "3")),
     ("flops", ("--max-level", "12")), ("targets-check", ("--max-level", "12")),
+    # a non-finite field, a side <= 0 and a class beyond --classes 4
+    ("gen-fixture", ("--blob", "10,10,5,5,0,nan")), ("gen-fixture", ("--blob", "10,10,nan,5")),
+    ("gen-fixture", ("--blob", "10,10,-5,5")), ("gen-fixture", ("--blob", "10,10,5,5,9")),
 ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
 def test_bad_option_fails_before_any_file_is_touched(small_fixture, tmp_path, command, flags,
                                                      capsys, monkeypatch):
@@ -274,6 +278,46 @@ def test_corrupt_manifest_exits_1_naming_the_file_and_entry(tmp_path, capsys, ki
     assert err.startswith(f"error: {bad}: ")
     assert named in err
     assert not (tmp_path / "out").exists()
+
+
+# ground-truth files the reader refuses, and what the error names
+BAD_GROUND_TRUTH = [
+    pytest.param('[{"cy": 10, "w": 5, "h": 5}]', "entry 0", id="entry-without-cx"),
+    pytest.param('{"cx": 10, "cy": 10, "w": 5, "h": 5}', "list", id="object-not-list"),
+    pytest.param("not json", "not valid JSON", id="not-json"),
+    pytest.param('[{"cx": 10, "cy": 10, "w": 5, "h": 5, "class": "x"}]', "entry 0",
+                 id="class-string"),
+    pytest.param('[{"cx": 10, "cy": 10, "w": 5, "h": 5}, {"cx": 10, "cy": 10, "w": NaN, '
+                 '"h": 5}]', "entry 1", id="width-nan"),
+]
+
+
+@pytest.mark.parametrize("text,named", BAD_GROUND_TRUTH)
+def test_malformed_ground_truth_exits_1_naming_the_file(tmp_path, capsys, text, named):
+    gt = tmp_path / "gt.json"
+    gt.write_text(text)
+    out = tmp_path / "maps"
+    assert main(["targets-check", "--gt", str(gt), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {gt}: ") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,text", [
+    *(pytest.param(GROUND_TRUTH_FILE, p.values[0], id=f"ground-truth-{p.id}")
+      for p in BAD_GROUND_TRUTH),
+    pytest.param(CHECKSUMS_FILE, "not json", id="checksums-not-json"),
+    pytest.param(CHECKSUMS_FILE, "[1]", id="checksums-list"),
+    pytest.param(CHECKSUMS_FILE, '{"files": [1]}', id="checksums-files-list"),
+    pytest.param(CHECKSUMS_FILE, '{"files": {"x": 5}}', id="checksums-sum-not-string"),
+])
+def test_verify_exits_1_on_a_malformed_fixture_file(small_fixture, tmp_path, capsys, name,
+                                                     text):
+    fix = tmp_path / "fix"
+    shutil.copytree(small_fixture, fix)
+    (fix / name).write_text(text)
+    assert main(["verify", "--fixture", str(fix)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {fix / name}: ")
 
 
 def test_missing_pyramid_file_maps_to_io_exit_code(tmp_path, capsys):

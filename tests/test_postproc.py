@@ -357,6 +357,18 @@ def test_multi_anchor_channel_layout():
     assert side == pytest.approx(4.0 * 16.0 * 2 ** (1 / 3))
 
 
+def test_decode_rejects_a_head_of_other_widths():
+    # an A=1, K=4 head: 4 class and 4 box channels; three anchors would need
+    # 12 and 12, two classes 2 and 4
+    cls = np.random.default_rng(5).uniform(-4, 2, (4, 3, 3)).astype(np.float32)
+    result = SimpleNamespace(records=[SimpleNamespace(
+        output=head_output_dense(cls, np.zeros_like(cls), cls[:1]), level=3)])
+    assert len(detections_from_result(result, CFG, 4)) > 0
+    for cfg, classes in ((AnchorConfig(num_anchors=3), 4), (CFG, 2)):
+        with pytest.raises(ConfigurationError, match="4 class and 4 box channels"):
+            detections_from_result(result, cfg, classes)
+
+
 def test_only_kept_candidates_become_detections(monkeypatch):
     rng = np.random.default_rng(11)
     cls = rng.uniform(-1, 3, (4, 12, 12)).astype(np.float32)
@@ -422,22 +434,44 @@ def test_detections_from_result_calls_decode_and_nms_through_the_module(monkeypa
     assert got == real_nms(Candidates.concat(decoded), top_k=5)
 
 
+def report_digest(result) -> str:
+    """sha256 of `report()` without its timings."""
+    report = result.report()
+    del report["total_millis"]
+    for level in report["levels"]:
+        del level["millis"]
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def head_digest(result) -> str:
+    """sha256 of every level's key positions and head-output rows."""
+    h = hashlib.sha256()
+    for rec in result.records:
+        h.update(rec.output.keys.positions.tobytes())
+        for branch in (rec.output.cls_logits, rec.output.reg_deltas, rec.output.query_logits):
+            h.update(branch.features.tobytes())
+    return h.hexdigest()
+
+
 def test_detection_json_is_pinned():
-    # every strategy's final detections, fixed by sha256 of their JSON: weak
-    # objects under the tight C=64 gate, bright ones under the broad C=16 gate
+    # every strategy's final detections, fixed by sha256 of their JSON, and
+    # its report (timings left out) and head-output bytes: weak objects under
+    # the tight C=64 gate, bright ones under the broad C=16 gate
     fixtures = {
         "weak64": (make_synthetic_pyramid(SPEEDUP_PYRAMID_SEED, 256, 256, 2, 7, 64,
                                           speedup_blobs(SPEEDUP_PYRAMID_SEED, 256.0)),
                    standard_weights(64, SPEEDUP_WEIGHT_SEED), 0.15),
         "bright16": (standard_pyramid(4, 256, 16), standard_weights(16), 0.02),
     }
-    digests = {}
+    digests, reports, heads = {}, {}, {}
     for name, (pyr, w, sigma) in fixtures.items():
         for strategy in ("dense", "csq", "cq", "ccq"):
             result = run_pipeline(pyr, w, QueryConfig(strategy=strategy, sigma=sigma))
             dets = detections_to_json(detections_from_result(result, CFG, 4))
             digests[f"{name}/{strategy}"] = hashlib.sha256(
                 json.dumps(dets).encode()).hexdigest()
+            reports[f"{name}/{strategy}"] = report_digest(result)
+            heads[f"{name}/{strategy}"] = head_digest(result)
     assert digests == {
         "weak64/dense": "56a617879a103cad32064ecae74feb7bfd4115a934579419cd14e0958a5cb585",
         "weak64/csq": "f2668e80ae55e2f6aa4037b16edc0e33c5fe3be8c5cbb6aa7cf1ed8274fdcc8b",
@@ -447,4 +481,24 @@ def test_detection_json_is_pinned():
         "bright16/csq": "8ff752ff0f9805d069d5eed8f113d66ca0a032da34fd6f1f1111b85fe19e5168",
         "bright16/cq": "bcb1276464a053e72e72ee6f1aac895dc7c7ef138ef243bc86216305c52fa43e",
         "bright16/ccq": "7c4aecdb16fc4f8c1718751996520470f26ed0b340c9477b00f9756e47c8fa61",
+    }
+    assert reports == {
+        "weak64/dense": "f12acd9d450c29d55d5e22efcbca3c6b790108d233c940389357a3681e3bef84",
+        "weak64/csq": "a88fd2e6a8e43935d19cf3624cc801aacc70aa88f5630ad75c196dce8a61204b",
+        "weak64/cq": "06c5f154317b72cb253b4a25cf009da8c234b45f3f237bee1d29f1b1e4749bbd",
+        "weak64/ccq": "babfeccf1dadb7212b57a382758495df37a79bb4e72470b025b9f52ff124859b",
+        "bright16/dense": "dc3c9663e9678ecad1c3f03d063b4befca146c2a65b265638197f4a90844570a",
+        "bright16/csq": "bf8f0549174b65267dbd7d5e02e8265a797e8ddbfe62bd7e19d1cd4529cc63cf",
+        "bright16/cq": "373e9c2c23662ff517e1be73a3327960228ef82a69174b6632ae5d14f8b54d93",
+        "bright16/ccq": "a5a01417cfcd80a8f521666fb3720abab3852ceb19e16c28be66a8fa22338a3e",
+    }
+    assert heads == {
+        "weak64/dense": "78c67d9bb66592e66f67657e629646de47510fad9074526d808b366bd05ea62d",
+        "weak64/csq": "6f9bba07241131bc92e44028a3dbbc3011d4ef6eec0a490dac5ddcf85e58d386",
+        "weak64/cq": "8b19dd60d1e60204d86f4171a1c18e008424801dbbdb2c1999e87ee954984683",
+        "weak64/ccq": "bb997121b3bd02e5cefc27ad6c291b5ebb3f0856ee5a138143757eed73abc0dd",
+        "bright16/dense": "00ea07a0b89a87d33985add3e789047f673d322ac746e4464b406582567e49f3",
+        "bright16/csq": "455e061c2e7a7bf1f02cbf3508df5106a80b3bb7cf535967f44cd7873b340c54",
+        "bright16/cq": "e75b37d4c4747f2480999ac5c6b7d3bfa00840c12ccb32dd3a5ee19bb35dd6f8",
+        "bright16/ccq": "6ee1ce143880dc8c665578de251ecfa4f11613503d12eb7f72b914e23dc3cf7d",
     }

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cascadequery import (
     ConfigurationError,
+    FormatError,
     GroundTruthObject,
     GroundTruthSet,
     LossConfig,
@@ -158,6 +159,26 @@ def test_ground_truth_validation():
         gt_of([obj(600.0, 10.0)])
     with pytest.raises(ValidationError):
         gt_of([GroundTruthObject(10.0, 10.0, 0.0, 5.0)])
+
+
+@pytest.mark.parametrize("field", range(4))
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_ground_truth_object_rejects_non_finite_fields(field, value):
+    fields = [10.0, 10.0, 5.0, 5.0]
+    fields[field] = value
+    with pytest.raises(ValidationError, match="finite"):
+        GroundTruthObject(*fields)
+
+
+def test_ground_truth_from_json_names_the_file_and_entry():
+    good = {"cx": 10.0, "cy": 10.0, "w": 5.0, "h": 5.0}
+    for entries, named in (([good, {"cx": 1.0}], "entry 1"),
+                           ([good, dict(good, w=-1.0)], "entry 1: object sides"),
+                           ([dict(good, cx=600.0)], "object 0: center"),
+                           ([good, dict(good, **{"class": 1.5})], "entry 1"),
+                           ([True], "entry 0"), ("cx", "list")):
+        with pytest.raises(FormatError, match=f"^gt.json: .*{named}"):
+            GroundTruthSet.from_json(entries, 512, 512, "gt.json")
 
 
 def test_target_maps_require_binary_values():
