@@ -27,13 +27,13 @@ import time
 import numpy as np
 
 from . import analysis
-from .errors import CascadeQueryError, ConfigurationError, FormatError
+from .errors import CascadeQueryError, ConfigurationError, FormatError, ValidationError
 from .model import (TOWER_DEPTH, Blob, HeadOutput, level_dims, load_pyramid, load_weights,
                     make_fixture_weights, make_synthetic_pyramid, save_pyramid, save_weights)
 from .postproc import AnchorConfig, detections_from_result, detections_to_json
 from .query import STRATEGIES, CascadeResult, QueryConfig, run_pipeline
 from .sparse import KeySet, build_rulebook
-from .targets import GroundTruthObject, GroundTruthSet, query_target_for_level
+from .targets import GroundTruthSet, query_target_for_level
 from .tensor import DenseTensor, save_tensor, sigmoid_array
 
 PYRAMID_FILE = "pyramid.qdpyr"
@@ -165,21 +165,20 @@ def _parse_blob(text: str, image_size: int, num_classes: int) -> Blob:
             f"--blob wants 'cx,cy,w,h[,class[,amplitude]]', got {text!r}"
         )
     try:
-        cx, cy, w, h = (float(p) for p in parts[:4])
-        cls = int(parts[4]) if len(parts) > 4 else 0
-        amp = float(parts[5]) if len(parts) > 5 else 8.0
+        fields = [kind(p) for kind, p in zip((float,) * 4 + (int, float), parts)]
     except ValueError:
         raise ConfigurationError(f"--blob has non-numeric fields: {text!r}") from None
-    if not all(map(math.isfinite, (cx, cy, w, h, amp))):
-        raise ConfigurationError(f"--blob has non-finite fields: {text!r}")
-    if w <= 0 or h <= 0:
-        raise ConfigurationError(f"--blob sides must be positive, got {text!r}")
-    if not 0 <= cls < num_classes:
-        raise ConfigurationError(f"--blob class {cls} lies outside [0, {num_classes}), "
-                                 f"got {text!r}")
-    if not (0 <= cx < image_size and 0 <= cy < image_size):
-        raise ConfigurationError(f"--blob center ({cx}, {cy}) outside {image_size}px image")
-    return Blob(cx=cx, cy=cy, width=w, height=h, class_id=cls, amplitude=amp)
+    try:
+        blob = Blob(*fields)
+    except ValidationError as e:
+        raise ConfigurationError(f"--blob {text!r}: {e}") from e
+    if blob.class_id >= num_classes:
+        raise ConfigurationError(f"--blob class {blob.class_id} lies outside "
+                                 f"[0, {num_classes}), got {text!r}")
+    if not (0 <= blob.cx < image_size and 0 <= blob.cy < image_size):
+        raise ConfigurationError(f"--blob center ({blob.cx}, {blob.cy}) outside "
+                                 f"{image_size}px image")
+    return blob
 
 
 def _random_blobs(rng: np.random.Generator, count: int, image_size: int,
@@ -196,31 +195,16 @@ def _random_blobs(rng: np.random.Generator, count: int, image_size: int,
     return blobs
 
 
-def make_fixture(seed: int, image_size: int, channels: int, anchors: int, classes: int,
-                 min_level: int, max_level: int, blob_count: int,
-                 explicit_blobs: list[Blob] | None = None):
-    """Deterministic (pyramid, weights, blobs) triple for one seed."""
-    s_blob, s_pyr, s_wts = (int(s) for s in np.random.SeedSequence(seed).generate_state(3))
-    blobs = explicit_blobs if explicit_blobs is not None else _random_blobs(
-        np.random.default_rng(s_blob), blob_count, image_size, classes)
-    pyr = make_synthetic_pyramid(s_pyr, image_size, image_size, min_level, max_level,
-                                 channels, blobs)
-    weights = make_fixture_weights(s_wts, channels, anchors, classes)
-    return pyr, weights, blobs
-
-
 def cmd_gen_fixture(opts: dict) -> int:
-    out_dir = opts["out"]
-    image_size = opts["image_size"]
-    explicit = ([_parse_blob(b, image_size, opts["classes"]) for b in opts["blob"]]
-                if opts["blob"] else None)
-    pyr, weights, blobs = make_fixture(
-        opts["seed"], image_size, opts["channels"], opts["anchors"],
-        opts["classes"], opts["min_level"], opts["max_level"],
-        opts["blobs"], explicit)
-    gt = GroundTruthSet(image_size, image_size, [
-        GroundTruthObject(b.cx, b.cy, b.width, b.height, b.class_id) for b in blobs
-    ])
+    out_dir, size, classes = opts["out"], opts["image_size"], opts["classes"]
+    seeds = np.random.SeedSequence(opts["seed"]).generate_state(3)
+    s_blob, s_pyr, s_wts = (int(s) for s in seeds)
+    blobs = ([_parse_blob(b, size, classes) for b in opts["blob"]] if opts["blob"] else
+             _random_blobs(np.random.default_rng(s_blob), opts["blobs"], size, classes))
+    pyr = make_synthetic_pyramid(s_pyr, size, size, opts["min_level"], opts["max_level"],
+                                 opts["channels"], blobs)
+    weights = make_fixture_weights(s_wts, opts["channels"], opts["anchors"], classes)
+    gt = GroundTruthSet(size, size, blobs)
     os.makedirs(out_dir, exist_ok=True)
     save_pyramid(pyr, os.path.join(out_dir, PYRAMID_FILE))
     save_weights(weights, os.path.join(out_dir, WEIGHTS_FILE))

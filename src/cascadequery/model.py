@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigurationError, FormatError, ValidationError
 from .sparse import (KeySet, Rulebook, SparseFeature, build_rulebook, gather, sparse_conv,
                      sparse_relu)
+from .targets import GroundTruthObject
 from .tensor import ConvWeights, ContainerReader, DenseTensor, conv2d, relu, write_container
 
 PYRAMID_MAGIC = b"QDPYR1\n\0"
@@ -189,15 +190,16 @@ def run_sparse_head(value_features: SparseFeature, w: HeadWeights,
 
 
 @dataclass(frozen=True)
-class Blob:
-    """A planted high-activation patch standing in for a small object."""
+class Blob(GroundTruthObject):
+    """A planted high-activation patch standing in for a small object: a
+    GroundTruthObject, and so its own ground truth, plus a finite amplitude."""
 
-    cx: float
-    cy: float
-    width: float
-    height: float
-    class_id: int = 0
     amplitude: float = 8.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not math.isfinite(self.amplitude):
+            raise ValidationError(f"blob amplitude must be finite, got {self.amplitude}")
 
 
 def make_synthetic_pyramid(seed: int, image_h: int, image_w: int, l_min: int, l_max: int,
@@ -221,7 +223,7 @@ def make_synthetic_pyramid(seed: int, image_h: int, image_w: int, l_min: int, l_
             gx, gy = int(b.cx) // stride, int(b.cy) // stride
             if not (0 <= gx < w and 0 <= gy < h):
                 continue
-            size_grid = max(b.width, b.height) / stride
+            size_grid = b.max_side / stride
             sig = max(0.75, size_grid / 2.0)
             reach = int(math.ceil(2.0 * sig))
             y0, y1 = max(0, gy - reach), min(h - 1, gy + reach)
@@ -350,6 +352,9 @@ def load_weights(path) -> HeadWeights:
         entries = _entry_list(m, "convs")
     except (KeyError, TypeError) as e:
         raise FormatError(f"{path}: malformed weights manifest: {e}") from e
+    for name, v in (("channels", channels), ("num_anchors", a), ("num_classes", k)):
+        if not _is_int(v, 1):
+            raise FormatError(f"{path}: {name} must be a positive int, got {v!r}")
     roles = [e.get("role") for e in entries]
     if roles != _CONV_ROLES:
         raise FormatError(f"{path}: manifest conv roles {roles} != expected {_CONV_ROLES}")
@@ -366,6 +371,9 @@ def load_weights(path) -> HeadWeights:
     n = len(BRANCHES) * TOWER_DEPTH
     towers = [convs[i:i + TOWER_DEPTH] for i in range(0, n, TOWER_DEPTH)]
     try:
-        return HeadWeights(*towers, *convs[n:], a, k)
+        w = HeadWeights(*towers, *convs[n:], a, k)
     except ConfigurationError as e:
         raise FormatError(f"{path}: {e}") from e
+    if w.channels != channels:
+        raise FormatError(f"{path}: channels {channels} disagrees with the convs' {w.channels}")
+    return w

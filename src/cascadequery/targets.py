@@ -20,6 +20,9 @@ from .errors import ConfigurationError, FormatError, ValidationError
 
 @dataclass(frozen=True)
 class GroundTruthObject:
+    """One object in image pixels, and the one home of its value checks: a
+    finite center, finite positive sides and a non-negative class."""
+
     cx: float
     cy: float
     width: float
@@ -32,6 +35,8 @@ class GroundTruthObject:
                                   f"({self.cx}, {self.cy}) {self.width}x{self.height}")
         if self.width <= 0 or self.height <= 0:
             raise ValidationError(f"object sides must be positive, got {self.width}x{self.height}")
+        if self.class_id < 0:
+            raise ValidationError(f"object class must be non-negative, got {self.class_id}")
 
     @property
     def max_side(self) -> float:

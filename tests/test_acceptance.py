@@ -16,13 +16,16 @@ from cascadequery import (
     GroundTruthObject,
     GroundTruthSet,
     KeySet,
+    LossConfig,
     QueryConfig,
+    TargetMaps,
     beta_schedule,
     build_rulebook,
     focal_loss,
     head_flops_dense,
     head_flops_sparse,
     level_dims,
+    level_loss,
     make_synthetic_pyramid,
     p2_cost_increase,
     query_target_for_level,
@@ -352,12 +355,28 @@ def test_criterion_10_loss_math_matches_oracles_and_weight_grids_exactly():
     assert worst_focal <= 1e-9, f"focal loss off oracle by {worst_focal:.2e}"
     assert worst_sl1 <= 1e-9, f"smooth L1 off oracle by {worst_sl1:.2e}"
 
+    # one level's loss, FL(cls) + smooth-L1(reg) + FL(query), at a non-default
+    # alpha and gamma, so a dropped or swapped argument shows
+    f64 = lambda a: a.astype(np.float64)
+    cls_logits, reg = (rng.normal(0.0, 3.0, (4, 6, 5)).astype(np.float32) for _ in range(2))
+    query_logits = rng.normal(0.0, 3.0, (6, 5)).astype(np.float32)
+    maps = TargetMaps(3, (rng.random((6, 5)) < 0.3).astype(np.float32),
+                      cls=(rng.random((4, 6, 5)) < 0.2).astype(np.float32),
+                      reg=rng.normal(0.0, 2.0, (4, 6, 5)).astype(np.float32))
+    want = (_focal_oracle(f64(cls_logits), f64(maps.cls), 0.4, 1.5)
+            + _smooth_l1_oracle(f64(reg), f64(maps.reg))
+            + _focal_oracle(f64(query_logits), f64(maps.query), 0.4, 1.5))
+    level_err = abs(level_loss(cls_logits, reg, query_logits, maps,
+                               LossConfig(alpha=0.4, gamma=1.5)) - want)
+    assert level_err <= 1e-9, f"level loss off the oracles' sum by {level_err:.2e}"
+
     b1 = beta_schedule(range(2, 8), 1.0, 3.0)
     assert [b1[l] for l in range(2, 8)] == [1.0, 1.4, 1.8, 2.2, 2.6, 3.0]
     b2 = beta_schedule(range(2, 8), 1.0, 2.6)
     assert [b2[l] for l in range(2, 8)] == [1.0, 1.32, 1.64, 1.96, 2.28, 2.6]
-    print(f"[criterion 10] PASS  focal within {worst_focal:.1e} and smooth-L1 within "
-          f"{worst_sl1:.1e} of 64-bit oracles; both level-weight grids exact")
+    print(f"[criterion 10] PASS  focal within {worst_focal:.1e}, smooth-L1 within "
+          f"{worst_sl1:.1e} and one level's loss within {level_err:.1e} of 64-bit oracles; "
+          f"both level-weight grids exact")
 
 
 def test_criterion_11_every_confident_parent_has_its_children_as_keys():

@@ -61,6 +61,17 @@ def test_gen_fixture_is_byte_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("extra,digest", [
+    ((), "7f132c917a3a79499aec62bc173a36c9fb138cd90fde11ac13e880ee3667dcc6"),
+    (("--blob", "40,52,7,7,1,32", "--blob", "90,30,6,9"),
+     "97fd0a55ca499c8ec752325186bf1c8734c65e7b7eac4c981c5a9370d20b8b9b"),
+], ids=["random-objects", "explicit-blobs"])
+def test_gen_fixture_bytes_are_pinned(tmp_path, extra, digest):
+    # checksums.json holds the sha256 of every other fixture file
+    gen_small(tmp_path, extra)
+    assert hashlib.sha256((tmp_path / CHECKSUMS_FILE).read_bytes()).hexdigest() == digest
+
+
 def test_explicit_blobs_land_verbatim_in_ground_truth(tmp_path):
     d = gen_small(tmp_path, extra=["--blob", "40,52,7,7,1,32", "--blob", "90,30,6,9"])
     gt = json.loads((tmp_path / GROUND_TRUTH_FILE).read_text())
@@ -186,9 +197,11 @@ def test_bad_postproc_option_fails_verify_before_any_work(small_fixture, tmp_pat
     ("flops", ("--min-level", "5", "--max-level", "3")),
     ("targets-check", ("--min-level", "5", "--max-level", "3")),
     ("flops", ("--max-level", "12")), ("targets-check", ("--max-level", "12")),
-    # a non-finite field, a side <= 0 and a class beyond --classes 4
+    # a non-finite field, a side <= 0, a class beyond --classes 4 or below 0, and
+    # an amplitude that is not finite
     ("gen-fixture", ("--blob", "10,10,5,5,0,nan")), ("gen-fixture", ("--blob", "10,10,nan,5")),
     ("gen-fixture", ("--blob", "10,10,-5,5")), ("gen-fixture", ("--blob", "10,10,5,5,9")),
+    ("gen-fixture", ("--blob", "10,10,5,5,-1")), ("gen-fixture", ("--blob", "10,10,5,5,0,inf")),
 ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
 def test_bad_option_fails_before_any_file_is_touched(small_fixture, tmp_path, command, flags,
                                                      capsys, monkeypatch):
@@ -223,14 +236,36 @@ def test_non_finite_weights_file_exits_1_naming_the_conv(small_fixture, tmp_path
     assert not (tmp_path / "out").exists()
 
 
-def _rewrite_manifest(src, dst, edit):
-    """Copy a container with its JSON manifest passed through `edit`."""
-    data = src.read_bytes()
+def _with_manifest(data: bytes, header: bytes) -> bytes:
+    """A container's bytes with its JSON manifest replaced by `header`."""
+    (hlen,) = struct.unpack("<I", data[8:12])
+    return data[:8] + struct.pack("<I", len(header)) + header + data[12 + hlen:]
+
+
+def _edit_manifest(data: bytes, edit) -> bytes:
+    """A container's bytes with its JSON manifest passed through `edit`."""
     (hlen,) = struct.unpack("<I", data[8:12])
     manifest = json.loads(data[12:12 + hlen])
     edit(manifest)
-    header = json.dumps(manifest).encode("utf-8")
-    dst.write_bytes(data[:8] + struct.pack("<I", len(header)) + header + data[12 + hlen:])
+    return _with_manifest(data, json.dumps(manifest).encode("utf-8"))
+
+
+def _run_on_corrupt_file(tmp_path, capsys, kind, corrupt, named):
+    """`run` on a C=4, A=1, K=4 fixture whose `kind` file went through
+    `corrupt` must exit 1 naming that file and `named`, and write nothing."""
+    files = {"pyramid": tmp_path / PYRAMID_FILE, "weights": tmp_path / WEIGHTS_FILE}
+    model_mod.save_pyramid(model_mod.make_synthetic_pyramid(1, 64, 64, 2, 5, 4), files["pyramid"])
+    model_mod.save_weights(model_mod.make_fixture_weights(1, 4, 1, 4), files["weights"])
+    bad = tmp_path / f"bad-{files[kind].name}"
+    bad.write_bytes(corrupt(files[kind].read_bytes()))
+    files[kind] = bad
+    rc = main(["run", "--pyramid", str(files["pyramid"]), "--weights", str(files["weights"]),
+               "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {bad}: ")
+    assert named in err
+    assert not (tmp_path / "out").exists()
 
 
 # conv 0 is cls_tower.0, conv 5 is reg_tower.1; level entry 0 is level 2 (16x16 at C=4)
@@ -239,12 +274,25 @@ CORRUPT_MANIFESTS = [
     pytest.param("weights", lambda m: m["convs"][5].update(out=-4), "reg_tower.1",
                  id="conv-out-negative"),
     pytest.param("weights", lambda m: m.update(convs=5), "convs", id="convs-not-a-list"),
+    pytest.param("weights", lambda m: m["convs"][0].update(role="bogus"), "conv roles",
+                 id="conv-role-unknown"),
+    pytest.param("weights", lambda m: m.update(channels=999), "channels 999",
+                 id="channels-disagree-with-convs"),
+    pytest.param("weights", lambda m: m.update(channels="x"), "channels", id="channels-string"),
+    pytest.param("weights", lambda m: m.update(num_anchors=True), "num_anchors",
+                 id="num-anchors-bool"),
+    pytest.param("weights", lambda m: m.update(num_classes=0), "num_classes",
+                 id="num-classes-zero"),
+    pytest.param("weights", lambda m: m.update(num_classes=2), "cls_pred must emit 2",
+                 id="num-classes-disagree-with-convs"),
     pytest.param("pyramid", lambda m: m["levels"][0].pop("shape"), "level 2",
                  id="level-without-shape"),
     pytest.param("pyramid", lambda m: m["levels"][0].update(shape=[4, -16, -16]), "level 2",
                  id="level-shape-negative"),
     pytest.param("pyramid", lambda m: m["levels"][0].update(shape=[4, "16", 16]), "level 2",
                  id="level-shape-string"),
+    pytest.param("pyramid", lambda m: m["levels"][0].update(shape=[2, 16, 32]),
+                 "level 2 shape", id="level-channels-disagree"),
     pytest.param("weights", lambda m: m["convs"][0].update(k=5), "cls_tower.0", id="conv-k5"),
     pytest.param("pyramid", lambda m: m["levels"][0].pop("l"), "level entry 0",
                  id="level-without-l"),
@@ -256,28 +304,36 @@ CORRUPT_MANIFESTS = [
                  id="level-l-bool"),
     pytest.param("pyramid", lambda m: m["levels"][1].update(l=2), "level entry 1",
                  id="level-l-duplicated"),
+    pytest.param("pyramid", lambda m: m.pop("image"), "malformed pyramid manifest",
+                 id="image-missing"),
     pytest.param("pyramid", lambda m: m.update(image=["64", 64]), "image", id="image-string"),
     pytest.param("pyramid", lambda m: m.update(image=[64.5, 64]), "image", id="image-float"),
     pytest.param("pyramid", lambda m: m.update(image=[64]), "image", id="image-one-side"),
+    pytest.param("pyramid", lambda m: m.update(image=[64, 128]), "level 2 is 16x16",
+                 id="image-disagrees-with-levels"),
 ]
 
 
 @pytest.mark.parametrize("kind,edit,named", CORRUPT_MANIFESTS)
 def test_corrupt_manifest_exits_1_naming_the_file_and_entry(tmp_path, capsys, kind, edit,
                                                             named):
-    files = {"pyramid": tmp_path / PYRAMID_FILE, "weights": tmp_path / WEIGHTS_FILE}
-    model_mod.save_pyramid(model_mod.make_synthetic_pyramid(1, 64, 64, 2, 5, 4), files["pyramid"])
-    model_mod.save_weights(model_mod.make_fixture_weights(1, 4, 1, 4), files["weights"])
-    bad = tmp_path / f"bad-{files[kind].name}"
-    _rewrite_manifest(files[kind], bad, edit)
-    files[kind] = bad
-    rc = main(["run", "--pyramid", str(files["pyramid"]), "--weights", str(files["weights"]),
-               "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err.startswith(f"error: {bad}: ")
-    assert named in err
-    assert not (tmp_path / "out").exists()
+    _run_on_corrupt_file(tmp_path, capsys, kind, lambda data: _edit_manifest(data, edit), named)
+
+
+# byte-level damage that the container reader catches before any manifest field is read
+CORRUPT_CONTAINERS = [
+    pytest.param("pyramid", lambda d: d[:10], "truncated header", id="header-truncated"),
+    pytest.param("weights", lambda d: _with_manifest(d, b"{not json"), "unreadable manifest",
+                 id="manifest-not-json"),
+    pytest.param("pyramid", lambda d: _with_manifest(d, b"[1, 2]"), "not a JSON object",
+                 id="manifest-a-list"),
+    pytest.param("weights", lambda d: d + bytes(4), "4 trailing bytes", id="trailing-bytes"),
+]
+
+
+@pytest.mark.parametrize("kind,corrupt,named", CORRUPT_CONTAINERS)
+def test_corrupt_container_exits_1_naming_the_file(tmp_path, capsys, kind, corrupt, named):
+    _run_on_corrupt_file(tmp_path, capsys, kind, corrupt, named)
 
 
 # ground-truth files the reader refuses, and what the error names
@@ -289,6 +345,8 @@ BAD_GROUND_TRUTH = [
                  id="class-string"),
     pytest.param('[{"cx": 10, "cy": 10, "w": 5, "h": 5}, {"cx": 10, "cy": 10, "w": NaN, '
                  '"h": 5}]', "entry 1", id="width-nan"),
+    pytest.param('[{"cx": 10, "cy": 10, "w": 5, "h": 5, "class": -3}]', "entry 0",
+                 id="class-negative"),
 ]
 
 
@@ -448,6 +506,31 @@ def test_verify_warns_when_a_comparison_checked_no_keys(small_fixture, capsys):
     assert "at 0 keys" in by_name["ccq-exact"] and "over 0 keys" in by_name["cq-dense"]
     assert sorted(w.split(":")[0] for w in verdict["warnings"]) == ["ccq-exact", "cq-dense"]
     assert all("compared 0 keys" in w for w in verdict["warnings"])
+
+
+def test_verify_compares_ccq_detections_when_keys_cover_every_hot_position(small_fixture,
+                                                                            capsys):
+    # at sigma 0 every position is a key, so ccq-exact goes on to the detections
+    assert main(["verify", "--fixture", str(small_fixture), "--sigma", "0"]) == 0
+    by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert by_name["ccq-exact"] == {
+        "name": "ccq-exact", "passed": True,
+        "detail": "bitwise equal at 1280 keys; 100 detections identical"}
+
+
+def test_verify_catches_ccq_detections_that_differ_from_dense(small_fixture, monkeypatch,
+                                                               capsys):
+    real = cli_mod.detections_from_result
+
+    def ccq_loses_one(result, *args, **kwargs):
+        dets = real(result, *args, **kwargs)
+        return dets[:-1] if result.strategy == "ccq" else dets
+
+    monkeypatch.setattr(cli_mod, "detections_from_result", ccq_loses_one)
+    assert main(["verify", "--fixture", str(small_fixture), "--sigma", "0"]) == 1
+    by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert by_name["ccq-exact"]["passed"] is False
+    assert "detections differ" in by_name["ccq-exact"]["detail"]
 
 
 def test_verify_catches_a_sparse_conv_that_drops_bias(small_fixture, monkeypatch, capsys):

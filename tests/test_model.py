@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import struct
@@ -10,6 +11,7 @@ from cascadequery import (
     ConfigurationError,
     FeaturePyramid,
     FormatError,
+    GroundTruthObject,
     HeadOutput,
     ValidationError,
     level_dims,
@@ -24,7 +26,7 @@ from cascadequery import (
 )
 from cascadequery.model import TOWER_DEPTH
 from cascadequery.sparse import KeySet, build_rulebook, gather
-from cascadequery.tensor import DenseTensor, save_tensor
+from cascadequery.tensor import ConvWeights, DenseTensor, save_tensor
 
 from conftest import dense_rows_at, standard_weights
 
@@ -91,6 +93,43 @@ def test_head_weights_validation_catches_bad_tower():
     with pytest.raises(ConfigurationError, match="tower"):
         type(w)(bad_tower, w.reg_tower, w.query_tower,
                 w.cls_pred, w.reg_pred, w.query_pred, 1, 4)
+
+
+def _bad_conv(out_c, in_c):
+    return ConvWeights(np.zeros((out_c, in_c, 3, 3), dtype=np.float32),
+                       np.zeros(out_c, dtype=np.float32))
+
+
+@pytest.mark.parametrize("branch", ["cls", "reg", "query"])
+@pytest.mark.parametrize("field,conv,message", [
+    ("tower", lambda w, b: [*getattr(w, f"{b}_tower")[:3], _bad_conv(8, 4)],
+     "{b} tower convs must map 8->8"),
+    ("pred", lambda w, b: _bad_conv(getattr(w, f"{b}_pred").out_channels, 4),
+     "{b}_pred must take 8 input channels"),
+    ("pred", lambda w, b: _bad_conv(3, 8), "{b}_pred must emit"),
+], ids=["tower-conv-shape", "pred-input", "pred-output"])
+def test_head_weights_validation_names_the_branch(branch, field, conv, message):
+    w = make_fixture_weights(0, 8, 1, 4)
+    with pytest.raises(ConfigurationError, match=message.format(b=branch)):
+        dataclasses.replace(w, **{f"{branch}_{field}": conv(w, branch)})
+
+
+def test_blob_is_a_ground_truth_object_plus_its_amplitude():
+    blob = Blob(40.0, 52.0, 7.0, 9.0, 1, 32.0)
+    assert isinstance(blob, GroundTruthObject)
+    assert (blob.class_id, blob.amplitude, blob.max_side) == (1, 32.0, 9.0)
+    assert blob.to_json() == {"cx": 40.0, "cy": 52.0, "w": 7.0, "h": 9.0, "class": 1}
+    assert Blob(1.0, 2.0, 3.0, 4.0).amplitude == 8.0
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"class_id": -1}, "class"), ({"width": 0.0}, "sides"), ({"cx": math.nan}, "finite"),
+    ({"amplitude": math.inf}, "amplitude"), ({"amplitude": math.nan}, "amplitude"),
+], ids=["class-negative", "width-zero", "cx-nan", "amplitude-inf", "amplitude-nan"])
+def test_blob_runs_the_object_checks_and_its_own(kwargs, message):
+    fields = {"cx": 10.0, "cy": 10.0, "width": 5.0, "height": 5.0} | kwargs
+    with pytest.raises(ValidationError, match=message):
+        Blob(**fields)
 
 
 def test_dense_head_output_shapes():

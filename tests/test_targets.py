@@ -159,6 +159,8 @@ def test_ground_truth_validation():
         gt_of([obj(600.0, 10.0)])
     with pytest.raises(ValidationError):
         gt_of([GroundTruthObject(10.0, 10.0, 0.0, 5.0)])
+    with pytest.raises(ValidationError, match="class must be non-negative, got -1"):
+        GroundTruthObject(10.0, 10.0, 5.0, 5.0, -1)
 
 
 @pytest.mark.parametrize("field", range(4))
@@ -174,6 +176,7 @@ def test_ground_truth_from_json_names_the_file_and_entry():
     good = {"cx": 10.0, "cy": 10.0, "w": 5.0, "h": 5.0}
     for entries, named in (([good, {"cx": 1.0}], "entry 1"),
                            ([good, dict(good, w=-1.0)], "entry 1: object sides"),
+                           ([good, dict(good, **{"class": -3})], "entry 1: object class"),
                            ([dict(good, cx=600.0)], "object 0: center"),
                            ([good, dict(good, **{"class": 1.5})], "entry 1"),
                            ([True], "entry 0"), ("cx", "list")):
@@ -251,6 +254,14 @@ def test_loss_shape_mismatch_raises():
         focal_loss(np.zeros(3), np.zeros(4))
     with pytest.raises(ValidationError):
         smooth_l1(np.zeros((2, 2)), np.zeros(4))
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"alpha": 0.0}, "alpha"), ({"alpha": 1.0}, "alpha"), ({"gamma": -0.5}, "gamma"),
+], ids=["alpha-0", "alpha-1", "gamma-negative"])
+def test_loss_config_rejects_out_of_range_values(kwargs, message):
+    with pytest.raises(ConfigurationError, match=message):
+        LossConfig(**kwargs)
 
 
 def test_level_loss_needs_full_targets():

@@ -239,6 +239,17 @@ def test_load_tensor_rejects_truncated_payload(tmp_path):
         load_tensor(p)
 
 
+@pytest.mark.parametrize("manifest,message", [
+    ({"dtype": "f64", "shape": [1, 2, 2]}, "unsupported dtype 'f64'"),
+    ({"dtype": "f32", "shape": [2, 2]}, r"tensor shape \[2, 2\] is not \(C, H, W\)"),
+], ids=["dtype-f64", "shape-2d"])
+def test_load_tensor_rejects_a_manifest_it_cannot_read(tmp_path, manifest, message):
+    p = tmp_path / "t.qdt"
+    tensor.write_container(p, tensor.TENSOR_MAGIC, manifest, [np.zeros(4, dtype=np.float32)])
+    with pytest.raises(FormatError, match=message):
+        load_tensor(p)
+
+
 def test_dense_tensor_rejects_bad_rank():
     with pytest.raises(ValidationError):
         DenseTensor(np.zeros((3, 3), dtype=np.float32))
