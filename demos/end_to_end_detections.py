@@ -51,7 +51,7 @@ def main():
     ]
     pyr = make_synthetic_pyramid(PYRAMID_SEED, IMAGE, IMAGE, 2, 7, CHANNELS, blobs)
     weights = make_fixture_weights(WEIGHT_SEED, CHANNELS, 1, CLASSES)
-    anchors = AnchorConfig(base=4.0, num_anchors=1)
+    anchors = AnchorConfig(num_anchors=1)
 
     def detect(strategy, sigma=0.05):
         result = run_pipeline(pyr, weights, QueryConfig(strategy=strategy, sigma=sigma))

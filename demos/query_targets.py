@@ -11,9 +11,8 @@ Run:  python demos/query_targets.py
 from cascadequery import (
     GroundTruthObject,
     GroundTruthSet,
-    distance_map,
     level_scale,
-    query_target,
+    query_target_for_level,
 )
 
 IMAGE = 256
@@ -38,12 +37,11 @@ def main():
     for o in objects:
         print(f"object at ({o.cx:.0f},{o.cy:.0f}), {o.width:.0f}x{o.height:.0f}px")
 
-    base = 4.0
     for level in (3, 4, 5):
         h = w = IMAGE >> level
-        scale = level_scale(level, base)
+        scale = level_scale(level)
         small = [o for o in gt.objects if max(o.width, o.height) < scale]
-        target = query_target(distance_map(gt, level, h, w, base), base)
+        target = query_target_for_level(gt, level, h, w)
         print(f"\nP{level} ({w}x{w} cells, minimum anchor scale {scale:.0f}px): "
               f"{len(small)} of {len(objects)} objects are small here, "
               f"{int(target.sum())} positive cells")

@@ -33,7 +33,7 @@ from .model import (TOWER_DEPTH, Blob, HeadOutput, level_dims, load_pyramid, loa
 from .postproc import AnchorConfig, detections_from_result, detections_to_json
 from .query import STRATEGIES, CascadeResult, QueryConfig, run_pipeline
 from .sparse import KeySet, build_rulebook
-from .targets import GroundTruthSet, query_target_for_level
+from .targets import ANCHOR_BASE, GroundTruthSet, query_target_for_level
 from .tensor import DenseTensor, save_tensor, sigmoid_array
 
 PYRAMID_FILE = "pyramid.qdpyr"
@@ -64,7 +64,6 @@ OPTIONS = {
     "warmup": (int, 2, "[2, inf)", "untimed rounds before the timed ones"),
     "blobs": (int, 3, "[0, inf)", "number of random planted objects"),
     "blob": (list, None, None, "explicit object 'cx,cy,w,h[,class[,amplitude]]'"),
-    "base": (float, 4.0, "(0, inf)", "anchor base scale"),
     "score_threshold": (float, 0.05, "[0, 1]", "least detection score"),
     "iou_threshold": (float, 0.5, "[0, 1]", "NMS overlap threshold"),
     "top_k": (int, 100, "[0, inf)", "most detections kept"),
@@ -226,7 +225,7 @@ def cmd_run(opts: dict) -> int:
     weights = load_weights(opts["weights"])
     out_dir = opts["out"]
     result = run_pipeline(pyr, weights, cfg)
-    anchor_cfg = AnchorConfig(base=opts["base"], num_anchors=weights.num_anchors)
+    anchor_cfg = AnchorConfig(num_anchors=weights.num_anchors)
     t0 = time.perf_counter()
     dets = detections_from_result(result, anchor_cfg, weights.num_classes, **post)
     postproc_millis = (time.perf_counter() - t0) * 1000.0
@@ -291,7 +290,7 @@ def _check_against_dense(pyr, weights, dense: CascadeResult | Exception, cfg: Qu
 
 
 def _check_ccq_exact(pyr, weights, dense: CascadeResult | Exception, cfg: QueryConfig,
-                     base: float, post: dict) -> tuple[int, str]:
+                     post: dict) -> tuple[int, str]:
     ccq, rows, detail = _check_against_dense(pyr, weights, dense,
                                              dataclasses.replace(cfg, strategy="ccq"), True)
     uncovered = 0
@@ -306,7 +305,7 @@ def _check_ccq_exact(pyr, weights, dense: CascadeResult | Exception, cfg: QueryC
     if uncovered:
         return rows, (f"{detail}; {uncovered} above-threshold dense positions uncovered by "
                       f"keys, detections comparison skipped")
-    anchor_cfg = AnchorConfig(base=base, num_anchors=weights.num_anchors)
+    anchor_cfg = AnchorConfig(num_anchors=weights.num_anchors)
     d1, d2 = (detections_to_json(detections_from_result(r, anchor_cfg, weights.num_classes,
                                                         **post)) for r in (dense, ccq))
     if d1 != d2:
@@ -314,11 +313,11 @@ def _check_ccq_exact(pyr, weights, dense: CascadeResult | Exception, cfg: QueryC
     return rows, f"{detail}; {len(d1)} detections identical"
 
 
-def _brute_force_query_target(gt: GroundTruthSet, level: int, height: int, width: int,
-                              base: float) -> np.ndarray:
+def _brute_force_query_target(gt: GroundTruthSet, level: int, height: int,
+                              width: int) -> np.ndarray:
     """Independent double-loop re-derivation of the query target map."""
     stride = 1 << level
-    scale = base * stride
+    scale = ANCHOR_BASE * stride
     centers = [
         (math.floor(o.cx / stride), math.floor(o.cy / stride))
         for o in gt.objects if max(o.width, o.height) < scale
@@ -327,18 +326,18 @@ def _brute_force_query_target(gt: GroundTruthSet, level: int, height: int, width
     for y in range(height):
         for x in range(width):
             for gx, gy in centers:
-                if math.sqrt((x - gx) ** 2 + (y - gy) ** 2) < base:
+                if math.sqrt((x - gx) ** 2 + (y - gy) ** 2) < ANCHOR_BASE:
                     out[y, x] = 1.0
                     break
     return out
 
 
-def _check_targets(pyr, gt: GroundTruthSet, base: float) -> str:
+def _check_targets(pyr, gt: GroundTruthSet) -> str:
     cells = 0
     for level in sorted(pyr.levels):
         h, w = pyr.levels[level].height, pyr.levels[level].width
-        fast = query_target_for_level(gt, level, h, w, base)
-        slow = _brute_force_query_target(gt, level, h, w, base)
+        fast = query_target_for_level(gt, level, h, w)
+        slow = _brute_force_query_target(gt, level, h, w)
         if not np.array_equal(fast, slow):
             bad = int(np.sum(fast != slow))
             raise CheckFailure(f"level {level}: {bad} cells disagree with brute force")
@@ -368,7 +367,7 @@ def _check_flops_identity(pyr, weights) -> str:
 
 
 def cmd_verify(opts: dict) -> int:
-    fdir, base, cfg = opts["fixture"], opts["base"], _query_config(opts)
+    fdir, cfg = opts["fixture"], _query_config(opts)
     post = {k: opts[k] for k in POSTPROC_KEYS}
     warnings = []
     sums_path = os.path.join(fdir, CHECKSUMS_FILE)
@@ -411,12 +410,12 @@ def cmd_verify(opts: dict) -> int:
         dense = run_pipeline(pyr, weights, dataclasses.replace(cfg, strategy="dense"))
     except Exception as e:  # each of those checks then fails with this error
         dense = e
-    run_check("ccq-exact", _check_ccq_exact, pyr, weights, dense, cfg, base, post)
+    run_check("ccq-exact", _check_ccq_exact, pyr, weights, dense, cfg, post)
     run_check("csq-sigma0", _check_against_dense, pyr, weights, dense,
               dataclasses.replace(cfg, strategy="csq", sigma=0.0), False)
     run_check("cq-dense", _check_against_dense, pyr, weights, dense,
               dataclasses.replace(cfg, strategy="cq"), False)
-    run_check("query-targets", _check_targets, pyr, gt, base)
+    run_check("query-targets", _check_targets, pyr, gt)
     run_check("flops-identity", _check_flops_identity, pyr, weights)
 
     verdict = {
@@ -488,19 +487,19 @@ def cmd_flops(opts: dict) -> int:
 
 
 def cmd_targets_check(opts: dict) -> int:
-    out_dir, size, base = opts["out"], opts["image_size"], opts["base"]
+    out_dir, size = opts["out"], opts["image_size"]
     levels = _level_range(opts)
     gt = GroundTruthSet.from_json(_read_json(opts["gt"]), size, size, opts["gt"])
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for level in levels:
         h, w = level_dims(size, size, level)
-        vmap = query_target_for_level(gt, level, h, w, base)
+        vmap = query_target_for_level(gt, level, h, w)
         name = f"v_star_l{level}.qdt"
         save_tensor(DenseTensor(vmap[None, :, :]), os.path.join(out_dir, name))
         rows.append({"level": level, "shape": [h, w], "positives": int(vmap.sum()),
                      "total": h * w, "file": name})
-    summary = {"schema": "qd/1", "image": [size, size], "base": base,
+    summary = {"schema": "qd/1", "image": [size, size], "base": ANCHOR_BASE,
                "objects": len(gt.objects), "levels": rows}
     _write_json(os.path.join(out_dir, "targets_summary.json"), summary)
     print(f"query targets for {len(gt.objects)} objects -> {out_dir}")
@@ -515,15 +514,15 @@ COMMANDS = {
     "gen-fixture": (cmd_gen_fixture, "write a seeded pyramid/weights/ground-truth set", "out",
                     "seed image_size channels anchors classes min_level max_level blobs blob"),
     "run": (cmd_run, "run one strategy and write report + detections", "pyramid weights out",
-            "strategy sigma start_level min_level base score_threshold iou_threshold top_k"),
+            "strategy sigma start_level min_level score_threshold iou_threshold top_k"),
     "verify": (cmd_verify, "oracle equivalence checks over a fixture", "fixture",
-               "out sigma start_level min_level base score_threshold iou_threshold top_k"),
+               "out sigma start_level min_level score_threshold iou_threshold top_k"),
     "bench": (cmd_bench, "timing sweep across thresholds", "pyramid weights out",
               "strategy repeats warmup start_level min_level"),
     "flops": (cmd_flops, "analytic per-level cost breakdown", "",
               "image_size channels anchors classes min_level max_level out"),
     "targets-check": (cmd_targets_check, "emit per-level query-target maps", "gt out",
-                      "image_size base min_level max_level"),
+                      "image_size min_level max_level"),
 }
 
 

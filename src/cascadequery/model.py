@@ -74,14 +74,6 @@ class FeaturePyramid:
     def channels(self) -> int:
         return next(iter(self.levels.values())).channels
 
-    @property
-    def min_level(self) -> int:
-        return min(self.levels)
-
-    @property
-    def max_level(self) -> int:
-        return max(self.levels)
-
 
 @dataclass(frozen=True)
 class HeadWeights:

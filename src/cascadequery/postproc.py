@@ -14,33 +14,30 @@ import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 from .model import HeadOutput, pred_widths
+from .targets import level_scale
 from .tensor import sigmoid_array
 
 
 @dataclass(frozen=True)
 class AnchorConfig:
-    """Square anchors centered on grid cells: side base * 2^l, with additional
-    slots (when num_anchors > 1) scaled by 2^(i/3) as in standard FPN heads."""
-
-    base: float = 4.0
     num_anchors: int = 1
 
     def __post_init__(self):
-        if self.base <= 0:
-            raise ConfigurationError(f"anchor base must be positive, got {self.base}")
         if self.num_anchors < 1:
             raise ConfigurationError(f"need at least one anchor, got {self.num_anchors}")
 
 
-def anchor_boxes(xs, ys, slots, level: int, cfg: AnchorConfig) -> np.ndarray:
-    """(N, 4) float64 anchor corners for grid positions (x, y) and anchor slots."""
+def anchor_boxes(xs, ys, slots, level: int) -> np.ndarray:
+    """(N, 4) float64 corners of square anchors centered on grid positions
+    (x, y): side s_l = level_scale(l) at slot 0, with further slots (when
+    num_anchors > 1) scaled by 2^(i/3) as in standard FPN heads."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     slots = np.asarray(slots, dtype=np.float64)
     stride = float(1 << level)
     cx = (xs + 0.5) * stride
     cy = (ys + 0.5) * stride
-    side = cfg.base * stride * np.exp2(slots / 3.0)
+    side = level_scale(level) * np.exp2(slots / 3.0)
     half = side / 2.0
     return np.stack([cx - half, cy - half, cx + half, cy + half], axis=1)
 
@@ -244,7 +241,7 @@ def detections_from_output(output: HeadOutput, level: int, cfg: AnchorConfig,
     slots, classes = chans // num_classes, chans % num_classes
     reg = output.reg_deltas.features
     deltas = np.stack([reg[rows, slots * 4 + i] for i in range(4)], axis=1)
-    anchors = anchor_boxes(xs, ys, slots, level, cfg)
+    anchors = anchor_boxes(xs, ys, slots, level)
     return Candidates(decode_boxes(deltas, anchors), scores[rows, chans], classes,
                       np.full(len(rows), level))
 

@@ -25,7 +25,7 @@ skeleton and differ only in how the children's rows are computed:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -172,12 +172,7 @@ class CascadeResult:
         return {
             "schema": "qd/1",
             "strategy": self.strategy,
-            "config": {
-                "strategy": self.config.strategy,
-                "sigma": self.config.sigma,
-                "start_level": self.config.start_level,
-                "min_level": self.config.min_level,
-            },
+            "config": asdict(self.config),
             "image": [self.image_height, self.image_width],
             "channels": self.channels,
             "levels": [r.to_json() for r in self.records],

@@ -1,10 +1,10 @@
 """Query-target construction and verification losses (forward only, no training).
 
 An object is *small for level l* when its max side is under the level's minimum
-anchor scale s_l = base * 2^l. Each level's binary query target marks grid
-cells within a threshold distance of some small object's projected center; the
-threshold lives in grid units, where it is simply ``base`` (the stride cancels:
-s_l / 2^l).
+anchor scale s_l = ANCHOR_BASE * 2^l. Each level's binary query target marks
+grid cells within a threshold distance of some small object's projected center;
+the threshold lives in grid units, where it is simply ``ANCHOR_BASE`` (the
+stride cancels: s_l / 2^l).
 """
 
 from __future__ import annotations
@@ -90,18 +90,22 @@ class GroundTruthSet:
             raise FormatError(f"{source}: {err}") from err
 
 
-def level_scale(level: int, base: float = 4.0) -> float:
-    """Minimum anchor scale s_l = base * 2^l, in image pixels."""
-    if base <= 0:
-        raise ConfigurationError(f"base must be positive, got {base}")
-    return base * (1 << level)
+# RetinaNet's anchor base: the slot-0 anchor side at level l is ANCHOR_BASE * 2^l
+# (postproc.anchor_boxes), and the same s_l decides which objects are small
+# for that level's query target, so the anchors and the targets cannot disagree.
+ANCHOR_BASE = 4.0
 
 
-def is_small_for_level(obj: GroundTruthObject, level: int, base: float = 4.0) -> bool:
-    return obj.max_side < level_scale(level, base)
+def level_scale(level: int) -> float:
+    """Minimum anchor scale s_l = ANCHOR_BASE * 2^l, in image pixels."""
+    return ANCHOR_BASE * (1 << level)
 
 
-def small_centers_on_grid(gt: GroundTruthSet, level: int, base: float = 4.0) -> np.ndarray:
+def is_small_for_level(obj: GroundTruthObject, level: int) -> bool:
+    return obj.max_side < level_scale(level)
+
+
+def small_centers_on_grid(gt: GroundTruthSet, level: int) -> np.ndarray:
     """(N, 2) array of (gx, gy) grid cells: floor(center / 2^l) for each object
     small at this level. Centers near the truncated right/bottom edge of a
     floor-sized grid may land one cell outside it; they are kept as-is, since
@@ -110,16 +114,15 @@ def small_centers_on_grid(gt: GroundTruthSet, level: int, base: float = 4.0) -> 
     pts = [
         (np.floor(o.cx / stride), np.floor(o.cy / stride))
         for o in gt.objects
-        if is_small_for_level(o, level, base)
+        if is_small_for_level(o, level)
     ]
     return np.asarray(pts, dtype=np.float64).reshape(-1, 2)
 
 
-def distance_map(gt: GroundTruthSet, level: int, height: int, width: int,
-                 base: float = 4.0) -> np.ndarray:
+def distance_map(gt: GroundTruthSet, level: int, height: int, width: int) -> np.ndarray:
     """(H, W) float64 map: entry [y, x] is the Euclidean grid distance from
     (x, y) to the nearest small-object center, +inf when no object is small."""
-    centers = small_centers_on_grid(gt, level, base)
+    centers = small_centers_on_grid(gt, level)
     if len(centers) == 0:
         return np.full((height, width), np.inf, dtype=np.float64)
     ys, xs = np.mgrid[0:height, 0:width]
@@ -136,10 +139,10 @@ def query_target(dist: np.ndarray, threshold_grid: float) -> np.ndarray:
     return (dist < threshold_grid).astype(np.float32)
 
 
-def query_target_for_level(gt: GroundTruthSet, level: int, height: int, width: int,
-                           base: float = 4.0) -> np.ndarray:
-    # the grid-unit threshold is s_l / 2^l == base at every level
-    return query_target(distance_map(gt, level, height, width, base), base)
+def query_target_for_level(gt: GroundTruthSet, level: int, height: int,
+                           width: int) -> np.ndarray:
+    # the grid-unit threshold is s_l / 2^l == ANCHOR_BASE at every level
+    return query_target(distance_map(gt, level, height, width), ANCHOR_BASE)
 
 
 @dataclass(frozen=True)

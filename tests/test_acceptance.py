@@ -52,7 +52,7 @@ from conftest import (
 )
 
 W16 = standard_weights(16)
-ANCHORS = AnchorConfig(base=4.0, num_anchors=1)
+ANCHORS = AnchorConfig(num_anchors=1)
 BRANCHES = ("cls_logits", "reg_deltas", "query_logits")
 
 
@@ -236,7 +236,7 @@ def test_criterion_07_query_targets_match_brute_force_exactly():
             for _ in range(int(rng.integers(0, 6)))
         ]
         gt = GroundTruthSet(h * stride, w * stride, objs)
-        fast = query_target_for_level(gt, level, h, w, 4.0)
+        fast = query_target_for_level(gt, level, h, w)
         slow = _brute_query_target(gt, level, h, w, 4.0)
         assert np.array_equal(fast, slow), f"case {case}: maps disagree"
         positives += int(slow.sum())

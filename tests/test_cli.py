@@ -165,7 +165,7 @@ def _must_not_load(path):
 
 BAD_POSTPROC = [("--iou-threshold", "2"), ("--iou-threshold", "nan"),
                 ("--score-threshold", "-0.1"), ("--score-threshold", "1.5"),
-                ("--top-k", "-1"), ("--base", "-1"), ("--base", "0")]
+                ("--top-k", "-1")]
 
 
 @pytest.mark.parametrize("flag,value", BAD_POSTPROC)
@@ -191,8 +191,7 @@ def test_bad_postproc_option_fails_verify_before_any_work(small_fixture, tmp_pat
 
 @pytest.mark.parametrize("command,flags", [
     ("gen-fixture", ("--seed", "-1")), ("gen-fixture", ("--blobs", "-3")),
-    ("flops", ("--channels", "-1")), ("targets-check", ("--base", "-1")),
-    ("bench", ("--warmup", "1")),
+    ("flops", ("--channels", "-1")), ("bench", ("--warmup", "1")),
     # an inverted level range, and a level whose grid vanishes at 512 px
     ("flops", ("--min-level", "5", "--max-level", "3")),
     ("targets-check", ("--min-level", "5", "--max-level", "3")),
@@ -408,17 +407,37 @@ def test_flag_beats_config_beats_default(small_fixture, tmp_path):
 
 def test_unknown_config_key_is_rejected(small_fixture, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    for payload in ({"sigmaa": 0.5}, {"cq_patch": 11}):  # cq_patch: removed knob
+    # cq_patch and base are removed knobs
+    for payload in ({"sigmaa": 0.5}, {"cq_patch": 11}, {"base": 4.0}):
         cfg.write_text(json.dumps(payload))
         rc = main(run_args(small_fixture, tmp_path, "--config", str(cfg)))
         assert rc == 2
         assert "unknown keys" in capsys.readouterr().err
 
 
-def test_removed_cq_patch_flag_is_rejected_at_parse_time(small_fixture, tmp_path):
-    # cq's crop is always the head's receptive field; there is no flag for it
-    with pytest.raises(SystemExit):
-        main(run_args(small_fixture, tmp_path, "--strategy", "cq", "--cq-patch", "13"))
+# cq's crop is always the head's receptive field, and the anchor base is
+# targets.ANCHOR_BASE; there is no flag for either
+@pytest.mark.parametrize("command,flags", [
+    ("run", ("--strategy", "cq", "--cq-patch", "13")), ("run", ("--base", "4")),
+    ("verify", ("--base", "4")), ("targets-check", ("--base", "4")),
+], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
+def test_removed_flag_is_rejected_at_parse_time(small_fixture, tmp_path, command, flags):
+    inputs = {
+        "run": run_args(small_fixture, tmp_path)[1:],
+        "verify": ["--fixture", str(small_fixture)],
+        "targets-check": ["--gt", str(small_fixture / GROUND_TRUTH_FILE),
+                          "--out", str(tmp_path)],
+    }
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs[command], *flags])
+    assert exc.value.code == 2
+
+
+def test_every_option_is_offered_by_some_command():
+    # an option no subcommand takes would still be accepted from --config
+    offered = {name for _, _, required, other in cli_mod.COMMANDS.values()
+               for name in (required + " " + other).split()}
+    assert offered == set(cli_mod.OPTIONS)
 
 
 # run never reads repeats, but a config value of the wrong type fails all the same

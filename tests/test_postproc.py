@@ -30,10 +30,12 @@ from cascadequery import (
 from cascadequery.model import HeadOutput
 from cascadequery.postproc import SCALE_CLAMP
 from cascadequery.sparse import KeySet, SparseFeature
+from cascadequery.targets import (ANCHOR_BASE, GroundTruthObject, is_small_for_level,
+                                 level_scale)
 from conftest import (SPEEDUP_PYRAMID_SEED, SPEEDUP_WEIGHT_SEED, speedup_blobs,
                       standard_pyramid, standard_weights)
 
-CFG = AnchorConfig(base=4.0, num_anchors=1)
+CFG = AnchorConfig(num_anchors=1)
 
 
 def det(box, score, cls=0, level=2):
@@ -43,54 +45,62 @@ def det(box, score, cls=0, level=2):
 # --- anchors and box coding --------------------------------------------------------
 
 def test_anchor_boxes_are_centered_on_cells():
-    boxes = anchor_boxes([0, 3], [0, 1], [0, 0], level=2, cfg=CFG)
+    boxes = anchor_boxes([0, 3], [0, 1], [0, 0], level=2)
     # cell (0,0) at stride 4 has center (2,2); base side is 4 * 2^2 = 16
     np.testing.assert_allclose(boxes[0], [-6.0, -6.0, 10.0, 10.0])
     np.testing.assert_allclose(boxes[1], [6.0, -2.0, 22.0, 14.0])
 
 
 def test_anchor_slots_grow_by_cuberoot_of_two():
-    cfg3 = AnchorConfig(base=4.0, num_anchors=3)
-    b = anchor_boxes([0, 0, 0], [0, 0, 0], [0, 1, 2], level=3, cfg=cfg3)
+    b = anchor_boxes([0, 0, 0], [0, 0, 0], [0, 1, 2], level=3)
     sides = b[:, 2] - b[:, 0]
     np.testing.assert_allclose(sides, [32.0, 32.0 * 2 ** (1 / 3), 32.0 * 2 ** (2 / 3)])
 
 
-@pytest.mark.parametrize("kw", [{"base": 0.0}, {"base": -4.0}, {"num_anchors": 0}])
-def test_anchor_config_rejects_bad_settings_as_configuration_errors(kw):
-    # targets.level_scale raises the same type for the same base
+def test_anchors_and_query_targets_share_one_scale():
+    # an object is small at level l when it is under the slot-0 anchor's side
+    for level in range(2, 8):
+        box = anchor_boxes([0], [0], [0], level)[0]
+        side = level_scale(level)
+        assert box[2] - box[0] == box[3] - box[1] == side == ANCHOR_BASE * 2 ** level
+        assert is_small_for_level(GroundTruthObject(0.0, 0.0, np.nextafter(side, 0.0), 1.0),
+                                  level)
+        assert not is_small_for_level(GroundTruthObject(0.0, 0.0, side, 1.0), level)
+
+
+def test_anchor_config_rejects_zero_anchors_as_a_configuration_error():
     with pytest.raises(ConfigurationError):
-        AnchorConfig(**kw)
+        AnchorConfig(num_anchors=0)
 
 
 def test_decode_zero_deltas_returns_anchor():
-    anchors = anchor_boxes([2, 7], [3, 1], [0, 0], level=3, cfg=CFG)
+    anchors = anchor_boxes([2, 7], [3, 1], [0, 0], level=3)
     got = decode_boxes(np.zeros((2, 4)), anchors)
     np.testing.assert_allclose(got, anchors, atol=1e-9)
 
 
 def test_decode_log_scale_doubles_the_side():
-    anchors = anchor_boxes([0], [0], [0], level=2, cfg=CFG)
+    anchors = anchor_boxes([0], [0], [0], level=2)
     got = decode_boxes(np.array([[0.0, 0.0, math.log(2.0), 0.0]]), anchors)
     assert (got[0, 2] - got[0, 0]) == pytest.approx(32.0)
     assert (got[0, 3] - got[0, 1]) == pytest.approx(16.0)
 
 
 def test_decode_unit_dx_shifts_by_one_anchor_width():
-    anchors = anchor_boxes([0], [0], [0], level=2, cfg=CFG)
+    anchors = anchor_boxes([0], [0], [0], level=2)
     got = decode_boxes(np.array([[1.0, 0.0, 0.0, 0.0]]), anchors)
     np.testing.assert_allclose(got[0], anchors[0] + [16.0, 0.0, 16.0, 0.0])
 
 
 def test_decode_clamps_huge_scale_deltas():
-    anchors = anchor_boxes([0], [0], [0], level=2, cfg=CFG)
+    anchors = anchor_boxes([0], [0], [0], level=2)
     got = decode_boxes(np.array([[0.0, 0.0, 50.0, 50.0]]), anchors)
     side = got[0, 2] - got[0, 0]
     assert side == pytest.approx(16.0 * math.exp(SCALE_CLAMP))
 
 
 def test_decode_rejects_non_finite():
-    anchors = anchor_boxes([0], [0], [0], level=2, cfg=CFG)
+    anchors = anchor_boxes([0], [0], [0], level=2)
     with pytest.raises(ValidationError):
         decode_boxes(np.array([[np.nan, 0.0, 0.0, 0.0]]), anchors)
 
@@ -98,7 +108,7 @@ def test_decode_rejects_non_finite():
 def test_encode_decode_roundtrip():
     rng = np.random.default_rng(0)
     anchors = anchor_boxes(rng.integers(0, 30, 16), rng.integers(0, 30, 16),
-                           np.zeros(16), level=3, cfg=CFG)
+                           np.zeros(16), level=3)
     centers = rng.uniform(10, 200, (16, 2))
     sides = rng.uniform(4, 60, (16, 2))
     boxes = np.concatenate([centers - sides / 2, centers + sides / 2], axis=1)
@@ -307,7 +317,7 @@ def test_candidates_respect_the_score_threshold():
     d = cands.detection(0)
     assert d.class_id == 1 and d.level == 3
     assert d.score == pytest.approx(1 / (1 + math.exp(-2.0)))
-    np.testing.assert_allclose(d.box, anchor_boxes([3], [2], [0], 3, CFG)[0])
+    np.testing.assert_allclose(d.box, anchor_boxes([3], [2], [0], 3)[0])
 
 
 def test_candidates_reject_a_collapsed_box():
@@ -345,7 +355,7 @@ def test_sparse_and_dense_candidates_agree_at_keys():
 
 def test_multi_anchor_channel_layout():
     # slot a, class k lives at channel a*K + k; slot boxes at a*4..a*4+3
-    cfg2 = AnchorConfig(base=4.0, num_anchors=2)
+    cfg2 = AnchorConfig(num_anchors=2)
     cls = np.full((4, 2, 2), -9.0, dtype=np.float32)
     cls[3, 0, 0] = 3.0  # slot 1, class 1 under K=2
     reg = np.zeros((8, 2, 2), dtype=np.float32)

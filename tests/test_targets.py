@@ -40,7 +40,6 @@ def obj(cx, cy, side=10.0, cls=0):
 def test_level_scale_doubles_per_level():
     assert level_scale(2) == 16.0
     assert level_scale(3) == 32.0
-    assert level_scale(5, base=2.0) == 64.0
 
 
 def test_small_for_level_is_strict():
