@@ -14,6 +14,7 @@ from cascadequery import (
     make_synthetic_pyramid,
     run_benchmark,
 )
+from cascadequery.analysis import sweep_sigmas
 
 SEED, IMAGE, CHANNELS = 4, 256, 16
 
@@ -27,10 +28,9 @@ def main():
     pyr = make_synthetic_pyramid(SEED, IMAGE, IMAGE, 2, 7, CHANNELS, blobs)
     weights = make_fixture_weights(SEED, CHANNELS, 1, 4)
 
-    sigmas = [round(0.05 * i, 2) for i in range(1, 20, 2)]
-    configs = [QueryConfig(strategy="csq", sigma=s) for s in sigmas]
+    configs = [QueryConfig(strategy="csq", sigma=s) for s in sweep_sigmas()[::2]]
     dense, *sweep = run_benchmark(
-        pyr, weights, [QueryConfig(strategy="dense")] + configs, repeats=5, warmup=2)
+        pyr, weights, [QueryConfig(strategy="dense")] + configs, repeats=5)
 
     print(f"dense baseline: {dense.best_end_to_end_millis:.1f} ms\n")
     print(f"{'sigma':>6} {'P3 keys':>8} {'P2 keys':>8} {'MACs vs dense':>14} {'ms':>7}")

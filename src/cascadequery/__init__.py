@@ -10,7 +10,7 @@ MAC-level cost model and a benchmark harness.
 
 from .analysis import (BenchResult, bench_csv, bench_json, head_flops_dense,
                        head_flops_sparse, inbounds_pairs, p2_cost_increase,
-                       run_benchmark, sigma_sweep)
+                       run_benchmark)
 from .errors import (CascadeQueryError, ConfigurationError, FormatError,
                      ValidationError)
 from .model import (Blob, FeaturePyramid, HeadOutput, HeadWeights, level_dims,
@@ -27,9 +27,8 @@ from .sparse import (KeySet, Rulebook, SparseFeature, build_rulebook, dilate,
                      gather, sparse_conv, sparse_relu)
 from .targets import (GroundTruthObject, GroundTruthSet, LossConfig, TargetMaps,
                       beta_schedule, distance_map, focal_loss, is_small_for_level,
-                      level_loss, level_scale, query_target,
-                      query_target_for_level, small_centers_on_grid, smooth_l1,
-                      total_loss)
+                      level_loss, level_scale, query_target_for_level,
+                      small_centers_on_grid, smooth_l1, total_loss)
 from .tensor import (ConvWeights, DenseTensor, conv2d, load_tensor, relu,
                      save_tensor)
 
@@ -51,9 +50,9 @@ __all__ = [
     "is_small_for_level", "level_dims", "level_loss", "level_scale",
     "load_pyramid", "load_tensor", "load_weights", "make_fixture_weights",
     "make_synthetic_pyramid", "map_queries_to_keys", "nms",
-    "p2_cost_increase", "query_target", "query_target_for_level", "relu",
+    "p2_cost_increase", "query_target_for_level", "relu",
     "run_benchmark", "run_dense_head", "run_pipeline", "run_sparse_head",
-    "save_pyramid", "save_tensor", "save_weights", "sigma_sweep",
+    "save_pyramid", "save_tensor", "save_weights",
     "small_centers_on_grid", "smooth_l1", "sparse_conv",
     "sparse_relu", "total_loss",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import io
+import math
 import os
 import statistics
 import time
@@ -74,22 +75,18 @@ def inbounds_pairs(height: int, width: int) -> int:
     return (3 * height - 2) * (3 * width - 2)
 
 
-def p2_cost_increase(image_h: int, image_w: int, channels: int = 16,
-                     num_anchors: int = 1, num_classes: int = 4) -> float:
+def p2_cost_increase(image_h: int, image_w: int) -> float:
     """Head-cost ratio of adding the stride-4 level: flops(P2) / sum(flops(P3..P7)).
 
-    ~3.0 for power-of-two images (geometric series 4 / (1 + 1/4 + ... + 1/256));
+    A level's dense head cost is its cell count times one per-cell charge, so
+    the ratio is one of cell counts, whatever the head's width. ~3.0 for
+    power-of-two images (geometric series 4 / (1 + 1/4 + ... + 1/256));
     floor-sized grids move it slightly."""
-    p2 = head_flops_dense(*level_dims(image_h, image_w, 2), channels,
-                          num_anchors, num_classes)
-    rest = sum(
-        head_flops_dense(*level_dims(image_h, image_w, l), channels,
-                         num_anchors, num_classes)
-        for l in range(3, 8)
-    )
+    cells = [math.prod(level_dims(image_h, image_w, l)) for l in range(2, 8)]
+    rest = sum(cells[1:])
     if rest == 0:
         raise ConfigurationError(f"image {image_h}x{image_w} has no area at levels 3-7")
-    return p2 / rest
+    return cells[0] / rest
 
 
 def flops_report(image_h: int, image_w: int, levels, channels: int, num_anchors: int,
@@ -114,6 +111,11 @@ def flops_report(image_h: int, image_w: int, levels, channels: int, num_anchors:
 
 # --- wall-clock harness ------------------------------------------------------
 
+# Untimed rounds before the timed ones: the first pass pays one-off costs, such
+# as neighbour-table builds and BLAS start-up.
+WARMUP = 2
+
+
 @dataclass(frozen=True)
 class BenchResult:
     """Timings of one config from `run_benchmark`, which `cascadequery bench`
@@ -122,8 +124,6 @@ class BenchResult:
 
     strategy: str
     sigma: float
-    repeats: int
-    warmup: int
     level_millis: dict[int, float]  # median per level over the rounds
     level_keys: dict[int, int]      # computed positions per level
     level_flops: dict[int, int]
@@ -147,8 +147,8 @@ class BenchResult:
         return {
             "strategy": self.strategy,
             "sigma": self.sigma,
-            "repeats": self.repeats,
-            "warmup": self.warmup,
+            "repeats": len(self.end_to_end_samples),
+            "warmup": WARMUP,
             "end_to_end_millis": self.end_to_end_millis,
             "best_end_to_end_millis": self.best_end_to_end_millis,
             "end_to_end_samples": list(self.end_to_end_samples),
@@ -167,10 +167,10 @@ def timer_resolution_warning(spans_millis, resolution_s: float) -> bool:
     return shortest <= 0.0 or resolution_s > 0.01 * shortest
 
 
-def run_benchmark(pyr, weights, configs, repeats: int = 5, warmup: int = 2) -> list[BenchResult]:
+def run_benchmark(pyr, weights, configs, repeats: int = 5) -> list[BenchResult]:
     """Round-robin timing of every config, one pipeline at a time.
 
-    `warmup` untimed rounds come first, then `repeats` timed rounds; each round
+    WARMUP untimed rounds come first, then `repeats` timed rounds; each round
     runs every config once, in the order given. The host's speed drifts in
     phases longer than one config's runs, so timing a config's repeats back to
     back would charge a slow phase to that config alone; interleaved, a phase
@@ -180,12 +180,10 @@ def run_benchmark(pyr, weights, configs, repeats: int = 5, warmup: int = 2) -> l
     deterministic across runs)."""
     if repeats < 5:
         raise ConfigurationError(f"repeats must be >= 5, got {repeats}")
-    if warmup < 2:
-        raise ConfigurationError(f"warmup must be >= 2, got {warmup}")
     from .query import run_pipeline  # imported late: query builds on this module
 
     configs = list(configs)
-    for _ in range(warmup):
+    for _ in range(WARMUP):
         for cfg in configs:
             run_pipeline(pyr, weights, cfg)
     totals: list[list[float]] = [[] for _ in configs]
@@ -204,8 +202,6 @@ def run_benchmark(pyr, weights, configs, repeats: int = 5, warmup: int = 2) -> l
         out.append(BenchResult(
             strategy=cfg.strategy,
             sigma=cfg.sigma,
-            repeats=repeats,
-            warmup=warmup,
             level_millis={l: statistics.median(v) for l, v in levels.items()},
             level_keys={r.level: len(r.output.keys) for r in res.records},
             level_flops={r.level: r.flops for r in res.records},
@@ -218,17 +214,6 @@ def run_benchmark(pyr, weights, configs, repeats: int = 5, warmup: int = 2) -> l
 def sweep_sigmas() -> list[float]:
     """The 0.05-step threshold grid, 0.05 through 0.95."""
     return [round(0.05 * i, 2) for i in range(1, 20)]
-
-
-def sigma_sweep(pyr, weights, strategy: str = "csq", sigmas=None, repeats: int = 5,
-                warmup: int = 2) -> list[BenchResult]:
-    """Benchmark one strategy across the threshold grid (ascending sigma), every
-    threshold timed in the same interleaved rounds (see run_benchmark)."""
-    from .query import QueryConfig
-
-    sigmas = sweep_sigmas() if sigmas is None else list(sigmas)
-    configs = [QueryConfig(strategy=strategy, sigma=s) for s in sigmas]
-    return run_benchmark(pyr, weights, configs, repeats=repeats, warmup=warmup)
 
 
 def bench_csv(results: list[BenchResult]) -> str:

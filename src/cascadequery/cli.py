@@ -61,7 +61,6 @@ OPTIONS = {
     "strategy": (str, "csq", STRATEGIES, "how the cascade computes query children"),
     "sigma": (float, 0.15, None, "query score threshold"),
     "repeats": (int, 5, "[5, inf)", "timed rounds"),
-    "warmup": (int, 2, "[2, inf)", "untimed rounds before the timed ones"),
     "blobs": (int, 3, "[0, inf)", "number of random planted objects"),
     "blob": (list, None, None, "explicit object 'cx,cy,w,h[,class[,amplitude]]'"),
     "score_threshold": (float, 0.05, "[0, 1]", "least detection score"),
@@ -445,8 +444,7 @@ def cmd_bench(opts: dict) -> int:
     pyr = load_pyramid(opts["pyramid"])
     weights = load_weights(opts["weights"])
     out_dir = opts["out"]
-    results = analysis.run_benchmark(pyr, weights, configs, repeats=opts["repeats"],
-                                     warmup=opts["warmup"])
+    results = analysis.run_benchmark(pyr, weights, configs, repeats=opts["repeats"])
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "bench.csv"), "w", encoding="utf-8") as f:
         f.write(analysis.bench_csv(results))
@@ -475,8 +473,7 @@ def cmd_flops(opts: dict) -> int:
                                     opts["anchors"], opts["classes"])
     payload["image"] = [size, size]
     if min(levels) <= 2 and max(levels) >= 7:
-        payload["p2_cost_increase"] = analysis.p2_cost_increase(
-            size, size, opts["channels"], opts["anchors"], opts["classes"])
+        payload["p2_cost_increase"] = analysis.p2_cost_increase(size, size)
     out = opts["out"]
     if out:
         _write_json(out, payload)
@@ -518,7 +515,7 @@ COMMANDS = {
     "verify": (cmd_verify, "oracle equivalence checks over a fixture", "fixture",
                "out sigma start_level min_level score_threshold iou_threshold top_k"),
     "bench": (cmd_bench, "timing sweep across thresholds", "pyramid weights out",
-              "strategy repeats warmup start_level min_level"),
+              "strategy repeats start_level min_level"),
     "flops": (cmd_flops, "analytic per-level cost breakdown", "",
               "image_size channels anchors classes min_level max_level out"),
     "targets-check": (cmd_targets_check, "emit per-level query-target maps", "gt out",

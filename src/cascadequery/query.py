@@ -200,14 +200,14 @@ def _check_levels(pyr: FeaturePyramid, cfg: QueryConfig, cascade: bool) -> list[
 def _schedule(keys: KeySet, radius: int) -> list[Rulebook]:
     """One rulebook per conv of a head branch (TOWER_DEPTH tower convs, then
     the predictor). Rings grow outward from the keys through the conv's own
-    neighbour table, A_(j-1) = `dilate(A_j, 1)` with A_radius the keys, so the
+    neighbour table, A_(j-1) = `dilate(A_j)` with A_radius the keys, so the
     cells conv j reads are exactly A_(j-1), and conv j writes A_j: the first
     conv reads the keys dilated by `radius` and each later one writes a ring
     narrower, down to the keys. Every conv left once the radius is used up
     shares one submanifold rulebook of the keys."""
     rings = [keys]
     for _ in range(radius):
-        rings.insert(0, dilate(rings[0], 1))
+        rings.insert(0, dilate(rings[0]))
     books = [build_rulebook(out, inp) for inp, out in zip(rings, rings[1:])]
     if radius <= TOWER_DEPTH:
         books += [build_rulebook(keys)] * (TOWER_DEPTH + 1 - radius)

@@ -7,7 +7,7 @@ rows at the input set, writes rows at the output set, and inactive neighbours
 contribute zero. With equal sets this is submanifold convolution. Rulebooks
 and dilation both read `tensor.neighbour_table`, the grid table `conv2d`
 caches per grid shape: a rulebook remaps its cells to input rows, and a
-dilation grows rings through it.
+dilation grows a ring through it.
 """
 
 from __future__ import annotations
@@ -161,26 +161,14 @@ def build_rulebook(keys: KeySet, inputs: KeySet | None = None) -> Rulebook:
     return Rulebook(keys, inputs, row[neighbour_table(keys.height, w)[keys.ys * w + keys.xs]])
 
 
-def dilate(keys: KeySet, radius: int) -> KeySet:
-    """Every cell within Chebyshev distance `radius` of a key, clipped to the
-    grid, grown one ring per step: the neighbour-table rows of the last ring
-    are scattered into a copy of the cell mask (length H * W + 1, the last
-    entry catching off-grid taps), and the cells it newly sets are the next
-    ring. max(H, W) steps cover the grid, so no radius takes more."""
-    if radius < 0:
-        raise ConfigurationError(f"dilation radius must be non-negative, got {radius}")
-    if radius == 0 or not len(keys):
-        return keys
+def dilate(keys: KeySet) -> KeySet:
+    """Every cell within one cell (Chebyshev distance 1) of a key, clipped to
+    the grid: the keys' neighbour-table rows (tap 4 is the key itself) are
+    scattered into a cell mask of length H * W + 1, whose last entry catches
+    the off-grid taps."""
     h, w = keys.height, keys.width
-    table = neighbour_table(h, w)
     mask = np.zeros(h * w + 1, dtype=bool)
-    ring = keys.ys * w + keys.xs
-    mask[ring] = True
-    for _ in range(min(radius, max(h, w))):
-        grown = mask.copy()
-        grown[table[ring]] = True
-        ring = np.flatnonzero(grown[:-1] > mask[:-1])
-        mask = grown
+    mask[neighbour_table(h, w)[keys.ys * w + keys.xs]] = True
     ys, xs = np.divmod(np.flatnonzero(mask[:-1]), w)
     return KeySet(keys.level, h, w, np.stack([xs, ys], axis=1))
 

@@ -132,17 +132,11 @@ def distance_map(gt: GroundTruthSet, level: int, height: int, width: int) -> np.
     return best
 
 
-def query_target(dist: np.ndarray, threshold_grid: float) -> np.ndarray:
-    """Binary float32 map, 1 where the distance is strictly under the threshold."""
-    if threshold_grid <= 0:
-        raise ConfigurationError(f"threshold must be positive, got {threshold_grid}")
-    return (dist < threshold_grid).astype(np.float32)
-
-
 def query_target_for_level(gt: GroundTruthSet, level: int, height: int,
                            width: int) -> np.ndarray:
-    # the grid-unit threshold is s_l / 2^l == ANCHOR_BASE at every level
-    return query_target(distance_map(gt, level, height, width), ANCHOR_BASE)
+    """Binary float32 map, 1 where the grid distance to a small object's
+    center is strictly under s_l / 2^l, which is ANCHOR_BASE at every level."""
+    return (distance_map(gt, level, height, width) < ANCHOR_BASE).astype(np.float32)
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,14 @@ def dense_rows_at(dense_rows, keys):
     return dense_rows.features[dense_rows.keys.rows_of(keys)]
 
 
+def dilate_by(keys, radius):
+    """`keys` grown by `radius` one-ring dilations: every cell within
+    Chebyshev distance `radius` of a key, clipped to the grid."""
+    for _ in range(radius):
+        keys = cq.dilate(keys)
+    return keys
+
+
 def rel_err(a, b):
     """Max absolute difference scaled by the reference's max magnitude."""
     a = np.asarray(a, dtype=np.float64)

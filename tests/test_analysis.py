@@ -24,6 +24,7 @@ from cascadequery import (
 )
 from cascadequery import query as query_mod
 from cascadequery.analysis import (
+    WARMUP,
     bench_csv,
     bench_json,
     flops_report,
@@ -145,8 +146,6 @@ def test_sweep_grid_is_nineteen_steps():
 def test_benchmark_rejects_thin_sampling():
     with pytest.raises(ConfigurationError, match="repeats"):
         run_benchmark(None, None, [], repeats=1)
-    with pytest.raises(ConfigurationError, match="warmup"):
-        run_benchmark(None, None, [], warmup=0)
 
 
 def test_timer_warning_thresholds():
@@ -162,7 +161,7 @@ def tiny_bench():
     weights = make_fixture_weights(2, 8, 1, 4)
     cfgs = [QueryConfig(strategy="dense", sigma=0.15),
             QueryConfig(strategy="csq", sigma=0.15)]
-    return run_benchmark(pyr, weights, cfgs, repeats=5, warmup=2)
+    return run_benchmark(pyr, weights, cfgs, repeats=5)
 
 
 def test_benchmark_runs_warmups_then_interleaved_rounds(monkeypatch):
@@ -179,10 +178,10 @@ def test_benchmark_runs_warmups_then_interleaved_rounds(monkeypatch):
     weights = make_fixture_weights(2, 4, 1, 4)
     cfgs = [QueryConfig(strategy="dense"), QueryConfig(strategy="csq", sigma=0.1),
             QueryConfig(strategy="csq", sigma=0.5)]
-    results = run_benchmark(pyr, weights, cfgs, repeats=6, warmup=3)
+    results = run_benchmark(pyr, weights, cfgs, repeats=6)
 
-    # three warm-up rounds, then six timed rounds, every round in config order
-    assert calls == cfgs * (3 + 6)
+    # WARMUP warm-up rounds, then six timed rounds, every round in config order
+    assert calls == cfgs * (WARMUP + 6)
     assert [(r.strategy, r.sigma) for r in results] == [(c.strategy, c.sigma)
                                                         for c in cfgs]
     for r in results:
@@ -190,6 +189,7 @@ def test_benchmark_runs_warmups_then_interleaved_rounds(monkeypatch):
         assert len(r.end_to_end_samples) == 6
         assert min(r.end_to_end_samples) == r.best_end_to_end_millis
         assert statistics.median(r.end_to_end_samples) == r.end_to_end_millis
+        assert (r.to_json()["repeats"], r.to_json()["warmup"]) == (6, WARMUP)
 
 
 def test_benchmark_records_every_level(tiny_bench):

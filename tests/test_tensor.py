@@ -137,7 +137,7 @@ def test_conv2d_builds_each_grid_shape_table_once():
     first = conv2d(DenseTensor(x), ConvWeights(ww, b)).values
     second = conv2d(DenseTensor(x), ConvWeights(ww, b)).values
     keys = KeySet(2, 6, 5, [(1, 2), (4, 5)])
-    build_rulebook(dilate(keys, 2), keys)
+    build_rulebook(dilate(keys), keys)
     assert tensor.neighbour_table.cache_info().misses == 1
     np.testing.assert_array_equal(first, second)
     conv2d(DenseTensor(x[:, :4]), ConvWeights(ww, b))
