@@ -38,11 +38,11 @@ def main():
         print(f"object at ({o.cx:.0f},{o.cy:.0f}), {o.width:.0f}x{o.height:.0f}px")
 
     for level in (3, 4, 5):
-        h = w = IMAGE >> level
         scale = level_scale(level)
         small = [o for o in gt.objects if max(o.width, o.height) < scale]
-        target = query_target_for_level(gt, level, h, w)
-        print(f"\nP{level} ({w}x{w} cells, minimum anchor scale {scale:.0f}px): "
+        target = query_target_for_level(gt, level)
+        h, w = target.shape
+        print(f"\nP{level} ({w}x{h} cells, minimum anchor scale {scale:.0f}px): "
               f"{len(small)} of {len(objects)} objects are small here, "
               f"{int(target.sum())} positive cells")
         stride = 1 << level

@@ -13,10 +13,9 @@ from .analysis import (BenchResult, bench_csv, bench_json, head_flops_dense,
                        run_benchmark)
 from .errors import (CascadeQueryError, ConfigurationError, FormatError,
                      ValidationError)
-from .model import (Blob, FeaturePyramid, HeadOutput, HeadWeights, level_dims,
-                    load_pyramid, load_weights, make_fixture_weights,
-                    make_synthetic_pyramid, run_dense_head, run_sparse_head,
-                    save_pyramid, save_weights)
+from .model import (Blob, FeaturePyramid, HeadOutput, HeadWeights, load_pyramid,
+                    load_weights, make_fixture_weights, make_synthetic_pyramid,
+                    run_dense_head, run_sparse_head, save_pyramid, save_weights)
 from .postproc import (AnchorConfig, Candidates, Detection, anchor_boxes,
                        box_iou, decode_boxes, detections_from_output,
                        detections_from_result, detections_to_json, encode_boxes,
@@ -27,7 +26,7 @@ from .sparse import (KeySet, Rulebook, SparseFeature, build_rulebook, dilate,
                      gather, sparse_conv, sparse_relu)
 from .targets import (GroundTruthObject, GroundTruthSet, LossConfig, TargetMaps,
                       beta_schedule, distance_map, focal_loss, is_small_for_level,
-                      level_loss, level_scale, query_target_for_level,
+                      level_dims, level_loss, level_scale, query_target_for_level,
                       small_centers_on_grid, smooth_l1, total_loss)
 from .tensor import (ConvWeights, DenseTensor, conv2d, load_tensor, relu,
                      save_tensor)

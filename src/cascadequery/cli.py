@@ -43,7 +43,7 @@ CHECKSUMS_FILE = "checksums.json"
 
 # name: (type, default, bound, help). A default of None means required or
 # unset. A number's bound is an interval, a string's the values it may take;
-# sigma and the level order are QueryConfig's to check.
+# sigma is QueryConfig's to check.
 OPTIONS = {
     "pyramid": (str, None, None, "QDPYR1 pyramid file"),
     "weights": (str, None, None, "QDWTS1 head weights file"),
@@ -128,7 +128,7 @@ def resolve_options(args: argparse.Namespace, required: list[str]) -> dict:
 
 
 def _query_config(opts: dict) -> QueryConfig:
-    return QueryConfig(**{k: opts[k] for k in ("strategy", "sigma", "start_level", "min_level")})
+    return QueryConfig(**{k: opts[k] for k in ("strategy", "sigma", "start_level")})
 
 
 def _write_json(path: str, obj) -> None:
@@ -312,9 +312,9 @@ def _check_ccq_exact(pyr, weights, dense: CascadeResult | Exception, cfg: QueryC
     return rows, f"{detail}; {len(d1)} detections identical"
 
 
-def _brute_force_query_target(gt: GroundTruthSet, level: int, height: int,
-                              width: int) -> np.ndarray:
+def _brute_force_query_target(gt: GroundTruthSet, level: int) -> np.ndarray:
     """Independent double-loop re-derivation of the query target map."""
+    height, width = level_dims(gt.image_height, gt.image_width, level)
     stride = 1 << level
     scale = ANCHOR_BASE * stride
     centers = [
@@ -334,13 +334,12 @@ def _brute_force_query_target(gt: GroundTruthSet, level: int, height: int,
 def _check_targets(pyr, gt: GroundTruthSet) -> str:
     cells = 0
     for level in sorted(pyr.levels):
-        h, w = pyr.levels[level].height, pyr.levels[level].width
-        fast = query_target_for_level(gt, level, h, w)
-        slow = _brute_force_query_target(gt, level, h, w)
+        fast = query_target_for_level(gt, level)
+        slow = _brute_force_query_target(gt, level)
         if not np.array_equal(fast, slow):
             bad = int(np.sum(fast != slow))
             raise CheckFailure(f"level {level}: {bad} cells disagree with brute force")
-        cells += h * w
+        cells += fast.size
     return f"query targets match brute force over {cells} cells"
 
 
@@ -436,8 +435,7 @@ def cmd_verify(opts: dict) -> int:
 
 def cmd_bench(opts: dict) -> int:
     base_cfg = _query_config(opts)
-    dense_cfg = QueryConfig(strategy="dense", start_level=base_cfg.start_level,
-                            min_level=base_cfg.min_level)
+    dense_cfg = QueryConfig(strategy="dense", start_level=base_cfg.start_level)
     # One call, so the baseline and the sweep share every timing round.
     configs = [dense_cfg] + [dataclasses.replace(base_cfg, sigma=s)
                              for s in analysis.sweep_sigmas()]
@@ -490,12 +488,11 @@ def cmd_targets_check(opts: dict) -> int:
     os.makedirs(out_dir, exist_ok=True)
     rows = []
     for level in levels:
-        h, w = level_dims(size, size, level)
-        vmap = query_target_for_level(gt, level, h, w)
+        vmap = query_target_for_level(gt, level)
         name = f"v_star_l{level}.qdt"
         save_tensor(DenseTensor(vmap[None, :, :]), os.path.join(out_dir, name))
-        rows.append({"level": level, "shape": [h, w], "positives": int(vmap.sum()),
-                     "total": h * w, "file": name})
+        rows.append({"level": level, "shape": list(vmap.shape), "positives": int(vmap.sum()),
+                     "total": vmap.size, "file": name})
     summary = {"schema": "qd/1", "image": [size, size], "base": ANCHOR_BASE,
                "objects": len(gt.objects), "levels": rows}
     _write_json(os.path.join(out_dir, "targets_summary.json"), summary)
@@ -511,11 +508,11 @@ COMMANDS = {
     "gen-fixture": (cmd_gen_fixture, "write a seeded pyramid/weights/ground-truth set", "out",
                     "seed image_size channels anchors classes min_level max_level blobs blob"),
     "run": (cmd_run, "run one strategy and write report + detections", "pyramid weights out",
-            "strategy sigma start_level min_level score_threshold iou_threshold top_k"),
+            "strategy sigma start_level score_threshold iou_threshold top_k"),
     "verify": (cmd_verify, "oracle equivalence checks over a fixture", "fixture",
-               "out sigma start_level min_level score_threshold iou_threshold top_k"),
+               "out sigma start_level score_threshold iou_threshold top_k"),
     "bench": (cmd_bench, "timing sweep across thresholds", "pyramid weights out",
-              "strategy repeats start_level min_level"),
+              "strategy repeats start_level"),
     "flops": (cmd_flops, "analytic per-level cost breakdown", "",
               "image_size channels anchors classes min_level max_level out"),
     "targets-check": (cmd_targets_check, "emit per-level query-target maps", "gt out",
@@ -548,10 +545,7 @@ def main(argv=None) -> int:
     except ConfigurationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except CascadeQueryError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (CascadeQueryError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigurationError, FormatError, ValidationError
 from .sparse import (KeySet, Rulebook, SparseFeature, build_rulebook, gather, sparse_conv,
                      sparse_relu)
-from .targets import GroundTruthObject
+from .targets import GroundTruthObject, level_dims
 from .tensor import ConvWeights, ContainerReader, DenseTensor, conv2d, relu, write_container
 
 PYRAMID_MAGIC = b"QDPYR1\n\0"
@@ -43,11 +43,6 @@ def pred_widths(num_anchors: int, num_classes: int) -> tuple[int, int, int]:
     """Output channels of each branch's predictor, in BRANCHES order: a class
     logit per anchor and class, four box deltas per anchor, one query logit."""
     return num_anchors * num_classes, num_anchors * 4, 1
-
-
-def level_dims(image_h: int, image_w: int, level: int) -> tuple[int, int]:
-    """Grid size of pyramid level l for an H x W image: floor(H / 2^l) x floor(W / 2^l)."""
-    return image_h >> level, image_w >> level
 
 
 @dataclass(frozen=True)

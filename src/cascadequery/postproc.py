@@ -219,14 +219,16 @@ def nms(candidates: Candidates, iou_threshold: float = 0.5,
     return [candidates.detection(r) for r in rows[kept].tolist()]
 
 
-def detections_from_output(output: HeadOutput, level: int, cfg: AnchorConfig,
-                           num_classes: int, score_threshold: float = 0.05) -> Candidates:
-    """Score-filtered candidate detections from one level's head output.
+def detections_from_output(output: HeadOutput, cfg: AnchorConfig, num_classes: int,
+                           score_threshold: float = 0.05) -> Candidates:
+    """Score-filtered candidate detections from one level's head output, on
+    the level of its keys.
 
     Channel layout: class logit for anchor slot a, class k sits at a*K + k;
     box deltas for slot a at a*4 .. a*4+3. A head whose class or box width
     is not `pred_widths(cfg.num_anchors, num_classes)`'s raises
-    ConfigurationError.
+    ConfigurationError. A decoded box without extent in float64 (a centre
+    shift so large that the anchor's side no longer shows) is dropped.
     """
     cls_width, reg_width, _ = pred_widths(cfg.num_anchors, num_classes)
     got = output.cls_logits.channels, output.reg_deltas.channels
@@ -241,9 +243,11 @@ def detections_from_output(output: HeadOutput, level: int, cfg: AnchorConfig,
     slots, classes = chans // num_classes, chans % num_classes
     reg = output.reg_deltas.features
     deltas = np.stack([reg[rows, slots * 4 + i] for i in range(4)], axis=1)
-    anchors = anchor_boxes(xs, ys, slots, level)
-    return Candidates(decode_boxes(deltas, anchors), scores[rows, chans], classes,
-                      np.full(len(rows), level))
+    level = output.keys.level
+    boxes = decode_boxes(deltas, anchor_boxes(xs, ys, slots, level))
+    ok = (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
+    return Candidates(boxes[ok], scores[rows, chans][ok], classes[ok],
+                      np.full(np.count_nonzero(ok), level))
 
 
 def detections_from_result(result, cfg: AnchorConfig, num_classes: int,
@@ -252,7 +256,7 @@ def detections_from_result(result, cfg: AnchorConfig, num_classes: int,
     """Final detections for a whole pipeline run: every level's candidates in
     one batch, then one global NMS."""
     candidates = Candidates.concat(
-        detections_from_output(rec.output, rec.level, cfg, num_classes, score_threshold)
+        detections_from_output(rec.output, cfg, num_classes, score_threshold)
         for rec in result.records)
     return nms(candidates, iou_threshold, score_threshold, top_k)
 

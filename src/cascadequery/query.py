@@ -48,7 +48,6 @@ class QueryConfig:
     strategy: str = "csq"
     sigma: float = 0.15
     start_level: int = 4
-    min_level: int = 2
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -57,10 +56,6 @@ class QueryConfig:
             )
         if not (0.0 <= self.sigma <= 1.0):
             raise ConfigurationError(f"sigma must be in [0, 1], got {self.sigma}")
-        if self.min_level > self.start_level:
-            raise ConfigurationError(
-                f"min_level {self.min_level} exceeds start_level {self.start_level}"
-            )
 
 
 def extract_queries(query_scores: SparseFeature, sigma: float) -> KeySet:
@@ -160,10 +155,6 @@ class CascadeResult:
         raise KeyError(f"no record for level {level}")
 
     @property
-    def levels(self) -> list[int]:
-        return [r.level for r in self.records]
-
-    @property
     def total_flops(self) -> int:
         return sum(r.flops for r in self.records)
 
@@ -183,17 +174,16 @@ class CascadeResult:
         }
 
 
-def _check_levels(pyr: FeaturePyramid, cfg: QueryConfig, cascade: bool) -> list[int]:
-    if cascade:
-        missing = [l for l in range(cfg.min_level, cfg.start_level + 1) if l not in pyr.levels]
+def _check_levels(pyr: FeaturePyramid, cfg: QueryConfig) -> list[int]:
+    """The pyramid's levels, top down. A cascade needs start_level and every
+    level between it and the pyramid's finest level."""
+    levels = sorted(pyr.levels, reverse=True)
+    if cfg.strategy != "dense":
+        missing = [l for l in range(min(levels[-1], cfg.start_level), cfg.start_level + 1)
+                   if l not in pyr.levels]
         if missing:
-            raise ConfigurationError(
-                f"pyramid lacks levels {missing} required for "
-                f"min_level={cfg.min_level}, start_level={cfg.start_level}"
-            )
-    levels = [l for l in sorted(pyr.levels, reverse=True) if l >= cfg.min_level]
-    if not levels:
-        raise ConfigurationError(f"pyramid has no levels at or above min_level={cfg.min_level}")
+            raise ConfigurationError(f"pyramid lacks levels {missing} required for "
+                                     f"start_level={cfg.start_level}")
     return levels
 
 
@@ -257,9 +247,9 @@ def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig) -> Casca
             f"pyramid has {pyr.channels} channels, head expects {w.channels}"
         )
     cascade = cfg.strategy != "dense"
-    levels = _check_levels(pyr, cfg, cascade)
+    levels = _check_levels(pyr, cfg)
     # query scores are read from start_level down, if the cascade reaches below it
-    reads_queries = cascade and cfg.min_level < cfg.start_level
+    reads_queries = cascade and levels[-1] < cfg.start_level
 
     t_start = time.perf_counter()
     records = []

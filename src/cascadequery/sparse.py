@@ -93,10 +93,6 @@ class KeySet:
         return rows
 
     @classmethod
-    def empty(cls, level: int, height: int, width: int) -> "KeySet":
-        return cls(level, height, width)
-
-    @classmethod
     def full(cls, level: int, height: int, width: int) -> "KeySet":
         ys, xs = np.mgrid[0:height, 0:width]
         return cls(level, height, width, np.stack([xs.ravel(), ys.ravel()], axis=1))

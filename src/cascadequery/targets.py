@@ -96,6 +96,11 @@ class GroundTruthSet:
 ANCHOR_BASE = 4.0
 
 
+def level_dims(image_h: int, image_w: int, level: int) -> tuple[int, int]:
+    """Grid size of pyramid level l for an H x W image: floor(H / 2^l) x floor(W / 2^l)."""
+    return image_h >> level, image_w >> level
+
+
 def level_scale(level: int) -> float:
     """Minimum anchor scale s_l = ANCHOR_BASE * 2^l, in image pixels."""
     return ANCHOR_BASE * (1 << level)
@@ -119,9 +124,11 @@ def small_centers_on_grid(gt: GroundTruthSet, level: int) -> np.ndarray:
     return np.asarray(pts, dtype=np.float64).reshape(-1, 2)
 
 
-def distance_map(gt: GroundTruthSet, level: int, height: int, width: int) -> np.ndarray:
-    """(H, W) float64 map: entry [y, x] is the Euclidean grid distance from
-    (x, y) to the nearest small-object center, +inf when no object is small."""
+def distance_map(gt: GroundTruthSet, level: int) -> np.ndarray:
+    """(H, W) float64 map over the level's grid of the ground truth's image:
+    entry [y, x] is the Euclidean grid distance from (x, y) to the nearest
+    small-object center, +inf when no object is small."""
+    height, width = level_dims(gt.image_height, gt.image_width, level)
     centers = small_centers_on_grid(gt, level)
     if len(centers) == 0:
         return np.full((height, width), np.inf, dtype=np.float64)
@@ -132,11 +139,11 @@ def distance_map(gt: GroundTruthSet, level: int, height: int, width: int) -> np.
     return best
 
 
-def query_target_for_level(gt: GroundTruthSet, level: int, height: int,
-                           width: int) -> np.ndarray:
-    """Binary float32 map, 1 where the grid distance to a small object's
-    center is strictly under s_l / 2^l, which is ANCHOR_BASE at every level."""
-    return (distance_map(gt, level, height, width) < ANCHOR_BASE).astype(np.float32)
+def query_target_for_level(gt: GroundTruthSet, level: int) -> np.ndarray:
+    """Binary float32 map over the level's grid, 1 where the grid distance to a
+    small object's center is strictly under s_l / 2^l, which is ANCHOR_BASE at
+    every level."""
+    return (distance_map(gt, level) < ANCHOR_BASE).astype(np.float32)
 
 
 @dataclass(frozen=True)

@@ -235,7 +235,7 @@ def test_criterion_07_query_targets_match_brute_force_exactly():
             for _ in range(int(rng.integers(0, 6)))
         ]
         gt = GroundTruthSet(h * stride, w * stride, objs)
-        fast = query_target_for_level(gt, level, h, w)
+        fast = query_target_for_level(gt, level)
         slow = _brute_query_target(gt, level, h, w, 4.0)
         assert np.array_equal(fast, slow), f"case {case}: maps disagree"
         positives += int(slow.sum())

@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cascadequery import KeySet, build_rulebook
+from cascadequery import KeySet, SparseFeature, build_rulebook
 from cascadequery import analysis as analysis_mod
 from cascadequery import cli as cli_mod
 from cascadequery import model as model_mod
+from cascadequery import query as query_mod
 from cascadequery.cli import (
     CHECKSUMS_FILE,
     GROUND_TRUTH_FILE,
@@ -155,6 +156,18 @@ def test_cq_run_charges_each_level_for_its_halo_rulebook(small_fixture, tmp_path
         assert row["dense_positions"] == 0
         assert row["rulebook_entries"] == sum(rb.num_entries for rb in books)
         assert row["flops"] == sum(charges)
+
+
+def test_one_collapsed_box_does_not_abort_a_run(tmp_path, capsys):
+    # amplitude -1e30 drives box deltas so far that some decoded boxes have no
+    # extent in float64; those candidates are dropped and the run goes on
+    fix = tmp_path / "fx"
+    assert main(["gen-fixture", "--out", str(fix), "--image-size", "64", "--max-level", "4",
+                 "--channels", "4", "--blob", "10,10,5,5,0,-1e30"]) == 0
+    for strategy in query_mod.STRATEGIES:
+        out = tmp_path / strategy
+        assert main(run_args(fix, out, "--strategy", strategy)) == 0, capsys.readouterr().err
+        assert json.loads((out / "detections.json").read_text())
 
 
 def test_run_without_inputs_is_a_usage_error(tmp_path, capsys):
@@ -420,12 +433,14 @@ def test_unknown_config_key_is_rejected(small_fixture, tmp_path, capsys):
 
 
 # cq's crop is always the head's receptive field, the anchor base is
-# targets.ANCHOR_BASE and the warm-up rounds are analysis.WARMUP; there is no
-# flag for any of them
+# targets.ANCHOR_BASE, the warm-up rounds are analysis.WARMUP and the cascade
+# runs down to the pyramid's finest level; there is no flag for any of them
 @pytest.mark.parametrize("command,flags", [
     ("run", ("--strategy", "cq", "--cq-patch", "13")), ("run", ("--base", "4")),
     ("verify", ("--base", "4")), ("targets-check", ("--base", "4")),
     ("bench", ("--warmup", "2")),
+    ("run", ("--min-level", "2")), ("verify", ("--min-level", "2")),
+    ("bench", ("--min-level", "2")),
 ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
 def test_removed_flag_is_rejected_at_parse_time(small_fixture, tmp_path, command, flags):
     inputs = {
@@ -611,6 +626,84 @@ def test_verify_catches_a_schedule_charge_that_skips_the_predictors(small_fixtur
     assert rc == 1
     assert by_name["flops-identity"]["passed"] is False
     assert "isolated key" in by_name["flops-identity"]["detail"]
+
+
+def verdict_checks(capsys) -> dict:
+    return {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+
+
+def test_verify_catches_masked_outputs_that_drift_from_dense(small_fixture, monkeypatch,
+                                                              capsys):
+    real = query_mod.run_dense_head
+
+    def masked_drifts(feature, weights, keys):
+        # dense levels keep the full grid; ccq's child levels keep their keys
+        out = real(feature, weights, keys)
+        if len(keys) == keys.height * keys.width:
+            return out
+        drift = np.nextafter(out.cls_logits.features, np.inf)
+        return dataclasses.replace(out, cls_logits=SparseFeature(keys, drift))
+
+    monkeypatch.setattr(query_mod, "run_dense_head", masked_drifts)
+    assert main(["verify", "--fixture", str(small_fixture), "--sigma", "0.02"]) == 1
+    by_name = verdict_checks(capsys)
+    assert by_name["ccq-exact"]["passed"] is False
+    assert "cls_logits outputs not bitwise equal" in by_name["ccq-exact"]["detail"]
+    assert by_name["csq-sigma0"]["passed"] and by_name["cq-dense"]["passed"]
+
+
+def test_verify_catches_query_targets_that_disagree_with_brute_force(small_fixture,
+                                                                     monkeypatch, capsys):
+    real = cli_mod.query_target_for_level
+
+    def one_cell_flipped(gt, level):
+        target = real(gt, level).copy()
+        target[0, 0] = 1.0 - target[0, 0]
+        return target
+
+    monkeypatch.setattr(cli_mod, "query_target_for_level", one_cell_flipped)
+    assert main(["verify", "--fixture", str(small_fixture)]) == 1
+    assert verdict_checks(capsys)["query-targets"] == {
+        "name": "query-targets", "passed": False,
+        "detail": "level 2: 1 cells disagree with brute force"}
+
+
+def test_verify_catches_a_rulebook_that_misses_an_input(small_fixture, monkeypatch, capsys):
+    real = cli_mod.build_rulebook
+
+    def first_key_not_an_input(keys):
+        rest = KeySet(keys.level, keys.height, keys.width, keys.positions[1:])
+        return real(keys, rest)
+
+    monkeypatch.setattr(cli_mod, "build_rulebook", first_key_not_an_input)
+    assert main(["verify", "--fixture", str(small_fixture)]) == 1
+    detail = verdict_checks(capsys)["flops-identity"]["detail"]
+    assert detail.startswith("full-coverage rulebook at ") and "expected" in detail
+
+
+def test_verify_catches_a_sparse_charge_above_dense(small_fixture, monkeypatch, capsys):
+    real = analysis_mod.head_flops_sparse
+
+    def twice(entries, *args):
+        return 2 * real(entries, *args)
+
+    monkeypatch.setattr(analysis_mod, "head_flops_sparse", twice)
+    assert main(["verify", "--fixture", str(small_fixture)]) == 1
+    detail = verdict_checks(capsys)["flops-identity"]["detail"]
+    assert detail.startswith("sparse MACs exceed dense at full coverage")
+
+
+def test_verify_warns_on_a_file_listed_in_checksums_but_missing(tmp_path, capsys):
+    fix = gen_small(tmp_path)
+    sums_path = tmp_path / CHECKSUMS_FILE
+    sums = json.loads(sums_path.read_text())
+    sums["files"]["extra.bin"] = "0" * 64
+    sums_path.write_text(json.dumps(sums))
+    capsys.readouterr()  # drop the gen-fixture status line
+    assert main(["verify", "--fixture", str(fix), "--sigma", "0.02"]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["passed"] is True
+    assert verdict["warnings"] == ["extra.bin: listed in checksums but missing"]
 
 
 # --- bench / flops / targets-check -------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion against the package in src/."""
+"""Every script in demos/, and README's library example, runs to completion
+against the package in src/."""
 
 import os
 import subprocess
@@ -21,3 +22,13 @@ def test_demo_exits_cleanly(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_library_example_runs(capsys):
+    # the "Library" block as written: a signature change the docs miss fails here
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = text.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert round(float(lines[0]), 2) == 0.11
+    assert [int(line.split()[0]) for line in lines[1:]] == [7, 6, 5, 4, 3, 2]

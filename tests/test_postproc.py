@@ -281,13 +281,16 @@ def test_detection_json_is_plain_python():
 def test_detection_rejects_degenerate_box():
     with pytest.raises(ValidationError):
         det([5.0, 0.0, 5.0, 4.0], 0.5)
+    with pytest.raises(ValidationError, match="degenerate box"):  # a batch handed in
+        Candidates(np.array([[0.0, 0.0, 4.0, 4.0], [5.0, 0.0, 5.0, 4.0]]),
+                   [0.9, 0.8], [0, 0], [3, 3])
 
 
 # --- candidate extraction ------------------------------------------------------------
 
-def head_output_dense(cls, reg, query):
+def head_output_dense(cls, reg, query, level=3):
     """A dense level's output: the (C, H, W) maps as rows over the full grid."""
-    ks = KeySet.full(3, *cls.shape[1:])
+    ks = KeySet.full(level, *cls.shape[1:])
     return HeadOutput(*(SparseFeature(ks, m.reshape(len(m), -1).T) for m in (cls, reg, query)))
 
 
@@ -312,7 +315,7 @@ def test_candidates_respect_the_score_threshold():
     cls[1, 2, 3] = 2.0  # one confident cell, class 1
     reg = np.zeros((4, 4, 4), dtype=np.float32)
     query = np.zeros((1, 4, 4), dtype=np.float32)
-    cands = detections_from_output(head_output_dense(cls, reg, query), 3, CFG, 2)
+    cands = detections_from_output(head_output_dense(cls, reg, query), CFG, 2)
     assert len(cands) == 1
     d = cands.detection(0)
     assert d.class_id == 1 and d.level == 3
@@ -320,16 +323,17 @@ def test_candidates_respect_the_score_threshold():
     np.testing.assert_allclose(d.box, anchor_boxes([3], [2], [0], 3)[0])
 
 
-def test_candidates_reject_a_collapsed_box():
+def test_decode_drops_a_collapsed_box_and_keeps_the_rest():
     # dx = 1e30 moves the center to 3.2e31, where the 32 px anchor width no
-    # longer shows: x1 == x2, so the decoded box is degenerate
+    # longer shows: x1 == x2, so that box is dropped; the other cell's stays
     cls = np.full((1, 3, 3), -6.0, dtype=np.float32)
-    cls[0, 1, 1] = 2.0
+    cls[0, 1, 1] = cls[0, 2, 0] = 2.0
     reg = np.zeros((4, 3, 3), dtype=np.float32)
     reg[0, 1, 1] = 1e30
     query = np.zeros((1, 3, 3), dtype=np.float32)
-    with pytest.raises(ValidationError, match="degenerate box"):
-        detections_from_output(head_output_dense(cls, reg, query), 3, CFG, 1)
+    cands = detections_from_output(head_output_dense(cls, reg, query), CFG, 1)
+    assert len(cands) == 1 and cands.levels.tolist() == [3]
+    np.testing.assert_array_equal(cands.boxes, anchor_boxes([0], [2], [0], 3))
 
 
 def test_sparse_and_dense_candidates_agree_at_keys():
@@ -347,10 +351,10 @@ def test_sparse_and_dense_candidates_agree_at_keys():
     off_keys = np.ones((6, 6), dtype=bool)
     off_keys[ks.ys, ks.xs] = False
     cls[:, off_keys] = -50.0
-    dense_cands = detections_from_output(head_output_dense(cls, reg, query), 3, CFG, 4)
+    dense_cands = detections_from_output(head_output_dense(cls, reg, query), CFG, 4)
     assert 0 < len(dense_cands) < 4 * 36
     assert_same_rows(row_sorted(dense_cands),
-                     row_sorted(detections_from_output(sparse, 3, CFG, 4)))
+                     row_sorted(detections_from_output(sparse, CFG, 4)))
 
 
 def test_multi_anchor_channel_layout():
@@ -360,7 +364,7 @@ def test_multi_anchor_channel_layout():
     cls[3, 0, 0] = 3.0  # slot 1, class 1 under K=2
     reg = np.zeros((8, 2, 2), dtype=np.float32)
     query = np.zeros((1, 2, 2), dtype=np.float32)
-    cands = detections_from_output(head_output_dense(cls, reg, query), 4, cfg2, 2)
+    cands = detections_from_output(head_output_dense(cls, reg, query, level=4), cfg2, 2)
     assert len(cands) == 1
     assert cands.classes[0] == 1
     side = cands.boxes[0, 2] - cands.boxes[0, 0]
@@ -372,7 +376,7 @@ def test_decode_rejects_a_head_of_other_widths():
     # 12 and 12, two classes 2 and 4
     cls = np.random.default_rng(5).uniform(-4, 2, (4, 3, 3)).astype(np.float32)
     result = SimpleNamespace(records=[SimpleNamespace(
-        output=head_output_dense(cls, np.zeros_like(cls), cls[:1]), level=3)])
+        output=head_output_dense(cls, np.zeros_like(cls), cls[:1]))])
     assert len(detections_from_result(result, CFG, 4)) > 0
     for cfg, classes in ((AnchorConfig(num_anchors=3), 4), (CFG, 2)):
         with pytest.raises(ConfigurationError, match="4 class and 4 box channels"):
@@ -385,7 +389,7 @@ def test_only_kept_candidates_become_detections(monkeypatch):
     reg = rng.uniform(-0.5, 0.5, (4, 12, 12)).astype(np.float32)
     query = np.zeros((1, 12, 12), dtype=np.float32)
     result = SimpleNamespace(records=[
-        SimpleNamespace(output=head_output_dense(cls, reg, query), level=3)])
+        SimpleNamespace(output=head_output_dense(cls, reg, query))])
     want = detections_to_json(detections_from_result(result, CFG, 4, top_k=5))
     made = []
 
@@ -395,7 +399,7 @@ def test_only_kept_candidates_become_detections(monkeypatch):
             super().__post_init__()
 
     monkeypatch.setattr(postproc, "Detection", CountingDetection)
-    assert len(detections_from_output(result.records[0].output, 3, CFG, 4)) >= 300
+    assert len(detections_from_output(result.records[0].output, CFG, 4)) >= 300
     got = detections_from_result(result, CFG, 4, top_k=5)
     assert len(made) <= 5
     assert detections_to_json(got) == want and len(want) == 5
@@ -406,7 +410,7 @@ def test_detections_reject_a_bad_setting_as_a_configuration_error(kw):
     # the same kind of fault as a sigma outside [0, 1] in QueryConfig
     cls = np.zeros((4, 3, 3), dtype=np.float32)
     result = SimpleNamespace(records=[SimpleNamespace(
-        output=head_output_dense(cls, np.zeros_like(cls), cls[:1]), level=3)])
+        output=head_output_dense(cls, np.zeros_like(cls), cls[:1]))])
     with pytest.raises(ConfigurationError):
         detections_from_result(result, CFG, 4, **kw)
 
@@ -420,8 +424,7 @@ def test_detections_from_result_calls_decode_and_nms_through_the_module(monkeypa
         cls = rng.uniform(-4, 2, (4, side, side)).astype(np.float32)
         reg = rng.uniform(-0.5, 0.5, (4, side, side)).astype(np.float32)
         query = np.zeros((1, side, side), dtype=np.float32)
-        records.append(SimpleNamespace(output=head_output_dense(cls, reg, query),
-                                       level=level))
+        records.append(SimpleNamespace(output=head_output_dense(cls, reg, query, level)))
     decoded, nms_calls = [], []
     real_decode, real_nms = postproc.detections_from_output, postproc.nms
 
@@ -493,14 +496,14 @@ def test_detection_json_is_pinned():
         "bright16/ccq": "7c4aecdb16fc4f8c1718751996520470f26ed0b340c9477b00f9756e47c8fa61",
     }
     assert reports == {
-        "weak64/dense": "f12acd9d450c29d55d5e22efcbca3c6b790108d233c940389357a3681e3bef84",
-        "weak64/csq": "a88fd2e6a8e43935d19cf3624cc801aacc70aa88f5630ad75c196dce8a61204b",
-        "weak64/cq": "06c5f154317b72cb253b4a25cf009da8c234b45f3f237bee1d29f1b1e4749bbd",
-        "weak64/ccq": "babfeccf1dadb7212b57a382758495df37a79bb4e72470b025b9f52ff124859b",
-        "bright16/dense": "dc3c9663e9678ecad1c3f03d063b4befca146c2a65b265638197f4a90844570a",
-        "bright16/csq": "bf8f0549174b65267dbd7d5e02e8265a797e8ddbfe62bd7e19d1cd4529cc63cf",
-        "bright16/cq": "373e9c2c23662ff517e1be73a3327960228ef82a69174b6632ae5d14f8b54d93",
-        "bright16/ccq": "a5a01417cfcd80a8f521666fb3720abab3852ceb19e16c28be66a8fa22338a3e",
+        "weak64/dense": "4dbefa56a34b6beb2acf556f014c435a679f735a9f1fd129c9600006c2be48fa",
+        "weak64/csq": "0a6f97338bf2424e2ddecc4727435152843ddc4976dcd7383f9fa5c97c2c8656",
+        "weak64/cq": "a57a1fea156b5fe6d3bed56556fc769a7395eb92ffb0e76bfef732afa0966d7a",
+        "weak64/ccq": "5e63f201821f5208e540613a9d5c61d34975874e46d4ede2d471fabb9fcbb2b7",
+        "bright16/dense": "626225305390e08ab1c5e97a7c4de9854a8b5be6f42fad26b94f95fa30a5771f",
+        "bright16/csq": "1d7af9e1dd27c1536b3aea52dc859b068b7ce8733f1bc392632dc10c7fde5b03",
+        "bright16/cq": "2b1f81a30315d4837e2ab5e0790be215a80dcbc23680223fe82f41050f4a1700",
+        "bright16/ccq": "a788b751001251b21747c97780ef1bec14853c2dbf35f41f7fada9e88958a922",
     }
     assert heads == {
         "weak64/dense": "78c67d9bb66592e66f67657e629646de47510fad9074526d808b366bd05ea62d",

@@ -100,7 +100,7 @@ def test_children_are_clipped_to_odd_child_dims():
 
 
 def test_empty_queries_give_empty_keys():
-    kids = map_queries_to_keys(KeySet.empty(4, 4, 4), 8, 8)
+    kids = map_queries_to_keys(KeySet(4, 4, 4), 8, 8)
     assert len(kids) == 0
 
 
@@ -111,8 +111,6 @@ def test_query_config_validation():
         QueryConfig(strategy="fast")
     with pytest.raises(ConfigurationError):
         QueryConfig(sigma=1.5)
-    with pytest.raises(ConfigurationError):
-        QueryConfig(min_level=5, start_level=4)
 
 
 # --- pipeline ---------------------------------------------------------------------
@@ -129,7 +127,7 @@ def weights():
 
 def test_dense_strategy_computes_every_level(pyramid, weights):
     res = run_pipeline(pyramid, weights, QueryConfig(strategy="dense"))
-    assert sorted(res.levels) == [2, 3, 4, 5, 6, 7]
+    assert [r.level for r in res.records] == [7, 6, 5, 4, 3, 2]
     assert all(r.mode == "dense" for r in res.records)
 
 
@@ -316,13 +314,15 @@ def test_cq_matches_dense_at_every_key_border_keys_included():
 
 
 def test_report_shape_and_echo(pyramid, weights):
-    cfg = QueryConfig(strategy="csq", sigma=0.3, start_level=5, min_level=3)
-    res = run_pipeline(pyramid, weights, cfg)
+    # the cascade runs the pyramid's own levels: here L3 is the finest
+    fine3 = FeaturePyramid(pyramid.image_height, pyramid.image_width,
+                           {l: t for l, t in pyramid.levels.items() if l >= 3})
+    cfg = QueryConfig(strategy="csq", sigma=0.3, start_level=5)
+    res = run_pipeline(fine3, weights, cfg)
     rep = res.report()
     assert rep["schema"] == "qd/1"
     assert rep["strategy"] == "csq"
-    assert rep["config"] == {"strategy": "csq", "sigma": 0.3, "start_level": 5,
-                             "min_level": 3}
+    assert rep["config"] == {"strategy": "csq", "sigma": 0.3, "start_level": 5}
     assert [r["level"] for r in rep["levels"]] == [7, 6, 5, 4, 3]
     for row in rep["levels"]:
         for field in ("mode", "computed_keys", "extracted_queries",

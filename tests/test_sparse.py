@@ -52,7 +52,7 @@ def test_keyset_full_and_empty():
     full = KeySet.full(2, 3, 4)
     assert len(full) == 12
     assert full.as_tuples()[:4] == [(0, 0), (1, 0), (2, 0), (3, 0)]
-    assert len(KeySet.empty(2, 3, 4)) == 0
+    assert len(KeySet(2, 3, 4)) == 0
 
 
 def test_keyset_equality_includes_bounds():
@@ -93,7 +93,7 @@ def test_dilate_matches_the_chebyshev_oracle_on_random_key_sets(h, w, radius, da
 
 
 def test_dilate_by_zero_keeps_the_keys_and_an_empty_set_stays_empty():
-    empty = KeySet.empty(3, 8, 8)
+    empty = KeySet(3, 8, 8)
     assert len(dilate(empty)) == 0
     assert dilate(empty) == empty
 
@@ -103,7 +103,7 @@ def test_rows_of_finds_each_key_in_a_superset():
     sub = keyset([(4, 3), (0, 0), (2, 1)], h=4, w=5)
     rows = big.rows_of(sub)
     assert [tuple(p) for p in big.positions[rows].tolist()] == sub.as_tuples()
-    assert big.rows_of(KeySet.empty(3, 4, 5)).tolist() == []
+    assert big.rows_of(KeySet(3, 4, 5)).tolist() == []
 
 
 def test_rows_of_rejects_keys_outside_the_set_or_grid():

@@ -61,8 +61,9 @@ def test_small_centers_respect_the_size_gate():
 
 
 def test_distance_map_345_triangle():
-    gt = gt_of([obj(0.4, 0.4, side=10.0)])  # grid cell (0, 0) at level 2
-    d = distance_map(gt, 2, 8, 8)
+    gt = gt_of([obj(0.4, 0.4, side=10.0)], image=32)  # grid cell (0, 0) at level 2
+    d = distance_map(gt, 2)
+    assert d.shape == (8, 8)
     assert d[0, 0] == 0.0
     assert d[4, 3] == 5.0  # 3-4-5
     assert d[0, 1] == 1.0
@@ -70,21 +71,21 @@ def test_distance_map_345_triangle():
 
 def test_distance_map_is_pointwise_min_over_objects():
     objs = [obj(30.0, 50.0), obj(400.0, 310.0), obj(211.0, 77.0)]
-    joint = distance_map(gt_of(objs), 3, 64, 64)
-    singles = [distance_map(gt_of([o]), 3, 64, 64) for o in objs]
+    joint = distance_map(gt_of(objs), 3)
+    singles = [distance_map(gt_of([o]), 3) for o in objs]
     np.testing.assert_array_equal(joint, np.minimum.reduce(singles))
 
 
 def test_distance_map_empty_is_infinite():
-    d = distance_map(gt_of([]), 2, 4, 4)
-    assert np.isinf(d).all()
-    assert query_target_for_level(gt_of([]), 2, 4, 4).sum() == 0
+    d = distance_map(gt_of([], image=16), 2)
+    assert d.shape == (4, 4) and np.isinf(d).all()
+    assert query_target_for_level(gt_of([], image=16), 2).sum() == 0
 
 
 def test_distance_map_object_order_does_not_matter():
     objs = [obj(30.0, 50.0), obj(400.0, 310.0), obj(211.0, 77.0)]
-    a = distance_map(gt_of(objs), 2, 128, 128)
-    b = distance_map(gt_of(objs[::-1]), 2, 128, 128)
+    a = distance_map(gt_of(objs), 2)
+    b = distance_map(gt_of(objs[::-1]), 2)
     np.testing.assert_array_equal(a, b)
 
 
@@ -92,8 +93,8 @@ def test_query_target_threshold_is_strict():
     # a small object centered on grid cell (12, 12) at level 2: a cell exactly
     # ANCHOR_BASE = 4 cells away is out, and the nearest cells inside it, at
     # sqrt(13) (no cell lies at a distance between sqrt(13) and 4), are in
-    v = query_target_for_level(gt_of([obj(50.0, 50.0)]), 2, 32, 32)
-    assert v.dtype == np.float32
+    v = query_target_for_level(gt_of([obj(50.0, 50.0)], image=128), 2)
+    assert v.dtype == np.float32 and v.shape == (32, 32)
     assert v[12, 16] == 0.0 and v[8, 12] == 0.0
     assert v[12 + 2, 12 + 3] == 1.0 and v[12 - 3, 12 - 2] == 1.0
     assert v.sum() == sum(dx * dx + dy * dy < 16
@@ -132,15 +133,15 @@ def test_query_target_matches_brute_force():
             for _ in range(int(rng.integers(0, 5)))
         ]
         gt = gt_of(objs, image=image)
-        got = query_target_for_level(gt, level, h, w)
+        got = query_target_for_level(gt, level)
         np.testing.assert_array_equal(got, brute_force_target(gt, level, h, w))
 
 
 def test_adding_an_object_only_grows_the_target():
     gt_small = gt_of([obj(100.0, 100.0)])
     gt_more = gt_of([obj(100.0, 100.0), obj(300.0, 280.0)])
-    a = query_target_for_level(gt_small, 2, 128, 128)
-    b = query_target_for_level(gt_more, 2, 128, 128)
+    a = query_target_for_level(gt_small, 2)
+    b = query_target_for_level(gt_more, 2)
     assert ((b - a) >= 0).all()
     assert b.sum() > a.sum()
 
