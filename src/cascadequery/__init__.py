@@ -28,8 +28,7 @@ from .targets import (GroundTruthObject, GroundTruthSet, LossConfig, TargetMaps,
                       beta_schedule, distance_map, focal_loss, is_small_for_level,
                       level_dims, level_loss, level_scale, query_target_for_level,
                       small_centers_on_grid, smooth_l1, total_loss)
-from .tensor import (ConvWeights, DenseTensor, conv2d, load_tensor, relu,
-                     save_tensor)
+from .tensor import ConvWeights, DenseTensor, conv2d, relu
 
 __version__ = "0.1.0"
 
@@ -47,11 +46,11 @@ __all__ = [
     "encode_boxes", "extract_queries", "focal_loss", "gather",
     "head_flops_dense", "head_flops_sparse", "inbounds_pairs",
     "is_small_for_level", "level_dims", "level_loss", "level_scale",
-    "load_pyramid", "load_tensor", "load_weights", "make_fixture_weights",
+    "load_pyramid", "load_weights", "make_fixture_weights",
     "make_synthetic_pyramid", "map_queries_to_keys", "nms",
     "p2_cost_increase", "query_target_for_level", "relu",
     "run_benchmark", "run_dense_head", "run_pipeline", "run_sparse_head",
-    "save_pyramid", "save_tensor", "save_weights",
+    "save_pyramid", "save_weights",
     "small_centers_on_grid", "smooth_l1", "sparse_conv",
     "sparse_relu", "total_loss",
 ]

@@ -81,12 +81,9 @@ def p2_cost_increase(image_h: int, image_w: int) -> float:
     A level's dense head cost is its cell count times one per-cell charge, so
     the ratio is one of cell counts, whatever the head's width. ~3.0 for
     power-of-two images (geometric series 4 / (1 + 1/4 + ... + 1/256));
-    floor-sized grids move it slightly."""
+    ceil-sized grids move it slightly (2.932 at 500 x 500)."""
     cells = [math.prod(level_dims(image_h, image_w, l)) for l in range(2, 8)]
-    rest = sum(cells[1:])
-    if rest == 0:
-        raise ConfigurationError(f"image {image_h}x{image_w} has no area at levels 3-7")
-    return cells[0] / rest
+    return cells[0] / sum(cells[1:])
 
 
 def flops_report(image_h: int, image_w: int, levels, channels: int, num_anchors: int,

@@ -28,22 +28,25 @@ import numpy as np
 
 from . import analysis
 from .errors import CascadeQueryError, ConfigurationError, FormatError, ValidationError
-from .model import (TOWER_DEPTH, Blob, HeadOutput, level_dims, load_pyramid, load_weights,
-                    make_fixture_weights, make_synthetic_pyramid, save_pyramid, save_weights)
+from .model import (TOWER_DEPTH, Blob, FeaturePyramid, HeadOutput, level_dims, load_pyramid,
+                    load_weights, make_fixture_weights, make_synthetic_pyramid, save_pyramid,
+                    save_weights)
 from .postproc import AnchorConfig, detections_from_result, detections_to_json
 from .query import STRATEGIES, CascadeResult, QueryConfig, run_pipeline
 from .sparse import KeySet, build_rulebook
 from .targets import ANCHOR_BASE, GroundTruthSet, query_target_for_level
-from .tensor import DenseTensor, save_tensor, sigmoid_array
+from .tensor import DenseTensor, sigmoid_above
 
 PYRAMID_FILE = "pyramid.qdpyr"
+TARGETS_FILE = "v_star.qdpyr"
 WEIGHTS_FILE = "weights.qdwts"
 GROUND_TRUTH_FILE = "ground_truth.json"
 CHECKSUMS_FILE = "checksums.json"
 
 # name: (type, default, bound, help). A default of None means required or
 # unset. A number's bound is an interval, a string's the values it may take;
-# sigma is QueryConfig's to check.
+# sigma is QueryConfig's to check. A level above 30 would be one cell a side
+# for any image up to 2^30 px, the same grid as level 30.
 OPTIONS = {
     "pyramid": (str, None, None, "QDPYR1 pyramid file"),
     "weights": (str, None, None, "QDWTS1 head weights file"),
@@ -55,9 +58,9 @@ OPTIONS = {
     "channels": (int, 16, "[1, inf)", "feature channels per level"),
     "anchors": (int, 1, "[1, inf)", "anchors per grid cell"),
     "classes": (int, 4, "[1, inf)", "object classes"),
-    "min_level": (int, 2, "[0, inf)", "finest pyramid level"),
-    "max_level": (int, 7, "[0, inf)", "coarsest pyramid level"),
-    "start_level": (int, 4, "[0, inf)", "finest level the head runs densely"),
+    "min_level": (int, 2, "[0, 30]", "finest pyramid level"),
+    "max_level": (int, 7, "[0, 30]", "coarsest pyramid level"),
+    "start_level": (int, 4, "[0, 30]", "finest level the head runs densely"),
     "strategy": (str, "csq", STRATEGIES, "how the cascade computes query children"),
     "sigma": (float, 0.15, None, "query score threshold"),
     "repeats": (int, 5, "[5, inf)", "timed rounds"),
@@ -297,7 +300,7 @@ def _check_ccq_exact(pyr, weights, dense: CascadeResult | Exception, cfg: QueryC
         if rec.computed_keys is None:
             continue
         cls = dense.record(rec.level).output.cls_logits
-        hot, _ = np.nonzero(sigmoid_array(cls.features) > post["score_threshold"])
+        hot, _ = np.nonzero(sigmoid_above(cls.features, post["score_threshold"]))
         covered = set(rec.computed_keys.as_tuples())
         uncovered += sum(1 for p in map(tuple, cls.keys.positions[hot].tolist())
                          if p not in covered)
@@ -456,12 +459,10 @@ def cmd_bench(opts: dict) -> int:
 
 
 def _level_range(opts: dict) -> list[int]:
-    """--min-level through --max-level, every level with a grid at --image-size."""
-    lo, hi, size = opts["min_level"], opts["max_level"], opts["image_size"]
+    """--min-level through --max-level."""
+    lo, hi = opts["min_level"], opts["max_level"]
     if lo > hi:
         raise ConfigurationError(f"--min-level {lo} exceeds --max-level {hi}")
-    if 0 in level_dims(size, size, hi):
-        raise ConfigurationError(f"--max-level {hi} has no grid at --image-size {size}")
     return list(range(lo, hi + 1))
 
 
@@ -485,18 +486,17 @@ def cmd_targets_check(opts: dict) -> int:
     out_dir, size = opts["out"], opts["image_size"]
     levels = _level_range(opts)
     gt = GroundTruthSet.from_json(_read_json(opts["gt"]), size, size, opts["gt"])
+    maps = {level: query_target_for_level(gt, level) for level in levels}
     os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    for level in levels:
-        vmap = query_target_for_level(gt, level)
-        name = f"v_star_l{level}.qdt"
-        save_tensor(DenseTensor(vmap[None, :, :]), os.path.join(out_dir, name))
-        rows.append({"level": level, "shape": list(vmap.shape), "positives": int(vmap.sum()),
-                     "total": vmap.size, "file": name})
+    save_pyramid(FeaturePyramid(size, size, {l: DenseTensor(m[None]) for l, m in maps.items()}),
+                 os.path.join(out_dir, TARGETS_FILE))
+    rows = [{"level": l, "shape": list(m.shape), "positives": int(m.sum()), "total": m.size}
+            for l, m in maps.items()]
     summary = {"schema": "qd/1", "image": [size, size], "base": ANCHOR_BASE,
-               "objects": len(gt.objects), "levels": rows}
+               "objects": len(gt.objects), "file": TARGETS_FILE, "levels": rows}
     _write_json(os.path.join(out_dir, "targets_summary.json"), summary)
-    print(f"query targets for {len(gt.objects)} objects -> {out_dir}")
+    print(f"query targets for {len(gt.objects)} objects -> "
+          f"{os.path.join(out_dir, TARGETS_FILE)}")
     return 0
 
 

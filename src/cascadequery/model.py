@@ -202,8 +202,6 @@ def make_synthetic_pyramid(seed: int, image_h: int, image_w: int, l_min: int, l_
     levels: dict[int, DenseTensor] = {}
     for l in range(l_min, l_max + 1):
         h, w = level_dims(image_h, image_w, l)
-        if h <= 0 or w <= 0:
-            raise ConfigurationError(f"image {image_h}x{image_w} vanishes at level {l}")
         values = rng.standard_normal((channels, h, w), dtype=np.float32) * np.float32(0.1)
         stride = 1 << l
         for b in blobs:

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigurationError, ValidationError
 from .model import HeadOutput, pred_widths
 from .targets import level_scale
-from .tensor import sigmoid_array
+from .tensor import sigmoid_above, sigmoid_array
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,9 @@ def nms(candidates: Candidates, iou_threshold: float = 0.5,
 def detections_from_output(output: HeadOutput, cfg: AnchorConfig, num_classes: int,
                            score_threshold: float = 0.05) -> Candidates:
     """Score-filtered candidate detections from one level's head output, on
-    the level of its keys.
+    the level of its keys: a class logit passes where `sigmoid_above` puts its
+    sigmoid above score_threshold, and only the passing logits are turned
+    into scores.
 
     Channel layout: class logit for anchor slot a, class k sits at a*K + k;
     box deltas for slot a at a*4 .. a*4+3. A head whose class or box width
@@ -236,8 +238,8 @@ def detections_from_output(output: HeadOutput, cfg: AnchorConfig, num_classes: i
         raise ConfigurationError(
             f"head emits {got[0]} class and {got[1]} box channels; {cfg.num_anchors} "
             f"anchors and {num_classes} classes need {cls_width} and {reg_width}")
-    scores = sigmoid_array(output.cls_logits.features)  # (N, A*K)
-    rows, chans = np.nonzero(scores > score_threshold)
+    logits = output.cls_logits.features                 # (N, A*K)
+    rows, chans = np.nonzero(sigmoid_above(logits, score_threshold))
     pos = output.keys.positions                         # (N, 2) as (x, y)
     xs, ys = pos[rows, 0], pos[rows, 1]
     slots, classes = chans // num_classes, chans % num_classes
@@ -246,7 +248,7 @@ def detections_from_output(output: HeadOutput, cfg: AnchorConfig, num_classes: i
     level = output.keys.level
     boxes = decode_boxes(deltas, anchor_boxes(xs, ys, slots, level))
     ok = (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
-    return Candidates(boxes[ok], scores[rows, chans][ok], classes[ok],
+    return Candidates(boxes[ok], sigmoid_array(logits[rows, chans][ok]), classes[ok],
                       np.full(np.count_nonzero(ok), level))
 
 

@@ -34,7 +34,7 @@ from .errors import ConfigurationError, ValidationError
 from .model import (RECEPTIVE_FIELD, TOWER_DEPTH, FeaturePyramid, HeadOutput, HeadWeights,
                     run_dense_head, run_sparse_head)
 from .sparse import KeySet, Rulebook, SparseFeature, build_rulebook, dilate, gather
-from .tensor import DenseTensor, sigmoid_array
+from .tensor import DenseTensor, sigmoid_above
 
 STRATEGIES = ("dense", "csq", "cq", "ccq")
 # Radius by which the sparse strategies widen their keys before the head runs:
@@ -58,24 +58,26 @@ class QueryConfig:
             raise ConfigurationError(f"sigma must be in [0, 1], got {self.sigma}")
 
 
-def extract_queries(query_scores: SparseFeature, sigma: float) -> KeySet:
-    """Keys whose score is strictly greater than sigma.
+def extract_queries(query_logits: SparseFeature, sigma: float) -> KeySet:
+    """Keys whose query score, the sigmoid of their logit, is strictly greater
+    than sigma, decided by `sigmoid_above` on the logits: sigma = 0 keeps
+    every key and sigma = 1 none.
 
-    Scores are single-channel rows, expected in [0, 1] (sigmoid outputs); the
-    queries keep the rows' level and grid."""
-    if query_scores.channels != 1:
+    Logits are single-channel rows; the queries keep the rows' level and grid."""
+    if query_logits.channels != 1:
         raise ValidationError(
-            f"query scores must be single-channel, got {query_scores.channels}"
+            f"query logits must be single-channel, got {query_logits.channels}"
         )
-    keys = query_scores.keys
-    keep = query_scores.features[:, 0] > sigma
+    keys = query_logits.keys
+    keep = sigmoid_above(query_logits.features[:, 0], sigma)
     return KeySet(keys.level, keys.height, keys.width, keys.positions[keep])
 
 
 def map_queries_to_keys(queries: KeySet, child_height: int, child_width: int) -> KeySet:
     """Each query (x, y) owns the four child cells {(2x+i, 2y+j) : i,j in {0,1}}
-    one level down. Children are deduplicated and clipped to the child grid
-    (clipping only matters when a child dimension is odd)."""
+    one level down. Children are deduplicated and clipped to the child grid:
+    a ceil-sized child side that is odd is one short of twice its parent's,
+    so the last parent row or column there owns only the even children."""
     xs, ys = queries.xs, queries.ys
     cx = np.concatenate([2 * xs, 2 * xs + 1, 2 * xs, 2 * xs + 1])
     cy = np.concatenate([2 * ys, 2 * ys, 2 * ys + 1, 2 * ys + 1])
@@ -272,8 +274,7 @@ def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig) -> Casca
             entries, flops, mode = 0, dense, "masked" if child else "dense"
         queries = None
         if reads_queries and l <= cfg.start_level:
-            scores = SparseFeature(keys, sigmoid_array(out.query_logits.features))
-            queries = extract_queries(scores, cfg.sigma)
+            queries = extract_queries(out.query_logits, cfg.sigma)
         millis = (time.perf_counter() - t0) * 1000.0
         records.append(LevelRecord(l, mode, feature.height, feature.width, out,
                                    computed_keys=keys if child else None,

@@ -97,8 +97,11 @@ ANCHOR_BASE = 4.0
 
 
 def level_dims(image_h: int, image_w: int, level: int) -> tuple[int, int]:
-    """Grid size of pyramid level l for an H x W image: floor(H / 2^l) x floor(W / 2^l)."""
-    return image_h >> level, image_w >> level
+    """Grid size of pyramid level l for an H x W image: ceil(H / 2^l) x ceil(W / 2^l),
+    the grid of l stride-2, padding-1 stages. Each level is then at most twice
+    the one above it, so every child cell has a parent, and every point of the
+    image falls in some cell."""
+    return -(-image_h >> level), -(-image_w >> level)
 
 
 def level_scale(level: int) -> float:
@@ -112,9 +115,8 @@ def is_small_for_level(obj: GroundTruthObject, level: int) -> bool:
 
 def small_centers_on_grid(gt: GroundTruthSet, level: int) -> np.ndarray:
     """(N, 2) array of (gx, gy) grid cells: floor(center / 2^l) for each object
-    small at this level. Centers near the truncated right/bottom edge of a
-    floor-sized grid may land one cell outside it; they are kept as-is, since
-    distances to them are still well-defined."""
+    small at this level. A center inside the image lands on the level's
+    ceil-sized grid."""
     stride = 1 << level
     pts = [
         (np.floor(o.cx / stride), np.floor(o.cy / stride))

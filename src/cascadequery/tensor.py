@@ -2,11 +2,15 @@
 
 A tensor of C channels over an H x W grid is a float32 array of shape
 (C, H, W), whatever its memory layout. Pyramid levels load channel-major, in
-the QDT1 on-disk order. `conv2d` returns a (C, H, W) view of its (H * W, C)
+the QDPYR1 on-disk order. `conv2d` returns a (C, H, W) view of its (H * W, C)
 GEMM rows (channel-last memory), and reads its input through
 ``values.transpose(1, 2, 0)``, so chained convs and `relu`, which keeps its
 input's layout, hand rows to one another without transposing copies.
 `write_container` makes every payload contiguous before writing it.
+
+Head outputs stay logits: `sigmoid_above` is the one gate "score above a
+threshold", decided in logit space, and `sigmoid_array` scores only the rows
+a gate keeps.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, ValidationError
-
-TENSOR_MAGIC = b"QDTENS1\n"
 
 
 @dataclass(frozen=True)
@@ -171,8 +173,22 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
     return out.astype(np.float32)
 
 
+def sigmoid_above(logits: np.ndarray, threshold: float) -> np.ndarray:
+    """Elementwise sigmoid(logits) > threshold, as logits > log(t / (1 - t)):
+    the cut is -inf at t = 0 and +inf at t = 1, and both sides are compared
+    in float64 (a float64 scalar, so NumPy does not round the cut to the
+    logits' float32)."""
+    if threshold <= 0.0:
+        cut = -math.inf
+    elif threshold >= 1.0:
+        cut = math.inf
+    else:
+        cut = math.log(threshold / (1.0 - threshold))
+    return np.asarray(logits) > np.float64(cut)
+
+
 # --- containers -------------------------------------------------------------
-# QDT1, QDPYR1 and QDWTS1 share one layout: an 8-byte magic, a little-endian
+# QDPYR1 and QDWTS1 share one layout: an 8-byte magic, a little-endian
 # u32 manifest length, the JSON manifest, then little-endian f32 payloads.
 
 def write_container(path, magic: bytes, manifest: dict, payloads) -> None:
@@ -224,19 +240,3 @@ class ContainerReader:
         if self.offset != len(self.data):
             raise FormatError(f"{self.path}: {len(self.data) - self.offset} trailing bytes")
 
-
-def save_tensor(t: DenseTensor, path) -> None:
-    """Write one tensor in the QDT1 container format."""
-    write_container(path, TENSOR_MAGIC, {"dtype": "f32", "shape": list(t.values.shape)},
-                    [t.values])
-
-
-def load_tensor(path) -> DenseTensor:
-    r = ContainerReader(path, TENSOR_MAGIC)
-    if r.manifest.get("dtype") != "f32":
-        raise FormatError(f"{path}: unsupported dtype {r.manifest.get('dtype')!r}")
-    values = r.take(r.manifest.get("shape"), "tensor")
-    if values.ndim != 3:
-        raise FormatError(f"{path}: tensor shape {list(values.shape)} is not (C, H, W)")
-    r.finish()
-    return DenseTensor(values)

@@ -36,7 +36,7 @@ from cascadequery.analysis import run_benchmark, sweep_sigmas
 from cascadequery.model import TOWER_DEPTH
 from cascadequery.postproc import AnchorConfig, detections_from_result, detections_to_json
 from cascadequery.query import map_queries_to_keys
-from cascadequery.tensor import sigmoid_array
+from cascadequery.tensor import sigmoid_above
 from conftest import (
     CCQ_SEEDS,
     RECALL_SEEDS,
@@ -257,8 +257,9 @@ def test_criterion_08_child_mapping_properties_on_random_query_sets():
         pos = np.stack([rng.integers(0, pw, n), rng.integers(0, ph, n)], axis=1) \
             if n else np.zeros((0, 2), dtype=np.int64)
         queries = KeySet(level, ph, pw, pos)
-        # rotate among the two floor-pyramid child sizes and a short grid that
-        # forces clipping of the odd children
+        # rotate among the two ceil-pyramid child sizes (the shorter one forces
+        # clipping of the odd children) and a grid one cell wider than twice
+        # the parent's
         ch, cw = {0: (2 * ph, 2 * pw),
                   1: (2 * ph + 1, 2 * pw + 1),
                   2: (max(1, 2 * ph - 1), max(1, 2 * pw - 1))}[case % 3]
@@ -395,8 +396,8 @@ def test_criterion_11_every_confident_parent_has_its_children_as_keys():
                 hit = np.nonzero((keys.xs == px) & (keys.ys == py))[0]
                 if len(hit) == 0:
                     continue  # parent cell never computed: no score to exceed
-                score = sigmoid_array(prec.output.query_logits.features[hit[0], :1])[0]
-                if not bool(score > sigma):  # same float32 comparison as extraction
+                logit = prec.output.query_logits.features[hit[0], :1]
+                if not sigmoid_above(logit, sigma)[0]:  # the gate extraction applies
                     continue
                 evaluated += 1
                 want = {(2 * px + i, 2 * py + j) for i in (0, 1) for j in (0, 1)

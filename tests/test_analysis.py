@@ -116,11 +116,6 @@ def test_stride4_level_triples_the_head_cost():
     assert 2.9 <= p2_cost_increase(500, 500) <= 3.1
 
 
-def test_cost_increase_needs_coarse_levels():
-    with pytest.raises(ConfigurationError):
-        p2_cost_increase(4, 4)
-
-
 # --- report assembly ---------------------------------------------------------------
 
 def test_flops_report_totals_and_fraction():

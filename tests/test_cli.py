@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cascadequery import KeySet, SparseFeature, build_rulebook
+from cascadequery import (GroundTruthSet, KeySet, SparseFeature, build_rulebook,
+                          query_target_for_level)
 from cascadequery import analysis as analysis_mod
 from cascadequery import cli as cli_mod
 from cascadequery import model as model_mod
@@ -209,10 +210,11 @@ def test_bad_postproc_option_fails_verify_before_any_work(small_fixture, tmp_pat
 @pytest.mark.parametrize("command,flags", [
     ("gen-fixture", ("--seed", "-1")), ("gen-fixture", ("--blobs", "-3")),
     ("flops", ("--channels", "-1")),
-    # an inverted level range, and a level whose grid vanishes at 512 px
+    # an inverted level range, and levels above 30
     ("flops", ("--min-level", "5", "--max-level", "3")),
     ("targets-check", ("--min-level", "5", "--max-level", "3")),
-    ("flops", ("--max-level", "12")), ("targets-check", ("--max-level", "12")),
+    ("flops", ("--max-level", "31")), ("targets-check", ("--max-level", "31")),
+    ("bench", ("--start-level", "31")),
     # a non-finite field, a side <= 0, a class beyond --classes 4 or below 0, and
     # an amplitude that is not finite
     ("gen-fixture", ("--blob", "10,10,5,5,0,nan")), ("gen-fixture", ("--blob", "10,10,nan,5")),
@@ -511,6 +513,24 @@ def test_verify_passes_on_a_pristine_fixture(small_fixture, tmp_path, capsys):
     assert on_disk == verdict
 
 
+@pytest.mark.parametrize("flags,cells", [
+    # 600 px: L4 is 38 cells wide and L3 75, so the last L3 row and column
+    # are reached only through a last L4 cell that owns one child per side
+    (("--image-size", "600"), 75 * 75 + 150 * 150),
+    # a -1e30 bump drives one L4 query logit to about -1e28, whose float32
+    # sigmoid is 0.0: sigma = 0 keeps it all the same
+    (("--image-size", "64", "--max-level", "4", "--channels", "4",
+      "--blob", "10,10,5,5,0,-1e30"), 8 * 8 + 16 * 16),
+], ids=["600px", "saturated-query"])
+def test_verify_csq_at_sigma_zero_computes_every_cell(tmp_path, capsys, flags, cells):
+    assert main(["gen-fixture", "--out", str(tmp_path), *flags]) == 0
+    capsys.readouterr()  # drop the gen-fixture status line
+    assert main(["verify", "--fixture", str(tmp_path)]) == 0
+    by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert by_name["csq-sigma0"]["detail"] == \
+        f"max relative error 0.000e+00 over {cells} keys"
+
+
 def test_verify_runs_one_dense_pipeline(small_fixture, monkeypatch, capsys):
     real = cli_mod.run_pipeline
     strategies = []
@@ -750,19 +770,26 @@ def test_flops_writes_a_file_when_asked(tmp_path, capsys):
 
 
 def test_targets_check_emits_per_level_maps(tmp_path, capsys):
+    # 100 px: L5 and L7 round up to 4 and 1 cells a side
+    objects = [{"cx": 40.0, "cy": 52.0, "w": 6.0, "h": 6.0, "class": 1}]
     gt_path = tmp_path / "gt.json"
-    gt_path.write_text(json.dumps([
-        {"cx": 40.0, "cy": 52.0, "w": 6.0, "h": 6.0, "class": 1},
-    ]))
+    gt_path.write_text(json.dumps(objects))
     out = tmp_path / "maps"
     rc = main(["targets-check", "--gt", str(gt_path), "--out", str(out),
-               "--image-size", "128"])
+               "--image-size", "100"])
     assert rc == 0
+    assert capsys.readouterr().out == \
+        f"query targets for 1 objects -> {out / 'v_star.qdpyr'}\n"
     summary = json.loads((out / "targets_summary.json").read_text())
-    assert summary["objects"] == 1
+    assert summary["objects"] == 1 and summary["file"] == "v_star.qdpyr"
     assert [r["level"] for r in summary["levels"]] == [2, 3, 4, 5, 6, 7]
+    maps = model_mod.load_pyramid(out / summary["file"])
+    assert (maps.image_height, maps.image_width, maps.channels) == (100, 100, 1)
+    gt = GroundTruthSet.from_json(objects, 100, 100)
     for row in summary["levels"]:
-        assert (out / row["file"]).exists()
-        assert 0 < row["positives"] <= row["total"]
-        h, w = row["shape"]
-        assert row["total"] == h * w
+        vmap = maps.levels[row["level"]].values[0]
+        np.testing.assert_array_equal(vmap, query_target_for_level(gt, row["level"]))
+        assert 0 < row["positives"] == vmap.sum() <= row["total"] == vmap.size
+        assert row["shape"] == list(vmap.shape)
+    assert [r["shape"] for r in summary["levels"]] == [[25, 25], [13, 13], [7, 7], [4, 4],
+                                                      [2, 2], [1, 1]]

@@ -25,8 +25,6 @@ CASES = {
                             ConfigurationError, "image dims must be positive"),
     "fixture-level-range": (lambda: make_synthetic_pyramid(0, 64, 64, 1, 7, 4),
                             ConfigurationError, "must sit inside [2, 7]"),
-    "fixture-level-vanishes": (lambda: make_synthetic_pyramid(0, 64, 64, 2, 7, 4),
-                               ConfigurationError, "vanishes at level 7"),
     "fixture-weights-empty": (lambda: make_fixture_weights(0, 0, 1, 4),
                               ConfigurationError, "must be positive"),
     "keyset-bounds": (lambda: KeySet(2, 0, 4), ValidationError, "bounds must be positive"),

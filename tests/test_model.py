@@ -26,7 +26,7 @@ from cascadequery import (
 )
 from cascadequery.model import TOWER_DEPTH
 from cascadequery.sparse import KeySet, build_rulebook, gather
-from cascadequery.tensor import ConvWeights, DenseTensor, save_tensor
+from cascadequery.tensor import ConvWeights, DenseTensor
 
 from conftest import dense_rows_at, standard_weights
 
@@ -35,17 +35,18 @@ def small_pyramid(seed=0, image=64, channels=8, blobs=()):
     return make_synthetic_pyramid(seed, image, image, 2, 5, channels, list(blobs))
 
 
-def test_level_dims_floor_law():
+def test_level_dims_ceil_law():
     assert level_dims(512, 512, 2) == (128, 128)
     assert level_dims(512, 512, 7) == (4, 4)
-    assert level_dims(500, 300, 3) == (62, 37)
-    assert level_dims(500, 300, 5) == (15, 9)
+    assert level_dims(500, 300, 3) == (63, 38)
+    assert level_dims(500, 300, 5) == (16, 10)
+    assert level_dims(1, 1, 7) == (1, 1)
 
 
 def test_pyramid_validates_level_shapes():
     levels = {2: DenseTensor(np.zeros((4, 16, 16), dtype=np.float32))}
     with pytest.raises(ConfigurationError, match="expected"):
-        FeaturePyramid(60, 64, levels)  # 60px image floors to 15 rows at level 2
+        FeaturePyramid(60, 64, levels)  # a 60px side has 15 rows at level 2
 
 
 def test_pyramid_validates_channel_agreement():
@@ -224,19 +225,15 @@ def test_pyramid_save_is_byte_stable(tmp_path):
 
 
 def test_container_bytes_are_pinned(tmp_path):
-    # the on-disk layout of all three containers, fixed by sha256
+    # the on-disk layout of both containers, fixed by sha256
     pyr = make_synthetic_pyramid(11, 64, 64, 2, 5, 4, [Blob(20.0, 30.0, 6.0, 6.0)])
     save_pyramid(pyr, tmp_path / "p.qdpyr")
     save_weights(make_fixture_weights(5, 4, 2, 3), tmp_path / "w.qdwts")
-    rng = np.random.default_rng(9)
-    save_tensor(DenseTensor(rng.standard_normal((2, 3, 5), dtype=np.float32)),
-                tmp_path / "t.qdt")
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("p.qdpyr", "w.qdwts", "t.qdt")}
+               for name in ("p.qdpyr", "w.qdwts")}
     assert digests == {
         "p.qdpyr": "a0b85e5389f16f14b717b275164f47e19c5515a92fc46d7b737a2d8081dd8df5",
         "w.qdwts": "0641316a737eb01d0539338b5aada2a093e9d22f83a3c3b8c8f172632396534a",
-        "t.qdt": "059ae1e389ef4bc2c083a5e367ae47490203522dae523246e89f525dce7f6a50",
     }
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -34,40 +35,59 @@ from conftest import (
 )
 
 
-def score_rows(h, w, scores, level=4):
-    """Single-channel scores at every cell of a level, the rows a dense level
-    hands to extraction."""
-    m = np.zeros((h, w), dtype=np.float32)
-    for (x, y), s in scores.items():
-        m[y, x] = s
+def logit(p):
+    return math.log(p / (1.0 - p))
+
+
+def logit_rows(h, w, logits, level=4):
+    """Single-channel query logits at every cell of a level, the rows a dense
+    level hands to extraction; a cell not given scores sigmoid(-30), about 1e-13."""
+    m = np.full((h, w), -30.0, dtype=np.float32)
+    for (x, y), v in logits.items():
+        m[y, x] = v
     return SparseFeature(KeySet.full(level, h, w), m.reshape(-1, 1))
 
 
 # --- extraction and the child mapping -------------------------------------------
 
 def test_extract_keeps_only_scores_above_sigma():
-    scores = score_rows(4, 4, {(1, 1): 0.2, (3, 0): 0.1})
-    out = extract_queries(scores, 0.15)
+    rows = logit_rows(4, 4, {(1, 1): logit(0.2), (3, 0): logit(0.1)})
+    out = extract_queries(rows, 0.15)
     assert out.as_tuples() == [(1, 1)]
 
 
 def test_extract_threshold_is_strict():
-    # 0.5 is exact in float32, so a score equal to sigma must not pass
-    scores = score_rows(2, 2, {(0, 0): 0.5, (1, 1): 0.50001}, level=3)
-    out = extract_queries(scores, 0.5)
+    # logit 0 scores exactly 0.5, so at sigma 0.5 it must not pass
+    rows = logit_rows(2, 2, {(0, 0): 0.0, (1, 1): logit(0.50001)}, level=3)
+    out = extract_queries(rows, 0.5)
     assert out.as_tuples() == [(1, 1)]
+
+
+def test_extract_is_strict_at_the_smallest_logit_step():
+    # sigma 0.5 cuts at logit 0: the next float32 above it is in
+    tiny = np.nextafter(np.float32(0.0), np.float32(1.0))
+    out = extract_queries(logit_rows(1, 2, {(0, 0): 0.0, (1, 0): tiny}), 0.5)
+    assert out.as_tuples() == [(1, 0)]
+
+
+def test_extract_sigma_zero_keeps_every_row_and_sigma_one_none():
+    # sigmoid(-1e30) rounds to 0.0 in float32, yet the score it stands for is
+    # above 0; at sigma 1 even a logit of 1e30 stays out
+    rows = logit_rows(1, 2, {(0, 0): -1e30, (1, 0): 1e30})
+    assert extract_queries(rows, 0.0).as_tuples() == [(0, 0), (1, 0)]
+    assert len(extract_queries(rows, 1.0)) == 0
 
 
 def test_extract_from_sparse_rows_considers_existing_keys_only():
     ks = KeySet(3, 8, 8, [(1, 1), (2, 5)])
-    rows = np.array([[0.4], [0.05]], dtype=np.float32)
+    rows = np.array([[logit(0.4)], [logit(0.05)]], dtype=np.float32)
     out = extract_queries(SparseFeature(ks, rows), 0.15)
     assert out.as_tuples() == [(1, 1)]
     assert (out.height, out.width, out.level) == (8, 8, 3)
 
 
 def test_extract_takes_level_and_grid_from_the_rows():
-    out = extract_queries(score_rows(2, 3, {(2, 1): 0.9}, level=5), 0.5)
+    out = extract_queries(logit_rows(2, 3, {(2, 1): logit(0.9)}, level=5), 0.5)
     assert out.as_tuples() == [(2, 1)]
     assert (out.level, out.height, out.width) == (5, 2, 3)
     with pytest.raises(ValidationError, match="single-channel"):
@@ -92,8 +112,8 @@ def test_children_of_adjacent_queries_are_deduplicated():
 
 
 def test_children_are_clipped_to_odd_child_dims():
-    # a 15px dimension floors to 7 at the child level while the parent has 4,
-    # so the last parent column maps to a single in-bounds child
+    # a 7-cell child side has a ceil(7 / 2) = 4-cell parent side, so the last
+    # parent column and row map to a single in-bounds child
     q = KeySet(4, 4, 4, [(3, 3)])
     kids = map_queries_to_keys(q, 7, 7)
     assert kids.as_tuples() == [(6, 6)]
@@ -311,6 +331,63 @@ def test_cq_matches_dense_at_every_key_border_keys_included():
         for attr in ("cls_logits", "reg_deltas", "query_logits"):
             got = getattr(rec.output, attr).features
             assert rel_err(got, dense_rows_at(getattr(want, attr), keys)) < 1e-5, (level, attr)
+
+
+@st.composite
+def random_cascades(draw):
+    """A pyramid with non-square, odd or tiny sides, a random level range and
+    a start level above its finest level, 1-8 channels and 0-4 planted
+    objects, with a head of 1-3 anchors and 1-4 classes."""
+    h, w = draw(st.integers(8, 300)), draw(st.integers(8, 300))
+    finest = draw(st.integers(2, 6))
+    coarsest = draw(st.integers(finest + 1, 7))
+    start = draw(st.integers(finest + 1, coarsest))
+    channels = draw(st.integers(1, 8))
+    blobs = [Blob(draw(st.floats(0.0, w - 1.0)), draw(st.floats(0.0, h - 1.0)),
+                  draw(st.floats(2.0, 64.0)), draw(st.floats(2.0, 64.0)),
+                  amplitude=draw(st.floats(-40.0, 40.0)))
+             for _ in range(draw(st.integers(0, 4)))]
+    seed = draw(st.integers(0, 2**16))
+    pyr = make_synthetic_pyramid(seed, h, w, finest, coarsest, channels, blobs)
+    head = make_fixture_weights(seed, channels, draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    return pyr, head, start
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=random_cascades(), sigmas=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+def test_every_strategy_agrees_with_dense_on_random_pyramids(case, sigmas):
+    pyr, w, start = case
+    lo, hi = sorted(sigmas)
+
+    def run(strategy, sigma):
+        return run_pipeline(pyr, w, QueryConfig(strategy, sigma, start))
+
+    dense = run("dense", 0.0)
+
+    def assert_matches_dense(res, exact):
+        for rec in res.records:
+            keys = rec.computed_keys
+            if keys is None or not len(keys):
+                continue
+            want = dense.record(rec.level).output
+            for attr in ("cls_logits", "reg_deltas", "query_logits"):
+                got = getattr(rec.output, attr).features
+                ref = dense_rows_at(getattr(want, attr), keys)
+                if exact:
+                    np.testing.assert_array_equal(got, ref)
+                else:
+                    assert rel_err(got, ref) <= 1e-5, (rec.level, attr)
+
+    assert_matches_dense(run("ccq", lo), exact=True)
+    assert_matches_dense(run("cq", lo), exact=False)
+    sweep = [run("csq", s) for s in (0.0, lo, hi, 1.0)]
+    assert_matches_dense(sweep[0], exact=False)
+    for rec in sweep[0].records:
+        if rec.level >= start:
+            continue
+        assert len(rec.computed_keys) == rec.height * rec.width, rec.level  # every cell
+        counts = [len(res.record(rec.level).computed_keys) for res in sweep]
+        assert counts == sorted(counts, reverse=True) and counts[-1] == 0, (rec.level, counts)
 
 
 def test_report_shape_and_echo(pyramid, weights):

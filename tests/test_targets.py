@@ -124,9 +124,7 @@ def test_query_target_matches_brute_force():
     for _ in range(10):
         level = int(rng.integers(2, 8))
         image = int(rng.integers(96, 320))
-        h = w = image >> level
-        if h < 1:
-            continue
+        h = w = math.ceil(image / 2 ** level)
         objs = [
             obj(float(rng.uniform(0, image)), float(rng.uniform(0, image)),
                 side=float(rng.uniform(4.0, 80.0)))

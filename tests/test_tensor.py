@@ -1,17 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cascadequery import ConfigurationError, FormatError, ValidationError, tensor
+from cascadequery import ConfigurationError, ValidationError, tensor
 from cascadequery.sparse import KeySet, build_rulebook, dilate
 from cascadequery.tensor import (
     ConvWeights,
     DenseTensor,
     conv2d,
-    load_tensor,
     relu,
-    save_tensor,
+    sigmoid_above,
     sigmoid_array,
 )
 
@@ -112,8 +113,10 @@ def test_conv2d_output_is_a_channel_last_view(tmp_path):
     assert got.shape == (4, 5, 6)
     assert got.base is not None and not got.flags.c_contiguous
     assert got.transpose(1, 2, 0).flags.c_contiguous
-    save_tensor(DenseTensor(got), tmp_path / "t.qdt")
-    np.testing.assert_array_equal(load_tensor(tmp_path / "t.qdt").values, got)
+    # and a container writes it in (C, H, W) order all the same
+    path, magic = tmp_path / "t.bin", b"TESTMAG\n"
+    tensor.write_container(path, magic, {}, [got])
+    np.testing.assert_array_equal(tensor.ContainerReader(path, magic).take([4, 5, 6], "t"), got)
 
 
 def test_chained_conv2d_and_relu_match_loop_oracle():
@@ -213,41 +216,28 @@ def test_sigmoid_extremes_do_not_overflow():
     assert np.all(np.isfinite(out)) and np.all((out >= 0.0) & (out <= 1.0))
 
 
-def test_tensor_roundtrip_exact(tmp_path):
-    rng = np.random.default_rng(9)
-    t = DenseTensor(rng.standard_normal((3, 4, 5)).astype(np.float32))
-    p = tmp_path / "t.qdt"
-    save_tensor(t, p)
-    back = load_tensor(p)
-    np.testing.assert_array_equal(back.values, t.values)
+@pytest.mark.parametrize("threshold", [0.0, 0.05, 0.15, 0.5, 0.95, 1.0])
+def test_sigmoid_above_agrees_with_the_sigmoid_away_from_saturation(threshold):
+    x = np.linspace(-30, 30, 4001, dtype=np.float32)
+    np.testing.assert_array_equal(sigmoid_above(x, threshold), sigmoid_array(x) > threshold)
 
 
-def test_load_tensor_rejects_bad_magic(tmp_path):
-    p = tmp_path / "bad.qdt"
-    p.write_bytes(b"NOTQDT1\n" + b"\x00" * 32)
-    with pytest.raises(FormatError, match="magic"):
-        load_tensor(p)
+def test_sigmoid_above_keeps_saturated_logits_at_the_ends():
+    # sigmoid_array rounds these to exactly 0.0 and 1.0 in float32
+    x = np.array([-1e30, -200.0, 200.0, 1e30], dtype=np.float32)
+    assert sigmoid_above(x, 0.0).all()
+    assert not sigmoid_above(x, 1.0).any()
 
 
-def test_load_tensor_rejects_truncated_payload(tmp_path):
-    t = DenseTensor(np.ones((2, 3, 3), dtype=np.float32))
-    p = tmp_path / "t.qdt"
-    save_tensor(t, p)
-    data = p.read_bytes()
-    p.write_bytes(data[:-5])
-    with pytest.raises(FormatError):
-        load_tensor(p)
-
-
-@pytest.mark.parametrize("manifest,message", [
-    ({"dtype": "f64", "shape": [1, 2, 2]}, "unsupported dtype 'f64'"),
-    ({"dtype": "f32", "shape": [2, 2]}, r"tensor shape \[2, 2\] is not \(C, H, W\)"),
-], ids=["dtype-f64", "shape-2d"])
-def test_load_tensor_rejects_a_manifest_it_cannot_read(tmp_path, manifest, message):
-    p = tmp_path / "t.qdt"
-    tensor.write_container(p, tensor.TENSOR_MAGIC, manifest, [np.zeros(4, dtype=np.float32)])
-    with pytest.raises(FormatError, match=message):
-        load_tensor(p)
+@pytest.mark.parametrize("threshold", [0.05, 0.15, 0.3, 0.7, 0.9])
+def test_sigmoid_above_compares_with_the_cut_in_float64(threshold):
+    # the float32 values next to the cut pass exactly when they exceed it in
+    # float64, also where the cut rounded to float32 would say otherwise
+    cut = math.log(threshold / (1.0 - threshold))
+    near = np.float32(cut)
+    x = np.array([np.nextafter(near, np.float32(-np.inf)), near,
+                  np.nextafter(near, np.float32(np.inf))], dtype=np.float32)
+    np.testing.assert_array_equal(sigmoid_above(x, threshold), x.astype(np.float64) > cut)
 
 
 def test_dense_tensor_rejects_bad_rank():
