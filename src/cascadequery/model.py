@@ -9,6 +9,11 @@ HeadOutput's fields and the weights manifest, and pred_widths gives their
 predictors' widths. The weight checks, both head passes, the fixture weights,
 the manifest and the cost model iterate over BRANCHES, or over its
 (tower, predictor) pairs, `HeadWeights.branches`.
+
+The three towers' first convs read the same input rows, so both head passes
+run them as one C -> 3C conv, `HeadWeights.stem`: one gather and one GEMM,
+then a ReLU, and each branch takes its C-column slice into `tower[1:]` and
+its predictor.
 """
 
 from __future__ import annotations
@@ -108,6 +113,15 @@ class HeadWeights:
         first use, as the fields are frozen."""
         return tuple((getattr(self, f"{b}_tower"), getattr(self, f"{b}_pred")) for b in BRANCHES)
 
+    @cached_property
+    def stem(self) -> ConvWeights:
+        """The branches' first tower convs as one C -> 3C conv, their output
+        channels in BRANCHES order. All three read the same rows, so one gather
+        and one GEMM serve them; built once, on first use."""
+        firsts = [tower[0] for tower, _ in self.branches]
+        return ConvWeights(np.concatenate([conv.weights for conv in firsts]),
+                           np.concatenate([conv.bias for conv in firsts]))
+
 
 @dataclass(frozen=True)
 class HeadOutput:
@@ -142,7 +156,10 @@ def run_dense_head(feature: DenseTensor, w: HeadWeights, keys: KeySet) -> HeadOu
         raise ConfigurationError(
             f"feature has {feature.channels} channels, head expects {w.channels}"
         )
-    return HeadOutput(*[gather(_dense_branch(feature, t, p), keys) for t, p in w.branches])
+    stem = relu(conv2d(feature, w.stem))
+    slices = np.split(stem.values, len(BRANCHES))
+    return HeadOutput(*[gather(_dense_branch(DenseTensor(x), t[1:], p), keys)
+                        for x, (t, p) in zip(slices, w.branches)])
 
 
 def _sparse_branch(vf: SparseFeature, tower: list[ConvWeights], pred: ConvWeights,
@@ -162,7 +179,9 @@ def run_sparse_head(value_features: SparseFeature, w: HeadWeights,
     then the predictor. Conv j reads rows at its rulebook's inputs and writes
     rows at its keys, so the first rulebook reads the value features' keys and
     the outputs sit at the last one's keys. By default one rulebook of the
-    value features' keys serves every conv."""
+    value features' keys serves every conv. The first rulebook drives the
+    stem, the three first tower convs as one, and each branch runs the rest
+    of the schedule on its slice of the stem's rows."""
     if value_features.channels != w.channels:
         raise ConfigurationError(
             f"value features have {value_features.channels} channels, head expects {w.channels}"
@@ -173,7 +192,16 @@ def run_sparse_head(value_features: SparseFeature, w: HeadWeights,
         raise ConfigurationError(
             f"schedule has {len(schedule)} rulebooks, the head has {TOWER_DEPTH + 1} convs"
         )
-    return HeadOutput(*[_sparse_branch(value_features, t, p, schedule) for t, p in w.branches])
+    if isinstance(schedule, Rulebook):
+        first, rest = schedule, schedule
+    else:
+        first, rest = schedule[0], schedule[1:]
+    # the stem runs as a branch with no tower convs, so every sparse conv of
+    # the head goes through _sparse_branch
+    stem = sparse_relu(_sparse_branch(value_features, [], w.stem, first))
+    slices = np.split(stem.features, len(BRANCHES), axis=1)
+    return HeadOutput(*[_sparse_branch(SparseFeature(stem.keys, x), t[1:], p, rest)
+                        for x, (t, p) in zip(slices, w.branches)])
 
 
 @dataclass(frozen=True)

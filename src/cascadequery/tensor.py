@@ -6,6 +6,9 @@ the QDPYR1 on-disk order. `conv2d` returns a (C, H, W) view of its (H * W, C)
 GEMM rows (channel-last memory), and reads its input through
 ``values.transpose(1, 2, 0)``, so chained convs and `relu`, which keeps its
 input's layout, hand rows to one another without transposing copies.
+`conv_rows`, the kernel under both `conv2d` and `sparse.sparse_conv`, gathers
+and multiplies its table in blocks of BLOCK_ROWS rows, so a conv's scratch
+memory is one block's gather whatever the grid size.
 `write_container` makes every payload contiguous before writing it.
 
 Head outputs stay logits: `sigmoid_above` is the one gate "score above a
@@ -97,6 +100,11 @@ class ConvWeights:
             self.weights.transpose(2, 3, 1, 0).reshape(-1, self.out_channels))
 
 
+# Table rows per block of `conv_rows`: one block's gathered (BLOCK_ROWS, 9 * C)
+# matrix stays in cache for its GEMM, and bounds the kernel's scratch memory.
+BLOCK_ROWS = 256
+
+
 def conv_rows(rows: np.ndarray, w: ConvWeights, table: np.ndarray) -> np.ndarray:
     """The one convolution kernel: output row n = bias + sum over taps t of
     rows[table[n, t]] times tap t's weights.
@@ -104,10 +112,13 @@ def conv_rows(rows: np.ndarray, w: ConvWeights, table: np.ndarray) -> np.ndarray
     `rows` is (M, C), or any (..., C) array whose leading axes flatten to M
     rows in row-major order; it is copied once into the padded buffer, whatever
     its layout. Index M in `table` stands for a shared zero row, used for
-    padding and for inactive neighbours. The neighbours are gathered with
-    `np.take` into one (N, 9 * C) matrix and multiplied in a single float32
-    GEMM, so the same table and rows give the same bits whichever caller built
-    them. `table` is only read, so a cached read-only table can be passed.
+    padding and for inactive neighbours. The table is computed in blocks of
+    BLOCK_ROWS rows: each block's neighbours are gathered with `np.take` into
+    a (block, 9 * C) matrix, and one float32 GEMM writes the block's rows of
+    the preallocated output, so no more than one block's gather is held at a
+    time. The blocks depend only on the number of table rows, so the same
+    table and rows give the same bits whichever caller built them. `table` is
+    only read, so a cached read-only table can be passed.
     """
     c = rows.shape[-1]
     m = math.prod(rows.shape[:-1])
@@ -116,7 +127,13 @@ def conv_rows(rows: np.ndarray, w: ConvWeights, table: np.ndarray) -> np.ndarray
     padded[m] = 0.0
     if not np.isfinite(padded).all():
         raise ValidationError("convolution input contains non-finite values")
-    out = np.take(padded, table, axis=0).reshape(len(table), w.taps.shape[0]) @ w.taps
+    taps = w.taps
+    out = np.empty((len(table), w.out_channels), dtype=np.float32)
+    for s in range(0, len(table), BLOCK_ROWS):
+        # a plain take: with out=, mode='raise' gathers into a hidden copy first
+        blk = table[s:s + BLOCK_ROWS]
+        np.matmul(np.take(padded, blk, axis=0).reshape(len(blk), taps.shape[0]), taps,
+                  out=out[s:s + len(blk)])
     out += w.bias
     return out
 

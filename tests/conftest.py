@@ -73,6 +73,19 @@ def dense_rows_at(dense_rows, keys):
     return dense_rows.features[dense_rows.keys.rows_of(keys)]
 
 
+def conv3x3_f64(x, weights, bias):
+    """Zero-padded 3x3 convolution of a (C, H, W) array, as nine shifted
+    slices, accumulated in float64: the vectorised oracle."""
+    _, h, w = x.shape
+    padded = np.pad(np.asarray(x, dtype=np.float64), ((0, 0), (1, 1), (1, 1)))
+    out = np.zeros((weights.shape[0], h, w)) + np.asarray(bias, dtype=np.float64)[:, None, None]
+    for ky in range(3):
+        for kx in range(3):
+            out += np.einsum("oc,chw->ohw", weights[:, :, ky, kx].astype(np.float64),
+                             padded[:, ky:ky + h, kx:kx + w])
+    return out
+
+
 def dilate_by(keys, radius):
     """`keys` grown by `radius` one-ring dilations: every cell within
     Chebyshev distance `radius` of a key, clipped to the grid."""

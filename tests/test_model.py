@@ -24,11 +24,13 @@ from cascadequery import (
     save_pyramid,
     save_weights,
 )
-from cascadequery.model import TOWER_DEPTH
+from cascadequery import tensor
+from cascadequery.model import BRANCHES, RECEPTIVE_FIELD, TOWER_DEPTH
+from cascadequery.query import _schedule
 from cascadequery.sparse import KeySet, build_rulebook, gather
 from cascadequery.tensor import ConvWeights, DenseTensor
 
-from conftest import dense_rows_at, standard_weights
+from conftest import conv3x3_f64, dense_rows_at, standard_weights
 
 
 def small_pyramid(seed=0, image=64, channels=8, blobs=()):
@@ -180,6 +182,57 @@ def test_sparse_head_accepts_prebuilt_rulebook():
     np.testing.assert_array_equal(a.cls_logits.features, c.cls_logits.features)
     with pytest.raises(ConfigurationError, match="schedule"):
         run_sparse_head(vf, w, [build_rulebook(ks)] * TOWER_DEPTH)
+
+
+def test_stem_is_the_three_first_tower_convs_in_branch_order():
+    w = make_fixture_weights(5, 8, 1, 4)
+    stem = w.stem
+    assert stem is w.stem  # built once
+    assert (stem.out_channels, stem.in_channels) == (len(BRANCHES) * 8, 8)
+    for i, name in enumerate(BRANCHES):
+        first = getattr(w, f"{name}_tower")[0]
+        np.testing.assert_array_equal(stem.weights[8 * i:8 * (i + 1)], first.weights)
+        np.testing.assert_array_equal(stem.bias[8 * i:8 * (i + 1)], first.bias)
+
+
+def unfused_head_f64(feature, w, mask=1.0):
+    """The head branch by branch, each with its own first conv, in float64:
+    (cls, reg, query) maps of shape (out, H, W). A 0/1 cell mask makes every
+    conv read and keep only the masked cells, as a submanifold head does."""
+    maps = []
+    for tower, pred in w.branches:
+        x = feature.values.astype(np.float64) * mask
+        for conv in tower:
+            x = np.maximum(conv3x3_f64(x, conv.weights, conv.bias), 0.0) * mask
+        maps.append(conv3x3_f64(x, pred.weights, pred.bias))
+    return maps
+
+
+@pytest.mark.parametrize("head", ["dense", "csq", "cq"])
+def test_stem_heads_match_an_unfused_float64_head(head):
+    # a 32x32 level, 1024 rows, and a 17x17 key square, 289 rows: both span
+    # more than one of conv_rows' row blocks
+    feature = small_pyramid(seed=4, image=128).levels[2]
+    w = make_fixture_weights(5, 8, 1, 4)
+    h, wd = feature.height, feature.width
+    ys, xs = np.mgrid[6:23, 4:21]
+    keys = KeySet(2, h, wd, np.stack([xs.ravel(), ys.ravel()], axis=1))
+    assert h * wd > tensor.BLOCK_ROWS and len(keys) > tensor.BLOCK_ROWS
+    mask = 1.0
+    if head == "dense":
+        keys = KeySet.full(2, h, wd)
+        out = run_dense_head(feature, w, keys)
+    elif head == "csq":  # one submanifold rulebook for every conv
+        mask = np.zeros((h, wd))
+        mask[keys.ys, keys.xs] = 1.0
+        out = run_sparse_head(gather(feature, keys), w, build_rulebook(keys))
+    else:  # one rulebook per conv, each a ring narrower, down to the keys
+        books = _schedule(keys, RECEPTIVE_FIELD // 2)
+        out = run_sparse_head(gather(feature, books[0].inputs), w, books)
+    assert out.keys == keys
+    for got, want in zip((out.cls_logits, out.reg_deltas, out.query_logits),
+                         unfused_head_f64(feature, w, mask)):
+        np.testing.assert_allclose(got.features, want[:, keys.ys, keys.xs].T, rtol=0, atol=1e-4)
 
 
 def test_head_output_rejects_mixed_density():

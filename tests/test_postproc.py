@@ -486,14 +486,14 @@ def test_detection_json_is_pinned():
             reports[f"{name}/{strategy}"] = report_digest(result)
             heads[f"{name}/{strategy}"] = head_digest(result)
     assert digests == {
-        "weak64/dense": "56a617879a103cad32064ecae74feb7bfd4115a934579419cd14e0958a5cb585",
-        "weak64/csq": "f2668e80ae55e2f6aa4037b16edc0e33c5fe3be8c5cbb6aa7cf1ed8274fdcc8b",
-        "weak64/cq": "e08cc57f7070ec4b7c2f83f7b2dc333c2a0aab90921ba83319c6eb324657141c",
-        "weak64/ccq": "ddbf65f59cac1fb9b133418a37066b62f5b01234b5d45d11eda0e2f7cbbfb6a6",
-        "bright16/dense": "7c4aecdb16fc4f8c1718751996520470f26ed0b340c9477b00f9756e47c8fa61",
+        "weak64/dense": "994cfbc7251ee8b1cb796da6e7e60087f260b3d83b2242994902ac73937134be",
+        "weak64/csq": "01ebc42e9f093c6facd45b26014d92e38b9d797c2422976af6098981b7ef6016",
+        "weak64/cq": "25392e458bca5bb42a66654135206e76d451fa4337942ad3ac7d7e065dbafe90",
+        "weak64/ccq": "a32fa0577e4627e068d0e3a37767ee5f0d7a4e5800c604c5b9a7381700f7261b",
+        "bright16/dense": "bcb1276464a053e72e72ee6f1aac895dc7c7ef138ef243bc86216305c52fa43e",
         "bright16/csq": "8ff752ff0f9805d069d5eed8f113d66ca0a032da34fd6f1f1111b85fe19e5168",
         "bright16/cq": "bcb1276464a053e72e72ee6f1aac895dc7c7ef138ef243bc86216305c52fa43e",
-        "bright16/ccq": "7c4aecdb16fc4f8c1718751996520470f26ed0b340c9477b00f9756e47c8fa61",
+        "bright16/ccq": "bcb1276464a053e72e72ee6f1aac895dc7c7ef138ef243bc86216305c52fa43e",
     }
     assert reports == {
         "weak64/dense": "4dbefa56a34b6beb2acf556f014c435a679f735a9f1fd129c9600006c2be48fa",
@@ -506,12 +506,12 @@ def test_detection_json_is_pinned():
         "bright16/ccq": "a788b751001251b21747c97780ef1bec14853c2dbf35f41f7fada9e88958a922",
     }
     assert heads == {
-        "weak64/dense": "78c67d9bb66592e66f67657e629646de47510fad9074526d808b366bd05ea62d",
-        "weak64/csq": "6f9bba07241131bc92e44028a3dbbc3011d4ef6eec0a490dac5ddcf85e58d386",
-        "weak64/cq": "8b19dd60d1e60204d86f4171a1c18e008424801dbbdb2c1999e87ee954984683",
-        "weak64/ccq": "bb997121b3bd02e5cefc27ad6c291b5ebb3f0856ee5a138143757eed73abc0dd",
-        "bright16/dense": "00ea07a0b89a87d33985add3e789047f673d322ac746e4464b406582567e49f3",
+        "weak64/dense": "8b7ad7d1ee6ab769331337cecf2b78481881bdc3520e4df70b0a2a8af9132a9a",
+        "weak64/csq": "71ca4c74f2f0fb6dc86829f6f6f2b3ae4f48b35eb2354d339c77a48330a1f282",
+        "weak64/cq": "d8fd15f80c75840a8f879534ef1e16bf851ad9f7ecd6c07297ad32359ee7d0f8",
+        "weak64/ccq": "9aba2cd18e0d8b279ad84f040795254b5c435e69231d2db02f4ecf2af11630e4",
+        "bright16/dense": "2c7dd5fc2b7a0ac815d842424c41c0205e4c62fe956ff08bb104502d60767ff5",
         "bright16/csq": "455e061c2e7a7bf1f02cbf3508df5106a80b3bb7cf535967f44cd7873b340c54",
         "bright16/cq": "e75b37d4c4747f2480999ac5c6b7d3bfa00840c12ccb32dd3a5ee19bb35dd6f8",
-        "bright16/ccq": "6ee1ce143880dc8c665578de251ecfa4f11613503d12eb7f72b914e23dc3cf7d",
+        "bright16/ccq": "e75b37d4c4747f2480999ac5c6b7d3bfa00840c12ccb32dd3a5ee19bb35dd6f8",
     }

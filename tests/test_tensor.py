@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascadequery import ConfigurationError, ValidationError, tensor
-from cascadequery.sparse import KeySet, build_rulebook, dilate
+from cascadequery.sparse import KeySet, build_rulebook, dilate, gather, sparse_conv
 from cascadequery.tensor import (
     ConvWeights,
     DenseTensor,
@@ -15,6 +16,8 @@ from cascadequery.tensor import (
     sigmoid_above,
     sigmoid_array,
 )
+
+from conftest import conv3x3_f64
 
 
 def conv_oracle(x, w, b):
@@ -102,6 +105,63 @@ def test_conv2d_oracle_property(out_c, in_c, h, w, seed):
     x, ww, b = random_case(rng, out_c, in_c, h, w)
     got = conv2d(DenseTensor(x), ConvWeights(ww, b)).values
     np.testing.assert_allclose(got, conv_oracle(x, ww, b), rtol=1e-4, atol=1e-4)
+
+
+# table lengths on either side of conv_rows' row-block boundaries
+BLOCK_EDGES = [tensor.BLOCK_ROWS - 1, tensor.BLOCK_ROWS, tensor.BLOCK_ROWS + 1,
+               3 * tensor.BLOCK_ROWS + 5]
+
+
+def grid_of(cells):
+    """The squarest H x W grid of `cells` cells (1 x cells for a prime)."""
+    h = max(d for d in range(1, math.isqrt(cells) + 1) if cells % d == 0)
+    return h, cells // h
+
+
+@pytest.mark.parametrize("cells", BLOCK_EDGES)
+def test_conv2d_matches_float64_oracle_across_row_blocks(cells):
+    rng = np.random.default_rng(cells)
+    x, ww, b = random_case(rng, 5, 3, *grid_of(cells))
+    got = conv2d(DenseTensor(x), ConvWeights(ww, b)).values
+    np.testing.assert_allclose(got, conv3x3_f64(x, ww, b), rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("cells", BLOCK_EDGES)
+def test_sparse_conv_over_the_full_grid_is_bitwise_conv2d_across_row_blocks(cells):
+    h, wd = grid_of(cells)
+    rng = np.random.default_rng(cells + 1)
+    x, ww, b = random_case(rng, 5, 3, h, wd)
+    w, full = ConvWeights(ww, b), KeySet.full(0, h, wd)
+    dense = conv2d(DenseTensor(x), w)
+    sparse = sparse_conv(gather(DenseTensor(x), full), w, build_rulebook(full))
+    np.testing.assert_array_equal(sparse.features, gather(dense, full).features)
+
+
+def test_conv_rows_over_an_empty_table_returns_no_rows():
+    w = ConvWeights(np.ones((5, 3, 3, 3), dtype=np.float32), np.ones(5, dtype=np.float32))
+    out = tensor.conv_rows(np.ones((4, 3), dtype=np.float32), w, np.zeros((0, 9), dtype=np.int64))
+    assert out.shape == (0, 5) and out.dtype == np.float32
+
+
+def test_conv2d_holds_one_row_block_of_gather_at_a_time():
+    # beyond its padded input rows and its output rows, the kernel holds one
+    # block's (BLOCK_ROWS, 9C) gather, never the (N, 9C) matrix of all rows
+    c, out_c, h, wd = 16, 16, 64, 64
+    n = h * wd
+    assert n >= 8 * tensor.BLOCK_ROWS
+    x, ww, b = random_case(np.random.default_rng(9), out_c, c, h, wd)
+    inp, w = DenseTensor(x), ConvWeights(ww, b)
+    conv2d(inp, w)  # the cached table and taps are built outside the measurement
+    tracemalloc.start()
+    try:
+        conv2d(inp, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = ((n + 1) * c + n * out_c) * 4
+    one_block = tensor.BLOCK_ROWS * 9 * c * 4
+    ufunc_buffers = 64 * 1024  # NumPy's fixed-size ufunc buffers, whatever n is
+    assert peak < rows + one_block + ufunc_buffers < n * 9 * c * 4
 
 
 def test_conv2d_output_is_a_channel_last_view(tmp_path):
