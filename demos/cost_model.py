@@ -42,7 +42,7 @@ def main():
         # one rulebook per level, shared by every conv of the head
         worst = head_flops_sparse([9 * keys] * (TOWER_DEPTH + 1), C, A, K)  # fully surrounded
         flat = rng.choice(h * w, size=keys, replace=False)   # scattered keys
-        rb = build_rulebook(KeySet(level, h, w, np.stack([flat % w, flat // w], axis=1)))
+        rb = build_rulebook(KeySet(level, h, w, flat))
         real = head_flops_sparse([rb.num_entries] * (TOWER_DEPTH + 1), C, A, K)
         total_dense, total_worst, total_real = (
             total_dense + dense, total_worst + worst, total_real + real)

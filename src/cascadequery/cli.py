@@ -301,9 +301,7 @@ def _check_ccq_exact(pyr, weights, dense: CascadeResult | Exception, cfg: QueryC
             continue
         cls = dense.record(rec.level).output.cls_logits
         hot, _ = np.nonzero(sigmoid_above(cls.features, post["score_threshold"]))
-        covered = set(rec.computed_keys.as_tuples())
-        uncovered += sum(1 for p in map(tuple, cls.keys.positions[hot].tolist())
-                         if p not in covered)
+        uncovered += np.count_nonzero(~np.isin(cls.keys.cells[hot], rec.computed_keys.cells))
     if uncovered:
         return rows, (f"{detail}; {uncovered} above-threshold dense positions uncovered by "
                       f"keys, detections comparison skipped")

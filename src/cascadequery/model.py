@@ -29,7 +29,8 @@ from .errors import ConfigurationError, FormatError, ValidationError
 from .sparse import (KeySet, Rulebook, SparseFeature, build_rulebook, gather, sparse_conv,
                      sparse_relu)
 from .targets import GroundTruthObject, level_dims
-from .tensor import ConvWeights, ContainerReader, DenseTensor, conv2d, relu, write_container
+from .tensor import (ConvWeights, ContainerReader, DenseTensor, conv2d, manifest_int, relu,
+                     write_container)
 
 PYRAMID_MAGIC = b"QDPYR1\n\0"
 WEIGHTS_MAGIC = b"QDWTS1\n\0"
@@ -296,10 +297,6 @@ def save_pyramid(pyr: FeaturePyramid, path) -> None:
                     [pyr.levels[l].values for l in sorted(pyr.levels)])
 
 
-def _is_int(v, minimum: int) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= minimum
-
-
 def load_pyramid(path) -> FeaturePyramid:
     r = ContainerReader(path, PYRAMID_MAGIC)
     m = r.manifest
@@ -309,12 +306,15 @@ def load_pyramid(path) -> FeaturePyramid:
         level_entries = _entry_list(m, "levels")
     except (KeyError, TypeError) as e:
         raise FormatError(f"{path}: malformed pyramid manifest: {e}") from e
-    if not (isinstance(image, list) and len(image) == 2 and all(_is_int(d, 1) for d in image)):
+    if not (isinstance(image, list) and len(image) == 2
+            and all(manifest_int(d, 1) for d in image)):
         raise FormatError(f"{path}: image must be two positive ints, got {image!r}")
+    if not manifest_int(channels, 1):
+        raise FormatError(f"{path}: channels must be a positive int, got {channels!r}")
     levels: dict[int, DenseTensor] = {}
     for i, entry in enumerate(level_entries):
         l, shape = entry.get("l"), entry.get("shape")
-        if not _is_int(l, 0):
+        if not manifest_int(l, 0):
             raise FormatError(f"{path}: level entry {i}: l must be a non-negative int, "
                               f"got {l!r}")
         if l in levels:
@@ -366,7 +366,7 @@ def load_weights(path) -> HeadWeights:
     except (KeyError, TypeError) as e:
         raise FormatError(f"{path}: malformed weights manifest: {e}") from e
     for name, v in (("channels", channels), ("num_anchors", a), ("num_classes", k)):
-        if not _is_int(v, 1):
+        if not manifest_int(v, 1):
             raise FormatError(f"{path}: {name} must be a positive int, got {v!r}")
     roles = [e.get("role") for e in entries]
     if roles != _CONV_ROLES:

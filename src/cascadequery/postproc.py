@@ -240,8 +240,7 @@ def detections_from_output(output: HeadOutput, cfg: AnchorConfig, num_classes: i
             f"anchors and {num_classes} classes need {cls_width} and {reg_width}")
     logits = output.cls_logits.features                 # (N, A*K)
     rows, chans = np.nonzero(sigmoid_above(logits, score_threshold))
-    pos = output.keys.positions                         # (N, 2) as (x, y)
-    xs, ys = pos[rows, 0], pos[rows, 1]
+    xs, ys = output.keys.xs[rows], output.keys.ys[rows]
     slots, classes = chans // num_classes, chans % num_classes
     reg = output.reg_deltas.features
     deltas = np.stack([reg[rows, slots * 4 + i] for i in range(4)], axis=1)

@@ -1,13 +1,15 @@
 """Sparse spatial tensors, rulebook construction, and sparse 3x3 convolution.
 
-Active positions are tracked as integer (x, y) grid coordinates in a KeySet;
-features gathered at those positions form a SparseFeature. A rulebook maps an
-input key set to an output key set on the same grid; convolution over it reads
-rows at the input set, writes rows at the output set, and inactive neighbours
-contribute zero. With equal sets this is submanifold convolution. Rulebooks
-and dilation both read `tensor.neighbour_table`, the grid table `conv2d`
-caches per grid shape: a rulebook remaps its cells to input rows, and a
-dilation grows a ring through it.
+A KeySet is its active cells: sorted flat indices y * W + x into one level's
+grid, the row index of `tensor.neighbour_table`, the grid table `conv2d`
+caches per grid shape. Its (x, y) pairs are derived from the cells for reports
+and anchors. Features gathered at the cells form a SparseFeature. A rulebook
+maps an input key set to an output key set on the same grid; convolution over
+it reads rows at the input set, writes rows at the output set, and inactive
+neighbours contribute zero. With equal sets this is submanifold convolution.
+Rulebooks and dilation both index the neighbour table by the keys' cells: a
+rulebook remaps its cells to input rows, and a dilation grows a ring through
+it.
 """
 
 from __future__ import annotations
@@ -22,80 +24,71 @@ from .tensor import ConvWeights, DenseTensor, conv_rows, neighbour_table
 
 
 class KeySet:
-    """Active (x, y) positions at one pyramid level, deduplicated and in canonical
-    row-major order (sorted by y, then x) so serialization and accumulation are
-    reproducible."""
+    """Active cells at one pyramid level: the sorted, unique int64 flat indices
+    y * W + x of its H x W grid, which are the rows of `tensor.neighbour_table`.
+    Sorted cells are row-major order, so serialization and accumulation are
+    reproducible. The (x, y) pairs of reports and anchors (`positions`, `xs`,
+    `ys`, `to_json`) are derived from the cells on access."""
 
-    __slots__ = ("level", "height", "width", "positions")
+    __slots__ = ("level", "height", "width", "cells")
 
-    def __init__(self, level: int, height: int, width: int, positions=None):
+    def __init__(self, level: int, height: int, width: int, cells=None):
         if height <= 0 or width <= 0:
             raise ValidationError(f"key set bounds must be positive, got {height}x{width}")
-        pos = np.array([] if positions is None else positions, dtype=np.int64).reshape(-1, 2)
-        if pos.size:
-            if (pos[:, 0] < 0).any() or (pos[:, 0] >= width).any() \
-                    or (pos[:, 1] < 0).any() or (pos[:, 1] >= height).any():
-                raise ValidationError(
-                    f"key position out of bounds for {width}x{height} level {level}"
-                )
-            flat = pos[:, 1] * width + pos[:, 0]
-            if (np.diff(flat) <= 0).any():  # not yet canonical: sort and deduplicate
-                pos = pos[np.unique(flat, return_index=True)[1]]
-        self.level = level
-        self.height = height
-        self.width = width
-        self.positions = pos
-        self.positions.setflags(write=False)
+        flat = np.array([] if cells is None else cells, dtype=np.int64)
+        if flat.ndim != 1 or ((flat < 0) | (flat >= height * width)).any():
+            raise ValidationError(f"key cells must be a flat list of cells of the "
+                                  f"{width}x{height} grid of level {level}")
+        if (np.diff(flat) <= 0).any():  # not yet canonical: sort and deduplicate
+            flat = np.unique(flat)
+        flat.setflags(write=False)
+        self.level, self.height, self.width, self.cells = level, height, width, flat
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return len(self.cells)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KeySet):
             return NotImplemented
-        return (
-            self.level == other.level
-            and self.height == other.height
-            and self.width == other.width
-            and self.positions.shape == other.positions.shape
-            and bool((self.positions == other.positions).all())
-        )
+        return ((self.level, self.height, self.width) == (other.level, other.height, other.width)
+                and np.array_equal(self.cells, other.cells))
 
     def __repr__(self) -> str:
         return f"KeySet(level={self.level}, {self.width}x{self.height}, n={len(self)})"
 
     @property
     def xs(self) -> np.ndarray:
-        return self.positions[:, 0]
+        return self.cells % self.width
 
     @property
     def ys(self) -> np.ndarray:
-        return self.positions[:, 1]
+        return self.cells // self.width
+
+    @property
+    def positions(self) -> np.ndarray:
+        return np.stack([self.xs, self.ys], axis=1)
 
     def as_tuples(self) -> list[tuple[int, int]]:
         return [tuple(p) for p in self.positions.tolist()]
 
     def to_json(self) -> list[list[int]]:
-        """Canonical-order [x, y] pairs, the serialization used in run reports."""
+        """Cell-order [x, y] pairs, the serialization used in run reports."""
         return self.positions.tolist()
 
     def rows_of(self, keys: "KeySet") -> np.ndarray:
-        """Row of each of `keys` in this set. Both sets are in row-major order,
-        so the rows are found by search; `keys` must be a subset on this grid."""
+        """Row of each of `keys` in this set: one search of their cells in
+        these sorted cells. `keys` must be a subset on this grid."""
         if (keys.height, keys.width) != (self.height, self.width):
             raise ValidationError(f"keys on a {keys.width}x{keys.height} grid looked up "
                                   f"in {self.width}x{self.height}")
-        have = self.ys * self.width + self.xs
-        want = keys.ys * self.width + keys.xs
-        rows = np.searchsorted(have, want)
-        if (rows >= len(have)).any() or (have[rows] != want).any():
+        rows = np.searchsorted(self.cells, keys.cells)
+        if (rows >= len(self)).any() or (self.cells[rows] != keys.cells).any():
             raise ValidationError("keys are not a subset of this key set")
         return rows
 
     @classmethod
     def full(cls, level: int, height: int, width: int) -> "KeySet":
-        ys, xs = np.mgrid[0:height, 0:width]
-        return cls(level, height, width, np.stack([xs.ravel(), ys.ravel()], axis=1))
+        return cls(level, height, width, np.arange(height * width))
 
 
 @dataclass(frozen=True)
@@ -142,35 +135,33 @@ class Rulebook:
 
 def build_rulebook(keys: KeySet, inputs: KeySet | None = None) -> Rulebook:
     """Rulebook writing at `keys` and reading `inputs` (default: `keys`
-    itself, the submanifold case): the grid's neighbour table at the keys'
-    cells, looked up in a cell -> input row map whose off-grid entry, like
-    every cell that is not an input, is len(inputs)."""
+    itself, the submanifold case): the grid's neighbour table at `keys.cells`,
+    looked up in a cell -> input row map, set at `inputs.cells`, whose
+    off-grid entry, like every cell that is not an input, is len(inputs)."""
     if inputs is None:
         inputs = keys
     elif (inputs.level, inputs.height, inputs.width) != (keys.level, keys.height, keys.width):
         raise ValidationError(f"input keys on level {inputs.level} {inputs.width}x"
                               f"{inputs.height}, output keys on level {keys.level} "
                               f"{keys.width}x{keys.height}")
-    w = keys.width
-    row = np.full(keys.height * w + 1, len(inputs), dtype=np.int64)
-    row[inputs.ys * w + inputs.xs] = np.arange(len(inputs))
-    return Rulebook(keys, inputs, row[neighbour_table(keys.height, w)[keys.ys * w + keys.xs]])
+    row = np.full(keys.height * keys.width + 1, len(inputs), dtype=np.int64)
+    row[inputs.cells] = np.arange(len(inputs))
+    return Rulebook(keys, inputs, row[neighbour_table(keys.height, keys.width)[keys.cells]])
 
 
 def dilate(keys: KeySet) -> KeySet:
     """Every cell within one cell (Chebyshev distance 1) of a key, clipped to
-    the grid: the keys' neighbour-table rows (tap 4 is the key itself) are
-    scattered into a cell mask of length H * W + 1, whose last entry catches
-    the off-grid taps."""
+    the grid: the neighbour-table rows at `keys.cells` (tap 4 is the key
+    itself) are scattered into a cell mask of length H * W + 1, whose last
+    entry catches the off-grid taps, and the mask's set cells are the keys."""
     h, w = keys.height, keys.width
     mask = np.zeros(h * w + 1, dtype=bool)
-    mask[neighbour_table(h, w)[keys.ys * w + keys.xs]] = True
-    ys, xs = np.divmod(np.flatnonzero(mask[:-1]), w)
-    return KeySet(keys.level, h, w, np.stack([xs, ys], axis=1))
+    mask[neighbour_table(h, w)[keys.cells]] = True
+    return KeySet(keys.level, h, w, np.flatnonzero(mask[:-1]))
 
 
 def gather(dense: DenseTensor, keys: KeySet) -> SparseFeature:
-    """Extract the per-position feature vectors of `dense` at the key positions."""
+    """Extract the per-cell feature vectors of `dense` at the keys."""
     if keys.height != dense.height or keys.width != dense.width:
         raise ValidationError(
             f"key bounds {keys.width}x{keys.height} do not match tensor "

@@ -9,7 +9,7 @@ stride cancels: s_l / 2^l).
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,7 +30,9 @@ class GroundTruthObject:
     class_id: int = 0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.cx, self.cy, self.width, self.height)):
+        # a bound, not math.isfinite, which overflows on an int too large for a float
+        if not all(abs(v) <= sys.float_info.max
+                   for v in (self.cx, self.cy, self.width, self.height)):
             raise ValidationError(f"object center and sides must be finite, got "
                                   f"({self.cx}, {self.cy}) {self.width}x{self.height}")
         if self.width <= 0 or self.height <= 0:

@@ -208,6 +208,11 @@ def sigmoid_above(logits: np.ndarray, threshold: float) -> np.ndarray:
 # QDPYR1 and QDWTS1 share one layout: an 8-byte magic, a little-endian
 # u32 manifest length, the JSON manifest, then little-endian f32 payloads.
 
+def manifest_int(v, minimum: int) -> bool:
+    """The manifests' one integer rule: a JSON int, not a bool, of at least `minimum`."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= minimum
+
+
 def write_container(path, magic: bytes, manifest: dict, payloads) -> None:
     header = json.dumps(manifest).encode("utf-8")
     with open(path, "wb") as f:
@@ -243,8 +248,7 @@ class ContainerReader:
 
     def take(self, shape, what: str) -> np.ndarray:
         """The next payload, as a float32 array of `shape`: a list of positive ints."""
-        if not (isinstance(shape, list) and shape
-                and all(isinstance(d, int) and d > 0 for d in shape)):
+        if not (isinstance(shape, list) and shape and all(manifest_int(d, 1) for d in shape)):
             raise FormatError(f"{self.path}: {what}: bad shape {shape!r}")
         count = math.prod(shape)
         if self.offset + count * 4 > len(self.data):

@@ -163,7 +163,7 @@ def test_criterion_05_one_percent_active_cuts_fine_level_cost_to_one_percent():
     # scattered keys from a real rulebook sit far below that bound
     rng = np.random.default_rng(5)
     flat = rng.choice(h2 * w2, size=k2, replace=False)
-    rb = build_rulebook(KeySet(2, h2, w2, np.stack([flat % w2, flat // w2], axis=1)))
+    rb = build_rulebook(KeySet(2, h2, w2, flat))
     assert rb.num_entries <= 9 * k2
     real = head_flops_sparse([rb.num_entries] * (TOWER_DEPTH + 1), c, 1, 4)
     assert real <= 0.01 * head_flops_dense(h2, w2, c, 1, 4)
@@ -254,9 +254,9 @@ def test_criterion_08_child_mapping_properties_on_random_query_sets():
         level = int(rng.integers(3, 8))
         ph, pw = int(rng.integers(1, 61)), int(rng.integers(1, 61))
         n = int(rng.integers(0, 51))
-        pos = np.stack([rng.integers(0, pw, n), rng.integers(0, ph, n)], axis=1) \
-            if n else np.zeros((0, 2), dtype=np.int64)
-        queries = KeySet(level, ph, pw, pos)
+        # cells x + pw * y, x drawn before y
+        cells = rng.integers(0, pw, n) + pw * rng.integers(0, ph, n) if n else []
+        queries = KeySet(level, ph, pw, cells)
         # rotate among the two ceil-pyramid child sizes (the shorter one forces
         # clipping of the odd children) and a grid one cell wider than twice
         # the parent's

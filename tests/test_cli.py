@@ -147,7 +147,8 @@ def test_cq_run_charges_each_level_for_its_halo_rulebook(small_fixture, tmp_path
     assert [r["mode"] for r in cq_rows] == ["sparse", "sparse"]
     c, a, k = weights.channels, weights.num_anchors, weights.num_classes
     for row in cq_rows:
-        keys = KeySet(row["level"], *row["shape"], row["computed_keys"])
+        h, w = row["shape"]
+        keys = KeySet(row["level"], h, w, [y * w + x for x, y in row["computed_keys"]])
         # conv j reads the keys widened by 6 - j and writes them widened by 5 - j
         sets = [dilate_by(keys, RECEPTIVE_FIELD // 2 - j) for j in range(6)]
         books = [build_rulebook(out, inp) for inp, out in zip(sets, sets[1:])]
@@ -270,9 +271,13 @@ def _edit_manifest(data: bytes, edit) -> bytes:
 
 def _run_on_corrupt_file(tmp_path, capsys, kind, corrupt, named):
     """`run` on a C=4, A=1, K=4 fixture whose `kind` file went through
-    `corrupt` must exit 1 naming that file and `named`, and write nothing."""
+    `corrupt` must exit 1 naming that file and `named`, and write nothing.
+    Kind "pyramid-c1" corrupts a one-channel pyramid instead."""
     files = {"pyramid": tmp_path / PYRAMID_FILE, "weights": tmp_path / WEIGHTS_FILE}
-    model_mod.save_pyramid(model_mod.make_synthetic_pyramid(1, 64, 64, 2, 5, 4), files["pyramid"])
+    channels = 1 if kind == "pyramid-c1" else 4
+    kind = kind.removesuffix("-c1")
+    model_mod.save_pyramid(model_mod.make_synthetic_pyramid(1, 64, 64, 2, 5, channels),
+                           files["pyramid"])
     model_mod.save_weights(model_mod.make_fixture_weights(1, 4, 1, 4), files["weights"])
     bad = tmp_path / f"bad-{files[kind].name}"
     bad.write_bytes(corrupt(files[kind].read_bytes()))
@@ -296,6 +301,8 @@ CORRUPT_MANIFESTS = [
                  id="conv-role-unknown"),
     pytest.param("weights", lambda m: m.update(channels=999), "channels 999",
                  id="channels-disagree-with-convs"),
+    pytest.param("weights", lambda m: m["convs"][5].update(out=True), "reg_tower.1",
+                 id="conv-out-bool"),
     pytest.param("weights", lambda m: m.update(channels="x"), "channels", id="channels-string"),
     pytest.param("weights", lambda m: m.update(num_anchors=True), "num_anchors",
                  id="num-anchors-bool"),
@@ -309,6 +316,10 @@ CORRUPT_MANIFESTS = [
                  id="level-shape-negative"),
     pytest.param("pyramid", lambda m: m["levels"][0].update(shape=[4, "16", 16]), "level 2",
                  id="level-shape-string"),
+    pytest.param("pyramid", lambda m: m["levels"][0].update(shape=[True, 16, 16]), "level 2",
+                 id="level-shape-bool"),
+    pytest.param("pyramid-c1", lambda m: m.update(channels=True), "channels",
+                 id="channels-bool-on-a-one-channel-pyramid"),
     pytest.param("pyramid", lambda m: m["levels"][0].update(shape=[2, 16, 32]),
                  "level 2 shape", id="level-channels-disagree"),
     pytest.param("weights", lambda m: m["convs"][0].update(k=5), "cls_tower.0", id="conv-k5"),
@@ -365,6 +376,8 @@ BAD_GROUND_TRUTH = [
                  '"h": 5}]', "entry 1", id="width-nan"),
     pytest.param('[{"cx": 10, "cy": 10, "w": 5, "h": 5, "class": -3}]', "entry 0",
                  id="class-negative"),
+    pytest.param('[{"cx": 1' + "0" * 400 + ', "cy": 5, "w": 4, "h": 4}]', "entry 0",
+                 id="cx-too-large-for-a-float"),
 ]
 
 
@@ -692,7 +705,7 @@ def test_verify_catches_a_rulebook_that_misses_an_input(small_fixture, monkeypat
     real = cli_mod.build_rulebook
 
     def first_key_not_an_input(keys):
-        rest = KeySet(keys.level, keys.height, keys.width, keys.positions[1:])
+        rest = KeySet(keys.level, keys.height, keys.width, keys.cells[1:])
         return real(keys, rest)
 
     monkeypatch.setattr(cli_mod, "build_rulebook", first_key_not_an_input)

@@ -28,6 +28,7 @@ CASES = {
     "fixture-weights-empty": (lambda: make_fixture_weights(0, 0, 1, 4),
                               ConfigurationError, "must be positive"),
     "keyset-bounds": (lambda: KeySet(2, 0, 4), ValidationError, "bounds must be positive"),
+    "keyset-pairs": (lambda: KeySet(2, 4, 4, [[1, 2]]), ValidationError, "flat list of cells"),
     "sparse-feature-rank": (lambda: SparseFeature(KEYS, np.zeros(4)),
                             ValidationError, "must be (num_keys, C)"),
     "sparse-feature-rows": (lambda: SparseFeature(KEYS, np.zeros((3, 4))),

@@ -173,7 +173,8 @@ def test_sparse_head_accepts_prebuilt_rulebook():
     pyr = small_pyramid(seed=4)
     w = make_fixture_weights(5, 8, 1, 4)
     feature = pyr.levels[4]
-    ks = KeySet(4, feature.height, feature.width, [(0, 0), (1, 1), (2, 1)])
+    wd = feature.width
+    ks = KeySet(4, feature.height, wd, [0, wd + 1, wd + 2])  # (0, 0), (1, 1), (2, 1)
     vf = gather(feature, ks)
     a = run_sparse_head(vf, w)
     b = run_sparse_head(vf, w, build_rulebook(ks))
@@ -216,7 +217,7 @@ def test_stem_heads_match_an_unfused_float64_head(head):
     w = make_fixture_weights(5, 8, 1, 4)
     h, wd = feature.height, feature.width
     ys, xs = np.mgrid[6:23, 4:21]
-    keys = KeySet(2, h, wd, np.stack([xs.ravel(), ys.ravel()], axis=1))
+    keys = KeySet(2, h, wd, (ys * wd + xs).ravel())
     assert h * wd > tensor.BLOCK_ROWS and len(keys) > tensor.BLOCK_ROWS
     mask = 1.0
     if head == "dense":
@@ -240,7 +241,7 @@ def test_head_output_rejects_mixed_density():
     w = make_fixture_weights(5, 8, 1, 4)
     feature = pyr.levels[4]
     dense = run_dense_head(feature, w, KeySet.full(4, feature.height, feature.width))
-    ks = KeySet(4, feature.height, feature.width, [(0, 0)])
+    ks = KeySet(4, feature.height, feature.width, [0])
     sparse = run_sparse_head(gather(feature, ks), w)
     with pytest.raises(ValidationError):
         HeadOutput(dense.cls_logits, sparse.reg_deltas, dense.query_logits)
@@ -250,8 +251,8 @@ def test_head_output_requires_one_shared_keyset():
     pyr = small_pyramid(seed=4)
     w = make_fixture_weights(5, 8, 1, 4)
     feature = pyr.levels[4]
-    out_a = run_sparse_head(gather(feature, KeySet(4, feature.height, feature.width, [(0, 0)])), w)
-    out_b = run_sparse_head(gather(feature, KeySet(4, feature.height, feature.width, [(1, 0)])), w)
+    out_a = run_sparse_head(gather(feature, KeySet(4, feature.height, feature.width, [0])), w)
+    out_b = run_sparse_head(gather(feature, KeySet(4, feature.height, feature.width, [1])), w)
     with pytest.raises(ValidationError):
         HeadOutput(out_a.cls_logits, out_a.reg_deltas, out_b.query_logits)
 

@@ -341,7 +341,7 @@ def test_sparse_and_dense_candidates_agree_at_keys():
     cls = rng.uniform(-6, 2, (4, 6, 6)).astype(np.float32)
     reg = rng.uniform(-0.5, 0.5, (4, 6, 6)).astype(np.float32)
     query = np.zeros((1, 6, 6), dtype=np.float32)
-    ks = KeySet(3, 6, 6, [(x, y) for y in range(6) for x in range(6) if (x + y) % 3])
+    ks = KeySet(3, 6, 6, [c for c in range(36) if (c % 6 + c // 6) % 3])
     sparse = HeadOutput(
         SparseFeature(ks, cls[:, ks.ys, ks.xs].T),
         SparseFeature(ks, reg[:, ks.ys, ks.xs].T),

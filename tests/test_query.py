@@ -79,7 +79,7 @@ def test_extract_sigma_zero_keeps_every_row_and_sigma_one_none():
 
 
 def test_extract_from_sparse_rows_considers_existing_keys_only():
-    ks = KeySet(3, 8, 8, [(1, 1), (2, 5)])
+    ks = KeySet(3, 8, 8, [9, 42])  # (1, 1), (2, 5)
     rows = np.array([[logit(0.4)], [logit(0.05)]], dtype=np.float32)
     out = extract_queries(SparseFeature(ks, rows), 0.15)
     assert out.as_tuples() == [(1, 1)]
@@ -95,14 +95,14 @@ def test_extract_takes_level_and_grid_from_the_rows():
 
 
 def test_children_of_one_query():
-    q = KeySet(4, 8, 8, [(3, 5)])
+    q = KeySet(4, 8, 8, [43])  # (3, 5)
     kids = map_queries_to_keys(q, 16, 16)
     assert kids.as_tuples() == [(6, 10), (7, 10), (6, 11), (7, 11)]
     assert kids.level == 3
 
 
 def test_children_of_adjacent_queries_are_deduplicated():
-    q = KeySet(4, 8, 8, [(1, 1), (2, 1)])
+    q = KeySet(4, 8, 8, [9, 10])  # (1, 1), (2, 1)
     kids = map_queries_to_keys(q, 16, 16)
     assert len(kids) == 8  # 2 queries x 4 children, no overlap but shared edge
     assert set(kids.as_tuples()) == {
@@ -114,7 +114,7 @@ def test_children_of_adjacent_queries_are_deduplicated():
 def test_children_are_clipped_to_odd_child_dims():
     # a 7-cell child side has a ceil(7 / 2) = 4-cell parent side, so the last
     # parent column and row map to a single in-bounds child
-    q = KeySet(4, 4, 4, [(3, 3)])
+    q = KeySet(4, 4, 4, [15])  # (3, 3)
     kids = map_queries_to_keys(q, 7, 7)
     assert kids.as_tuples() == [(6, 6)]
 
@@ -276,8 +276,7 @@ def test_schedule_narrows_by_one_cell_per_conv(seed, h, w, density):
     rng = np.random.default_rng(seed)
     mask = rng.random((h, w)) < density
     mask[h - 1, rng.integers(w)] = True  # a key on the border
-    ys, xs = np.nonzero(mask)
-    keys = KeySet(3, h, w, np.stack([xs, ys], axis=1))
+    keys = KeySet(3, h, w, np.flatnonzero(mask))
     books = _schedule(keys, RECEPTIVE_FIELD // 2)
     assert len(books) == TOWER_DEPTH + 1
     assert books[0].inputs == dilate_by(keys, RECEPTIVE_FIELD // 2)
@@ -303,7 +302,7 @@ def test_schedule_builds_each_rulebook_it_returns_once(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(query, "build_rulebook", build)
-    keys = KeySet(3, 9, 9, [(4, 4), (0, 8)])
+    keys = KeySet(3, 9, 9, [40, 72])  # (4, 4), (0, 8)
     for radius in (0, 2, RECEPTIVE_FIELD // 2):
         built.clear()
         books = _schedule(keys, radius)
