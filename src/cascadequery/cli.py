@@ -34,7 +34,7 @@ from .model import (TOWER_DEPTH, Blob, FeaturePyramid, HeadOutput, level_dims, l
 from .postproc import AnchorConfig, detections_from_result, detections_to_json
 from .query import STRATEGIES, CascadeResult, QueryConfig, run_pipeline
 from .sparse import KeySet, build_rulebook
-from .targets import ANCHOR_BASE, GroundTruthSet, query_target_for_level
+from .targets import ANCHOR_BASE, MAX_LEVEL, GroundTruthSet, query_target_for_level
 from .tensor import DenseTensor, sigmoid_above
 
 PYRAMID_FILE = "pyramid.qdpyr"
@@ -45,8 +45,7 @@ CHECKSUMS_FILE = "checksums.json"
 
 # name: (type, default, bound, help). A default of None means required or
 # unset. A number's bound is an interval, a string's the values it may take;
-# sigma is QueryConfig's to check. A level above 30 would be one cell a side
-# for any image up to 2^30 px, the same grid as level 30.
+# sigma is QueryConfig's to check, and a level's bound is targets.MAX_LEVEL.
 OPTIONS = {
     "pyramid": (str, None, None, "QDPYR1 pyramid file"),
     "weights": (str, None, None, "QDWTS1 head weights file"),
@@ -58,9 +57,9 @@ OPTIONS = {
     "channels": (int, 16, "[1, inf)", "feature channels per level"),
     "anchors": (int, 1, "[1, inf)", "anchors per grid cell"),
     "classes": (int, 4, "[1, inf)", "object classes"),
-    "min_level": (int, 2, "[0, 30]", "finest pyramid level"),
-    "max_level": (int, 7, "[0, 30]", "coarsest pyramid level"),
-    "start_level": (int, 4, "[0, 30]", "finest level the head runs densely"),
+    "min_level": (int, 2, f"[0, {MAX_LEVEL}]", "finest pyramid level"),
+    "max_level": (int, 7, f"[0, {MAX_LEVEL}]", "coarsest pyramid level"),
+    "start_level": (int, 4, f"[0, {MAX_LEVEL}]", "finest level the head runs densely"),
     "strategy": (str, "csq", STRATEGIES, "how the cascade computes query children"),
     "sigma": (float, 0.15, None, "query score threshold"),
     "repeats": (int, 5, "[5, inf)", "timed rounds"),
@@ -399,6 +398,8 @@ def cmd_verify(opts: dict) -> int:
                     warnings.append(f"{name}: compared 0 keys below the start level, "
                                     f"so it checked nothing on this fixture")
             checks.append({"name": name, "passed": True, "detail": detail})
+        except ConfigurationError:  # a bad option or input pair, not a failed check
+            raise
         except CheckFailure as e:
             checks.append({"name": name, "passed": False, "detail": str(e)})
         except Exception as e:  # a crashed check is a failed check, with context

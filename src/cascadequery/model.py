@@ -53,6 +53,8 @@ def pred_widths(num_anchors: int, num_classes: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class FeaturePyramid:
+    """One image's features at a consecutive run of levels, each on its `level_dims` grid."""
+
     image_height: int
     image_width: int
     levels: dict[int, DenseTensor]
@@ -60,6 +62,8 @@ class FeaturePyramid:
     def __post_init__(self):
         if not self.levels:
             raise ConfigurationError("pyramid has no levels")
+        if max(self.levels) - min(self.levels) != len(self.levels) - 1:
+            raise ConfigurationError(f"pyramid levels {sorted(self.levels)} are not consecutive")
         chans = {t.channels for t in self.levels.values()}
         if len(chans) != 1:
             raise ConfigurationError(f"levels disagree on channel count: {sorted(chans)}")
@@ -221,11 +225,7 @@ class Blob(GroundTruthObject):
 def make_synthetic_pyramid(seed: int, image_h: int, image_w: int, l_min: int, l_max: int,
                            channels: int, blobs: list[Blob] | None = None) -> FeaturePyramid:
     """Seeded stand-in for a backbone+FPN: low-amplitude noise background with
-    localized bumps at each blob's projected center on every level."""
-    if image_h <= 0 or image_w <= 0:
-        raise ConfigurationError("image dims must be positive")
-    if not (2 <= l_min <= l_max <= 7):
-        raise ConfigurationError(f"level range [{l_min}, {l_max}] must sit inside [2, 7]")
+    localized bumps at each blob's projected center on levels l_min to l_max."""
     rng = np.random.default_rng(seed)
     blobs = blobs or []
     levels: dict[int, DenseTensor] = {}

@@ -177,19 +177,6 @@ class CascadeResult:
         }
 
 
-def _check_levels(pyr: FeaturePyramid, cfg: QueryConfig) -> list[int]:
-    """The pyramid's levels, top down. A cascade needs start_level and every
-    level between it and the pyramid's finest level."""
-    levels = sorted(pyr.levels, reverse=True)
-    if cfg.strategy != "dense":
-        missing = [l for l in range(min(levels[-1], cfg.start_level), cfg.start_level + 1)
-                   if l not in pyr.levels]
-        if missing:
-            raise ConfigurationError(f"pyramid lacks levels {missing} required for "
-                                     f"start_level={cfg.start_level}")
-    return levels
-
-
 def _schedule(keys: KeySet, radius: int) -> list[Rulebook]:
     """One rulebook per conv of a head branch (TOWER_DEPTH tower convs, then
     the predictor). Rings grow outward from the keys through the conv's own
@@ -241,16 +228,19 @@ def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig) -> Casca
     """Run one strategy over the pyramid and record every level, top down.
 
     Levels at or above cfg.start_level always run the full dense head. For the
-    cascade strategies, each level below start_level is computed only at the
-    keys derived from the level above, and its own query scores, from
-    start_level down, seed the next level.
+    cascade strategies, start_level must be a pyramid level, and each level
+    below it is computed only at the keys derived from the level above; its own
+    query scores, from start_level down, seed the next level.
     """
     if pyr.channels != w.channels:
         raise ConfigurationError(
             f"pyramid has {pyr.channels} channels, head expects {w.channels}"
         )
     cascade = cfg.strategy != "dense"
-    levels = _check_levels(pyr, cfg)
+    if cascade and cfg.start_level not in pyr.levels:
+        raise ConfigurationError(f"pyramid levels {sorted(pyr.levels)} lack "
+                                 f"start_level={cfg.start_level}")
+    levels = sorted(pyr.levels, reverse=True)
     # query scores are read from start_level down, if the cascade reaches below it
     reads_queries = cascade and levels[-1] < cfg.start_level
 

@@ -167,8 +167,7 @@ def gather(dense: DenseTensor, keys: KeySet) -> SparseFeature:
             f"key bounds {keys.width}x{keys.height} do not match tensor "
             f"{dense.width}x{dense.height}"
         )
-    feats = dense.values[:, keys.ys, keys.xs].T
-    return SparseFeature(keys, feats)
+    return SparseFeature(keys, dense.values.reshape(dense.channels, -1)[:, keys.cells].T)
 
 
 def sparse_conv(inp: SparseFeature, w: ConvWeights, rb: Rulebook) -> SparseFeature:

@@ -98,11 +98,20 @@ class GroundTruthSet:
 ANCHOR_BASE = 4.0
 
 
+# A level above 30 would be one cell a side for any image up to 2^30 px, the
+# same grid as level 30.
+MAX_LEVEL = 30
+
+
 def level_dims(image_h: int, image_w: int, level: int) -> tuple[int, int]:
     """Grid size of pyramid level l for an H x W image: ceil(H / 2^l) x ceil(W / 2^l),
     the grid of l stride-2, padding-1 stages. Each level is then at most twice
     the one above it, so every child cell has a parent, and every point of the
-    image falls in some cell."""
+    image falls in some cell. Only levels in [0, MAX_LEVEL] of a positive image have one."""
+    if image_h <= 0 or image_w <= 0:
+        raise ConfigurationError(f"image dims must be positive, got {image_h}x{image_w}")
+    if not 0 <= level <= MAX_LEVEL:
+        raise ConfigurationError(f"level {level} lies outside [0, {MAX_LEVEL}]")
     return -(-image_h >> level), -(-image_w >> level)
 
 

@@ -255,6 +255,7 @@ class ContainerReader:
             raise FormatError(f"{self.path}: payload truncated while reading {what}")
         arr = np.frombuffer(self.data, dtype="<f4", count=count, offset=self.offset)
         self.offset += count * 4
+        # a payload starts after a manifest of any length: a view would be unaligned and read-only
         return arr.reshape(shape).copy()
 
     def finish(self) -> None:

@@ -25,6 +25,7 @@ from cascadequery.cli import (
     main,
 )
 from cascadequery.model import RECEPTIVE_FIELD
+from cascadequery.tensor import write_container
 
 from conftest import dilate_by
 
@@ -349,6 +350,27 @@ def test_corrupt_manifest_exits_1_naming_the_file_and_entry(tmp_path, capsys, ki
     _run_on_corrupt_file(tmp_path, capsys, kind, lambda data: _edit_manifest(data, edit), named)
 
 
+@pytest.mark.parametrize("levels,named", [
+    pytest.param({2000: (1, 1)}, "level 2000 lies outside [0, 30]", id="only-level-2000"),
+    pytest.param({2: (16, 16), 4: (4, 4)}, "pyramid levels [2, 4] are not consecutive",
+                 id="levels-2-and-4"),
+])
+def test_pyramid_file_whose_levels_are_no_pyramid_exits_1_naming_the_file(tmp_path, capsys,
+                                                                          levels, named):
+    # a well-formed file: each level's payload has the manifest's shape
+    pyramid, weights = tmp_path / PYRAMID_FILE, tmp_path / WEIGHTS_FILE
+    write_container(pyramid, model_mod.PYRAMID_MAGIC, {
+        "image": [64, 64], "channels": 4,
+        "levels": [{"l": l, "shape": [4, *hw]} for l, hw in levels.items()],
+    }, [np.ones((4, *hw)) for hw in levels.values()])
+    model_mod.save_weights(model_mod.make_fixture_weights(1, 4, 1, 4), weights)
+    rc = main(["run", "--pyramid", str(pyramid), "--weights", str(weights),
+               "--out", str(tmp_path / "out"), "--strategy", "dense", "--score-threshold", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {pyramid}: {named}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # byte-level damage that the container reader catches before any manifest field is read
 CORRUPT_CONTAINERS = [
     pytest.param("pyramid", lambda d: d[:10], "truncated header", id="header-truncated"),
@@ -557,6 +579,23 @@ def test_verify_runs_one_dense_pipeline(small_fixture, monkeypatch, capsys):
     capsys.readouterr()
     assert strategies.count("dense") == 1
     assert sorted(strategies) == ["ccq", "cq", "csq", "dense"]
+
+
+@pytest.mark.parametrize("weights_channels,flags,message", [
+    pytest.param(8, ("--start-level", "9"), "lack start_level=9", id="start-level-absent"),
+    pytest.param(4, (), "pyramid has 8 channels, head expects 4", id="channels-disagree"),
+])
+def test_verify_exits_2_when_the_options_and_inputs_disagree(small_fixture, tmp_path, capsys,
+                                                             weights_channels, flags, message):
+    # like run and bench: a configuration error is no failed check
+    fix = tmp_path / "fix"
+    shutil.copytree(small_fixture, fix)
+    model_mod.save_weights(model_mod.make_fixture_weights(1, weights_channels, 1, 4),
+                           fix / WEIGHTS_FILE)
+    out = tmp_path / "out"
+    assert main(["verify", "--fixture", str(fix), "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_fails_each_strategy_check_when_the_dense_run_crashes(small_fixture,

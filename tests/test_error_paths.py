@@ -23,8 +23,8 @@ CASES = {
                              ConfigurationError, "value features have 4 channels"),
     "fixture-image-empty": (lambda: make_synthetic_pyramid(0, 0, 64, 2, 7, 4),
                             ConfigurationError, "image dims must be positive"),
-    "fixture-level-range": (lambda: make_synthetic_pyramid(0, 64, 64, 1, 7, 4),
-                            ConfigurationError, "must sit inside [2, 7]"),
+    "pyramid-level-negative": (lambda: FeaturePyramid(64, 64, {-1: DenseTensor(
+        np.zeros((1, 128, 128)))}), ConfigurationError, "level -1 lies outside [0, 30]"),
     "fixture-weights-empty": (lambda: make_fixture_weights(0, 0, 1, 4),
                               ConfigurationError, "must be positive"),
     "keyset-bounds": (lambda: KeySet(2, 0, 4), ValidationError, "bounds must be positive"),

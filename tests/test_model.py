@@ -60,6 +60,25 @@ def test_pyramid_validates_channel_agreement():
         FeaturePyramid(64, 64, levels)
 
 
+@pytest.mark.parametrize("levels,message", [
+    pytest.param({-1: (128, 128)}, "level -1 lies outside [0, 30]", id="level-negative"),
+    pytest.param({31: (1, 1)}, "level 31 lies outside [0, 30]", id="level-31"),
+    pytest.param({2: (16, 16), 4: (4, 4)}, "levels [2, 4] are not consecutive", id="levels-gap"),
+])
+def test_pyramid_is_a_consecutive_run_of_levels_in_0_to_30(levels, message):
+    tensors = {l: DenseTensor(np.zeros((1, *hw), dtype=np.float32)) for l, hw in levels.items()}
+    with pytest.raises(ConfigurationError) as exc:
+        FeaturePyramid(64, 64, tensors)
+    assert message in str(exc.value)
+
+
+def test_synthetic_pyramid_reaches_levels_0_and_1():
+    blob = Blob(cx=3.0, cy=2.0, width=2.0, height=2.0, amplitude=50.0)
+    pyr = make_synthetic_pyramid(0, 6, 5, 0, 1, 2, [blob])
+    assert {l: t.values.shape for l, t in pyr.levels.items()} == {0: (2, 6, 5), 1: (2, 3, 3)}
+    assert pyr.levels[0].values[:, 2, 3].max() > 25.0 and pyr.levels[1].values[:, 1, 1].max() > 25.0
+
+
 def test_synthetic_pyramid_is_deterministic():
     blob = Blob(cx=30.0, cy=30.0, width=8.0, height=8.0, amplitude=10.0)
     a = small_pyramid(seed=5, blobs=[blob])

@@ -443,6 +443,14 @@ def test_cascade_requires_start_level_present(weights):
         run_pipeline(pyr, weights, QueryConfig(strategy="csq"))
 
 
+def test_cascade_runs_down_to_level_0(weights):
+    # at sigma 0 every level-1 cell is a query, so level 0 is computed at every cell
+    pyr = make_synthetic_pyramid(0, 30, 27, 0, 2, 16)
+    result = run_pipeline(pyr, weights, QueryConfig(strategy="csq", sigma=0.0, start_level=1))
+    assert [r.level for r in result.records] == [2, 1, 0]
+    assert len(result.record(0).computed_keys) == 30 * 27
+
+
 @pytest.mark.parametrize("strategy", ["dense", "ccq", "csq", "cq"])
 def test_every_strategy_rejects_a_non_finite_key_feature(weights, strategy):
     # a NaN at a cell that the cascade computes on the finest level must stop
