@@ -4,18 +4,19 @@ A detection head runs densely on coarse pyramid levels; positions scoring above
 a threshold become queries, map to their 2x2 children one level down, and only
 those children are computed — with submanifold sparse convolutions at the
 keys (csq) or over the keys' receptive-field halo, narrowed conv by conv (cq),
-or with masked dense compute (ccq). The analysis module carries the matching
-MAC-level cost model and a benchmark harness.
+or with masked dense compute (ccq). The model module states the head's
+MAC-level cost rule beside its layout; the analysis module builds cost
+reports on it and carries a benchmark harness.
 """
 
-from .analysis import (BenchResult, bench_csv, bench_json, head_flops_dense,
-                       head_flops_sparse, inbounds_pairs, p2_cost_increase,
-                       run_benchmark)
+from .analysis import (BenchResult, bench_csv, bench_json, inbounds_pairs,
+                       p2_cost_increase, run_benchmark)
 from .errors import (CascadeQueryError, ConfigurationError, FormatError,
                      ValidationError)
-from .model import (Blob, FeaturePyramid, HeadOutput, HeadWeights, load_pyramid,
-                    load_weights, make_fixture_weights, make_synthetic_pyramid,
-                    run_dense_head, run_sparse_head, save_pyramid, save_weights)
+from .model import (Blob, FeaturePyramid, HeadOutput, HeadWeights, head_flops_dense,
+                    head_flops_sparse, load_pyramid, load_weights, make_fixture_weights,
+                    make_synthetic_pyramid, run_dense_head, run_sparse_head, save_pyramid,
+                    save_weights)
 from .postproc import (AnchorConfig, Candidates, Detection, anchor_boxes,
                        box_iou, decode_boxes, detections_from_output,
                        detections_from_result, detections_to_json, encode_boxes,

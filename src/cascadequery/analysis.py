@@ -1,12 +1,12 @@
-"""Analytic cost model (multiply-accumulates) and a wall-clock benchmark harness.
+"""Cost reports built on the head's MAC rule, and a wall-clock benchmark harness.
 
-MACs are the cost unit; bias additions are not counted. The dense model
-charges every output position the full 3x3 window (zero-padding taps included,
-matching the usual conv-FLOPs convention); the sparse model charges each conv
-only its own rulebook's entries, i.e. (output, offset) pairs whose neighbor is
-in the conv's input set, so it takes one entry count per conv of a branch.
-`query.run_pipeline` charges every level once, where it runs it, with both
-its MACs and the dense model's charge for its grid (its dense-equivalent cost).
+The rule itself, `model.head_flops_sparse`, sits beside the head's layout,
+with its full-grid case `model.head_flops_dense`. This module builds the
+`flops` command's per-level breakdown on it, and holds the stride-4 cost
+ratio and the rulebook entry count of a fully covered grid, which `verify`
+checks `build_rulebook` against. `query.run_pipeline` charges
+every level once, where it runs it, with both its MACs and the dense charge
+for its grid (its dense-equivalent cost).
 """
 
 from __future__ import annotations
@@ -23,46 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import query
 from .errors import ConfigurationError
-from .model import BRANCHES, TOWER_DEPTH, level_dims, pred_widths
-
-_TOWERS = len(BRANCHES)
-
-
-def _pred_channels(num_anchors: int, num_classes: int) -> int:
-    return sum(pred_widths(num_anchors, num_classes))
-
-
-def tower_macs_dense(height: int, width: int, channels: int) -> int:
-    return height * width * _TOWERS * TOWER_DEPTH * 9 * channels * channels
-
-
-def pred_macs_dense(height: int, width: int, channels: int, num_anchors: int,
-                    num_classes: int) -> int:
-    return height * width * 9 * channels * _pred_channels(num_anchors, num_classes)
-
-
-def head_flops_dense(height: int, width: int, channels: int, num_anchors: int,
-                     num_classes: int) -> int:
-    """Full-map head cost: H*W * 9C * [branches * TOWER_DEPTH * C + sum(pred_widths)]."""
-    return (tower_macs_dense(height, width, channels)
-            + pred_macs_dense(height, width, channels, num_anchors, num_classes))
-
-
-def head_flops_sparse(rulebook_entries, channels: int, num_anchors: int,
-                      num_classes: int) -> int:
-    """Sparse head cost: every conv (towers and predictors alike) pays
-    C_in * C_out work per entry of its rulebook. `rulebook_entries` holds one
-    count per conv of a branch (the TOWER_DEPTH tower convs, then the
-    predictor); every branch shares that schedule of rulebooks. Isolated
-    keys fire only their center offset, giving the 1/9-per-key floor. Bias
-    adds are not MACs, so the key count does not enter."""
-    if len(rulebook_entries) != TOWER_DEPTH + 1:
-        raise ConfigurationError(f"{len(rulebook_entries)} per-conv entry counts, the head "
-                                 f"has {TOWER_DEPTH + 1} convs")
-    *tower, last = rulebook_entries
-    return channels * (_TOWERS * channels * sum(tower)
-                       + _pred_channels(num_anchors, num_classes) * last)
+from .model import TOWER_DEPTH, head_flops_dense, head_flops_sparse, level_dims
 
 
 def inbounds_pairs(height: int, width: int) -> int:
@@ -92,10 +55,11 @@ def flops_report(image_h: int, image_w: int, levels, channels: int, num_anchors:
     rows = []
     for l in sorted(levels):
         h, w = level_dims(image_h, image_w, l)
-        tower = tower_macs_dense(h, w, channels)
-        pred = pred_macs_dense(h, w, channels, num_anchors, num_classes)
-        rows.append({"level": l, "shape": [h, w], "dense_tower_macs": tower,
-                     "dense_pred_macs": pred, "dense_total_macs": tower + pred})
+        total = head_flops_dense(h, w, channels, num_anchors, num_classes)
+        pred = head_flops_sparse([0] * TOWER_DEPTH + [9 * h * w], channels, num_anchors,
+                                 num_classes)
+        rows.append({"level": l, "shape": [h, w], "dense_tower_macs": total - pred,
+                     "dense_pred_macs": pred, "dense_total_macs": total})
     return {
         "schema": "qd/1",
         "channels": channels,
@@ -177,18 +141,16 @@ def run_benchmark(pyr, weights, configs, repeats: int = 5) -> list[BenchResult]:
     deterministic across runs)."""
     if repeats < 5:
         raise ConfigurationError(f"repeats must be >= 5, got {repeats}")
-    from .query import run_pipeline  # imported late: query builds on this module
-
     configs = list(configs)
     for _ in range(WARMUP):
         for cfg in configs:
-            run_pipeline(pyr, weights, cfg)
+            query.run_pipeline(pyr, weights, cfg)
     totals: list[list[float]] = [[] for _ in configs]
     per_level: list[dict[int, list[float]]] = [{} for _ in configs]
     last = [None] * len(configs)
     for _ in range(repeats):
         for i, cfg in enumerate(configs):
-            last[i] = run_pipeline(pyr, weights, cfg)
+            last[i] = query.run_pipeline(pyr, weights, cfg)
             totals[i].append(last[i].total_millis)
             for rec in last[i].records:
                 per_level[i].setdefault(rec.level, []).append(rec.millis)

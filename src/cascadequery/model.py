@@ -10,6 +10,11 @@ predictors' widths. The weight checks, both head passes, the fixture weights,
 the manifest and the cost model iterate over BRANCHES, or over its
 (tower, predictor) pairs, `HeadWeights.branches`.
 
+The head's cost is stated here too, in multiply-accumulates (bias adds are
+not counted), by one rule: a conv pays C_in * C_out per (output, tap) pair it
+computes. `head_flops_sparse` charges each conv its own rulebook's entries;
+`head_flops_dense` is the same rule with every cell paying all 9 taps.
+
 The three towers' first convs read the same input rows, so both head passes
 run them as one C -> 3C conv, `HeadWeights.stem`: one gather and one GEMM,
 then a ReLU, and each branch takes its C-column slice into `tower[1:]` and
@@ -28,7 +33,7 @@ import numpy as np
 from .errors import ConfigurationError, FormatError, ValidationError
 from .sparse import (KeySet, Rulebook, SparseFeature, build_rulebook, gather, sparse_conv,
                      sparse_relu)
-from .targets import GroundTruthObject, level_dims
+from .targets import MAX_LEVEL, GroundTruthObject, level_dims
 from .tensor import (ConvWeights, ContainerReader, DenseTensor, conv2d, manifest_int, relu,
                      write_container)
 
@@ -51,6 +56,31 @@ def pred_widths(num_anchors: int, num_classes: int) -> tuple[int, int, int]:
     return num_anchors * num_classes, num_anchors * 4, 1
 
 
+def head_flops_sparse(rulebook_entries, channels: int, num_anchors: int,
+                      num_classes: int) -> int:
+    """The head's MAC rule: every conv (towers and predictors alike) pays
+    C_in * C_out work per entry of its rulebook. `rulebook_entries` holds one
+    count per conv of a branch (the TOWER_DEPTH tower convs, then the
+    predictor); every branch shares that schedule of rulebooks. Isolated
+    keys fire only their center offset, giving the 1/9-per-key floor. Bias
+    adds are not MACs, so the key count does not enter."""
+    if len(rulebook_entries) != TOWER_DEPTH + 1:
+        raise ConfigurationError(f"{len(rulebook_entries)} per-conv entry counts, the head "
+                                 f"has {TOWER_DEPTH + 1} convs")
+    *tower, last = rulebook_entries
+    return channels * (len(BRANCHES) * channels * sum(tower)
+                       + sum(pred_widths(num_anchors, num_classes)) * last)
+
+
+def head_flops_dense(height: int, width: int, channels: int, num_anchors: int,
+                     num_classes: int) -> int:
+    """Full-map head cost: the rule with every cell of the H x W grid paying
+    all 9 taps of every conv, zero-padding taps included (the usual
+    conv-FLOPs convention)."""
+    return head_flops_sparse([9 * height * width] * (TOWER_DEPTH + 1), channels,
+                             num_anchors, num_classes)
+
+
 @dataclass(frozen=True)
 class FeaturePyramid:
     """One image's features at a consecutive run of levels, each on its `level_dims` grid."""
@@ -62,6 +92,10 @@ class FeaturePyramid:
     def __post_init__(self):
         if not self.levels:
             raise ConfigurationError("pyramid has no levels")
+        for l in self.levels:
+            if not manifest_int(l, 0):
+                raise ConfigurationError(f"level {l!r} lies outside [0, {MAX_LEVEL}] "
+                                         f"or is not an int")
         if max(self.levels) - min(self.levels) != len(self.levels) - 1:
             raise ConfigurationError(f"pyramid levels {sorted(self.levels)} are not consecutive")
         chans = {t.channels for t in self.levels.values()}

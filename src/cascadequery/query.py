@@ -29,10 +29,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import analysis
 from .errors import ConfigurationError, ValidationError
 from .model import (RECEPTIVE_FIELD, TOWER_DEPTH, FeaturePyramid, HeadOutput, HeadWeights,
-                    run_dense_head, run_sparse_head)
+                    head_flops_dense, head_flops_sparse, run_dense_head, run_sparse_head)
 from .sparse import KeySet, Rulebook, SparseFeature, build_rulebook, dilate, gather
 from .tensor import DenseTensor, sigmoid_above
 
@@ -204,8 +203,8 @@ def _sparse_level(feature: DenseTensor, w: HeadWeights, keys: KeySet,
     built = list(dict.fromkeys(per_conv))
     out = run_sparse_head(gather(feature, per_conv[0].inputs), w,
                           built[0] if len(built) == 1 else per_conv)
-    flops = analysis.head_flops_sparse([rb.num_entries for rb in per_conv], w.channels,
-                                       w.num_anchors, w.num_classes)
+    flops = head_flops_sparse([rb.num_entries for rb in per_conv], w.channels,
+                              w.num_anchors, w.num_classes)
     return out, sum(rb.num_entries for rb in built), flops
 
 
@@ -254,8 +253,8 @@ def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig) -> Casca
         child = cascade and l < cfg.start_level
         keys = (map_queries_to_keys(queries, feature.height, feature.width) if child
                 else KeySet.full(l, feature.height, feature.width))
-        dense = analysis.head_flops_dense(feature.height, feature.width, w.channels,
-                                          w.num_anchors, w.num_classes)
+        dense = head_flops_dense(feature.height, feature.width, w.channels,
+                                 w.num_anchors, w.num_classes)
         dense_equiv += dense
         if child and cfg.strategy in _HALO:
             out, entries, flops = _sparse_level(feature, w, keys, _HALO[cfg.strategy])

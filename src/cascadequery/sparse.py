@@ -68,9 +68,6 @@ class KeySet:
     def positions(self) -> np.ndarray:
         return np.stack([self.xs, self.ys], axis=1)
 
-    def as_tuples(self) -> list[tuple[int, int]]:
-        return [tuple(p) for p in self.positions.tolist()]
-
     def to_json(self) -> list[list[int]]:
         """Cell-order [x, y] pairs, the serialization used in run reports."""
         return self.positions.tolist()

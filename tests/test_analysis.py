@@ -123,6 +123,12 @@ def test_flops_report_totals_and_fraction():
     assert rep["dense_total_macs"] == sum(r["dense_total_macs"] for r in rep["levels"])
     assert rep["schema"] == "qd/1"
     assert len(rep["levels"]) == 6
+    # level 2 is 16x16: 3 towers x 4 convs of 9*16*16 per cell, and the
+    # predictors' 9*16*(4 + 4 + 1) per cell
+    assert rep["levels"][0] == {"level": 2, "shape": [16, 16],
+                                "dense_tower_macs": 256 * 3 * 4 * 9 * 16 * 16,
+                                "dense_pred_macs": 256 * 9 * 16 * 9,
+                                "dense_total_macs": 256 * 28944}
     json.dumps(rep)
 
 

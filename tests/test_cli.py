@@ -13,7 +13,6 @@ import pytest
 
 from cascadequery import (GroundTruthSet, KeySet, SparseFeature, build_rulebook,
                           query_target_for_level)
-from cascadequery import analysis as analysis_mod
 from cascadequery import cli as cli_mod
 from cascadequery import model as model_mod
 from cascadequery import query as query_mod
@@ -685,21 +684,6 @@ def test_verify_catches_a_sparse_conv_that_drops_bias(small_fixture, monkeypatch
     assert by_name["query-targets"]["passed"] is True
 
 
-def test_verify_catches_a_schedule_charge_that_skips_the_predictors(small_fixture,
-                                                                    monkeypatch, capsys):
-    real = analysis_mod.head_flops_sparse
-
-    def no_predictors(entries, *args):
-        return real([*entries[:-1], 0], *args)
-
-    monkeypatch.setattr(analysis_mod, "head_flops_sparse", no_predictors)
-    rc = main(["verify", "--fixture", str(small_fixture)])
-    by_name = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-    assert rc == 1
-    assert by_name["flops-identity"]["passed"] is False
-    assert "isolated key" in by_name["flops-identity"]["detail"]
-
-
 def verdict_checks(capsys) -> dict:
     return {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
 
@@ -751,18 +735,6 @@ def test_verify_catches_a_rulebook_that_misses_an_input(small_fixture, monkeypat
     assert main(["verify", "--fixture", str(small_fixture)]) == 1
     detail = verdict_checks(capsys)["flops-identity"]["detail"]
     assert detail.startswith("full-coverage rulebook at ") and "expected" in detail
-
-
-def test_verify_catches_a_sparse_charge_above_dense(small_fixture, monkeypatch, capsys):
-    real = analysis_mod.head_flops_sparse
-
-    def twice(entries, *args):
-        return 2 * real(entries, *args)
-
-    monkeypatch.setattr(analysis_mod, "head_flops_sparse", twice)
-    assert main(["verify", "--fixture", str(small_fixture)]) == 1
-    detail = verdict_checks(capsys)["flops-identity"]["detail"]
-    assert detail.startswith("sparse MACs exceed dense at full coverage")
 
 
 def test_verify_warns_on_a_file_listed_in_checksums_but_missing(tmp_path, capsys):

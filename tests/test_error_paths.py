@@ -25,6 +25,10 @@ CASES = {
                             ConfigurationError, "image dims must be positive"),
     "pyramid-level-negative": (lambda: FeaturePyramid(64, 64, {-1: DenseTensor(
         np.zeros((1, 128, 128)))}), ConfigurationError, "level -1 lies outside [0, 30]"),
+    "pyramid-level-float": (lambda: FeaturePyramid(64, 64, {2.0: DenseTensor(
+        np.zeros((1, 16, 16)))}), ConfigurationError, "level 2.0 lies outside [0, 30]"),
+    "pyramid-level-bool": (lambda: FeaturePyramid(64, 64, {True: DenseTensor(
+        np.zeros((1, 32, 32)))}), ConfigurationError, "level True lies outside [0, 30]"),
     "fixture-weights-empty": (lambda: make_fixture_weights(0, 0, 1, 4),
                               ConfigurationError, "must be positive"),
     "keyset-bounds": (lambda: KeySet(2, 0, 4), ValidationError, "bounds must be positive"),

@@ -53,28 +53,28 @@ def logit_rows(h, w, logits, level=4):
 def test_extract_keeps_only_scores_above_sigma():
     rows = logit_rows(4, 4, {(1, 1): logit(0.2), (3, 0): logit(0.1)})
     out = extract_queries(rows, 0.15)
-    assert out.as_tuples() == [(1, 1)]
+    assert out.to_json() == [[1, 1]]
 
 
 def test_extract_threshold_is_strict():
     # logit 0 scores exactly 0.5, so at sigma 0.5 it must not pass
     rows = logit_rows(2, 2, {(0, 0): 0.0, (1, 1): logit(0.50001)}, level=3)
     out = extract_queries(rows, 0.5)
-    assert out.as_tuples() == [(1, 1)]
+    assert out.to_json() == [[1, 1]]
 
 
 def test_extract_is_strict_at_the_smallest_logit_step():
     # sigma 0.5 cuts at logit 0: the next float32 above it is in
     tiny = np.nextafter(np.float32(0.0), np.float32(1.0))
     out = extract_queries(logit_rows(1, 2, {(0, 0): 0.0, (1, 0): tiny}), 0.5)
-    assert out.as_tuples() == [(1, 0)]
+    assert out.to_json() == [[1, 0]]
 
 
 def test_extract_sigma_zero_keeps_every_row_and_sigma_one_none():
     # sigmoid(-1e30) rounds to 0.0 in float32, yet the score it stands for is
     # above 0; at sigma 1 even a logit of 1e30 stays out
     rows = logit_rows(1, 2, {(0, 0): -1e30, (1, 0): 1e30})
-    assert extract_queries(rows, 0.0).as_tuples() == [(0, 0), (1, 0)]
+    assert extract_queries(rows, 0.0).to_json() == [[0, 0], [1, 0]]
     assert len(extract_queries(rows, 1.0)) == 0
 
 
@@ -82,13 +82,13 @@ def test_extract_from_sparse_rows_considers_existing_keys_only():
     ks = KeySet(3, 8, 8, [9, 42])  # (1, 1), (2, 5)
     rows = np.array([[logit(0.4)], [logit(0.05)]], dtype=np.float32)
     out = extract_queries(SparseFeature(ks, rows), 0.15)
-    assert out.as_tuples() == [(1, 1)]
+    assert out.to_json() == [[1, 1]]
     assert (out.height, out.width, out.level) == (8, 8, 3)
 
 
 def test_extract_takes_level_and_grid_from_the_rows():
     out = extract_queries(logit_rows(2, 3, {(2, 1): logit(0.9)}, level=5), 0.5)
-    assert out.as_tuples() == [(2, 1)]
+    assert out.to_json() == [[2, 1]]
     assert (out.level, out.height, out.width) == (5, 2, 3)
     with pytest.raises(ValidationError, match="single-channel"):
         extract_queries(SparseFeature(out, np.ones((1, 2), dtype=np.float32)), 0.5)
@@ -97,7 +97,7 @@ def test_extract_takes_level_and_grid_from_the_rows():
 def test_children_of_one_query():
     q = KeySet(4, 8, 8, [43])  # (3, 5)
     kids = map_queries_to_keys(q, 16, 16)
-    assert kids.as_tuples() == [(6, 10), (7, 10), (6, 11), (7, 11)]
+    assert kids.to_json() == [[6, 10], [7, 10], [6, 11], [7, 11]]
     assert kids.level == 3
 
 
@@ -105,10 +105,10 @@ def test_children_of_adjacent_queries_are_deduplicated():
     q = KeySet(4, 8, 8, [9, 10])  # (1, 1), (2, 1)
     kids = map_queries_to_keys(q, 16, 16)
     assert len(kids) == 8  # 2 queries x 4 children, no overlap but shared edge
-    assert set(kids.as_tuples()) == {
-        (2, 2), (3, 2), (4, 2), (5, 2),
-        (2, 3), (3, 3), (4, 3), (5, 3),
-    }
+    assert kids.to_json() == [
+        [2, 2], [3, 2], [4, 2], [5, 2],
+        [2, 3], [3, 3], [4, 3], [5, 3],
+    ]
 
 
 def test_children_are_clipped_to_odd_child_dims():
@@ -116,7 +116,7 @@ def test_children_are_clipped_to_odd_child_dims():
     # parent column and row map to a single in-bounds child
     q = KeySet(4, 4, 4, [15])  # (3, 3)
     kids = map_queries_to_keys(q, 7, 7)
-    assert kids.as_tuples() == [(6, 6)]
+    assert kids.to_json() == [[6, 6]]
 
 
 def test_empty_queries_give_empty_keys():
@@ -184,8 +184,8 @@ def test_cascade_keys_come_from_the_level_above(pyramid, weights):
         want = map_queries_to_keys(above.extracted_queries, rec.height, rec.width)
         assert rec.computed_keys == want
         # Eq.-style parentage: every key's floor-half parent was a query
-        parents = {(x // 2, y // 2) for x, y in rec.computed_keys.as_tuples()}
-        assert parents <= set(above.extracted_queries.as_tuples())
+        parents = {(x // 2, y // 2) for x, y in rec.computed_keys.to_json()}
+        assert parents <= set(map(tuple, above.extracted_queries.to_json()))
 
 
 def test_sigma_one_empties_the_cascade(pyramid, weights):

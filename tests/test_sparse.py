@@ -28,7 +28,7 @@ def keyset(cells, h=8, w=8, level=3):
 def test_keyset_sorts_and_dedupes():
     ks = keyset([11, 0, 11, 1])
     assert ks.cells.tolist() == [0, 1, 11]
-    assert ks.as_tuples() == [(0, 0), (1, 0), (3, 1)]
+    assert ks.to_json() == [[0, 0], [1, 0], [3, 1]]
     assert len(ks) == 3
 
 
@@ -58,7 +58,7 @@ def test_keyset_full_and_empty():
     full = KeySet.full(2, 3, 4)
     assert len(full) == 12
     assert full.cells.tolist() == list(range(12))
-    assert full.as_tuples()[:4] == [(0, 0), (1, 0), (2, 0), (3, 0)]
+    assert full.to_json()[:4] == [[0, 0], [1, 0], [2, 0], [3, 0]]
     assert len(KeySet(2, 3, 4)) == 0
 
 
@@ -71,8 +71,8 @@ def test_keyset_equality_includes_bounds():
 
 def chebyshev_oracle(keys, radius):
     """Every grid cell within Chebyshev distance `radius` of a key, row-major."""
-    pairs = keys.as_tuples()
-    return [(x, y) for y in range(keys.height) for x in range(keys.width)
+    pairs = keys.to_json()
+    return [[x, y] for y in range(keys.height) for x in range(keys.width)
             if any(max(abs(x - kx), abs(y - ky)) <= radius for kx, ky in pairs)]
 
 
@@ -86,7 +86,7 @@ def test_dilate_matches_the_chebyshev_oracle_with_keys_on_every_border(h, w, rad
     keys = KeySet(4, h, w, border + inner)
     got = dilate_by(keys, radius)
     assert (got.level, got.height, got.width) == (4, h, w)
-    assert got.as_tuples() == chebyshev_oracle(keys, radius)
+    assert got.to_json() == chebyshev_oracle(keys, radius)
 
 
 @settings(max_examples=60, deadline=None)
@@ -95,7 +95,7 @@ def test_dilate_matches_the_chebyshev_oracle_with_keys_on_every_border(h, w, rad
 def test_dilate_matches_the_chebyshev_oracle_on_random_key_sets(h, w, radius, data):
     keys = KeySet(2, h, w, data.draw(st.lists(st.integers(0, h * w - 1), max_size=8)))
     # the oracle lists cells row-major, so equality also checks canonical order
-    assert dilate_by(keys, radius).as_tuples() == chebyshev_oracle(keys, radius)
+    assert dilate_by(keys, radius).to_json() == chebyshev_oracle(keys, radius)
 
 
 def test_dilate_by_zero_keeps_the_keys_and_an_empty_set_stays_empty():
@@ -108,7 +108,7 @@ def test_rows_of_finds_each_key_in_a_superset():
     big = KeySet.full(3, 4, 5)
     sub = keyset([19, 0, 7], h=4, w=5)
     rows = big.rows_of(sub)
-    assert [tuple(p) for p in big.positions[rows].tolist()] == sub.as_tuples()
+    assert big.positions[rows].tolist() == sub.to_json()
     assert big.rows_of(KeySet(3, 4, 5)).tolist() == []
 
 
@@ -173,9 +173,9 @@ def test_rulebook_reads_an_input_set_apart_from_its_output_set():
 def rulebook_oracle(keys, inputs):
     """Row of the input at each tap of each output key, taps in (ky, kx)
     order, or len(inputs) where the neighbour is off the grid or no input."""
-    row = {p: n for n, p in enumerate(inputs.as_tuples())}
+    row = {tuple(p): n for n, p in enumerate(inputs.to_json())}
     return [[row.get((x + kx - 1, y + ky - 1), len(inputs))
-             for ky in range(3) for kx in range(3)] for x, y in keys.as_tuples()]
+             for ky in range(3) for kx in range(3)] for x, y in keys.to_json()]
 
 
 # 1x1, 1xN, Nx1 and N x M grids, drawn about equally often
