@@ -23,20 +23,20 @@ from .postproc import (AnchorConfig, Candidates, Detection, anchor_boxes,
                        nms)
 from .query import (CascadeResult, LevelRecord, QueryConfig, extract_queries,
                     map_queries_to_keys, run_pipeline)
-from .sparse import (KeySet, Rulebook, SparseFeature, build_rulebook, dilate,
-                     gather, sparse_conv, sparse_relu)
+from .sparse import (KeySet, Rulebook, SparseFeature, build_rulebook, conv2d, dilate,
+                     gather, relu, sparse_conv, sparse_relu)
 from .targets import (GroundTruthObject, GroundTruthSet, LossConfig, TargetMaps,
                       beta_schedule, distance_map, focal_loss, is_small_for_level,
                       level_dims, level_loss, level_scale, query_target_for_level,
                       small_centers_on_grid, smooth_l1, total_loss)
-from .tensor import ConvWeights, DenseTensor, conv2d, relu
+from .tensor import ConvWeights
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnchorConfig", "BenchResult", "Blob", "Candidates", "CascadeQueryError",
     "CascadeResult",
-    "ConfigurationError", "ConvWeights", "DenseTensor", "Detection",
+    "ConfigurationError", "ConvWeights", "Detection",
     "FeaturePyramid", "FormatError", "GroundTruthObject",
     "GroundTruthSet", "HeadOutput", "HeadWeights", "KeySet", "LevelRecord",
     "LossConfig", "QueryConfig", "Rulebook", "SparseFeature", "TargetMaps",

@@ -35,7 +35,7 @@ from .postproc import AnchorConfig, detections_from_result, detections_to_json
 from .query import STRATEGIES, CascadeResult, QueryConfig, run_pipeline
 from .sparse import KeySet, build_rulebook
 from .targets import ANCHOR_BASE, MAX_LEVEL, GroundTruthSet, query_target_for_level
-from .tensor import DenseTensor, sigmoid_above
+from .tensor import sigmoid_above
 
 PYRAMID_FILE = "pyramid.qdpyr"
 TARGETS_FILE = "v_star.qdpyr"
@@ -479,7 +479,7 @@ def cmd_targets_check(opts: dict) -> int:
     gt = GroundTruthSet.from_json(_read_json(opts["gt"]), size, size, opts["gt"])
     maps = {level: query_target_for_level(gt, level) for level in levels}
     os.makedirs(out_dir, exist_ok=True)
-    save_pyramid(FeaturePyramid(size, size, {l: DenseTensor(m[None]) for l, m in maps.items()}),
+    save_pyramid(FeaturePyramid.from_maps(size, size, {l: m[None] for l, m in maps.items()}),
                  os.path.join(out_dir, TARGETS_FILE))
     rows = [{"level": l, "shape": list(m.shape), "positives": int(m.sum()), "total": m.size}
             for l, m in maps.items()]

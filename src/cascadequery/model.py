@@ -1,6 +1,10 @@
 """Detection head (classification / regression / query branches), pyramid fixtures,
 and the QDPYR1 / QDWTS1 container formats.
 
+A pyramid level is (H * W, C) rows over its full key set, viewing the
+channel-major map that QDPYR1 stores: the dense head pass convolves them all,
+and the sparse pass gathers them at a key set.
+
 One HeadWeights object serves every pyramid level; there are no per-level
 parameters anywhere. Each branch is a tower of four 3x3 convs with ReLU after
 each, followed by a 3x3 prediction conv with no activation. The layout is
@@ -24,6 +28,7 @@ its predictor.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,11 +36,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, ValidationError
-from .sparse import (KeySet, Rulebook, SparseFeature, build_rulebook, gather, sparse_conv,
-                     sparse_relu)
+from .sparse import (KeySet, Rulebook, SparseFeature, build_rulebook, conv2d, gather, relu,
+                     sparse_conv, sparse_relu)
 from .targets import MAX_LEVEL, GroundTruthObject, level_dims
-from .tensor import (ConvWeights, ContainerReader, DenseTensor, conv2d, manifest_int, relu,
-                     write_container)
+from .tensor import ConvWeights, ContainerReader, manifest_int, write_container
 
 PYRAMID_MAGIC = b"QDPYR1\n\0"
 WEIGHTS_MAGIC = b"QDWTS1\n\0"
@@ -83,11 +87,12 @@ def head_flops_dense(height: int, width: int, channels: int, num_anchors: int,
 
 @dataclass(frozen=True)
 class FeaturePyramid:
-    """One image's features at a consecutive run of levels, each on its `level_dims` grid."""
+    """One image's features at a consecutive run of levels, each rows over its
+    `level_dims` grid's `KeySet.full`."""
 
     image_height: int
     image_width: int
-    levels: dict[int, DenseTensor]
+    levels: dict[int, SparseFeature]
 
     def __post_init__(self):
         if not self.levels:
@@ -108,6 +113,21 @@ class FeaturePyramid:
                     f"level {l} is {t.height}x{t.width}, expected {h}x{w} "
                     f"for a {self.image_height}x{self.image_width} image"
                 )
+            if t.keys.level != l or len(t.keys) != h * w:
+                raise ConfigurationError(f"level {l} rows are not at its full grid's keys")
+
+    @classmethod
+    def from_maps(cls, image_height: int, image_width: int,
+                  maps: dict[int, np.ndarray]) -> "FeaturePyramid":
+        """Levels from (C, H, W) channel-major maps, the QDPYR1 order: each
+        level's rows are its map viewed as (H * W, C), without a copy."""
+        levels = {}
+        for l, m in maps.items():
+            m = np.asarray(m, dtype=np.float32)
+            if m.ndim != 3:
+                raise ValidationError(f"level {l} map must be (C, H, W), got shape {m.shape}")
+            levels[l] = SparseFeature(KeySet.full(l, *m.shape[1:]), m.reshape(len(m), -1).T)
+        return cls(image_height, image_width, levels)
 
     @property
     def channels(self) -> int:
@@ -181,24 +201,24 @@ class HeadOutput:
         return self.cls_logits.keys
 
 
-def _dense_branch(feature: DenseTensor, tower: list[ConvWeights], pred: ConvWeights) -> DenseTensor:
-    x = feature
+def _dense_branch(x: SparseFeature, tower: list[ConvWeights], pred: ConvWeights) -> SparseFeature:
     for conv in tower:
         x = relu(conv2d(x, conv))
     return conv2d(x, pred)
 
 
-def run_dense_head(feature: DenseTensor, w: HeadWeights, keys: KeySet) -> HeadOutput:
-    """Full-map head pass with the rows kept at `keys` (KeySet.full keeps them
-    all); logits carry no activation."""
+def run_dense_head(feature: SparseFeature, w: HeadWeights, keys: KeySet) -> HeadOutput:
+    """Full-map head pass over a full-grid feature, with its rows as computed
+    at the feature's own keys, or gathered at other `keys`; logits carry no activation."""
     if feature.channels != w.channels:
         raise ConfigurationError(
             f"feature has {feature.channels} channels, head expects {w.channels}"
         )
     stem = relu(conv2d(feature, w.stem))
-    slices = np.split(stem.values, len(BRANCHES))
-    return HeadOutput(*[gather(_dense_branch(DenseTensor(x), t[1:], p), keys)
-                        for x, (t, p) in zip(slices, w.branches)])
+    slices = np.split(stem.features, len(BRANCHES), axis=1)
+    outs = [_dense_branch(SparseFeature(stem.keys, x), t[1:], p)
+            for x, (t, p) in zip(slices, w.branches)]
+    return HeadOutput(*(outs if keys is feature.keys else [gather(o, keys) for o in outs]))
 
 
 def _sparse_branch(vf: SparseFeature, tower: list[ConvWeights], pred: ConvWeights,
@@ -252,23 +272,23 @@ class Blob(GroundTruthObject):
 
     def __post_init__(self):
         super().__post_init__()
-        if not math.isfinite(self.amplitude):
+        if not abs(self.amplitude) <= sys.float_info.max:  # math.isfinite overflows on a huge int
             raise ValidationError(f"blob amplitude must be finite, got {self.amplitude}")
 
 
 def make_synthetic_pyramid(seed: int, image_h: int, image_w: int, l_min: int, l_max: int,
                            channels: int, blobs: list[Blob] | None = None) -> FeaturePyramid:
     """Seeded stand-in for a backbone+FPN: low-amplitude noise background with
-    localized bumps at each blob's projected center on levels l_min to l_max."""
+    localized bumps on levels l_min to l_max at each blob's cell floor(center / 2^l),
+    the rule of `targets.small_centers_on_grid`; an off-grid center plants nothing."""
     rng = np.random.default_rng(seed)
-    blobs = blobs or []
-    levels: dict[int, DenseTensor] = {}
+    maps = {}
     for l in range(l_min, l_max + 1):
         h, w = level_dims(image_h, image_w, l)
         values = rng.standard_normal((channels, h, w), dtype=np.float32) * np.float32(0.1)
         stride = 1 << l
-        for b in blobs:
-            gx, gy = int(b.cx) // stride, int(b.cy) // stride
+        for b in blobs or []:
+            gx, gy = math.floor(b.cx / stride), math.floor(b.cy / stride)
             if not (0 <= gx < w and 0 <= gy < h):
                 continue
             size_grid = b.max_side / stride
@@ -279,8 +299,8 @@ def make_synthetic_pyramid(seed: int, image_h: int, image_w: int, l_min: int, l_
             yy, xx = np.mgrid[y0:y1 + 1, x0:x1 + 1]
             bump = b.amplitude * np.exp(-((xx - gx) ** 2 + (yy - gy) ** 2) / (2.0 * sig * sig))
             values[:, y0:y1 + 1, x0:x1 + 1] += bump.astype(np.float32)
-        levels[l] = DenseTensor(values)
-    return FeaturePyramid(image_h, image_w, levels)
+        maps[l] = values
+    return FeaturePyramid.from_maps(image_h, image_w, maps)
 
 
 def _seeded_conv(rng: np.random.Generator, out_c: int, in_c: int, gain: float = 1.0,
@@ -323,12 +343,12 @@ def save_pyramid(pyr: FeaturePyramid, path) -> None:
         "image": [pyr.image_height, pyr.image_width],
         "channels": pyr.channels,
         "levels": [
-            {"l": l, "shape": list(pyr.levels[l].values.shape)}
+            {"l": l, "shape": [pyr.channels, pyr.levels[l].height, pyr.levels[l].width]}
             for l in sorted(pyr.levels)
         ],
     }
     write_container(path, PYRAMID_MAGIC, manifest,
-                    [pyr.levels[l].values for l in sorted(pyr.levels)])
+                    [pyr.levels[l].features.T for l in sorted(pyr.levels)])
 
 
 def load_pyramid(path) -> FeaturePyramid:
@@ -345,21 +365,21 @@ def load_pyramid(path) -> FeaturePyramid:
         raise FormatError(f"{path}: image must be two positive ints, got {image!r}")
     if not manifest_int(channels, 1):
         raise FormatError(f"{path}: channels must be a positive int, got {channels!r}")
-    levels: dict[int, DenseTensor] = {}
+    maps: dict[int, np.ndarray] = {}
     for i, entry in enumerate(level_entries):
         l, shape = entry.get("l"), entry.get("shape")
         if not manifest_int(l, 0):
             raise FormatError(f"{path}: level entry {i}: l must be a non-negative int, "
                               f"got {l!r}")
-        if l in levels:
+        if l in maps:
             raise FormatError(f"{path}: level entry {i}: level {l} is given twice")
         values = r.take(shape, f"level {l}")
         if values.ndim != 3 or values.shape[0] != channels:
             raise FormatError(f"{path}: level {l} shape {shape} conflicts with manifest")
-        levels[l] = DenseTensor(values)
+        maps[l] = values
     r.finish()
     try:
-        return FeaturePyramid(*image, levels)
+        return FeaturePyramid.from_maps(*image, maps)
     except ConfigurationError as e:
         raise FormatError(f"{path}: {e}") from e
 

@@ -33,7 +33,7 @@ from .errors import ConfigurationError, ValidationError
 from .model import (RECEPTIVE_FIELD, TOWER_DEPTH, FeaturePyramid, HeadOutput, HeadWeights,
                     head_flops_dense, head_flops_sparse, run_dense_head, run_sparse_head)
 from .sparse import KeySet, Rulebook, SparseFeature, build_rulebook, dilate, gather
-from .tensor import DenseTensor, sigmoid_above
+from .tensor import sigmoid_above
 
 STRATEGIES = ("dense", "csq", "cq", "ccq")
 # Radius by which the sparse strategies widen their keys before the head runs:
@@ -193,7 +193,7 @@ def _schedule(keys: KeySet, radius: int) -> list[Rulebook]:
     return books
 
 
-def _sparse_level(feature: DenseTensor, w: HeadWeights, keys: KeySet,
+def _sparse_level(feature: SparseFeature, w: HeadWeights, keys: KeySet,
                   radius: int) -> tuple[HeadOutput, int, int]:
     """Sparse head over `_schedule(keys, radius)`, gathered at its widest set
     and with rows at the keys. Each conv is charged for its own rulebook.
@@ -208,19 +208,20 @@ def _sparse_level(feature: DenseTensor, w: HeadWeights, keys: KeySet,
     return out, sum(rb.num_entries for rb in built), flops
 
 
-def crop_patch(feature: DenseTensor, x: int, y: int, patch: int) -> DenseTensor:
-    """Zero-padded patch of side ``patch`` centered on (x, y).
+def crop_patch(feature: SparseFeature, x: int, y: int, patch: int) -> SparseFeature:
+    """Zero-padded patch of side ``patch`` centered on (x, y) of a full-grid
+    feature, as rows over the patch's full grid.
 
     The cascade no longer calls this; perfbench's tracer still hooks it by name."""
     r = patch // 2
-    c = feature.channels
-    out = np.zeros((c, patch, patch), dtype=np.float32)
+    grid = feature.features.reshape(feature.height, feature.width, -1)
+    out = np.zeros((patch, patch, feature.channels), dtype=np.float32)
     y0, y1 = max(0, y - r), min(feature.height, y + r + 1)
     x0, x1 = max(0, x - r), min(feature.width, x + r + 1)
     if y0 < y1 and x0 < x1:
-        out[:, y0 - (y - r):y1 - (y - r), x0 - (x - r):x1 - (x - r)] = \
-            feature.values[:, y0:y1, x0:x1]
-    return DenseTensor(out)
+        out[y0 - (y - r):y1 - (y - r), x0 - (x - r):x1 - (x - r)] = grid[y0:y1, x0:x1]
+    return SparseFeature(KeySet.full(feature.keys.level, patch, patch),
+                         out.reshape(-1, feature.channels))
 
 
 def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig) -> CascadeResult:
@@ -252,7 +253,7 @@ def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig) -> Casca
         feature = pyr.levels[l]
         child = cascade and l < cfg.start_level
         keys = (map_queries_to_keys(queries, feature.height, feature.width) if child
-                else KeySet.full(l, feature.height, feature.width))
+                else feature.keys)
         dense = head_flops_dense(feature.height, feature.width, w.channels,
                                  w.num_anchors, w.num_classes)
         dense_equiv += dense

@@ -1,15 +1,14 @@
-"""Sparse spatial tensors, rulebook construction, and sparse 3x3 convolution.
+"""Features as rows over key sets, rulebook construction, and 3x3 convolution.
 
 A KeySet is its active cells: sorted flat indices y * W + x into one level's
-grid, the row index of `tensor.neighbour_table`, the grid table `conv2d`
-caches per grid shape. Its (x, y) pairs are derived from the cells for reports
-and anchors. Features gathered at the cells form a SparseFeature. A rulebook
-maps an input key set to an output key set on the same grid; convolution over
-it reads rows at the input set, writes rows at the output set, and inactive
-neighbours contribute zero. With equal sets this is submanifold convolution.
-Rulebooks and dilation both index the neighbour table by the keys' cells: a
-rulebook remaps its cells to input rows, and a dilation grows a ring through
-it.
+grid, the row index of `tensor.neighbour_table`. A SparseFeature is one row per
+key; a pyramid level is the one over its full grid, where a cell is its own row,
+so `gather` indexes rows by cell and `conv2d` runs the grid's neighbour table.
+A rulebook maps an input key set to an output key set on the same grid;
+convolution over it reads rows at the input set, writes rows at the output set,
+and inactive neighbours contribute zero. With equal sets this is submanifold
+convolution. A rulebook remaps the neighbour table's cells to input rows, and
+a dilation grows a ring through it.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .tensor import ConvWeights, DenseTensor, conv_rows, neighbour_table
+from .tensor import ConvWeights, conv_rows, neighbour_table
 
 
 class KeySet:
@@ -90,13 +89,14 @@ class KeySet:
 
 @dataclass(frozen=True)
 class SparseFeature:
-    """Per-key feature vectors, one row of length C per key, in key order."""
+    """Per-key feature vectors, one row of length C per key, in key order, in
+    any memory layout: a column slice or a transposed view is held uncopied."""
 
     keys: KeySet
     features: np.ndarray
 
     def __post_init__(self):
-        feats = np.ascontiguousarray(self.features, dtype=np.float32)
+        feats = np.asarray(self.features, dtype=np.float32)
         if feats.ndim != 2:
             raise ValidationError(f"sparse features must be (num_keys, C), got {feats.shape}")
         if feats.shape[0] != len(self.keys):
@@ -108,6 +108,14 @@ class SparseFeature:
     @property
     def channels(self) -> int:
         return self.features.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.keys.height
+
+    @property
+    def width(self) -> int:
+        return self.keys.width
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,14 +165,31 @@ def dilate(keys: KeySet) -> KeySet:
     return KeySet(keys.level, h, w, np.flatnonzero(mask[:-1]))
 
 
-def gather(dense: DenseTensor, keys: KeySet) -> SparseFeature:
-    """Extract the per-cell feature vectors of `dense` at the keys."""
-    if keys.height != dense.height or keys.width != dense.width:
-        raise ValidationError(
-            f"key bounds {keys.width}x{keys.height} do not match tensor "
-            f"{dense.width}x{dense.height}"
+def _full_grid(sf: SparseFeature) -> None:
+    if len(sf.keys) != sf.height * sf.width:
+        raise ValidationError(f"{len(sf.keys)} rows do not cover the {sf.width}x{sf.height} grid")
+
+
+def gather(level: SparseFeature, keys: KeySet) -> SparseFeature:
+    """The rows of a full-grid feature at the keys: on the full grid a cell is
+    its own row, so the index is `keys.cells`."""
+    if (keys.height, keys.width) != (level.height, level.width):
+        raise ValidationError(f"key bounds {keys.width}x{keys.height} do not match "
+                              f"tensor {level.width}x{level.height}")
+    _full_grid(level)
+    return SparseFeature(keys, level.features[keys.cells])
+
+
+def conv2d(inp: SparseFeature, w: ConvWeights) -> SparseFeature:
+    """Stride-1, zero-padded 3x3 convolution of a full-grid feature, with rows
+    at the same keys: `conv_rows` over `neighbour_table(H, W)`."""
+    if inp.channels != w.in_channels:
+        raise ConfigurationError(
+            f"input has {inp.channels} channels, weights expect {w.in_channels}"
         )
-    return SparseFeature(keys, dense.values.reshape(dense.channels, -1)[:, keys.cells].T)
+    _full_grid(inp)
+    return SparseFeature(inp.keys, conv_rows(inp.features, w,
+                                             neighbour_table(inp.height, inp.width)))
 
 
 def sparse_conv(inp: SparseFeature, w: ConvWeights, rb: Rulebook) -> SparseFeature:
@@ -185,3 +210,6 @@ def sparse_conv(inp: SparseFeature, w: ConvWeights, rb: Rulebook) -> SparseFeatu
 
 def sparse_relu(sf: SparseFeature) -> SparseFeature:
     return SparseFeature(sf.keys, np.maximum(sf.features, np.float32(0.0)))
+
+
+relu = sparse_relu  # the full-grid passes' name for it, which perfbench times apart

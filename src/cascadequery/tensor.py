@@ -1,15 +1,13 @@
-"""Dense feature tensors and reference convolution arithmetic.
+"""Convolution arithmetic, logit gates and the container formats.
 
-A tensor of C channels over an H x W grid is a float32 array of shape
-(C, H, W), whatever its memory layout. Pyramid levels load channel-major, in
-the QDPYR1 on-disk order. `conv2d` returns a (C, H, W) view of its (H * W, C)
-GEMM rows (channel-last memory), and reads its input through
-``values.transpose(1, 2, 0)``, so chained convs and `relu`, which keeps its
-input's layout, hand rows to one another without transposing copies.
-`conv_rows`, the kernel under both `conv2d` and `sparse.sparse_conv`, gathers
-and multiplies its table in blocks of BLOCK_ROWS rows, so a conv's scratch
-memory is one block's gather whatever the grid size.
-`write_container` makes every payload contiguous before writing it.
+Every feature is rows: `sparse.SparseFeature` holds one (C,) row per key of a
+key set, and a pyramid level is the case whose keys are its full grid.
+`conv_rows`, the one kernel under `sparse.conv2d` and `sparse.sparse_conv`,
+reads rows in any memory layout, and gathers and multiplies its table in
+blocks of BLOCK_ROWS rows, so a conv's scratch memory is one block's gather
+whatever the grid size. `neighbour_table` is the grid's 3x3 table, built once
+per grid shape. `write_container` makes every payload contiguous before
+writing it.
 
 Head outputs stay logits: `sigmoid_above` is the one gate "score above a
 threshold", decided in logit space, and `sigmoid_array` scores only the rows
@@ -27,31 +25,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, ValidationError
-
-
-@dataclass(frozen=True)
-class DenseTensor:
-    """A dense C x H x W float32 feature map, in any memory layout."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float32)
-        if arr.ndim != 3:
-            raise ValidationError(f"dense tensor must be (C, H, W), got shape {arr.shape}")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[2]
 
 
 @dataclass(frozen=True)
@@ -109,9 +82,8 @@ def conv_rows(rows: np.ndarray, w: ConvWeights, table: np.ndarray) -> np.ndarray
     """The one convolution kernel: output row n = bias + sum over taps t of
     rows[table[n, t]] times tap t's weights.
 
-    `rows` is (M, C), or any (..., C) array whose leading axes flatten to M
-    rows in row-major order; it is copied once into the padded buffer, whatever
-    its layout. Index M in `table` stands for a shared zero row, used for
+    `rows` is (M, C) in any memory layout; it is copied once into the padded
+    buffer. Index M in `table` stands for a shared zero row, used for
     padding and for inactive neighbours. The table is computed in blocks of
     BLOCK_ROWS rows: each block's neighbours are gathered with `np.take` into
     a (block, 9 * C) matrix, and one float32 GEMM writes the block's rows of
@@ -120,10 +92,9 @@ def conv_rows(rows: np.ndarray, w: ConvWeights, table: np.ndarray) -> np.ndarray
     table and rows give the same bits whichever caller built them. `table` is
     only read, so a cached read-only table can be passed.
     """
-    c = rows.shape[-1]
-    m = math.prod(rows.shape[:-1])
+    m, c = rows.shape
     padded = np.empty((m + 1, c), dtype=np.float32)
-    padded[:m].reshape(rows.shape)[...] = rows
+    padded[:m] = rows
     padded[m] = 0.0
     if not np.isfinite(padded).all():
         raise ValidationError("convolution input contains non-finite values")
@@ -145,9 +116,8 @@ def neighbour_table(height: int, width: int) -> np.ndarray:
     cell's neighbours, tap t reading the cell displaced by
     (dy, dx) = (t // 3 - 1, t % 3 - 1), so taps run in (ky, kx) row-major
     order. A neighbour outside the grid reads H * W. Built once per grid shape
-    and returned read-only, since every caller shares it: `conv2d` reads it
-    as is, and `sparse` remaps its cells to rulebook rows and dilates through
-    it."""
+    and returned read-only, since every caller shares it: `sparse.conv2d`
+    reads it as is, and rulebooks and dilations remap and grow through it."""
     off_grid = height * width
     index = np.pad(np.arange(off_grid).reshape(height, width), 1, constant_values=off_grid)
     ys, xs = np.divmod(np.arange(off_grid), width)
@@ -155,28 +125,6 @@ def neighbour_table(height: int, width: int) -> np.ndarray:
     table = index[ys[:, None] + dy, xs[:, None] + dx]
     table.flags.writeable = False
     return table
-
-
-def conv2d(inp: DenseTensor, w: ConvWeights) -> DenseTensor:
-    """Stride-1, zero-padded convolution; output spatial size equals input.
-
-    output[o, y, x] = bias[o] + sum_{c, ky, kx} w[o, c, ky, kx] * padded[c, y+ky-1, x+kx-1]
-
-    Every cell is a row, so this is `conv_rows` over `neighbour_table(H, W)`,
-    cached per grid shape. The output is a (C, H, W) view of the GEMM's
-    (H * W, C) rows.
-    """
-    if inp.channels != w.in_channels:
-        raise ConfigurationError(
-            f"input has {inp.channels} channels, weights expect {w.in_channels}"
-        )
-    _, h, wd = inp.values.shape
-    out = conv_rows(inp.values.transpose(1, 2, 0), w, neighbour_table(h, wd))
-    return DenseTensor(out.reshape(h, wd, w.out_channels).transpose(2, 0, 1))
-
-
-def relu(inp: DenseTensor) -> DenseTensor:
-    return DenseTensor(np.maximum(inp.values, np.float32(0.0)))
 
 
 def sigmoid_array(x: np.ndarray) -> np.ndarray:

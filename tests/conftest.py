@@ -9,6 +9,7 @@ keeps the low-level key fraction well under 1%.  Both are pinned so the
 equivalence and cost tests stay deterministic.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -67,6 +68,17 @@ def standard_weights(channels=16, seed=FIXTURE_WEIGHT_SEED):
     return cq.make_fixture_weights(seed, channels, 1, 4)
 
 
+def level_rows(x, level=0):
+    """A (C, H, W) map as rows over its level's full grid, viewing the map."""
+    c, h, w = x.shape
+    return cq.SparseFeature(cq.KeySet.full(level, h, w), x.reshape(c, -1).T)
+
+
+def as_map(rows):
+    """Full-grid rows as their (C, H, W) map."""
+    return rows.features.T.reshape(rows.channels, rows.height, rows.width)
+
+
 def dense_rows_at(dense_rows, keys):
     """Key-ordered (N, C) rows of a dense level's output, whose rows cover the
     full grid, at a KeySet."""
@@ -100,3 +112,36 @@ def rel_err(a, b):
     b = np.asarray(b, dtype=np.float64)
     denom = max(float(np.max(np.abs(b))), 1e-12)
     return float(np.max(np.abs(a - b))) / denom
+
+
+def brute_force_target(gt, level, height, width, base=4.0):
+    """Independent query-target oracle: all cells x all objects, plain Python floats."""
+    out = np.zeros((height, width), dtype=np.float32)
+    stride = 2 ** level
+    centers = [
+        (math.floor(o.cx / stride), math.floor(o.cy / stride))
+        for o in gt.objects
+        if max(o.width, o.height) < base * stride
+    ]
+    for y in range(height):
+        for x in range(width):
+            for gx, gy in centers:
+                if math.hypot(x - gx, y - gy) < base:
+                    out[y, x] = 1.0
+                    break
+    return out
+
+
+def focal_oracle(logits, targets, alpha, gamma):
+    """Focal loss as a direct float64 translation of the definition, one
+    scalar at a time."""
+    total = 0.0
+    lx = np.asarray(logits, dtype=np.float64).ravel()
+    lt = np.asarray(targets, dtype=np.float64).ravel()
+    for x, t in zip(lx, lt):
+        p = 1.0 / (1.0 + math.exp(-x))
+        if t == 1.0:
+            total += -alpha * (1.0 - p) ** gamma * math.log(p)
+        else:
+            total += -(1.0 - alpha) * p ** gamma * math.log(1.0 - p)
+    return total / lx.size

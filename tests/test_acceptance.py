@@ -5,7 +5,6 @@ per-criterion detail lines. Fixture seeds are frozen in conftest.py; the
 docstring there explains how they were chosen.
 """
 
-import math
 import statistics
 import time
 
@@ -43,7 +42,9 @@ from conftest import (
     SPEEDUP_PYRAMID_SEED,
     SPEEDUP_WEIGHT_SEED,
     SWEEP_PYRAMID_SEED,
+    brute_force_target,
     dense_rows_at,
+    focal_oracle,
     rel_err,
     speedup_blobs,
     standard_blobs,
@@ -201,21 +202,6 @@ def test_criterion_06_sparse_cascade_is_at_least_twice_as_fast():
           f"({elapsed:.1f}s)")
 
 
-def _brute_query_target(gt, level, height, width, base):
-    """Independent re-derivation: loop every cell against every small center."""
-    stride = 1 << level
-    centers = [(math.floor(o.cx / stride), math.floor(o.cy / stride))
-               for o in gt.objects if max(o.width, o.height) < base * stride]
-    out = np.zeros((height, width), dtype=np.float32)
-    for y in range(height):
-        for x in range(width):
-            for gx, gy in centers:
-                if math.hypot(x - gx, y - gy) < base:
-                    out[y, x] = 1.0
-                    break
-    return out
-
-
 def test_criterion_07_query_targets_match_brute_force_exactly():
     t0 = time.perf_counter()
     rng = np.random.default_rng(123)
@@ -236,7 +222,7 @@ def test_criterion_07_query_targets_match_brute_force_exactly():
         ]
         gt = GroundTruthSet(h * stride, w * stride, objs)
         fast = query_target_for_level(gt, level)
-        slow = _brute_query_target(gt, level, h, w, 4.0)
+        slow = brute_force_target(gt, level, h, w, 4.0)
         assert np.array_equal(fast, slow), f"case {case}: maps disagree"
         positives += int(slow.sum())
     elapsed = time.perf_counter() - t0
@@ -319,17 +305,6 @@ def test_criterion_09_threshold_sweep_shrinks_keys_exactly_and_time_within_slack
           f"(sigma {lo}->{hi}, median of 9 paired rounds, attempt {attempt + 1})")
 
 
-def _focal_oracle(logits, targets, alpha, gamma):
-    total = 0.0
-    for x, t in zip(logits.ravel().tolist(), targets.ravel().tolist()):
-        p = 1.0 / (1.0 + math.exp(-x))
-        if t == 1.0:
-            total += -alpha * (1.0 - p) ** gamma * math.log(p)
-        else:
-            total += -(1.0 - alpha) * p ** gamma * math.log(1.0 - p)
-    return total / logits.size
-
-
 def _smooth_l1_oracle(pred, target):
     total = 0.0
     for p, t in zip(pred.ravel().tolist(), target.ravel().tolist()):
@@ -347,7 +322,7 @@ def test_criterion_10_loss_math_matches_oracles_and_weight_grids_exactly():
         targets = (rng.random(shape) < 0.3).astype(np.float32)
         worst_focal = max(worst_focal, abs(
             focal_loss(logits, targets)
-            - _focal_oracle(logits.astype(np.float64), targets, 0.25, 2.0)))
+            - focal_oracle(logits.astype(np.float64), targets, 0.25, 2.0)))
         pred = rng.normal(0.0, 2.0, shape).astype(np.float32)
         targ = rng.normal(0.0, 2.0, shape).astype(np.float32)
         worst_sl1 = max(worst_sl1, abs(
@@ -364,9 +339,9 @@ def test_criterion_10_loss_math_matches_oracles_and_weight_grids_exactly():
     maps = TargetMaps(3, (rng.random((6, 5)) < 0.3).astype(np.float32),
                       cls=(rng.random((4, 6, 5)) < 0.2).astype(np.float32),
                       reg=rng.normal(0.0, 2.0, (4, 6, 5)).astype(np.float32))
-    want = (_focal_oracle(f64(cls_logits), f64(maps.cls), 0.4, 1.5)
+    want = (focal_oracle(f64(cls_logits), f64(maps.cls), 0.4, 1.5)
             + _smooth_l1_oracle(f64(reg), f64(maps.reg))
-            + _focal_oracle(f64(query_logits), f64(maps.query), 0.4, 1.5))
+            + focal_oracle(f64(query_logits), f64(maps.query), 0.4, 1.5))
     level_err = abs(level_loss(cls_logits, reg, query_logits, maps,
                                LossConfig(alpha=0.4, gamma=1.5)) - want)
     assert level_err <= 1e-9, f"level loss off the oracles' sum by {level_err:.2e}"

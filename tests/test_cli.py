@@ -26,7 +26,7 @@ from cascadequery.cli import (
 from cascadequery.model import RECEPTIVE_FIELD
 from cascadequery.tensor import write_container
 
-from conftest import dilate_by
+from conftest import as_map, dilate_by
 
 SMALL = ["--seed", "3", "--image-size", "128", "--channels", "8"]
 
@@ -811,7 +811,7 @@ def test_targets_check_emits_per_level_maps(tmp_path, capsys):
     assert (maps.image_height, maps.image_width, maps.channels) == (100, 100, 1)
     gt = GroundTruthSet.from_json(objects, 100, 100)
     for row in summary["levels"]:
-        vmap = maps.levels[row["level"]].values[0]
+        vmap = as_map(maps.levels[row["level"]])[0]
         np.testing.assert_array_equal(vmap, query_target_for_level(gt, row["level"]))
         assert 0 < row["positives"] == vmap.sum() <= row["total"] == vmap.size
         assert row["shape"] == list(vmap.shape)

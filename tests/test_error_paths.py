@@ -4,7 +4,7 @@ own exception type with a message naming the fault."""
 import numpy as np
 import pytest
 
-from cascadequery import (CascadeResult, ConvWeights, DenseTensor, FeaturePyramid, KeySet,
+from cascadequery import (CascadeResult, ConvWeights, FeaturePyramid, KeySet,
                           QueryConfig, SparseFeature, TargetMaps, beta_schedule,
                           build_rulebook, decode_boxes, gather, make_fixture_weights,
                           make_synthetic_pyramid, run_dense_head, run_sparse_head,
@@ -17,18 +17,18 @@ KEYS = KeySet.full(2, 2, 2)
 CASES = {
     "pyramid-without-levels": (lambda: FeaturePyramid(64, 64, {}),
                                ConfigurationError, "pyramid has no levels"),
-    "dense-head-channels": (lambda: run_dense_head(DenseTensor(np.zeros((4, 2, 2))), W8, KEYS),
+    "dense-head-channels": (lambda: run_dense_head(SparseFeature(KEYS, np.zeros((4, 4))), W8, KEYS),
                             ConfigurationError, "feature has 4 channels, head expects 8"),
     "sparse-head-channels": (lambda: run_sparse_head(SparseFeature(KEYS, np.zeros((4, 4))), W8),
                              ConfigurationError, "value features have 4 channels"),
     "fixture-image-empty": (lambda: make_synthetic_pyramid(0, 0, 64, 2, 7, 4),
                             ConfigurationError, "image dims must be positive"),
-    "pyramid-level-negative": (lambda: FeaturePyramid(64, 64, {-1: DenseTensor(
-        np.zeros((1, 128, 128)))}), ConfigurationError, "level -1 lies outside [0, 30]"),
-    "pyramid-level-float": (lambda: FeaturePyramid(64, 64, {2.0: DenseTensor(
-        np.zeros((1, 16, 16)))}), ConfigurationError, "level 2.0 lies outside [0, 30]"),
-    "pyramid-level-bool": (lambda: FeaturePyramid(64, 64, {True: DenseTensor(
-        np.zeros((1, 32, 32)))}), ConfigurationError, "level True lies outside [0, 30]"),
+    "pyramid-level-negative": (lambda: FeaturePyramid.from_maps(64, 64, {-1: np.zeros(
+        (1, 128, 128))}), ConfigurationError, "level -1 lies outside [0, 30]"),
+    "pyramid-level-float": (lambda: FeaturePyramid.from_maps(64, 64, {2.0: np.zeros(
+        (1, 16, 16))}), ConfigurationError, "level 2.0 lies outside [0, 30]"),
+    "pyramid-level-bool": (lambda: FeaturePyramid.from_maps(64, 64, {True: np.zeros(
+        (1, 32, 32))}), ConfigurationError, "level True lies outside [0, 30]"),
     "fixture-weights-empty": (lambda: make_fixture_weights(0, 0, 1, 4),
                               ConfigurationError, "must be positive"),
     "keyset-bounds": (lambda: KeySet(2, 0, 4), ValidationError, "bounds must be positive"),
@@ -37,7 +37,8 @@ CASES = {
                             ValidationError, "must be (num_keys, C)"),
     "sparse-feature-rows": (lambda: SparseFeature(KEYS, np.zeros((3, 4))),
                             ValidationError, "feature rows (3) != key count (4)"),
-    "gather-bounds": (lambda: gather(DenseTensor(np.zeros((1, 4, 4))), KeySet.full(2, 3, 4)),
+    "gather-bounds": (lambda: gather(SparseFeature(KeySet.full(2, 4, 4), np.zeros((16, 1))),
+                                     KeySet.full(2, 3, 4)),
                       ValidationError, "do not match tensor"),
     "sparse-conv-channels": (lambda: sparse_conv(
         SparseFeature(KEYS, np.zeros((4, 2))),

@@ -27,10 +27,10 @@ from cascadequery import (
 from cascadequery import tensor
 from cascadequery.model import BRANCHES, RECEPTIVE_FIELD, TOWER_DEPTH
 from cascadequery.query import _schedule
-from cascadequery.sparse import KeySet, build_rulebook, gather
-from cascadequery.tensor import ConvWeights, DenseTensor
+from cascadequery.sparse import KeySet, SparseFeature, build_rulebook, gather
+from cascadequery.tensor import ConvWeights
 
-from conftest import conv3x3_f64, dense_rows_at, standard_weights
+from conftest import as_map, conv3x3_f64, dense_rows_at, level_rows, standard_weights
 
 
 def small_pyramid(seed=0, image=64, channels=8, blobs=()):
@@ -46,15 +46,25 @@ def test_level_dims_ceil_law():
 
 
 def test_pyramid_validates_level_shapes():
-    levels = {2: DenseTensor(np.zeros((4, 16, 16), dtype=np.float32))}
+    levels = {2: level_rows(np.zeros((4, 16, 16), dtype=np.float32), 2)}
     with pytest.raises(ConfigurationError, match="expected"):
         FeaturePyramid(60, 64, levels)  # a 60px side has 15 rows at level 2
 
 
+@pytest.mark.parametrize("keys", [
+    KeySet(2, 16, 16, np.arange(255)),  # one cell short of the grid
+    KeySet.full(3, 16, 16),             # the full grid, of another level
+], ids=["cell-missing", "other-level"])
+def test_pyramid_level_rows_sit_at_its_full_grid(keys):
+    level = SparseFeature(keys, np.zeros((len(keys), 4), dtype=np.float32))
+    with pytest.raises(ConfigurationError, match="level 2 rows are not at its full grid"):
+        FeaturePyramid(64, 64, {2: level})
+
+
 def test_pyramid_validates_channel_agreement():
     levels = {
-        2: DenseTensor(np.zeros((4, 16, 16), dtype=np.float32)),
-        3: DenseTensor(np.zeros((3, 8, 8), dtype=np.float32)),
+        2: level_rows(np.zeros((4, 16, 16), dtype=np.float32), 2),
+        3: level_rows(np.zeros((3, 8, 8), dtype=np.float32), 3),
     }
     with pytest.raises(ConfigurationError, match="channel"):
         FeaturePyramid(64, 64, levels)
@@ -66,7 +76,7 @@ def test_pyramid_validates_channel_agreement():
     pytest.param({2: (16, 16), 4: (4, 4)}, "levels [2, 4] are not consecutive", id="levels-gap"),
 ])
 def test_pyramid_is_a_consecutive_run_of_levels_in_0_to_30(levels, message):
-    tensors = {l: DenseTensor(np.zeros((1, *hw), dtype=np.float32)) for l, hw in levels.items()}
+    tensors = {l: level_rows(np.zeros((1, *hw), dtype=np.float32), l) for l, hw in levels.items()}
     with pytest.raises(ConfigurationError) as exc:
         FeaturePyramid(64, 64, tensors)
     assert message in str(exc.value)
@@ -75,8 +85,9 @@ def test_pyramid_is_a_consecutive_run_of_levels_in_0_to_30(levels, message):
 def test_synthetic_pyramid_reaches_levels_0_and_1():
     blob = Blob(cx=3.0, cy=2.0, width=2.0, height=2.0, amplitude=50.0)
     pyr = make_synthetic_pyramid(0, 6, 5, 0, 1, 2, [blob])
-    assert {l: t.values.shape for l, t in pyr.levels.items()} == {0: (2, 6, 5), 1: (2, 3, 3)}
-    assert pyr.levels[0].values[:, 2, 3].max() > 25.0 and pyr.levels[1].values[:, 1, 1].max() > 25.0
+    maps = {l: as_map(t) for l, t in pyr.levels.items()}
+    assert {l: m.shape for l, m in maps.items()} == {0: (2, 6, 5), 1: (2, 3, 3)}
+    assert maps[0][:, 2, 3].max() > 25.0 and maps[1][:, 1, 1].max() > 25.0
 
 
 def test_synthetic_pyramid_is_deterministic():
@@ -85,8 +96,8 @@ def test_synthetic_pyramid_is_deterministic():
     b = small_pyramid(seed=5, blobs=[blob])
     c = small_pyramid(seed=6, blobs=[blob])
     for l in a.levels:
-        np.testing.assert_array_equal(a.levels[l].values, b.levels[l].values)
-    assert not np.array_equal(a.levels[2].values, c.levels[2].values)
+        np.testing.assert_array_equal(a.levels[l].features, b.levels[l].features)
+    assert not np.array_equal(a.levels[2].features, c.levels[2].features)
 
 
 def test_synthetic_pyramid_plants_a_peak_at_every_level():
@@ -94,7 +105,17 @@ def test_synthetic_pyramid_plants_a_peak_at_every_level():
     pyr = small_pyramid(seed=1, blobs=[blob])
     for l, t in pyr.levels.items():
         gx, gy = 32 >> l, 32 >> l
-        assert t.values[:, gy, gx].max() > 25.0, f"no bump at level {l}"
+        assert as_map(t)[:, gy, gx].max() > 25.0, f"no bump at level {l}"
+
+
+@pytest.mark.parametrize("cx", [-0.5, -3.9, 64.0])
+def test_synthetic_pyramid_plants_nothing_for_an_off_image_center(cx):
+    # the center's cell is floor(cx / 2^l), which lies off the grid for a
+    # center left or right of the image, so no level changes
+    blob = Blob(cx=cx, cy=30.0, width=6.0, height=6.0, amplitude=50.0)
+    plain, planted = small_pyramid(seed=3), small_pyramid(seed=3, blobs=[blob])
+    for l in plain.levels:
+        np.testing.assert_array_equal(planted.levels[l].features, plain.levels[l].features)
 
 
 def test_fixture_weights_shapes_and_prior_bias():
@@ -147,7 +168,9 @@ def test_blob_is_a_ground_truth_object_plus_its_amplitude():
 @pytest.mark.parametrize("kwargs,message", [
     ({"class_id": -1}, "class"), ({"width": 0.0}, "sides"), ({"cx": math.nan}, "finite"),
     ({"amplitude": math.inf}, "amplitude"), ({"amplitude": math.nan}, "amplitude"),
-], ids=["class-negative", "width-zero", "cx-nan", "amplitude-inf", "amplitude-nan"])
+    ({"amplitude": 10**400}, "amplitude"),  # an int past float range, not an OverflowError
+], ids=["class-negative", "width-zero", "cx-nan", "amplitude-inf", "amplitude-nan",
+        "amplitude-huge-int"])
 def test_blob_runs_the_object_checks_and_its_own(kwargs, message):
     fields = {"cx": 10.0, "cy": 10.0, "width": 5.0, "height": 5.0} | kwargs
     with pytest.raises(ValidationError, match=message):
@@ -156,10 +179,14 @@ def test_blob_runs_the_object_checks_and_its_own(kwargs, message):
 
 def test_dense_head_output_shapes():
     w = make_fixture_weights(3, 8, 2, 3)
-    feature = DenseTensor(np.random.default_rng(0).standard_normal((8, 6, 7)).astype(np.float32))
+    feature = level_rows(np.random.default_rng(0).standard_normal((8, 6, 7)).astype(np.float32))
     full = KeySet.full(0, 6, 7)
     out = run_dense_head(feature, w, full)
     assert out.keys is full
+    # at the feature's own keys the computed rows are returned as they are
+    own = run_dense_head(feature, w, feature.keys)
+    assert own.keys is feature.keys
+    np.testing.assert_array_equal(own.cls_logits.features, out.cls_logits.features)
     assert out.cls_logits.features.shape == (42, 6)
     assert out.reg_deltas.features.shape == (42, 8)
     assert out.query_logits.features.shape == (42, 1)
@@ -221,7 +248,7 @@ def unfused_head_f64(feature, w, mask=1.0):
     conv read and keep only the masked cells, as a submanifold head does."""
     maps = []
     for tower, pred in w.branches:
-        x = feature.values.astype(np.float64) * mask
+        x = as_map(feature).astype(np.float64) * mask
         for conv in tower:
             x = np.maximum(conv3x3_f64(x, conv.weights, conv.bias), 0.0) * mask
         maps.append(conv3x3_f64(x, pred.weights, pred.bias))
@@ -286,7 +313,19 @@ def test_pyramid_roundtrip(tmp_path):
     assert back.image_height == pyr.image_height
     assert sorted(back.levels) == sorted(pyr.levels)
     for l in pyr.levels:
-        np.testing.assert_array_equal(back.levels[l].values, pyr.levels[l].values)
+        np.testing.assert_array_equal(back.levels[l].features, pyr.levels[l].features)
+        assert back.levels[l].keys == KeySet.full(l, pyr.levels[l].height, pyr.levels[l].width)
+
+
+def test_loaded_level_rows_view_the_channel_major_payload(tmp_path):
+    # QDPYR1 stores each level as a (C, H, W) map; the loaded rows are that
+    # map viewed as (H * W, C), with no transposing copy
+    p = tmp_path / "pyr.qdpyr"
+    save_pyramid(small_pyramid(seed=7), p)
+    for level in load_pyramid(p).levels.values():
+        payload = as_map(level)
+        assert payload.flags.c_contiguous and np.shares_memory(payload, level.features)
+        assert level.features.shape == (level.height * level.width, 8)
 
 
 def test_pyramid_save_is_byte_stable(tmp_path):

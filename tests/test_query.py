@@ -23,12 +23,13 @@ from cascadequery import (
 from cascadequery.model import RECEPTIVE_FIELD, TOWER_DEPTH
 from cascadequery import query
 from cascadequery.query import STRATEGIES, _schedule
-from cascadequery.sparse import KeySet, SparseFeature, build_rulebook
-from cascadequery.tensor import DenseTensor, conv2d
+from cascadequery.sparse import KeySet, SparseFeature, build_rulebook, conv2d
 
 from conftest import (
+    as_map,
     dense_rows_at,
     dilate_by,
+    level_rows,
     rel_err,
     standard_pyramid,
     standard_weights,
@@ -223,10 +224,10 @@ def test_sparse_cascade_matches_masked_dense_emulation(pyramid, weights):
     mask = np.zeros((rec.height, rec.width), dtype=np.float32)
     mask[keys.ys, keys.xs] = 1.0
 
-    x = DenseTensor(pyramid.levels[3].values * mask)
+    x = as_map(pyramid.levels[3]) * mask
     for conv in weights.cls_tower:
-        x = DenseTensor(np.maximum(conv2d(x, conv).values * mask, np.float32(0.0)))
-    want = conv2d(x, weights.cls_pred).values[:, keys.ys, keys.xs].T
+        x = np.maximum(as_map(conv2d(level_rows(x), conv)) * mask, np.float32(0.0))
+    want = as_map(conv2d(level_rows(x), weights.cls_pred))[:, keys.ys, keys.xs].T
 
     got = rec.output.cls_logits.features
     assert rel_err(got, want) < 1e-5
@@ -459,9 +460,10 @@ def test_every_strategy_rejects_a_non_finite_key_feature(weights, strategy):
     csq = run_pipeline(pyr, weights, QueryConfig(strategy="csq", sigma=0.15))
     keys = csq.record(2).computed_keys
     assert len(keys)
-    values = pyr.levels[2].values.copy()
-    values[0, keys.ys[0], keys.xs[0]] = np.nan
+    level = pyr.levels[2]
+    rows = level.features.copy()
+    rows[keys.cells[0], 0] = np.nan  # one key's row
     poisoned = FeaturePyramid(pyr.image_height, pyr.image_width,
-                              {**pyr.levels, 2: DenseTensor(values)})
+                              {**pyr.levels, 2: SparseFeature(level.keys, rows)})
     with pytest.raises(ValidationError, match="non-finite"):
         run_pipeline(poisoned, weights, QueryConfig(strategy=strategy, sigma=0.15))

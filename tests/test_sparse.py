@@ -8,14 +8,15 @@ from cascadequery.sparse import (
     KeySet,
     SparseFeature,
     build_rulebook,
+    conv2d,
     dilate,
     gather,
     sparse_conv,
     sparse_relu,
 )
-from cascadequery.tensor import ConvWeights, DenseTensor, conv2d
+from cascadequery.tensor import ConvWeights
 
-from conftest import dilate_by
+from conftest import as_map, dilate_by, level_rows
 
 
 def keyset(cells, h=8, w=8, level=3):
@@ -199,7 +200,8 @@ def test_rulebook_matches_a_per_tap_lookup_on_random_grids(grid, data):
 
 def test_gather_scatter_roundtrip():
     rng = np.random.default_rng(0)
-    dense = DenseTensor(rng.standard_normal((3, 6, 5)).astype(np.float32))
+    x = rng.standard_normal((3, 6, 5)).astype(np.float32)
+    dense = level_rows(x)
     ks = keyset([0, 14, 27], h=6, w=5)
     sf = gather(dense, ks)
     assert sf.features.shape == (3, 3)
@@ -207,15 +209,39 @@ def test_gather_scatter_roundtrip():
     back[:, ks.ys, ks.xs] = sf.features.T
     mask = np.zeros((6, 5), dtype=np.float32)
     mask[ks.ys, ks.xs] = 1.0
-    np.testing.assert_array_equal(back, dense.values * mask)
+    np.testing.assert_array_equal(back, x * mask)
 
 
 def test_gather_rows_follow_key_order():
-    dense = DenseTensor(np.arange(24, dtype=np.float32).reshape(1, 4, 6))
+    dense = level_rows(np.arange(24, dtype=np.float32).reshape(1, 4, 6))
     ks = keyset([23, 0, 8], h=4, w=6)
     sf = gather(dense, ks)
     # canonical order is cells 0, 8, 23: (0,0), (2,1), (5,3)
     np.testing.assert_array_equal(sf.features[:, 0], [0.0, 8.0, 23.0])
+
+
+def test_sparse_feature_keeps_a_column_slice_uncopied():
+    # the head hands each branch a column slice of the stem's rows, and a
+    # level's rows are a transposed view of its map: neither is copied
+    rows = np.arange(48, dtype=np.float32).reshape(4, 12)
+    ks = keyset([0, 5, 9, 63])
+    sf = SparseFeature(ks, rows[:, 4:8])
+    assert np.shares_memory(sf.features, rows)
+    np.testing.assert_array_equal(sf.features, rows[:, 4:8])
+    level = level_rows(np.zeros((3, 8, 8), dtype=np.float32))
+    assert (level.height, level.width, level.channels) == (8, 8, 3)
+
+
+def test_full_grid_ops_reject_rows_off_the_full_grid():
+    # gather and conv2d read a cell as its own row, which holds only when the
+    # rows cover the whole grid
+    ks = keyset([0, 5, 9])
+    sf = SparseFeature(ks, np.zeros((3, 2), dtype=np.float32))
+    w = ConvWeights(np.zeros((1, 2, 3, 3), dtype=np.float32), np.zeros(1, dtype=np.float32))
+    with pytest.raises(ValidationError, match="do not cover the 8x8 grid"):
+        conv2d(sf, w)
+    with pytest.raises(ValidationError, match="do not cover the 8x8 grid"):
+        gather(sf, keyset([5]))
 
 
 # --- submanifold convolution ----------------------------------------------------
@@ -245,13 +271,13 @@ def test_sparse_conv_full_grid_equals_dense_conv():
     rng = np.random.default_rng(2)
     for in_c, out_c, h, w in [(4, 3, 7, 9), (16, 16, 12, 10), (16, 5, 1, 6),
                               (64, 64, 9, 11), (64, 1, 8, 8), (4, 3, 1, 1), (4, 3, 7, 1)]:
-        dense = DenseTensor(rng.standard_normal((in_c, h, w)).astype(np.float32))
+        dense = level_rows(rng.standard_normal((in_c, h, w)).astype(np.float32), 3)
         conv = ConvWeights(rng.standard_normal((out_c, in_c, 3, 3)).astype(np.float32),
                            rng.standard_normal(out_c).astype(np.float32))
         ks = KeySet.full(3, h, w)
         got = sparse_conv(gather(dense, ks), conv, build_rulebook(ks))
         for _ in range(2):
-            want = conv2d(dense, conv).values[:, ks.ys, ks.xs].T
+            want = as_map(conv2d(dense, conv))[:, ks.ys, ks.xs].T
             np.testing.assert_array_equal(got.features, want, err_msg=f"{(in_c, out_c, h, w)}")
 
 
@@ -289,7 +315,7 @@ def test_sparse_conv_inactive_neighbors_match_zero_padding():
     got = sparse_conv(sf, w, build_rulebook(ks))
     densified = np.zeros((3, 6, 7), dtype=np.float32)
     densified[:, ks.ys, ks.xs] = sf.features.T
-    want = conv2d(DenseTensor(densified), w).values[:, ks.ys, ks.xs].T
+    want = as_map(conv2d(level_rows(densified), w))[:, ks.ys, ks.xs].T
     np.testing.assert_allclose(got.features, want, rtol=1e-5, atol=1e-5)
 
 
@@ -305,7 +331,7 @@ def test_sparse_conv_writes_at_the_output_set():
     assert got.keys is outputs
     densified = np.zeros((3, 8, 8), dtype=np.float32)
     densified[:, inputs.ys, inputs.xs] = sf.features.T
-    want = conv2d(DenseTensor(densified), w).values[:, outputs.ys, outputs.xs].T
+    want = as_map(conv2d(level_rows(densified), w))[:, outputs.ys, outputs.xs].T
     np.testing.assert_allclose(got.features, want, rtol=1e-5, atol=1e-5)
 
 
@@ -368,5 +394,5 @@ def test_sparse_conv_agrees_with_masked_dense(seed, h, w, density):
     got = sparse_conv(sf, w_, build_rulebook(ks))
     densified = np.zeros((2, h, w), dtype=np.float32)
     densified[:, ks.ys, ks.xs] = sf.features.T
-    want = conv2d(DenseTensor(densified), w_).values[:, ks.ys, ks.xs].T
+    want = as_map(conv2d(level_rows(densified), w_))[:, ks.ys, ks.xs].T
     np.testing.assert_allclose(got.features, want, rtol=1e-4, atol=1e-4)

@@ -24,6 +24,7 @@ from cascadequery import (
     smooth_l1,
     total_loss,
 )
+from conftest import brute_force_target, focal_oracle
 
 
 def gt_of(objects, image=512):
@@ -101,24 +102,6 @@ def test_query_target_threshold_is_strict():
                           for dx in range(-4, 5) for dy in range(-4, 5))
 
 
-def brute_force_target(gt, level, height, width, base=4.0):
-    """Independent oracle: all cells x all objects, plain Python floats."""
-    out = np.zeros((height, width), dtype=np.float32)
-    stride = 2 ** level
-    centers = [
-        (math.floor(o.cx / stride), math.floor(o.cy / stride))
-        for o in gt.objects
-        if max(o.width, o.height) < base * stride
-    ]
-    for y in range(height):
-        for x in range(width):
-            for gx, gy in centers:
-                if math.hypot(x - gx, y - gy) < base:
-                    out[y, x] = 1.0
-                    break
-    return out
-
-
 def test_query_target_matches_brute_force():
     rng = np.random.default_rng(12)
     for _ in range(10):
@@ -187,20 +170,6 @@ def test_target_maps_require_binary_values():
 
 
 # --- losses ------------------------------------------------------------------------
-
-def focal_oracle(logits, targets, alpha, gamma):
-    """Direct float64 translation of the definition, one scalar at a time."""
-    total = 0.0
-    lx = np.asarray(logits, dtype=np.float64).ravel()
-    lt = np.asarray(targets, dtype=np.float64).ravel()
-    for x, t in zip(lx, lt):
-        p = 1.0 / (1.0 + math.exp(-x))
-        if t == 1.0:
-            total += -alpha * (1.0 - p) ** gamma * math.log(p)
-        else:
-            total += -(1.0 - alpha) * p ** gamma * math.log(1.0 - p)
-    return total / lx.size
-
 
 def test_focal_loss_analytic_point():
     # p = 0.5 positive: 0.25 * 0.5^2 * ln 2

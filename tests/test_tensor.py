@@ -7,17 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascadequery import ConfigurationError, ValidationError, tensor
-from cascadequery.sparse import KeySet, build_rulebook, dilate, gather, sparse_conv
-from cascadequery.tensor import (
-    ConvWeights,
-    DenseTensor,
-    conv2d,
-    relu,
-    sigmoid_above,
-    sigmoid_array,
-)
+from cascadequery.model import FeaturePyramid
+from cascadequery.sparse import (KeySet, build_rulebook, conv2d, dilate, gather, relu,
+                                 sparse_conv)
+from cascadequery.tensor import ConvWeights, sigmoid_above, sigmoid_array
 
-from conftest import conv3x3_f64
+from conftest import as_map, conv3x3_f64, level_rows
 
 
 def conv_oracle(x, w, b):
@@ -53,7 +48,7 @@ def test_conv2d_matches_loop_oracle(shape):
     out_c, in_c, h, w = shape
     rng = np.random.default_rng(shape)
     x, ww, b = random_case(rng, out_c, in_c, h, w)
-    got = conv2d(DenseTensor(x), ConvWeights(ww, b)).values
+    got = as_map(conv2d(level_rows(x), ConvWeights(ww, b)))
     want = conv_oracle(x, ww, b)
     assert got.shape == (out_c, h, w)
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
@@ -66,8 +61,8 @@ def test_conv2d_delta_kernel_is_identity():
     ww = np.zeros((2, 2, 3, 3), dtype=np.float32)
     ww[0, 0, 1, 1] = 1.0
     ww[1, 1, 1, 1] = 1.0
-    got = conv2d(DenseTensor(x), ConvWeights(ww, np.zeros(2, dtype=np.float32)))
-    np.testing.assert_array_equal(got.values, x)
+    got = conv2d(level_rows(x), ConvWeights(ww, np.zeros(2, dtype=np.float32)))
+    np.testing.assert_array_equal(as_map(got), x)
 
 
 def test_conv2d_is_linear_in_the_input():
@@ -76,8 +71,8 @@ def test_conv2d_is_linear_in_the_input():
     b = rng.standard_normal((3, 6, 6)).astype(np.float32)
     ww = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
     zero_bias = ConvWeights(ww, np.zeros(2, dtype=np.float32))
-    lhs = conv2d(DenseTensor(a + b), zero_bias).values
-    rhs = conv2d(DenseTensor(a), zero_bias).values + conv2d(DenseTensor(b), zero_bias).values
+    lhs = conv2d(level_rows(a + b), zero_bias).features
+    rhs = conv2d(level_rows(a), zero_bias).features + conv2d(level_rows(b), zero_bias).features
     np.testing.assert_allclose(lhs, rhs, rtol=1e-4, atol=1e-5)
 
 
@@ -87,8 +82,8 @@ def test_conv2d_shift_equivariance_in_the_interior():
     x[:, 2:5, 2:5] = rng.standard_normal((1, 3, 3)).astype(np.float32)
     ww = rng.standard_normal((1, 1, 3, 3)).astype(np.float32)
     w = ConvWeights(ww, np.zeros(1, dtype=np.float32))
-    base = conv2d(DenseTensor(x), w).values
-    shifted = conv2d(DenseTensor(np.roll(x, (2, 1), axis=(1, 2))), w).values
+    base = as_map(conv2d(level_rows(x), w))
+    shifted = as_map(conv2d(level_rows(np.roll(x, (2, 1), axis=(1, 2))), w))
     np.testing.assert_allclose(shifted[:, 3:8, 2:7], base[:, 1:6, 1:6], rtol=1e-6)
 
 
@@ -103,7 +98,7 @@ def test_conv2d_shift_equivariance_in_the_interior():
 def test_conv2d_oracle_property(out_c, in_c, h, w, seed):
     rng = np.random.default_rng(seed)
     x, ww, b = random_case(rng, out_c, in_c, h, w)
-    got = conv2d(DenseTensor(x), ConvWeights(ww, b)).values
+    got = as_map(conv2d(level_rows(x), ConvWeights(ww, b)))
     np.testing.assert_allclose(got, conv_oracle(x, ww, b), rtol=1e-4, atol=1e-4)
 
 
@@ -122,7 +117,7 @@ def grid_of(cells):
 def test_conv2d_matches_float64_oracle_across_row_blocks(cells):
     rng = np.random.default_rng(cells)
     x, ww, b = random_case(rng, 5, 3, *grid_of(cells))
-    got = conv2d(DenseTensor(x), ConvWeights(ww, b)).values
+    got = as_map(conv2d(level_rows(x), ConvWeights(ww, b)))
     np.testing.assert_allclose(got, conv3x3_f64(x, ww, b), rtol=1e-5, atol=1e-5)
 
 
@@ -132,8 +127,8 @@ def test_sparse_conv_over_the_full_grid_is_bitwise_conv2d_across_row_blocks(cell
     rng = np.random.default_rng(cells + 1)
     x, ww, b = random_case(rng, 5, 3, h, wd)
     w, full = ConvWeights(ww, b), KeySet.full(0, h, wd)
-    dense = conv2d(DenseTensor(x), w)
-    sparse = sparse_conv(gather(DenseTensor(x), full), w, build_rulebook(full))
+    dense = conv2d(level_rows(x), w)
+    sparse = sparse_conv(gather(level_rows(x), full), w, build_rulebook(full))
     np.testing.assert_array_equal(sparse.features, gather(dense, full).features)
 
 
@@ -150,7 +145,7 @@ def test_conv2d_holds_one_row_block_of_gather_at_a_time():
     n = h * wd
     assert n >= 8 * tensor.BLOCK_ROWS
     x, ww, b = random_case(np.random.default_rng(9), out_c, c, h, wd)
-    inp, w = DenseTensor(x), ConvWeights(ww, b)
+    inp, w = level_rows(x), ConvWeights(ww, b)
     conv2d(inp, w)  # the cached table and taps are built outside the measurement
     tracemalloc.start()
     try:
@@ -164,27 +159,27 @@ def test_conv2d_holds_one_row_block_of_gather_at_a_time():
     assert peak < rows + one_block + ufunc_buffers < n * 9 * c * 4
 
 
-def test_conv2d_output_is_a_channel_last_view(tmp_path):
-    # the (C, H, W) result is a view of the GEMM's (H * W, C) rows, so the
-    # next conv reads it through transpose(1, 2, 0) without a copy
+def test_conv2d_output_is_channel_last_rows(tmp_path):
+    # the GEMM's (H * W, C) rows at the input's keys, in row-major cell order
     rng = np.random.default_rng(7)
     x, ww, b = random_case(rng, 4, 3, 5, 6)
-    got = conv2d(DenseTensor(x), ConvWeights(ww, b)).values
-    assert got.shape == (4, 5, 6)
-    assert got.base is not None and not got.flags.c_contiguous
-    assert got.transpose(1, 2, 0).flags.c_contiguous
-    # and a container writes it in (C, H, W) order all the same
+    inp = level_rows(x)
+    got = conv2d(inp, ConvWeights(ww, b))
+    assert got.keys is inp.keys and got.features.shape == (30, 4)
+    assert got.features.flags.c_contiguous
+    # and a container writes their transpose in (C, H, W) order
     path, magic = tmp_path / "t.bin", b"TESTMAG\n"
-    tensor.write_container(path, magic, {}, [got])
-    np.testing.assert_array_equal(tensor.ContainerReader(path, magic).take([4, 5, 6], "t"), got)
+    tensor.write_container(path, magic, {}, [got.features.T])
+    np.testing.assert_array_equal(tensor.ContainerReader(path, magic).take([4, 5, 6], "t"),
+                                  as_map(got))
 
 
 def test_chained_conv2d_and_relu_match_loop_oracle():
     rng = np.random.default_rng(8)
     x, w1, b1 = random_case(rng, 4, 3, 6, 5)
     _, w2, b2 = random_case(rng, 2, 4, 6, 5)
-    got = relu(conv2d(relu(conv2d(DenseTensor(x), ConvWeights(w1, b1))),
-                      ConvWeights(w2, b2))).values
+    got = as_map(relu(conv2d(relu(conv2d(level_rows(x), ConvWeights(w1, b1))),
+                             ConvWeights(w2, b2))))
     mid = np.maximum(conv_oracle(x, w1, b1), 0.0)
     want = np.maximum(conv_oracle(mid, w2, b2), 0.0)
     assert got.shape == (2, 6, 5)
@@ -197,18 +192,18 @@ def test_conv2d_builds_each_grid_shape_table_once():
     tensor.neighbour_table.cache_clear()
     rng = np.random.default_rng(6)
     x, ww, b = random_case(rng, 2, 3, 6, 5)
-    first = conv2d(DenseTensor(x), ConvWeights(ww, b)).values
-    second = conv2d(DenseTensor(x), ConvWeights(ww, b)).values
+    first = conv2d(level_rows(x), ConvWeights(ww, b)).features
+    second = conv2d(level_rows(x), ConvWeights(ww, b)).features
     keys = KeySet(2, 6, 5, [11, 29])  # (1, 2), (4, 5)
     build_rulebook(dilate(keys), keys)
     assert tensor.neighbour_table.cache_info().misses == 1
     np.testing.assert_array_equal(first, second)
-    conv2d(DenseTensor(x[:, :4]), ConvWeights(ww, b))
+    conv2d(level_rows(x[:, :4]), ConvWeights(ww, b))
     assert tensor.neighbour_table.cache_info().misses == 2
 
 
 def test_cached_conv2d_table_is_read_only():
-    conv2d(DenseTensor(np.zeros((1, 4, 3), dtype=np.float32)),
+    conv2d(level_rows(np.zeros((1, 4, 3), dtype=np.float32)),
            ConvWeights(np.zeros((1, 1, 3, 3), dtype=np.float32), np.zeros(1, dtype=np.float32)))
     table = tensor.neighbour_table(4, 3)
     assert table.shape == (12, 9)
@@ -220,7 +215,7 @@ def test_conv2d_rejects_channel_mismatch():
     x = np.zeros((2, 3, 3), dtype=np.float32)
     ww = np.zeros((1, 3, 3, 3), dtype=np.float32)
     with pytest.raises(ConfigurationError):
-        conv2d(DenseTensor(x), ConvWeights(ww, np.zeros(1, dtype=np.float32)))
+        conv2d(level_rows(x), ConvWeights(ww, np.zeros(1, dtype=np.float32)))
 
 
 def test_conv2d_rejects_non_finite_input():
@@ -228,7 +223,7 @@ def test_conv2d_rejects_non_finite_input():
     x[0, 1, 1] = np.nan
     ww = np.zeros((1, 1, 3, 3), dtype=np.float32)
     with pytest.raises(ValidationError):
-        conv2d(DenseTensor(x), ConvWeights(ww, np.zeros(1, dtype=np.float32)))
+        conv2d(level_rows(x), ConvWeights(ww, np.zeros(1, dtype=np.float32)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -255,7 +250,7 @@ def test_conv_weights_reject_shapes_other_than_3x3(wshape, bias_len):
 
 def test_relu_clamps_negatives_only():
     x = np.array([[[-1.5, 0.0], [2.0, -0.0]]], dtype=np.float32)
-    out = relu(DenseTensor(x)).values
+    out = as_map(relu(level_rows(x)))
     np.testing.assert_array_equal(out, [[[0.0, 0.0], [2.0, 0.0]]])
 
 
@@ -300,6 +295,6 @@ def test_sigmoid_above_compares_with_the_cut_in_float64(threshold):
     np.testing.assert_array_equal(sigmoid_above(x, threshold), x.astype(np.float64) > cut)
 
 
-def test_dense_tensor_rejects_bad_rank():
-    with pytest.raises(ValidationError):
-        DenseTensor(np.zeros((3, 3), dtype=np.float32))
+def test_pyramid_map_rejects_bad_rank():
+    with pytest.raises(ValidationError, match=r"must be \(C, H, W\)"):
+        FeaturePyramid.from_maps(12, 12, {0: np.zeros((12, 12), dtype=np.float32)})
