@@ -79,7 +79,7 @@ def main():
                       for s in sparse))
     print(f"\ncsq at sigma=0.05: {kept}/{len(dense)} dense detections recovered "
           f"at IoU > 0.5,\nusing {result.total_flops / result.dense_equiv_flops:.1%} "
-          f"of the dense MACs")
+          f"of the full three-branch head's MACs")
     show(sparse)
 
 

@@ -6,7 +6,11 @@ with its full-grid case `model.head_flops_dense`. This module builds the
 ratio and the rulebook entry count of a fully covered grid, which `verify`
 checks `build_rulebook` against. `query.run_pipeline` charges
 every level once, where it runs it, with both its MACs and the dense charge
-for its grid (its dense-equivalent cost).
+for its grid (its dense-equivalent cost, all three branches).
+
+`run_benchmark` times each config end to end, pyramid in and detections out:
+`query.run_pipeline`, then box decoding and NMS (`postproc.detections_from_result`),
+and keeps the pipeline's own time beside it.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import query
+from . import postproc, query
 from .errors import ConfigurationError
-from .model import TOWER_DEPTH, head_flops_dense, head_flops_sparse, level_dims
+from .model import SUBNETS, TOWER_DEPTH, head_flops_dense, head_flops_sparse, level_dims
 
 
 def inbounds_pairs(height: int, width: int) -> int:
@@ -51,21 +55,26 @@ def p2_cost_increase(image_h: int, image_w: int) -> float:
 
 def flops_report(image_h: int, image_w: int, levels, channels: int, num_anchors: int,
                  num_classes: int) -> dict:
-    """Per-level dense MAC breakdown for an image: the `flops` command's JSON."""
+    """Per-level dense MAC breakdown for an image: the `flops` command's JSON.
+    `dense_query_macs` is the query branch's share of the total, its tower and
+    predictor: the part a level pays only where its query scores are read."""
     rows = []
     for l in sorted(levels):
         h, w = level_dims(image_h, image_w, l)
         total = head_flops_dense(h, w, channels, num_anchors, num_classes)
         pred = head_flops_sparse([0] * TOWER_DEPTH + [9 * h * w], channels, num_anchors,
                                  num_classes)
+        subnets = head_flops_dense(h, w, channels, num_anchors, num_classes, len(SUBNETS))
         rows.append({"level": l, "shape": [h, w], "dense_tower_macs": total - pred,
-                     "dense_pred_macs": pred, "dense_total_macs": total})
+                     "dense_pred_macs": pred, "dense_query_macs": total - subnets,
+                     "dense_total_macs": total})
     return {
         "schema": "qd/1",
         "channels": channels,
         "num_anchors": num_anchors,
         "num_classes": num_classes,
         "levels": rows,
+        "dense_query_macs": sum(r["dense_query_macs"] for r in rows),
         "dense_total_macs": sum(r["dense_total_macs"] for r in rows),
     }
 
@@ -80,18 +89,20 @@ WARMUP = 2
 @dataclass(frozen=True)
 class BenchResult:
     """Timings of one config from `run_benchmark`, which `cascadequery bench`
-    writes. They time `query.run_pipeline` only: box decoding and NMS are left
-    out."""
+    writes: end to end (`query.run_pipeline`, then box decoding and NMS), and
+    the pipeline alone."""
 
     strategy: str
     sigma: float
     level_millis: dict[int, float]  # median per level over the rounds
     level_keys: dict[int, int]      # computed positions per level
     level_flops: dict[int, int]
-    # End-to-end time of each round, in round order. Entry r of every result
-    # from one run_benchmark call was timed in the same round, so two configs
-    # compare pairwise, round by round, free of slow phases of the host.
+    # Each round's times, in round order: end to end, and run_pipeline's own
+    # total_millis within it. Entry r of every result from one run_benchmark
+    # call was timed in the same round, so two configs compare pairwise,
+    # round by round, free of slow phases of the host.
     end_to_end_samples: tuple[float, ...]
+    pipeline_samples: tuple[float, ...]
     timer_warning: bool
 
     @property
@@ -104,6 +115,11 @@ class BenchResult:
         """Fastest round."""
         return min(self.end_to_end_samples)
 
+    @property
+    def pipeline_millis(self) -> float:
+        """Median of run_pipeline's time over the rounds."""
+        return statistics.median(self.pipeline_samples)
+
     def to_json(self) -> dict:
         return {
             "strategy": self.strategy,
@@ -113,6 +129,8 @@ class BenchResult:
             "end_to_end_millis": self.end_to_end_millis,
             "best_end_to_end_millis": self.best_end_to_end_millis,
             "end_to_end_samples": list(self.end_to_end_samples),
+            "pipeline_millis": self.pipeline_millis,
+            "pipeline_samples": list(self.pipeline_samples),
             "timer_warning": self.timer_warning,
             "levels": [
                 {"level": l, "keys": self.level_keys[l], "flops": self.level_flops[l],
@@ -129,35 +147,47 @@ def timer_resolution_warning(spans_millis, resolution_s: float) -> bool:
 
 
 def run_benchmark(pyr, weights, configs, repeats: int = 5) -> list[BenchResult]:
-    """Round-robin timing of every config, one pipeline at a time.
+    """Round-robin timing of every config, one image at a time, end to end:
+    `query.run_pipeline`, then `postproc.detections_from_result` at its
+    default thresholds.
 
     WARMUP untimed rounds come first, then `repeats` timed rounds; each round
     runs every config once, in the order given. The host's speed drifts in
     phases longer than one config's runs, so timing a config's repeats back to
     back would charge a slow phase to that config alone; interleaved, a phase
     lands on neighbouring configs alike, and configs compared within one round
-    (`end_to_end_samples[r]`) see the same host. Results are in config order.
-    Key and FLOP counters come from each config's last run (they are
-    deterministic across runs)."""
+    (`end_to_end_samples[r]`, `pipeline_samples[r]`) see the same host.
+    Results are in config order. Key and FLOP counters come from each
+    config's last run (they are deterministic across runs)."""
     if repeats < 5:
         raise ConfigurationError(f"repeats must be >= 5, got {repeats}")
     configs = list(configs)
+    anchors = postproc.AnchorConfig(num_anchors=weights.num_anchors)
+
+    def run(cfg):
+        t0 = time.perf_counter()
+        result = query.run_pipeline(pyr, weights, cfg)
+        postproc.detections_from_result(result, anchors, weights.num_classes)
+        return result, (time.perf_counter() - t0) * 1000.0
+
     for _ in range(WARMUP):
         for cfg in configs:
-            query.run_pipeline(pyr, weights, cfg)
+            run(cfg)
     totals: list[list[float]] = [[] for _ in configs]
+    pipeline: list[list[float]] = [[] for _ in configs]
     per_level: list[dict[int, list[float]]] = [{} for _ in configs]
     last = [None] * len(configs)
     for _ in range(repeats):
         for i, cfg in enumerate(configs):
-            last[i] = query.run_pipeline(pyr, weights, cfg)
-            totals[i].append(last[i].total_millis)
+            last[i], millis = run(cfg)
+            totals[i].append(millis)
+            pipeline[i].append(last[i].total_millis)
             for rec in last[i].records:
                 per_level[i].setdefault(rec.level, []).append(rec.millis)
 
     resolution = time.get_clock_info("perf_counter").resolution
     out = []
-    for cfg, samples, levels, res in zip(configs, totals, per_level, last):
+    for cfg, samples, pipe, levels, res in zip(configs, totals, pipeline, per_level, last):
         out.append(BenchResult(
             strategy=cfg.strategy,
             sigma=cfg.sigma,
@@ -165,7 +195,8 @@ def run_benchmark(pyr, weights, configs, repeats: int = 5) -> list[BenchResult]:
             level_keys={r.level: len(r.output.keys) for r in res.records},
             level_flops={r.level: r.flops for r in res.records},
             end_to_end_samples=tuple(samples),
-            timer_warning=timer_resolution_warning(samples, resolution),
+            pipeline_samples=tuple(pipe),
+            timer_warning=timer_resolution_warning(pipe, resolution),
         ))
     return out
 

@@ -28,9 +28,9 @@ import numpy as np
 
 from . import analysis
 from .errors import CascadeQueryError, ConfigurationError, FormatError, ValidationError
-from .model import (Blob, FeaturePyramid, HeadOutput, level_dims, load_pyramid,
-                    load_weights, make_fixture_weights, make_synthetic_pyramid, save_pyramid,
-                    save_weights)
+from .model import (SUBNETS, Blob, FeaturePyramid, head_flops_dense, level_dims,
+                    load_pyramid, load_weights, make_fixture_weights, make_synthetic_pyramid,
+                    run_dense_head, save_pyramid, save_weights)
 from .postproc import AnchorConfig, detections_from_result, detections_to_json
 from .query import STRATEGIES, CascadeResult, QueryConfig, run_pipeline
 from .sparse import KeySet, build_rulebook
@@ -236,9 +236,12 @@ def cmd_run(opts: dict) -> int:
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "report.json"), report)
     _write_json(os.path.join(out_dir, "detections.json"), detections_to_json(dets))
+    c, a, k = weights.channels, weights.num_anchors, weights.num_classes
+    subnets = head_flops_dense(1, 1, c, a, k, len(SUBNETS)) / head_flops_dense(1, 1, c, a, k)
     print(f"{result.strategy}: {len(dets)} detections, "
           f"{result.total_flops} MACs "
-          f"({report['flops_fraction_of_dense']:.4f} of dense), "
+          f"({report['flops_fraction_of_dense']:.4f} of the full three-branch head; "
+          f"the dense strategy runs {subnets:.2f} of it), "
           f"{result.total_millis:.1f} ms + {postproc_millis:.1f} ms post-processing "
           f"-> {out_dir}")
     return 0
@@ -259,10 +262,13 @@ def _rel_err(actual: np.ndarray, expected: np.ndarray) -> float:
 
 def _check_against_dense(pyr, weights, dense: CascadeResult | Exception, cfg: QueryConfig,
                          exact: bool) -> tuple[CascadeResult, int, str]:
-    """Run `cfg` and compare its rows with the `dense` run at every computed key:
-    bitwise if `exact`, else within 1e-5 relative. `dense` is the exception
-    instead if the dense run crashed. Returns the run, the number of keys
-    compared and a summary."""
+    """Run `cfg` and compare its rows with dense ones at every computed key:
+    bitwise if `exact`, else within 1e-5 relative. Cls and reg rows are
+    compared with the `dense` run. The dense strategy runs no query branch, so
+    where the cascade has query logits they are compared with a full-map pass
+    of every branch over that level. `dense` is the exception instead if the
+    dense run crashed. Returns the run, the number of keys compared and a
+    summary."""
     if isinstance(dense, Exception):
         raise dense
     result = run_pipeline(pyr, weights, cfg)
@@ -272,11 +278,14 @@ def _check_against_dense(pyr, weights, dense: CascadeResult | Exception, cfg: Qu
         keys = rec.computed_keys
         if keys is None:
             continue
-        want = dense.record(rec.level).output
-        at = want.keys.rows_of(keys)
-        for name in (f.name for f in dataclasses.fields(HeadOutput)):
-            g = getattr(rec.output, name).features
-            e = getattr(want, name).features[at]
+        feature = pyr.levels[rec.level]
+        want = dense.record(rec.level).output.branch_rows()
+        if rec.output.query_logits is not None:
+            want["query_logits"] = run_dense_head(feature, weights, feature.keys).query_logits
+        at = feature.keys.rows_of(keys)  # every reference holds rows over the full grid
+        for name, got in rec.output.branch_rows().items():
+            g = got.features
+            e = want[name].features[at]
             if exact and not np.array_equal(g, e):
                 raise CheckFailure(
                     f"level {rec.level} {name} outputs not bitwise equal at kept keys")
@@ -441,11 +450,14 @@ def cmd_bench(opts: dict) -> int:
     with open(os.path.join(out_dir, "bench.csv"), "w", encoding="utf-8") as f:
         f.write(analysis.bench_csv(results))
     _write_json(os.path.join(out_dir, "bench.json"), analysis.bench_json(results))
-    ref = results[0].end_to_end_millis
+    ref = results[0]
     best = min(results[1:], key=lambda r: r.end_to_end_millis)
-    print(f"dense: {ref:.2f} ms; fastest {best.strategy} at sigma={best.sigma}: "
-          f"{best.end_to_end_millis:.2f} ms ({ref / max(best.end_to_end_millis, 1e-9):.2f}x) "
-          f"-> {out_dir}")
+    print(f"dense: {ref.end_to_end_millis:.2f} ms end to end "
+          f"({ref.pipeline_millis:.2f} ms pipeline); fastest {best.strategy} at "
+          f"sigma={best.sigma}: {best.end_to_end_millis:.2f} ms "
+          f"({ref.end_to_end_millis / max(best.end_to_end_millis, 1e-9):.2f}x), "
+          f"{best.pipeline_millis:.2f} ms pipeline "
+          f"({ref.pipeline_millis / max(best.pipeline_millis, 1e-9):.2f}x) -> {out_dir}")
     return 0
 
 

@@ -19,10 +19,19 @@ not counted), by one rule: a conv pays C_in * C_out per (output, tap) pair it
 computes. `head_flops_sparse` charges each conv its own rulebook's entries;
 `head_flops_dense` is the same rule with every cell paying all 9 taps.
 
-The three towers' first convs read the same input rows, so both head passes
-run them as one C -> 3C conv, `HeadWeights.stem`: one gather and one GEMM,
-then a ReLU, and each branch takes its C-column slice into `tower[1:]` and
-its predictor.
+Both head passes run the branches they are given: all of BRANCHES, or
+SUBNETS, the cls and reg prefix (RetinaNet's two subnets). The query branch
+exists only to pick the children one level down, so the cascade runs it only
+at the levels whose query scores it reads; elsewhere `HeadOutput.query_logits`
+is None, and the cost rule charges the branches that ran.
+
+The towers' first convs read the same input rows, so both head passes run
+them as one conv: `HeadWeights.stem` (C -> 3C) for every branch,
+`HeadWeights.subnet_stem` (C -> 2C) for the subnets alone. That is one
+gather, then a ReLU, and each branch takes its C-column slice into
+`tower[1:]` and its predictor. The 3C stem multiplies its cls and reg columns
+as the 2C stem does, in one GEMM of their own, so the cls and reg rows do not
+depend on whether the query branch ran.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -52,6 +61,7 @@ TOWER_DEPTH = 4
 RECEPTIVE_FIELD = 2 * (TOWER_DEPTH + 1) + 1
 PRIOR_PROB = 0.01  # untrained classification/query scores start near this
 BRANCHES = ("cls", "reg", "query")
+SUBNETS = BRANCHES[:2]  # the branches a head pass runs where no query score is read
 
 
 def pred_widths(num_anchors: int, num_classes: int) -> tuple[int, int, int]:
@@ -60,29 +70,42 @@ def pred_widths(num_anchors: int, num_classes: int) -> tuple[int, int, int]:
     return num_anchors * num_classes, num_anchors * 4, 1
 
 
+def _branch_count(branches: Sequence[str]) -> int:
+    """How many branches a head pass runs: `branches` must be BRANCHES or
+    SUBNETS, the prefixes that hold both detection branches."""
+    if tuple(branches) not in (SUBNETS, BRANCHES):
+        raise ConfigurationError(f"a head pass runs {SUBNETS} or {BRANCHES}, "
+                                 f"not {tuple(branches)}")
+    return len(branches)
+
+
 def head_flops_sparse(rulebook_entries, channels: int, num_anchors: int,
-                      num_classes: int) -> int:
+                      num_classes: int, branches: int = len(BRANCHES)) -> int:
     """The head's MAC rule: every conv (towers and predictors alike) pays
     C_in * C_out work per entry of its rulebook. `rulebook_entries` holds one
     count per conv of a branch (the TOWER_DEPTH tower convs, then the
-    predictor); every branch shares that schedule of rulebooks. Isolated
-    keys fire only their center offset, giving the 1/9-per-key floor. Bias
-    adds are not MACs, so the key count does not enter."""
+    predictor); every branch shares that schedule of rulebooks, and the first
+    `branches` of BRANCHES run. Isolated keys fire only their center offset,
+    giving the 1/9-per-key floor. Bias adds are not MACs, so the key count
+    does not enter."""
     if len(rulebook_entries) != TOWER_DEPTH + 1:
         raise ConfigurationError(f"{len(rulebook_entries)} per-conv entry counts, the head "
                                  f"has {TOWER_DEPTH + 1} convs")
+    if branches not in (len(SUBNETS), len(BRANCHES)):
+        raise ConfigurationError(f"a head pass runs {len(SUBNETS)} or {len(BRANCHES)} "
+                                 f"branches, not {branches}")
     *tower, last = rulebook_entries
-    return channels * (len(BRANCHES) * channels * sum(tower)
-                       + sum(pred_widths(num_anchors, num_classes)) * last)
+    return channels * (branches * channels * sum(tower)
+                       + sum(pred_widths(num_anchors, num_classes)[:branches]) * last)
 
 
 def head_flops_dense(height: int, width: int, channels: int, num_anchors: int,
-                     num_classes: int) -> int:
+                     num_classes: int, branches: int = len(BRANCHES)) -> int:
     """Full-map head cost: the rule with every cell of the H x W grid paying
     all 9 taps of every conv, zero-padding taps included (the usual
     conv-FLOPs convention)."""
     return head_flops_sparse([9 * height * width] * (TOWER_DEPTH + 1), channels,
-                             num_anchors, num_classes)
+                             num_anchors, num_classes, branches)
 
 
 @dataclass(frozen=True)
@@ -174,31 +197,57 @@ class HeadWeights:
 
     @cached_property
     def stem(self) -> ConvWeights:
-        """The branches' first tower convs as one C -> 3C conv, their output
-        channels in BRANCHES order. All three read the same rows, so one gather
-        and one GEMM serve them; built once, on first use."""
-        firsts = [tower[0] for tower, _ in self.branches]
+        """Every branch's first tower conv as one C -> 3C conv, their output
+        channels in BRANCHES order: one gather serves all three. Its parts are
+        the subnet stem and the query conv, so cls and reg carry the same bits
+        whether the query branch runs or not. Built once, on first use."""
+        return self._first_convs(len(BRANCHES), (2 * self.channels, self.channels))
+
+    @cached_property
+    def subnet_stem(self) -> ConvWeights:
+        """The cls and reg first tower convs as one C -> 2C conv, the stem of a
+        pass without the query branch; built once, on first use."""
+        return self._first_convs(len(SUBNETS))
+
+    def _first_convs(self, count: int, parts: tuple[int, ...] = ()) -> ConvWeights:
+        firsts = [tower[0] for tower, _ in self.branches[:count]]
         return ConvWeights(np.concatenate([conv.weights for conv in firsts]),
-                           np.concatenate([conv.bias for conv in firsts]))
+                           np.concatenate([conv.bias for conv in firsts]), parts)
+
+    def stem_of(self, count: int) -> ConvWeights:
+        """The stem of a pass running the first `count` branches."""
+        return self.stem if count == len(BRANCHES) else self.subnet_stem
 
 
 @dataclass(frozen=True)
 class HeadOutput:
-    """Per-level head outputs: three row sets over one shared KeySet, which is
-    the full grid where the whole level was kept."""
+    """Per-level head outputs: a row set per branch that ran, over one shared
+    KeySet, which is the full grid where the whole level was kept.
+    `query_logits` is None where the query branch did not run."""
 
     cls_logits: SparseFeature
     reg_deltas: SparseFeature
-    query_logits: SparseFeature
+    query_logits: SparseFeature | None = None
 
     def __post_init__(self):
         k = self.keys
-        if self.reg_deltas.keys is not k or self.query_logits.keys is not k:
+        if self.reg_deltas.keys is not k or (self.query_logits is not None
+                                             and self.query_logits.keys is not k):
             raise ValidationError("head outputs must share one key set")
 
     @property
     def keys(self) -> KeySet:
         return self.cls_logits.keys
+
+    @property
+    def branches(self) -> tuple[str, ...]:
+        """The branches that ran: BRANCHES, or SUBNETS without query logits."""
+        return SUBNETS if self.query_logits is None else BRANCHES
+
+    def branch_rows(self) -> dict[str, SparseFeature]:
+        """The rows of each branch that ran, by field name, in BRANCHES order."""
+        names = [f.name for f in fields(self)][:len(self.branches)]
+        return {name: getattr(self, name) for name in names}
 
 
 def _dense_branch(x: SparseFeature, tower: list[ConvWeights], pred: ConvWeights) -> SparseFeature:
@@ -207,15 +256,18 @@ def _dense_branch(x: SparseFeature, tower: list[ConvWeights], pred: ConvWeights)
     return conv2d(x, pred)
 
 
-def run_dense_head(feature: SparseFeature, w: HeadWeights, keys: KeySet) -> HeadOutput:
-    """Full-map head pass over a full-grid feature, with its rows as computed
-    at the feature's own keys, or gathered at other `keys`; logits carry no activation."""
+def run_dense_head(feature: SparseFeature, w: HeadWeights, keys: KeySet,
+                   branches: Sequence[str] = BRANCHES) -> HeadOutput:
+    """Full-map pass of `branches` (BRANCHES or SUBNETS) over a full-grid
+    feature, with its rows as computed at the feature's own keys, or gathered
+    at other `keys`; logits carry no activation."""
+    n = _branch_count(branches)
     if feature.channels != w.channels:
         raise ConfigurationError(
             f"feature has {feature.channels} channels, head expects {w.channels}"
         )
-    stem = relu(conv2d(feature, w.stem))
-    slices = np.split(stem.features, len(BRANCHES), axis=1)
+    stem = relu(conv2d(feature, w.stem_of(n)))
+    slices = np.split(stem.features, n, axis=1)
     outs = [_dense_branch(SparseFeature(stem.keys, x), t[1:], p)
             for x, (t, p) in zip(slices, w.branches)]
     return HeadOutput(*(outs if keys is feature.keys else [gather(o, keys) for o in outs]))
@@ -231,16 +283,19 @@ def _sparse_branch(vf: SparseFeature, tower: list[ConvWeights], pred: ConvWeight
 
 
 def run_sparse_head(value_features: SparseFeature, w: HeadWeights,
-                    schedule: Rulebook | Sequence[Rulebook] | None = None) -> HeadOutput:
-    """Head pass over gathered value features, driven by a schedule that the
-    three branches share: one rulebook for every conv (submanifold: the active
-    set stays fixed), or one per conv of a branch, the TOWER_DEPTH tower convs
-    then the predictor. Conv j reads rows at its rulebook's inputs and writes
-    rows at its keys, so the first rulebook reads the value features' keys and
-    the outputs sit at the last one's keys. By default one rulebook of the
-    value features' keys serves every conv. The first rulebook drives the
-    stem, the three first tower convs as one, and each branch runs the rest
-    of the schedule on its slice of the stem's rows."""
+                    schedule: Rulebook | Sequence[Rulebook] | None = None,
+                    branches: Sequence[str] = BRANCHES) -> HeadOutput:
+    """Pass of `branches` (BRANCHES or SUBNETS) over gathered value features,
+    driven by a schedule that the branches share: one rulebook for every conv
+    (submanifold: the active set stays fixed), or one per conv of a branch,
+    the TOWER_DEPTH tower convs then the predictor. Conv j reads rows at its
+    rulebook's inputs and writes rows at its keys, so the first rulebook reads
+    the value features' keys and the outputs sit at the last one's keys. By
+    default one rulebook of the value features' keys serves every conv. The
+    first rulebook drives the stem, the branches' first tower convs as one,
+    and each branch runs the rest of the schedule on its slice of the stem's
+    rows."""
+    n = _branch_count(branches)
     if value_features.channels != w.channels:
         raise ConfigurationError(
             f"value features have {value_features.channels} channels, head expects {w.channels}"
@@ -257,8 +312,8 @@ def run_sparse_head(value_features: SparseFeature, w: HeadWeights,
         first, rest = schedule[0], schedule[1:]
     # the stem runs as a branch with no tower convs, so every sparse conv of
     # the head goes through _sparse_branch
-    stem = sparse_relu(_sparse_branch(value_features, [], w.stem, first))
-    slices = np.split(stem.features, len(BRANCHES), axis=1)
+    stem = sparse_relu(_sparse_branch(value_features, [], w.stem_of(n), first))
+    slices = np.split(stem.features, n, axis=1)
     return HeadOutput(*[_sparse_branch(SparseFeature(stem.keys, x), t[1:], p, rest)
                         for x, (t, p) in zip(slices, w.branches)])
 

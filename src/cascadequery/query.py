@@ -20,6 +20,13 @@ skeleton and differ only in how the children's rows are computed:
          depends on is computed, so cq matches dense at every key
   ccq    full dense compute at every level, but outputs below the start level
          are kept only at key positions (exactness baseline)
+
+The query branch exists only to pick the children one level down, so every
+strategy runs it only at the levels whose query scores the cascade reads:
+from the start level down to the level above the finest. Every other level
+runs the cls and reg branches alone (`model.SUBNETS`), its output carries no
+query logits, and it is charged the MACs of those two. The dense strategy
+reads no query score, so it never runs the query branch.
 """
 
 from __future__ import annotations
@@ -30,8 +37,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .model import (RECEPTIVE_FIELD, TOWER_DEPTH, FeaturePyramid, HeadOutput, HeadWeights,
-                    head_flops_dense, head_flops_sparse, run_dense_head, run_sparse_head)
+from .model import (BRANCHES, RECEPTIVE_FIELD, SUBNETS, TOWER_DEPTH, FeaturePyramid,
+                    HeadOutput, HeadWeights, head_flops_dense, head_flops_sparse,
+                    run_dense_head, run_sparse_head)
 from .sparse import KeySet, Rulebook, SparseFeature, build_rulebook, dilate, gather
 from .tensor import sigmoid_above
 
@@ -93,7 +101,10 @@ class LevelRecord:
     mode is "dense" (full-map head), "sparse" (submanifold head, rows kept at
     the keys), or "masked" (full compute, outputs kept at keys only). The
     output's rows sit at the full grid on dense levels and at computed_keys
-    elsewhere; computed_keys is None on dense levels.
+    elsewhere; computed_keys is None on dense levels. The output holds the
+    branches that ran, `output.branches`: all of BRANCHES where the cascade
+    reads the level's query scores, SUBNETS elsewhere, where
+    extracted_queries is None too.
     dense_positions counts full-map positions for dense/masked modes;
     sparse_rows counts the rows kept at computed_keys. rulebook_entries sums
     the entries of the rulebooks the sparse head built: for csq the one
@@ -127,6 +138,7 @@ class LevelRecord:
         return {
             "level": self.level,
             "mode": self.mode,
+            "branches": list(self.output.branches),
             "shape": [self.height, self.width],
             "computed_keys": None if self.computed_keys is None else self.computed_keys.to_json(),
             "extracted_queries": (None if self.extracted_queries is None
@@ -148,7 +160,7 @@ class CascadeResult:
     channels: int
     records: list[LevelRecord]  # execution order: top level first
     total_millis: float
-    dense_equiv_flops: int  # what a fully dense head pass over the same levels costs
+    dense_equiv_flops: int  # a full-map pass of all three branches over the same levels
 
     def record(self, level: int) -> LevelRecord:
         for r in self.records:
@@ -161,6 +173,12 @@ class CascadeResult:
         return sum(r.flops for r in self.records)
 
     def report(self) -> dict:
+        """The run as JSON. `dense_equiv_flops` is the full three-branch head
+        over every level, the query branch included, whether or not it ran:
+        `flops_fraction_of_dense` is the share of that head the run computed,
+        0.67 for the dense strategy, which runs cls and reg alone. A
+        two-branch (RetinaNet) denominator would raise every cascade's
+        fraction while it computes fewer MACs."""
         dense_equiv = self.dense_equiv_flops
         return {
             "schema": "qd/1",
@@ -193,18 +211,19 @@ def _schedule(keys: KeySet, radius: int) -> list[Rulebook]:
     return books
 
 
-def _sparse_level(feature: SparseFeature, w: HeadWeights, keys: KeySet,
-                  radius: int) -> tuple[HeadOutput, int, int]:
-    """Sparse head over `_schedule(keys, radius)`, gathered at its widest set
-    and with rows at the keys. Each conv is charged for its own rulebook.
+def _sparse_level(feature: SparseFeature, w: HeadWeights, keys: KeySet, radius: int,
+                  branches: tuple[str, ...]) -> tuple[HeadOutput, int, int]:
+    """Sparse pass of `branches` over `_schedule(keys, radius)`, gathered at
+    its widest set and with rows at the keys. Each conv of each branch that
+    runs is charged for its own rulebook.
     Returns the output, the entries summed over the distinct rulebooks, and
     the level's MACs."""
     per_conv = _schedule(keys, radius)
     built = list(dict.fromkeys(per_conv))
     out = run_sparse_head(gather(feature, per_conv[0].inputs), w,
-                          built[0] if len(built) == 1 else per_conv)
+                          built[0] if len(built) == 1 else per_conv, branches)
     flops = head_flops_sparse([rb.num_entries for rb in per_conv], w.channels,
-                              w.num_anchors, w.num_classes)
+                              w.num_anchors, w.num_classes, len(branches))
     return out, sum(rb.num_entries for rb in built), flops
 
 
@@ -230,7 +249,9 @@ def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig) -> Casca
     Levels at or above cfg.start_level always run the full dense head. For the
     cascade strategies, start_level must be a pyramid level, and each level
     below it is computed only at the keys derived from the level above; its own
-    query scores, from start_level down, seed the next level.
+    query scores, from start_level down, seed the next level. The query branch
+    runs only where those scores are read, from start_level down to the level
+    above the finest; every other level runs SUBNETS.
     """
     if pyr.channels != w.channels:
         raise ConfigurationError(
@@ -241,8 +262,6 @@ def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig) -> Casca
         raise ConfigurationError(f"pyramid levels {sorted(pyr.levels)} lack "
                                  f"start_level={cfg.start_level}")
     levels = sorted(pyr.levels, reverse=True)
-    # query scores are read from start_level down, if the cascade reaches below it
-    reads_queries = cascade and levels[-1] < cfg.start_level
 
     t_start = time.perf_counter()
     records = []
@@ -254,18 +273,21 @@ def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig) -> Casca
         child = cascade and l < cfg.start_level
         keys = (map_queries_to_keys(queries, feature.height, feature.width) if child
                 else feature.keys)
-        dense = head_flops_dense(feature.height, feature.width, w.channels,
-                                 w.num_anchors, w.num_classes)
-        dense_equiv += dense
+        # the next level's keys come from this level's query scores
+        reads_queries = cascade and levels[-1] < l <= cfg.start_level
+        branches = BRANCHES if reads_queries else SUBNETS
+        dense_equiv += head_flops_dense(feature.height, feature.width, w.channels,
+                                        w.num_anchors, w.num_classes)
         if child and cfg.strategy in _HALO:
-            out, entries, flops = _sparse_level(feature, w, keys, _HALO[cfg.strategy])
+            out, entries, flops = _sparse_level(feature, w, keys, _HALO[cfg.strategy],
+                                                branches)
             mode = "sparse"
         else:
-            out = run_dense_head(feature, w, keys)
-            entries, flops, mode = 0, dense, "masked" if child else "dense"
-        queries = None
-        if reads_queries and l <= cfg.start_level:
-            queries = extract_queries(out.query_logits, cfg.sigma)
+            out = run_dense_head(feature, w, keys, branches)
+            entries, mode = 0, "masked" if child else "dense"
+            flops = head_flops_dense(feature.height, feature.width, w.channels,
+                                     w.num_anchors, w.num_classes, len(branches))
+        queries = extract_queries(out.query_logits, cfg.sigma) if reads_queries else None
         millis = (time.perf_counter() - t0) * 1000.0
         records.append(LevelRecord(l, mode, feature.height, feature.width, out,
                                    computed_keys=keys if child else None,

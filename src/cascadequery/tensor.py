@@ -33,10 +33,16 @@ class ConvWeights:
 
     3x3 is the only kernel: the cost model charges every conv 9 taps and
     `model.RECEPTIVE_FIELD` widens by one cell per side per conv. Treated as
-    immutable: `taps` is derived from the kernel once, on first use."""
+    immutable: `taps` is derived from the kernel once, on first use.
+
+    A conv fused from several that read the same rows names their output
+    widths in `parts`, in order. `conv_rows` gathers once for them all and
+    multiplies each part on its own, so a part's rows carry the same bits as
+    that part run alone: a GEMM's rounding can change with its width."""
 
     weights: np.ndarray
     bias: np.ndarray
+    parts: tuple[int, ...] = ()
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.weights, dtype=np.float32)
@@ -49,6 +55,9 @@ class ConvWeights:
             )
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ValidationError("conv weights or bias contain non-finite values")
+        if self.parts and (min(self.parts) <= 0 or sum(self.parts) != w.shape[0]):
+            raise ConfigurationError(f"parts {self.parts} do not split {w.shape[0]} "
+                                     f"output channels")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
 
@@ -66,11 +75,15 @@ class ConvWeights:
         return self.weights.shape[2]
 
     @cached_property
-    def taps(self) -> np.ndarray:
-        """Weights as a (9 * in, out) matrix in (ky, kx, channel) row order,
-        the column order of the rows that `conv_rows` gathers."""
-        return np.ascontiguousarray(
-            self.weights.transpose(2, 3, 1, 0).reshape(-1, self.out_channels))
+    def taps(self) -> tuple[tuple[slice, np.ndarray], ...]:
+        """Per part, its output columns and its weights as a contiguous
+        (9 * in, width) matrix in (ky, kx, channel) row order, the column
+        order of the rows that `conv_rows` gathers. A conv without parts is
+        one part."""
+        full = self.weights.transpose(2, 3, 1, 0).reshape(-1, self.out_channels)
+        ends = np.cumsum(self.parts or (self.out_channels,)).tolist()
+        return tuple((slice(a, b), np.ascontiguousarray(full[:, a:b]))
+                     for a, b in zip([0] + ends, ends))
 
 
 # Table rows per block of `conv_rows`: one block's gathered (BLOCK_ROWS, 9 * C)
@@ -86,10 +99,11 @@ def conv_rows(rows: np.ndarray, w: ConvWeights, table: np.ndarray) -> np.ndarray
     buffer. Index M in `table` stands for a shared zero row, used for
     padding and for inactive neighbours. The table is computed in blocks of
     BLOCK_ROWS rows: each block's neighbours are gathered with `np.take` into
-    a (block, 9 * C) matrix, and one float32 GEMM writes the block's rows of
-    the preallocated output, so no more than one block's gather is held at a
-    time. The blocks depend only on the number of table rows, so the same
-    table and rows give the same bits whichever caller built them. `table` is
+    a (block, 9 * C) matrix, and one float32 GEMM per part of `w` writes the
+    block's rows of the preallocated output, so no more than one block's
+    gather is held at a time. The blocks depend only on the number of table
+    rows, so the same table and rows give the same bits whichever caller
+    built them. `table` is
     only read, so a cached read-only table can be passed.
     """
     m, c = rows.shape
@@ -98,13 +112,14 @@ def conv_rows(rows: np.ndarray, w: ConvWeights, table: np.ndarray) -> np.ndarray
     padded[m] = 0.0
     if not np.isfinite(padded).all():
         raise ValidationError("convolution input contains non-finite values")
-    taps = w.taps
     out = np.empty((len(table), w.out_channels), dtype=np.float32)
     for s in range(0, len(table), BLOCK_ROWS):
         # a plain take: with out=, mode='raise' gathers into a hidden copy first
         blk = table[s:s + BLOCK_ROWS]
-        np.matmul(np.take(padded, blk, axis=0).reshape(len(blk), taps.shape[0]), taps,
-                  out=out[s:s + len(blk)])
+        gathered = np.take(padded, blk, axis=0).reshape(len(blk), 9 * c)
+        for cols, taps in w.taps:
+            np.matmul(gathered, taps, out=out[s:s + len(blk), cols])
+        del gathered  # freed before the next block's gather
     out += w.bias
     return out
 

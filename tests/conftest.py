@@ -85,6 +85,17 @@ def dense_rows_at(dense_rows, keys):
     return dense_rows.features[dense_rows.keys.rows_of(keys)]
 
 
+def dense_reference(pyr, weights, dense_result, level):
+    """The dense rows a cascade level's branches are compared with, by
+    HeadOutput field: the dense run's cls and reg rows, and query logits from a
+    full-map pass of every branch over the level, as the dense strategy runs
+    no query branch. All hold rows over the level's full grid."""
+    want = dense_result.record(level).output.branch_rows()
+    feature = pyr.levels[level]
+    want["query_logits"] = cq.run_dense_head(feature, weights, feature.keys).query_logits
+    return want
+
+
 def conv3x3_f64(x, weights, bias):
     """Zero-padded 3x3 convolution of a (C, H, W) array, as nine shifted
     slices, accumulated in float64: the vectorised oracle."""

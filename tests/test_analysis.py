@@ -20,6 +20,7 @@ from cascadequery import (
     p2_cost_increase,
     run_benchmark,
 )
+from cascadequery import postproc as postproc_mod
 from cascadequery import query as query_mod
 from cascadequery.analysis import (
     WARMUP,
@@ -94,13 +95,16 @@ def test_stride4_level_triples_the_head_cost():
 def test_flops_report_totals_and_fraction():
     rep = flops_report(64, 64, range(2, 8), 16, 1, 4)
     assert rep["dense_total_macs"] == sum(r["dense_total_macs"] for r in rep["levels"])
+    assert rep["dense_query_macs"] == sum(r["dense_query_macs"] for r in rep["levels"])
     assert rep["schema"] == "qd/1"
     assert len(rep["levels"]) == 6
     # level 2 is 16x16: 3 towers x 4 convs of 9*16*16 per cell, and the
-    # predictors' 9*16*(4 + 4 + 1) per cell
+    # predictors' 9*16*(4 + 4 + 1) per cell; the query branch is one tower
+    # and a one-logit predictor
     assert rep["levels"][0] == {"level": 2, "shape": [16, 16],
                                 "dense_tower_macs": 256 * 3 * 4 * 9 * 16 * 16,
                                 "dense_pred_macs": 256 * 9 * 16 * 9,
+                                "dense_query_macs": 256 * 9 * 16 * (4 * 16 + 1),
                                 "dense_total_macs": 256 * 28944}
     json.dumps(rep)
 
@@ -166,6 +170,32 @@ def test_benchmark_runs_warmups_then_interleaved_rounds(monkeypatch):
         assert (r.to_json()["repeats"], r.to_json()["warmup"]) == (6, WARMUP)
 
 
+def test_benchmark_times_decoding_and_nms_in_each_round(monkeypatch):
+    # every run, warm-up or timed, is the pipeline and then its detections;
+    # each round's end-to-end time holds its pipeline time
+    real = postproc_mod.detections_from_result
+    decoded = []
+
+    def recording(result, anchors, num_classes, *args, **kwargs):
+        decoded.append((result.strategy, anchors.num_anchors, num_classes, args, kwargs))
+        return real(result, anchors, num_classes, *args, **kwargs)
+
+    monkeypatch.setattr(postproc_mod, "detections_from_result", recording)
+    pyr = make_synthetic_pyramid(3, 64, 64, 2, 5, 4)
+    weights = make_fixture_weights(2, 4, 2, 3)
+    cfgs = [QueryConfig(strategy="dense"), QueryConfig(strategy="csq", sigma=0.1)]
+    results = run_benchmark(pyr, weights, cfgs, repeats=5)
+    assert decoded == [(c.strategy, 2, 3, (), {}) for c in cfgs] * (WARMUP + 5)
+    for r in results:
+        assert len(r.pipeline_samples) == len(r.end_to_end_samples) == 5
+        assert all(0.0 < p <= e for p, e in zip(r.pipeline_samples, r.end_to_end_samples))
+        assert r.pipeline_millis == statistics.median(r.pipeline_samples)
+        row = r.to_json()
+        assert row["pipeline_millis"] == r.pipeline_millis
+        assert row["pipeline_samples"] == list(r.pipeline_samples)
+        assert row["end_to_end_millis"] == r.end_to_end_millis
+
+
 def test_benchmark_records_every_level(tiny_bench):
     dense, csq = tiny_bench
     assert dense.strategy == "dense" and csq.strategy == "csq"
@@ -174,7 +204,8 @@ def test_benchmark_records_every_level(tiny_bench):
     assert dense.level_keys[2] == 32 * 32
     assert dense.level_keys[7] == 1  # 128px image leaves a single level-7 cell
     assert all(m >= 0.0 for m in dense.level_millis.values())
-    assert dense.level_flops[2] == head_flops_dense(32, 32, 8, 1, 4)
+    # the dense strategy runs cls and reg alone
+    assert dense.level_flops[2] == head_flops_dense(32, 32, 8, 1, 4, 2)
 
 
 def test_benchmark_best_run_bounds_the_median(tiny_bench):

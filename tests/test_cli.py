@@ -111,6 +111,26 @@ def test_run_writes_report_and_detections(small_fixture, tmp_path):
     assert report["detections"] == len(dets)
 
 
+def test_run_reports_where_the_query_branch_ran(small_fixture, tmp_path, capsys):
+    # dense runs cls and reg alone, charged as such; csq runs the query branch
+    # at the start level and the level above the finest, whose scores it reads
+    weights = model_mod.load_weights(small_fixture / WEIGHTS_FILE)
+    c, a, k = weights.channels, weights.num_anchors, weights.num_classes
+    share = (2 * 4 * c + a * k + 4 * a) / (3 * 4 * c + a * k + 4 * a + 1)
+    for strategy, read in (("dense", set()), ("csq", {4, 3})):
+        out = tmp_path / strategy
+        assert main(run_args(small_fixture, out, "--strategy", strategy)) == 0
+        printed = capsys.readouterr().out
+        assert f"the dense strategy runs {share:.2f} of it" in printed
+        report = json.loads((out / "report.json").read_text())
+        for row in report["levels"]:
+            query = row["level"] in read
+            assert row["branches"] == ["cls", "reg", "query"][:2 + query]
+            assert (row["extracted_queries"] is not None) == query
+        if strategy == "dense":
+            assert report["flops_fraction_of_dense"] == pytest.approx(share, rel=1e-12)
+
+
 def test_dense_and_masked_runs_yield_identical_detection_files(tmp_path):
     fix = tmp_path / "fix"
     args = ["gen-fixture", "--out", str(fix), "--seed", "9"]
@@ -152,8 +172,11 @@ def test_cq_run_charges_each_level_for_its_halo_rulebook(small_fixture, tmp_path
         # conv j reads the keys widened by 6 - j and writes them widened by 5 - j
         sets = [dilate_by(keys, RECEPTIVE_FIELD // 2 - j) for j in range(6)]
         books = [build_rulebook(out, inp) for inp, out in zip(sets, sets[1:])]
-        charges = [rb.num_entries * 3 * c * c for rb in books[:-1]]
-        charges.append(books[-1].num_entries * c * (a * k + 4 * a + 1))
+        # L3's query scores pick L2's keys; L2's are read by no level
+        query = row["level"] == 3
+        assert row["branches"] == ["cls", "reg", "query"][:2 + query]
+        charges = [rb.num_entries * (2 + query) * c * c for rb in books[:-1]]
+        charges.append(books[-1].num_entries * c * (a * k + 4 * a + query))
         assert len(keys) and row["sparse_rows"] == len(keys)
         assert row["dense_positions"] == 0
         assert row["rulebook_entries"] == sum(rb.num_entries for rb in books)
@@ -692,9 +715,9 @@ def test_verify_catches_masked_outputs_that_drift_from_dense(small_fixture, monk
                                                               capsys):
     real = query_mod.run_dense_head
 
-    def masked_drifts(feature, weights, keys):
+    def masked_drifts(feature, weights, keys, branches):
         # dense levels keep the full grid; ccq's child levels keep their keys
-        out = real(feature, weights, keys)
+        out = real(feature, weights, keys, branches)
         if len(keys) == keys.height * keys.width:
             return out
         drift = np.nextafter(out.cls_logits.features, np.inf)
@@ -790,6 +813,11 @@ def test_flops_writes_a_file_when_asked(tmp_path, capsys):
     assert main(["flops", "--image-size", "256", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["image"] == [256, 256]
+    # the query branch's share: one C -> C tower and a one-logit predictor of 16 channels
+    for row in payload["levels"]:
+        h, w = row["shape"]
+        assert row["dense_query_macs"] == 9 * h * w * 16 * (4 * 16 + 1)
+    assert payload["dense_query_macs"] == sum(r["dense_query_macs"] for r in payload["levels"])
     assert str(out) in capsys.readouterr().out
 
 

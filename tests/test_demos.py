@@ -30,5 +30,5 @@ def test_readme_library_example_runs(capsys):
     code = text.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
-    assert round(float(lines[0]), 2) == 0.11
+    assert round(float(lines[0]), 2) == 0.10
     assert [int(line.split()[0]) for line in lines[1:]] == [7, 6, 5, 4, 3, 2]

@@ -25,7 +25,8 @@ from cascadequery import (
     save_weights,
 )
 from cascadequery import tensor
-from cascadequery.model import BRANCHES, RECEPTIVE_FIELD, TOWER_DEPTH
+from cascadequery.model import (BRANCHES, RECEPTIVE_FIELD, SUBNETS, TOWER_DEPTH,
+                                head_flops_dense, head_flops_sparse)
 from cascadequery.query import _schedule
 from cascadequery.sparse import KeySet, SparseFeature, build_rulebook, gather
 from cascadequery.tensor import ConvWeights
@@ -240,6 +241,64 @@ def test_stem_is_the_three_first_tower_convs_in_branch_order():
         first = getattr(w, f"{name}_tower")[0]
         np.testing.assert_array_equal(stem.weights[8 * i:8 * (i + 1)], first.weights)
         np.testing.assert_array_equal(stem.bias[8 * i:8 * (i + 1)], first.bias)
+
+
+def test_subnet_stem_is_the_cls_and_reg_first_convs_and_the_stem_keeps_them_apart():
+    w = make_fixture_weights(5, 8, 1, 4)
+    sub = w.subnet_stem
+    assert sub is w.subnet_stem  # built once
+    assert (sub.out_channels, sub.in_channels) == (len(SUBNETS) * 8, 8)
+    np.testing.assert_array_equal(sub.weights, w.stem.weights[:16])
+    np.testing.assert_array_equal(sub.bias, w.stem.bias[:16])
+    # the 3C stem multiplies cls and reg as one part, the 2C stem's, and the
+    # query conv as another
+    assert w.stem.parts == (16, 8) and sub.parts == ()
+
+
+@pytest.mark.parametrize("channels", [1, 4, 6, 8, 9, 16])
+@pytest.mark.parametrize("head", ["dense", "sparse"])
+def test_cls_and_reg_rows_do_not_depend_on_the_query_branch(channels, head):
+    # a GEMM's rounding can change with its width (at 4 and 8 channels on
+    # some BLAS builds), so the subnets' bits are those of their own GEMM in
+    # both passes; the 24x24 level's rows span more than one row block
+    feature = small_pyramid(seed=4, image=96, channels=channels).levels[2]
+    w = make_fixture_weights(5, channels, 1, 4)
+    if head == "dense":
+        run = lambda branches: run_dense_head(feature, w, feature.keys, branches)
+    else:
+        ks = KeySet(2, 24, 24, np.flatnonzero(np.arange(24 * 24) % 5))
+        vf = gather(feature, ks)
+        run = lambda branches: run_sparse_head(vf, w, None, branches)
+    full, subnets = run(BRANCHES), run(SUBNETS)
+    assert full.branches == BRANCHES and full.query_logits is not None
+    assert subnets.branches == SUBNETS and subnets.query_logits is None
+    assert list(subnets.branch_rows()) == ["cls_logits", "reg_deltas"]
+    assert subnets.keys is subnets.reg_deltas.keys
+    np.testing.assert_array_equal(subnets.cls_logits.features, full.cls_logits.features)
+    np.testing.assert_array_equal(subnets.reg_deltas.features, full.reg_deltas.features)
+
+
+@pytest.mark.parametrize("branches", [(), ("cls",), ("reg", "cls"), ("cls", "query"),
+                                      BRANCHES + ("query",)])
+def test_a_head_pass_runs_all_branches_or_the_subnets(branches):
+    w = make_fixture_weights(5, 8, 1, 4)
+    feature = small_pyramid(seed=4).levels[5]
+    with pytest.raises(ConfigurationError, match="head pass runs"):
+        run_dense_head(feature, w, feature.keys, branches)
+    with pytest.raises(ConfigurationError, match="head pass runs"):
+        run_sparse_head(gather(feature, feature.keys), w, None, branches)
+
+
+def test_the_cost_rule_charges_the_branches_that_run():
+    # per cell, C=8, A=2, K=3: towers 4 * 9 * 8 * 8 per branch, predictors
+    # 9 * 8 * (6 + 8) for cls and reg and 9 * 8 * 1 for the query logit
+    two, three = head_flops_dense(1, 1, 8, 2, 3, 2), head_flops_dense(1, 1, 8, 2, 3)
+    assert two == 2 * 4 * 9 * 8 * 8 + 9 * 8 * 14
+    assert three - two == 4 * 9 * 8 * 8 + 9 * 8 * 1
+    assert head_flops_sparse([5, 4, 3, 2, 1], 8, 2, 3, 2) == 8 * (2 * 8 * 14 + 14 * 1)
+    for bad in (0, 1, 4):
+        with pytest.raises(ConfigurationError, match="branches"):
+            head_flops_dense(1, 1, 8, 2, 3, bad)
 
 
 def unfused_head_f64(feature, w, mask=1.0):

@@ -457,11 +457,12 @@ def report_digest(result) -> str:
 
 
 def head_digest(result) -> str:
-    """sha256 of every level's key positions and head-output rows."""
+    """sha256 of every level's key positions and the rows of each head branch
+    that ran there."""
     h = hashlib.sha256()
     for rec in result.records:
         h.update(rec.output.keys.positions.tobytes())
-        for branch in (rec.output.cls_logits, rec.output.reg_deltas, rec.output.query_logits):
+        for branch in rec.output.branch_rows().values():
             h.update(branch.features.tobytes())
     return h.hexdigest()
 
@@ -496,22 +497,22 @@ def test_detection_json_is_pinned():
         "bright16/ccq": "bcb1276464a053e72e72ee6f1aac895dc7c7ef138ef243bc86216305c52fa43e",
     }
     assert reports == {
-        "weak64/dense": "4dbefa56a34b6beb2acf556f014c435a679f735a9f1fd129c9600006c2be48fa",
-        "weak64/csq": "0a6f97338bf2424e2ddecc4727435152843ddc4976dcd7383f9fa5c97c2c8656",
-        "weak64/cq": "a57a1fea156b5fe6d3bed56556fc769a7395eb92ffb0e76bfef732afa0966d7a",
-        "weak64/ccq": "5e63f201821f5208e540613a9d5c61d34975874e46d4ede2d471fabb9fcbb2b7",
-        "bright16/dense": "626225305390e08ab1c5e97a7c4de9854a8b5be6f42fad26b94f95fa30a5771f",
-        "bright16/csq": "1d7af9e1dd27c1536b3aea52dc859b068b7ce8733f1bc392632dc10c7fde5b03",
-        "bright16/cq": "2b1f81a30315d4837e2ab5e0790be215a80dcbc23680223fe82f41050f4a1700",
-        "bright16/ccq": "a788b751001251b21747c97780ef1bec14853c2dbf35f41f7fada9e88958a922",
+        "weak64/dense": "7c117557d2486f7f81a8d5695ab605fdeb63c20511e71ae296d92d87cb71378f",
+        "weak64/csq": "9a9d45301ecf9ad1aa94ba51d6d34f07832f1e399e666383297e353e00d4b552",
+        "weak64/cq": "32f971ba422d761befb8a13cdfe181b76cc6d673f404795341ea582df8b75545",
+        "weak64/ccq": "dce22480545d90c1bdb4a26be9e8958898fb0a87f2fd609bda4f385b75acdc03",
+        "bright16/dense": "90d867891116f68686d67516c0f74194d5e410d990b7c5b2a5d33e919cb0b0d5",
+        "bright16/csq": "162d2304a3bc544b71590689f9bf70507560ea0caed5231a0fa9751e22409d0b",
+        "bright16/cq": "58faff26f2d97a4ecc64583684c06a98122469623115195af3cf10a9b143bede",
+        "bright16/ccq": "0fbce1a954578050658ef93b362acd49eeb148ab7b3cbd71fed44bae9c597c8b",
     }
     assert heads == {
-        "weak64/dense": "8b7ad7d1ee6ab769331337cecf2b78481881bdc3520e4df70b0a2a8af9132a9a",
-        "weak64/csq": "71ca4c74f2f0fb6dc86829f6f6f2b3ae4f48b35eb2354d339c77a48330a1f282",
-        "weak64/cq": "d8fd15f80c75840a8f879534ef1e16bf851ad9f7ecd6c07297ad32359ee7d0f8",
-        "weak64/ccq": "9aba2cd18e0d8b279ad84f040795254b5c435e69231d2db02f4ecf2af11630e4",
-        "bright16/dense": "2c7dd5fc2b7a0ac815d842424c41c0205e4c62fe956ff08bb104502d60767ff5",
-        "bright16/csq": "455e061c2e7a7bf1f02cbf3508df5106a80b3bb7cf535967f44cd7873b340c54",
-        "bright16/cq": "e75b37d4c4747f2480999ac5c6b7d3bfa00840c12ccb32dd3a5ee19bb35dd6f8",
-        "bright16/ccq": "e75b37d4c4747f2480999ac5c6b7d3bfa00840c12ccb32dd3a5ee19bb35dd6f8",
+        "weak64/dense": "21a4cd5aefcb247ce895007b1775a54f1ec1097de26896ea1f437f316a013d38",
+        "weak64/csq": "46e5c964b35a6e97fdc49c0c7fe19c66e7689ebfccc7d54c79b36a44da07f474",
+        "weak64/cq": "b886eb7b484b79929179c43a03a1811556039f6201f3ccc52442300e2e33a524",
+        "weak64/ccq": "a15e3a00e8c528281cf028ce70405afcee96424d31d680cfc7bcc6f4e4398b30",
+        "bright16/dense": "3d21a0117fa5eb7f53eb072d187f7633920b9fc123515dbdf4678f78029161bb",
+        "bright16/csq": "f1c95a3d52e500d2d593f0aacf19afbfd7c99180266260cb7d6aed8b25d3297b",
+        "bright16/cq": "89e78e7f58b734a4af57d1c1216328f8599c7f20e001cb15d0ea19dde70c883f",
+        "bright16/ccq": "89e78e7f58b734a4af57d1c1216328f8599c7f20e001cb15d0ea19dde70c883f",
     }

@@ -20,13 +20,14 @@ from cascadequery import (
     map_queries_to_keys,
     run_pipeline,
 )
-from cascadequery.model import RECEPTIVE_FIELD, TOWER_DEPTH
-from cascadequery import query
+from cascadequery.model import BRANCHES, RECEPTIVE_FIELD, SUBNETS, TOWER_DEPTH
+from cascadequery import model, query
 from cascadequery.query import STRATEGIES, _schedule
 from cascadequery.sparse import KeySet, SparseFeature, build_rulebook, conv2d
 
 from conftest import (
     as_map,
+    dense_reference,
     dense_rows_at,
     dilate_by,
     level_rows,
@@ -161,12 +162,12 @@ def test_cascade_splits_dense_and_sparse_levels(pyramid, weights):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_every_level_returns_rows_at_one_key_set(pyramid, weights, strategy):
-    # one output type: the three branches share one KeySet, the full grid on
-    # dense levels and the computed keys below the start level
+    # one output type: the branches that ran share one KeySet, the full grid
+    # on dense levels and the computed keys below the start level
     res = run_pipeline(pyramid, weights, QueryConfig(strategy=strategy, sigma=0.15))
     for rec in res.records:
         keys = rec.output.keys
-        assert rec.output.reg_deltas.keys is keys and rec.output.query_logits.keys is keys
+        assert all(rows.keys is keys for rows in rec.output.branch_rows().values())
         if rec.mode == "dense":
             assert rec.computed_keys is None and rec.sparse_rows == 0
             assert keys == KeySet.full(rec.level, rec.height, rec.width)
@@ -327,10 +328,9 @@ def test_cq_matches_dense_at_every_key_border_keys_included():
         near_border = ((keys.xs < r) | (keys.ys < r)
                        | (keys.xs >= rec.width - r) | (keys.ys >= rec.height - r))
         assert near_border.any()
-        want = dense.record(level).output
-        for attr in ("cls_logits", "reg_deltas", "query_logits"):
-            got = getattr(rec.output, attr).features
-            assert rel_err(got, dense_rows_at(getattr(want, attr), keys)) < 1e-5, (level, attr)
+        want = dense_reference(pyr, w, dense, level)
+        for attr, got in rec.output.branch_rows().items():
+            assert rel_err(got.features, dense_rows_at(want[attr], keys)) < 1e-5, (level, attr)
 
 
 @st.composite
@@ -369,10 +369,9 @@ def test_every_strategy_agrees_with_dense_on_random_pyramids(case, sigmas):
             keys = rec.computed_keys
             if keys is None or not len(keys):
                 continue
-            want = dense.record(rec.level).output
-            for attr in ("cls_logits", "reg_deltas", "query_logits"):
-                got = getattr(rec.output, attr).features
-                ref = dense_rows_at(getattr(want, attr), keys)
+            want = dense_reference(pyr, w, dense, rec.level)
+            for attr, rows in rec.output.branch_rows().items():
+                got, ref = rows.features, dense_rows_at(want[attr], keys)
                 if exact:
                     np.testing.assert_array_equal(got, ref)
                 else:
@@ -419,7 +418,9 @@ def test_sparse_flops_fraction_shrinks_with_sigma(pyramid, weights):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_dense_equiv_flops_is_the_dense_charge_of_every_level(pyramid, strategy):
     # three anchors and five classes, so that swapping the two changes the
-    # predictors' width (3*5 + 3*4 + 1 = 28 outputs, not 5*3 + 5*4 + 1 = 36)
+    # predictors' width (3*5 + 3*4 + 1 = 28 outputs, not 5*3 + 5*4 + 1 = 36).
+    # The dense charge is all three branches' on every level, whichever ran;
+    # a full-map level is charged for the branches it ran.
     w = make_fixture_weights(2, 16, 3, 5)
     res = run_pipeline(pyramid, w, QueryConfig(strategy=strategy))
     if strategy != "dense":  # seed 2 leaves keys on both levels below the start level
@@ -429,7 +430,57 @@ def test_dense_equiv_flops_is_the_dense_charge_of_every_level(pyramid, strategy)
     assert res.report()["dense_equiv_flops"] == sum(dense.values())
     for r in res.records:
         if r.mode != "sparse":
-            assert r.flops == dense[r.level]
+            assert r.flops == head_flops_dense(r.height, r.width, 16, 3, 5,
+                                               len(r.output.branches))
+    if strategy == "dense":  # cls and reg alone: 2 * 4 * 16 + 15 + 12 of 3 * 4 * 16 + 28
+        assert res.total_flops * (3 * 4 * 16 + 28) == res.dense_equiv_flops * (2 * 4 * 16 + 27)
+
+
+def test_dense_strategy_never_runs_the_query_branch(pyramid, weights):
+    res = run_pipeline(pyramid, weights, QueryConfig(strategy="dense"))
+    for rec, row in zip(res.records, res.report()["levels"]):
+        assert rec.output.query_logits is None and rec.extracted_queries is None
+        assert rec.output.branches == SUBNETS and row["branches"] == list(SUBNETS)
+
+
+@pytest.mark.parametrize("strategy", ["csq", "cq", "ccq"])
+@pytest.mark.parametrize("finest,start", [(2, 4), (2, 6), (3, 4), (4, 4)])
+def test_cascade_runs_the_query_branch_only_where_its_scores_are_read(pyramid, weights,
+                                                                      strategy, finest, start):
+    # query rows from the start level down to the level above the finest, and
+    # nowhere else: none above the start level, none at the finest level
+    pyr = FeaturePyramid(pyramid.image_height, pyramid.image_width,
+                         {l: t for l, t in pyramid.levels.items() if l >= finest})
+    res = run_pipeline(pyr, weights, QueryConfig(strategy=strategy, sigma=0.15,
+                                                 start_level=start))
+    read = set(range(finest + 1, start + 1))
+    assert {r.level for r in res.records if r.output.query_logits is not None} == read
+    assert {r.level for r in res.records if r.extracted_queries is not None} == read
+    for rec, row in zip(res.records, res.report()["levels"]):
+        assert row["branches"] == list(BRANCHES if rec.level in read else SUBNETS)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_total_flops_are_the_macs_of_the_convs_that_ran(pyramid, weights, monkeypatch,
+                                                         strategy):
+    # every conv the head runs, counted where it runs: 9 * H * W * C_in * C_out
+    # for a full-map conv, rulebook entries * C_in * C_out for a sparse one
+    macs = []
+    real_conv2d, real_sparse_conv = model.conv2d, model.sparse_conv
+
+    def conv2d_counted(inp, w):
+        macs.append(9 * inp.height * inp.width * w.in_channels * w.out_channels)
+        return real_conv2d(inp, w)
+
+    def sparse_conv_counted(inp, w, rb):
+        macs.append(rb.num_entries * w.in_channels * w.out_channels)
+        return real_sparse_conv(inp, w, rb)
+
+    monkeypatch.setattr(model, "conv2d", conv2d_counted)
+    monkeypatch.setattr(model, "sparse_conv", sparse_conv_counted)
+    res = run_pipeline(pyramid, weights, QueryConfig(strategy=strategy, sigma=0.15))
+    assert sum(macs) == res.total_flops
+    assert res.total_flops < res.dense_equiv_flops
 
 
 def test_pipeline_rejects_channel_mismatch(pyramid):

@@ -138,6 +138,29 @@ def test_conv_rows_over_an_empty_table_returns_no_rows():
     assert out.shape == (0, 5) and out.dtype == np.float32
 
 
+@pytest.mark.parametrize("parts", [(8, 4), (4, 4, 4), (3, 9)])
+def test_a_fused_conv_computes_each_part_as_that_part_alone(parts):
+    # one gather serves every part, and each part's GEMM is its own, so its
+    # rows carry the bits of the part run as a conv of its own width
+    x, ww, b = random_case(np.random.default_rng(11), sum(parts), 4, 23, 29)
+    inp = level_rows(x)
+    fused = conv2d(inp, ConvWeights(ww, b, parts)).features
+    start = 0
+    for width in parts:
+        alone = conv2d(inp, ConvWeights(ww[start:start + width], b[start:start + width]))
+        np.testing.assert_array_equal(fused[:, start:start + width], alone.features)
+        start += width
+    np.testing.assert_allclose(fused, conv2d(inp, ConvWeights(ww, b)).features,
+                               rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("parts", [(4,), (8, 5), (12, 0), (13, -1)])
+def test_conv_parts_must_split_the_output_channels(parts):
+    with pytest.raises(ConfigurationError, match="parts"):
+        ConvWeights(np.zeros((12, 2, 3, 3), dtype=np.float32), np.zeros(12, dtype=np.float32),
+                    parts)
+
+
 def test_conv2d_holds_one_row_block_of_gather_at_a_time():
     # beyond its padded input rows and its output rows, the kernel holds one
     # block's (BLOCK_ROWS, 9C) gather, never the (N, 9C) matrix of all rows
