@@ -1,13 +1,16 @@
 """Head outputs to final detections: anchors, box decoding, NMS over all levels.
 
-Decoding yields a `Candidates` batch, parallel arrays with one row per
-candidate; the levels' batches are concatenated and NMS builds a `Detection`
-only for each box it keeps. All geometry runs in float64 so that two pipelines
-handing in bitwise-equal logits produce bitwise-equal detections.
+Decoding takes every level's head output at once: each level picks out its
+passing (row, channel) pairs, and anchors, deltas and scores are then decoded
+in one pass into a `Candidates` batch, parallel arrays with one row per
+candidate. NMS walks that batch in tiles of NMS_TILE rows and builds a
+`Detection` only for each box it keeps. All geometry runs in float64 so that
+two pipelines handing in bitwise-equal logits produce bitwise-equal detections.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +30,16 @@ class AnchorConfig:
             raise ConfigurationError(f"need at least one anchor, got {self.num_anchors}")
 
 
-def anchor_boxes(xs, ys, slots, level: int) -> np.ndarray:
+def anchor_boxes(xs, ys, slots, level) -> np.ndarray:
     """(N, 4) float64 corners of square anchors centered on grid positions
-    (x, y): side s_l = level_scale(l) at slot 0, with further slots (when
-    num_anchors > 1) scaled by 2^(i/3) as in standard FPN heads."""
+    (x, y) of pyramid level l, one level for all rows or one per row: side
+    s_l = level_scale(l) at slot 0, with further slots (when num_anchors > 1)
+    scaled by 2^(i/3) as in standard FPN heads."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     slots = np.asarray(slots, dtype=np.float64)
-    stride = float(1 << level)
+    level = np.asarray(level, dtype=np.int64)
+    stride = (1 << level).astype(np.float64)
     cx = (xs + 0.5) * stride
     cy = (ys + 0.5) * stride
     side = level_scale(level) * np.exp2(slots / 3.0)
@@ -158,15 +163,6 @@ class Candidates:
                    [d.score for d in dets], [d.class_id for d in dets],
                    [d.level for d in dets])
 
-    @classmethod
-    def concat(cls, parts) -> Candidates:
-        """One batch holding the rows of `parts` in order."""
-        parts = list(parts)
-        if not parts:
-            return cls.of([])
-        return cls(*(np.concatenate([getattr(p, f) for p in parts])
-                     for f in ("boxes", "scores", "classes", "levels")))
-
     def order(self) -> np.ndarray:
         """Row indices in `Detection.sort_key` order: one stable lexsort,
         whose last key is the primary one."""
@@ -180,51 +176,72 @@ class Candidates:
                          class_id=int(self.classes[row]), level=int(self.levels[row]))
 
 
+# Rows per NMS tile: no IoU matrix is larger than NMS_TILE x NMS_TILE float64
+# (32 KiB), whatever the candidate count or top_k.
+NMS_TILE = 64
+
+
+def _suppressed(x1, y1, x2, y2, areas, classes, kept, rows, iou_threshold):
+    """(len(kept), len(rows)) bool: kept box k suppresses row r. box_iou's
+    float64 formula with the kept box first, per class, with `inter > 0`."""
+    k, r = kept[:, None], rows[None, :]
+    ix = np.maximum(0.0, np.minimum(x2[k], x2[r]) - np.maximum(x1[k], x1[r]))
+    iy = np.maximum(0.0, np.minimum(y2[k], y2[r]) - np.maximum(y1[k], y1[r]))
+    inter = ix * iy
+    iou = inter / (areas[k] + areas[r] - inter)
+    return (classes[k] == classes[r]) & (inter > 0.0) & (iou > iou_threshold)
+
+
 def nms(candidates: Candidates, iou_threshold: float = 0.5,
         score_threshold: float = 0.05, top_k: int = 100) -> list[Detection]:
     """Greedy per-class suppression by descending score; ties broken by
     (class, box corners, level) so the result is independent of input order.
 
-    Each surviving candidate is kept and then clears every later same-class
-    candidate whose IoU with it (box_iou's float64 formula, kept box first)
-    exceeds the threshold. IoU is symmetric and only kept boxes suppress, so
-    this keeps exactly what checking each candidate against all kept boxes
-    keeps; the walk stops once top_k boxes are kept. Only the kept rows become
-    `Detection`s."""
+    A candidate is kept unless a kept same-class box overlaps it with IoU
+    (box_iou's float64 formula, kept box first) above the threshold; the walk
+    stops once top_k boxes are kept. It runs over the sorted rows in tiles of
+    NMS_TILE: the boxes kept so far clear a tile's rows, NMS_TILE kept boxes
+    at a time, then one IoU matrix over the tile's survivors settles them in
+    order. Only the kept rows become `Detection`s."""
     if not (0.0 <= iou_threshold <= 1.0 and 0.0 <= score_threshold <= 1.0):
         raise ConfigurationError("thresholds must lie in [0, 1]")
     if top_k < 0:
         raise ConfigurationError(f"top_k must be non-negative, got {top_k}")
     rows = candidates.order()
     rows = rows[candidates.scores[rows] > score_threshold]
-    if not len(rows) or top_k == 0:
-        return []
     x1, y1, x2, y2 = candidates.boxes[rows].T
-    classes = candidates.classes[rows]
-    areas = (x2 - x1) * (y2 - y1)
-    alive = np.ones(len(rows), dtype=bool)
-    kept: list[int] = []
-    for i in range(len(rows)):
-        if not alive[i]:
-            continue
-        kept.append(i)
-        if len(kept) == top_k:
+    geometry = (x1, y1, x2, y2, (x2 - x1) * (y2 - y1), candidates.classes[rows])
+    kept = np.empty(0, dtype=np.intp)
+    for start in range(0, len(rows), NMS_TILE):
+        if len(kept) >= top_k:
             break
-        rest = slice(i + 1, None)
-        ix = np.maximum(0.0, np.minimum(x2[i], x2[rest]) - np.maximum(x1[i], x1[rest]))
-        iy = np.maximum(0.0, np.minimum(y2[i], y2[rest]) - np.maximum(y1[i], y1[rest]))
-        inter = ix * iy
-        iou = inter / (areas[i] + areas[rest] - inter)
-        alive[rest] &= ~((classes[rest] == classes[i]) & (inter > 0.0) & (iou > iou_threshold))
+        tile = np.arange(start, min(start + NMS_TILE, len(rows)))
+        for k in range(0, len(kept), NMS_TILE):
+            if not len(tile):
+                break
+            hit = _suppressed(*geometry, kept[k:k + NMS_TILE], tile, iou_threshold)
+            tile = tile[~hit.any(axis=0)]
+        # bit j of masks[i] is set where survivor i suppresses survivor j
+        hit = _suppressed(*geometry, tile, tile, iou_threshold)
+        masks = (hit.astype(np.uint64) << np.arange(len(tile), dtype=np.uint64)).sum(axis=1)
+        cleared, settled = 0, []
+        for i, mask in enumerate(masks.tolist()):
+            if not cleared >> i & 1:
+                settled.append(i)
+                if len(kept) + len(settled) == top_k:
+                    break
+                cleared |= mask
+        kept = np.concatenate([kept, tile[settled]])
     return [candidates.detection(r) for r in rows[kept].tolist()]
 
 
-def detections_from_output(output: HeadOutput, cfg: AnchorConfig, num_classes: int,
-                           score_threshold: float = 0.05) -> Candidates:
-    """Score-filtered candidate detections from one level's head output, on
-    the level of its keys: a class logit passes where `sigmoid_above` puts its
-    sigmoid above score_threshold, and only the passing logits are turned
-    into scores.
+def detections_from_output(outputs: Sequence[HeadOutput], cfg: AnchorConfig,
+                           num_classes: int, score_threshold: float = 0.05) -> Candidates:
+    """Score-filtered candidate detections from the levels' head outputs, in
+    one batch: a class logit passes where `sigmoid_above` puts its sigmoid
+    above score_threshold. Each level hands over only its passing (row,
+    channel) pairs; anchors, box decoding and sigmoids then run once over all
+    of them, level by level in the batch's row order.
 
     Channel layout: class logit for anchor slot a, class k sits at a*K + k;
     box deltas for slot a at a*4 .. a*4+3. A head whose class or box width
@@ -233,22 +250,26 @@ def detections_from_output(output: HeadOutput, cfg: AnchorConfig, num_classes: i
     shift so large that the anchor's side no longer shows) is dropped.
     """
     cls_width, reg_width, _ = pred_widths(cfg.num_anchors, num_classes)
-    got = output.cls_logits.channels, output.reg_deltas.channels
-    if got != (cls_width, reg_width):
-        raise ConfigurationError(
-            f"head emits {got[0]} class and {got[1]} box channels; {cfg.num_anchors} "
-            f"anchors and {num_classes} classes need {cls_width} and {reg_width}")
-    logits = output.cls_logits.features                 # (N, A*K)
-    rows, chans = np.nonzero(sigmoid_above(logits, score_threshold))
-    xs, ys = output.keys.xs[rows], output.keys.ys[rows]
+    picked = []
+    for output in outputs:
+        got = output.cls_logits.channels, output.reg_deltas.channels
+        if got != (cls_width, reg_width):
+            raise ConfigurationError(
+                f"head emits {got[0]} class and {got[1]} box channels; {cfg.num_anchors} "
+                f"anchors and {num_classes} classes need {cls_width} and {reg_width}")
+        logits = output.cls_logits.features             # (N, A*K)
+        rows, chans = np.nonzero(sigmoid_above(logits, score_threshold))
+        box_chans = (chans // num_classes * 4)[:, None] + np.arange(4)
+        picked.append((output.keys.xs[rows], output.keys.ys[rows], chans,
+                       np.full(len(rows), output.keys.level), logits[rows, chans],
+                       output.reg_deltas.features[rows[:, None], box_chans]))
+    if not picked:
+        return Candidates.of([])
+    xs, ys, chans, levels, logits, deltas = (np.concatenate(f) for f in zip(*picked))
     slots, classes = chans // num_classes, chans % num_classes
-    reg = output.reg_deltas.features
-    deltas = np.stack([reg[rows, slots * 4 + i] for i in range(4)], axis=1)
-    level = output.keys.level
-    boxes = decode_boxes(deltas, anchor_boxes(xs, ys, slots, level))
+    boxes = decode_boxes(deltas, anchor_boxes(xs, ys, slots, levels))
     ok = (boxes[:, 2] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 1])
-    return Candidates(boxes[ok], sigmoid_array(logits[rows, chans][ok]), classes[ok],
-                      np.full(np.count_nonzero(ok), level))
+    return Candidates(boxes[ok], sigmoid_array(logits[ok]), classes[ok], levels[ok])
 
 
 def detections_from_result(result, cfg: AnchorConfig, num_classes: int,
@@ -256,9 +277,8 @@ def detections_from_result(result, cfg: AnchorConfig, num_classes: int,
                            top_k: int = 100) -> list[Detection]:
     """Final detections for a whole pipeline run: every level's candidates in
     one batch, then one global NMS."""
-    candidates = Candidates.concat(
-        detections_from_output(rec.output, cfg, num_classes, score_threshold)
-        for rec in result.records)
+    candidates = detections_from_output([rec.output for rec in result.records], cfg,
+                                        num_classes, score_threshold)
     return nms(candidates, iou_threshold, score_threshold, top_k)
 
 

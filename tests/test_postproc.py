@@ -1,11 +1,12 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cascadequery import postproc
@@ -66,6 +67,13 @@ def test_anchors_and_query_targets_share_one_scale():
         assert is_small_for_level(GroundTruthObject(0.0, 0.0, np.nextafter(side, 0.0), 1.0),
                                   level)
         assert not is_small_for_level(GroundTruthObject(0.0, 0.0, side, 1.0), level)
+
+
+def test_anchor_boxes_take_one_level_per_row():
+    xs, ys, slots, levels = [0, 3, 5, 1], [2, 1, 0, 4], [0, 1, 0, 2], [2, 7, 3, 2]
+    want = np.concatenate([anchor_boxes([x], [y], [s], lvl)
+                           for x, y, s, lvl in zip(xs, ys, slots, levels)])
+    np.testing.assert_array_equal(anchor_boxes(xs, ys, slots, levels), want)
 
 
 def test_anchor_config_rejects_zero_anchors_as_a_configuration_error():
@@ -203,9 +211,15 @@ def greedy_nms_oracle(dets, iou_threshold, score_threshold, top_k):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300),
-       classes=st.integers(1, 4), top_k=st.sampled_from([0, 1, 3, 100, None]),
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 700),
+       classes=st.integers(1, 4),
+       top_k=st.sampled_from([0, 1, 3, 63, 64, 65, 100, 128, None]),
        iou_threshold=st.sampled_from([0.0, 0.5, 1.0]))
+@example(seed=1, n=63, classes=1, top_k=None, iou_threshold=0.5)
+@example(seed=2, n=64, classes=2, top_k=64, iou_threshold=0.5)
+@example(seed=3, n=65, classes=1, top_k=65, iou_threshold=1.0)
+@example(seed=4, n=129, classes=1, top_k=None, iou_threshold=1.0)
+@example(seed=5, n=700, classes=4, top_k=128, iou_threshold=0.5)
 def test_nms_matches_the_unbounded_greedy_oracle(seed, n, classes, top_k, iou_threshold):
     rng = np.random.default_rng(seed)
     # boxes on a coarse half-pixel grid in a small field: dense overlaps, exact
@@ -226,6 +240,40 @@ def test_nms_matches_the_unbounded_greedy_oracle(seed, n, classes, top_k, iou_th
         greedy_nms_oracle(dets, iou_threshold, 0.05, k)
 
 
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 191, 192, 193])
+@pytest.mark.parametrize("lead", [0, 1, 63])
+def test_nms_resolves_a_chain_across_tile_edges(n, lead):
+    # a chain of n same-class boxes shifted 2 px apart, in descending score:
+    # neighbours overlap at IoU 8/12, boxes two apart at 6/14, so greedy keeps
+    # every other box. Far-apart lead boxes shift the chain: with one, a kept
+    # box clears the first row of the next tile; with 63, the chain's kept
+    # boxes close each NMS_TILE of kept boxes at a tile's last row
+    leads = [det((-2000.0 + 20.0 * j, 0.0, -1990.0 + 20.0 * j, 10.0), 0.99 - 0.001 * j)
+             for j in range(lead)]
+    chain = [det((2.0 * i, 0.0, 2.0 * i + 10.0, 10.0), 0.9 - 0.8 * i / n) for i in range(n)]
+    dets = leads + chain
+    kept = nms(Candidates.of(dets), 0.5, 0.05, top_k=len(dets))
+    assert kept == leads + chain[::2] == greedy_nms_oracle(dets, 0.5, 0.05, len(dets))
+
+
+def test_nms_scratch_does_not_grow_with_top_k():
+    # the sort arrays are O(n); every IoU matrix is at most NMS_TILE x NMS_TILE
+    rng = np.random.default_rng(29)
+    n = 5000
+    corners = rng.uniform(0.0, 2000.0, (n, 2))
+    boxes = np.concatenate([corners, corners + rng.uniform(4.0, 40.0, (n, 2))], axis=1)
+    cands = Candidates(boxes, rng.uniform(0.06, 1.0, n), rng.integers(0, 4, n),
+                       np.full(n, 3))
+    tracemalloc.start()
+    try:
+        kept = nms(cands, top_k=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 1000
+    assert peak < 1_000_000, f"nms peaked at {peak / 1e6:.2f} MB"
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 80))
 def test_candidate_order_is_detection_sort_key_order(seed, n):
@@ -243,17 +291,14 @@ def test_candidate_order_is_detection_sort_key_order(seed, n):
         sorted(dets, key=Detection.sort_key)
 
 
-def test_candidates_of_and_concat_keep_rows_in_order():
+def test_candidates_of_keeps_rows_in_order():
     dets = [det((0.0, 0.0, 4.0, 4.0), 0.25, cls=1, level=3),
             det((1.0, 2.0, 3.5, 9.0), 0.75, cls=0, level=2),
             det((0.0, 0.0, 4.0, 4.0), 0.5, cls=2, level=4)]
     whole = Candidates.of(dets)
     assert len(whole) == 3
     assert [whole.detection(i) for i in range(3)] == dets
-    joined = Candidates.concat([Candidates.of(dets[:1]), Candidates.of([]),
-                                Candidates.of(dets[1:])])
-    assert_same_rows(rows_of(joined), rows_of(whole))
-    assert len(Candidates.concat([])) == 0
+    assert len(Candidates.of([])) == 0
     assert nms(Candidates.of([])) == []
 
 
@@ -315,7 +360,7 @@ def test_candidates_respect_the_score_threshold():
     cls[1, 2, 3] = 2.0  # one confident cell, class 1
     reg = np.zeros((4, 4, 4), dtype=np.float32)
     query = np.zeros((1, 4, 4), dtype=np.float32)
-    cands = detections_from_output(head_output_dense(cls, reg, query), CFG, 2)
+    cands = detections_from_output([head_output_dense(cls, reg, query)], CFG, 2)
     assert len(cands) == 1
     d = cands.detection(0)
     assert d.class_id == 1 and d.level == 3
@@ -331,7 +376,7 @@ def test_decode_drops_a_collapsed_box_and_keeps_the_rest():
     reg = np.zeros((4, 3, 3), dtype=np.float32)
     reg[0, 1, 1] = 1e30
     query = np.zeros((1, 3, 3), dtype=np.float32)
-    cands = detections_from_output(head_output_dense(cls, reg, query), CFG, 1)
+    cands = detections_from_output([head_output_dense(cls, reg, query)], CFG, 1)
     assert len(cands) == 1 and cands.levels.tolist() == [3]
     np.testing.assert_array_equal(cands.boxes, anchor_boxes([0], [2], [0], 3))
 
@@ -351,10 +396,10 @@ def test_sparse_and_dense_candidates_agree_at_keys():
     off_keys = np.ones((6, 6), dtype=bool)
     off_keys[ks.ys, ks.xs] = False
     cls[:, off_keys] = -50.0
-    dense_cands = detections_from_output(head_output_dense(cls, reg, query), CFG, 4)
+    dense_cands = detections_from_output([head_output_dense(cls, reg, query)], CFG, 4)
     assert 0 < len(dense_cands) < 4 * 36
     assert_same_rows(row_sorted(dense_cands),
-                     row_sorted(detections_from_output(sparse, CFG, 4)))
+                     row_sorted(detections_from_output([sparse], CFG, 4)))
 
 
 def test_multi_anchor_channel_layout():
@@ -364,7 +409,7 @@ def test_multi_anchor_channel_layout():
     cls[3, 0, 0] = 3.0  # slot 1, class 1 under K=2
     reg = np.zeros((8, 2, 2), dtype=np.float32)
     query = np.zeros((1, 2, 2), dtype=np.float32)
-    cands = detections_from_output(head_output_dense(cls, reg, query, level=4), cfg2, 2)
+    cands = detections_from_output([head_output_dense(cls, reg, query, level=4)], cfg2, 2)
     assert len(cands) == 1
     assert cands.classes[0] == 1
     side = cands.boxes[0, 2] - cands.boxes[0, 0]
@@ -399,7 +444,7 @@ def test_only_kept_candidates_become_detections(monkeypatch):
             super().__post_init__()
 
     monkeypatch.setattr(postproc, "Detection", CountingDetection)
-    assert len(detections_from_output(result.records[0].output, CFG, 4)) >= 300
+    assert len(detections_from_output([result.records[0].output], CFG, 4)) >= 300
     got = detections_from_result(result, CFG, 4, top_k=5)
     assert len(made) <= 5
     assert detections_to_json(got) == want and len(want) == 5
@@ -441,10 +486,12 @@ def test_detections_from_result_calls_decode_and_nms_through_the_module(monkeypa
     monkeypatch.setattr(postproc, "nms", spy_nms)
     got = postproc.detections_from_result(SimpleNamespace(records=records), CFG, 4,
                                           top_k=5)
-    assert len(decoded) == 2 and sum(map(len, decoded)) > 5
-    assert len(nms_calls) == 1
-    assert_same_rows(rows_of(nms_calls[0]), rows_of(Candidates.concat(decoded)))
-    assert got == real_nms(Candidates.concat(decoded), top_k=5)
+    per_level = [real_decode([rec.output], CFG, 4) for rec in records]
+    assert len(decoded) == 1 and all(len(c) for c in per_level) and len(decoded[0]) > 5
+    assert len(nms_calls) == 1 and nms_calls[0] is decoded[0]
+    assert_same_rows(rows_of(decoded[0]),
+                     tuple(map(np.concatenate, zip(*map(rows_of, per_level)))))
+    assert got == real_nms(decoded[0], top_k=5)
 
 
 def report_digest(result) -> str:
