@@ -58,7 +58,8 @@ def main():
             q = f", {len(queries)} queries onward" if queries is not None else ""
             print(f"P{rec.level} ({rec.height}x{rec.width})  sparse: {len(keys)} keys "
                   f"({len(keys) / cells:.1%} of cells){q}")
-    subnets = head_flops_dense(1, 1, CHANNELS, 1, 4, 2) / head_flops_dense(1, 1, CHANNELS, 1, 4)
+    subnets = (head_flops_dense(1, 1, CHANNELS, 1, 4, query=False)
+               / head_flops_dense(1, 1, CHANNELS, 1, 4))
     print(f"\ntotal: {result.total_flops:,} MACs = "
           f"{result.total_flops / result.dense_equiv_flops:.1%} of the full three-branch "
           f"head on every level\n(the dense strategy runs {subnets:.1%} of it: the cls and "

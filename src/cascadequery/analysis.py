@@ -29,7 +29,7 @@ import numpy as np
 
 from . import postproc, query
 from .errors import ConfigurationError
-from .model import SUBNETS, TOWER_DEPTH, head_flops_dense, head_flops_sparse, level_dims
+from .model import TOWER_DEPTH, head_flops_dense, head_flops_sparse, level_dims
 
 
 def inbounds_pairs(height: int, width: int) -> int:
@@ -64,7 +64,7 @@ def flops_report(image_h: int, image_w: int, levels, channels: int, num_anchors:
         total = head_flops_dense(h, w, channels, num_anchors, num_classes)
         pred = head_flops_sparse([0] * TOWER_DEPTH + [9 * h * w], channels, num_anchors,
                                  num_classes)
-        subnets = head_flops_dense(h, w, channels, num_anchors, num_classes, len(SUBNETS))
+        subnets = head_flops_dense(h, w, channels, num_anchors, num_classes, query=False)
         rows.append({"level": l, "shape": [h, w], "dense_tower_macs": total - pred,
                      "dense_pred_macs": pred, "dense_query_macs": total - subnets,
                      "dense_total_macs": total})

@@ -28,9 +28,9 @@ import numpy as np
 
 from . import analysis
 from .errors import CascadeQueryError, ConfigurationError, FormatError, ValidationError
-from .model import (SUBNETS, Blob, FeaturePyramid, head_flops_dense, level_dims,
-                    load_pyramid, load_weights, make_fixture_weights, make_synthetic_pyramid,
-                    run_dense_head, save_pyramid, save_weights)
+from .model import (Blob, FeaturePyramid, head_flops_dense, level_dims, load_pyramid,
+                    load_weights, make_fixture_weights, make_synthetic_pyramid, run_dense_head,
+                    save_pyramid, save_weights)
 from .postproc import AnchorConfig, detections_from_result, detections_to_json
 from .query import STRATEGIES, CascadeResult, QueryConfig, run_pipeline
 from .sparse import KeySet, build_rulebook
@@ -237,7 +237,7 @@ def cmd_run(opts: dict) -> int:
     _write_json(os.path.join(out_dir, "report.json"), report)
     _write_json(os.path.join(out_dir, "detections.json"), detections_to_json(dets))
     c, a, k = weights.channels, weights.num_anchors, weights.num_classes
-    subnets = head_flops_dense(1, 1, c, a, k, len(SUBNETS)) / head_flops_dense(1, 1, c, a, k)
+    subnets = head_flops_dense(1, 1, c, a, k, query=False) / head_flops_dense(1, 1, c, a, k)
     print(f"{result.strategy}: {len(dets)} detections, "
           f"{result.total_flops} MACs "
           f"({report['flops_fraction_of_dense']:.4f} of the full three-branch head; "
@@ -281,7 +281,7 @@ def _check_against_dense(pyr, weights, dense: CascadeResult | Exception, cfg: Qu
         feature = pyr.levels[rec.level]
         want = dense.record(rec.level).output.branch_rows()
         if rec.output.query_logits is not None:
-            want["query_logits"] = run_dense_head(feature, weights, feature.keys).query_logits
+            want["query_logits"] = run_dense_head(feature, weights).query_logits
         at = feature.keys.rows_of(keys)  # every reference holds rows over the full grid
         for name, got in rec.output.branch_rows().items():
             g = got.features

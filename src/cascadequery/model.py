@@ -19,10 +19,10 @@ not counted), by one rule: a conv pays C_in * C_out per (output, tap) pair it
 computes. `head_flops_sparse` charges each conv its own rulebook's entries;
 `head_flops_dense` is the same rule with every cell paying all 9 taps.
 
-Both head passes run the branches they are given: all of BRANCHES, or
-SUBNETS, the cls and reg prefix (RetinaNet's two subnets). The query branch
-exists only to pick the children one level down, so the cascade runs it only
-at the levels whose query scores it reads; elsewhere `HeadOutput.query_logits`
+Both head passes, and the cost rule, take one flag, `query`: all of BRANCHES
+run, or SUBNETS alone, the cls and reg prefix (RetinaNet's two subnets). The
+query branch exists only to pick the children one level down, so the cascade
+runs it only where it reads query scores; elsewhere `HeadOutput.query_logits`
 is None, and the cost rule charges the branches that ran.
 
 The towers' first convs read the same input rows, so both head passes run
@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, FormatError, ValidationError
-from .sparse import (KeySet, Rulebook, SparseFeature, build_rulebook, conv2d, gather, relu,
+from .sparse import (KeySet, Rulebook, SparseFeature, build_rulebook, conv2d, relu,
                      sparse_conv, sparse_relu)
 from .targets import MAX_LEVEL, GroundTruthObject, level_dims
 from .tensor import ConvWeights, ContainerReader, manifest_int, write_container
@@ -70,42 +70,31 @@ def pred_widths(num_anchors: int, num_classes: int) -> tuple[int, int, int]:
     return num_anchors * num_classes, num_anchors * 4, 1
 
 
-def _branch_count(branches: Sequence[str]) -> int:
-    """How many branches a head pass runs: `branches` must be BRANCHES or
-    SUBNETS, the prefixes that hold both detection branches."""
-    if tuple(branches) not in (SUBNETS, BRANCHES):
-        raise ConfigurationError(f"a head pass runs {SUBNETS} or {BRANCHES}, "
-                                 f"not {tuple(branches)}")
-    return len(branches)
-
-
 def head_flops_sparse(rulebook_entries, channels: int, num_anchors: int,
-                      num_classes: int, branches: int = len(BRANCHES)) -> int:
+                      num_classes: int, *, query: bool = True) -> int:
     """The head's MAC rule: every conv (towers and predictors alike) pays
     C_in * C_out work per entry of its rulebook. `rulebook_entries` holds one
     count per conv of a branch (the TOWER_DEPTH tower convs, then the
-    predictor); every branch shares that schedule of rulebooks, and the first
-    `branches` of BRANCHES run. Isolated keys fire only their center offset,
-    giving the 1/9-per-key floor. Bias adds are not MACs, so the key count
-    does not enter."""
+    predictor); every branch shares that schedule of rulebooks, and BRANCHES
+    run, or SUBNETS without `query`. Isolated keys fire only their center
+    offset, giving the 1/9-per-key floor. Bias adds are not MACs, so the key
+    count does not enter."""
     if len(rulebook_entries) != TOWER_DEPTH + 1:
         raise ConfigurationError(f"{len(rulebook_entries)} per-conv entry counts, the head "
                                  f"has {TOWER_DEPTH + 1} convs")
-    if branches not in (len(SUBNETS), len(BRANCHES)):
-        raise ConfigurationError(f"a head pass runs {len(SUBNETS)} or {len(BRANCHES)} "
-                                 f"branches, not {branches}")
+    branches = len(BRANCHES if query else SUBNETS)
     *tower, last = rulebook_entries
     return channels * (branches * channels * sum(tower)
                        + sum(pred_widths(num_anchors, num_classes)[:branches]) * last)
 
 
 def head_flops_dense(height: int, width: int, channels: int, num_anchors: int,
-                     num_classes: int, branches: int = len(BRANCHES)) -> int:
+                     num_classes: int, *, query: bool = True) -> int:
     """Full-map head cost: the rule with every cell of the H x W grid paying
     all 9 taps of every conv, zero-padding taps included (the usual
     conv-FLOPs convention)."""
     return head_flops_sparse([9 * height * width] * (TOWER_DEPTH + 1), channels,
-                             num_anchors, num_classes, branches)
+                             num_anchors, num_classes, query=query)
 
 
 @dataclass(frozen=True)
@@ -200,7 +189,10 @@ class HeadWeights:
         """Every branch's first tower conv as one C -> 3C conv, their output
         channels in BRANCHES order: one gather serves all three. Its parts are
         the subnet stem and the query conv, so cls and reg carry the same bits
-        whether the query branch runs or not. Built once, on first use."""
+        whether the query branch runs or not. Built once, on first use.
+        The query conv stays in it: a query tower gathering its own input was
+        as exact and lighter, but slower on csq-sparse, where a second gather
+        costs what the C-wide GEMM does (ROADMAP item 12)."""
         return self._first_convs(len(BRANCHES), (2 * self.channels, self.channels))
 
     @cached_property
@@ -214,9 +206,9 @@ class HeadWeights:
         return ConvWeights(np.concatenate([conv.weights for conv in firsts]),
                            np.concatenate([conv.bias for conv in firsts]), parts)
 
-    def stem_of(self, count: int) -> ConvWeights:
-        """The stem of a pass running the first `count` branches."""
-        return self.stem if count == len(BRANCHES) else self.subnet_stem
+    def stem_of(self, query: bool) -> ConvWeights:
+        """The stem of a pass with the query branch, or without it."""
+        return self.stem if query else self.subnet_stem
 
 
 @dataclass(frozen=True)
@@ -256,25 +248,25 @@ def _dense_branch(x: SparseFeature, tower: list[ConvWeights], pred: ConvWeights)
     return conv2d(x, pred)
 
 
-def run_dense_head(feature: SparseFeature, w: HeadWeights, keys: KeySet,
-                   branches: Sequence[str] = BRANCHES) -> HeadOutput:
-    """Full-map pass of `branches` (BRANCHES or SUBNETS) over a full-grid
-    feature, with its rows as computed at the feature's own keys, or gathered
-    at other `keys`; logits carry no activation."""
-    n = _branch_count(branches)
+def run_dense_head(feature: SparseFeature, w: HeadWeights, *, query: bool = True) -> HeadOutput:
+    """Full-map pass of BRANCHES, or of SUBNETS without `query`, over a
+    full-grid feature, with rows at the feature's own keys; logits carry no
+    activation."""
     if feature.channels != w.channels:
         raise ConfigurationError(
             f"feature has {feature.channels} channels, head expects {w.channels}"
         )
-    stem = relu(conv2d(feature, w.stem_of(n)))
-    slices = np.split(stem.features, n, axis=1)
-    outs = [_dense_branch(SparseFeature(stem.keys, x), t[1:], p)
-            for x, (t, p) in zip(slices, w.branches)]
-    return HeadOutput(*(outs if keys is feature.keys else [gather(o, keys) for o in outs]))
+    stem = relu(conv2d(feature, w.stem_of(query)))
+    slices = np.split(stem.features, len(BRANCHES if query else SUBNETS), axis=1)
+    return HeadOutput(*[_dense_branch(SparseFeature(stem.keys, x), t[1:], p)
+                        for x, (t, p) in zip(slices, w.branches)])
 
 
 def _sparse_branch(vf: SparseFeature, tower: list[ConvWeights], pred: ConvWeights,
                    schedule: Rulebook | Sequence[Rulebook]) -> SparseFeature:
+    # csq hands every conv one bare Rulebook; perfbench's
+    # test_traced_run_survives_a_removed_kernel swaps in a function taking
+    # one, so both forms stay until the benchmark change of ROADMAP item 7
     books = [schedule] * (TOWER_DEPTH + 1) if isinstance(schedule, Rulebook) else schedule
     x = vf
     for conv, rb in zip(tower, books):
@@ -283,9 +275,9 @@ def _sparse_branch(vf: SparseFeature, tower: list[ConvWeights], pred: ConvWeight
 
 
 def run_sparse_head(value_features: SparseFeature, w: HeadWeights,
-                    schedule: Rulebook | Sequence[Rulebook] | None = None,
-                    branches: Sequence[str] = BRANCHES) -> HeadOutput:
-    """Pass of `branches` (BRANCHES or SUBNETS) over gathered value features,
+                    schedule: Rulebook | Sequence[Rulebook] | None = None, *,
+                    query: bool = True) -> HeadOutput:
+    """Pass of BRANCHES, or of SUBNETS without `query`, over gathered value features,
     driven by a schedule that the branches share: one rulebook for every conv
     (submanifold: the active set stays fixed), or one per conv of a branch,
     the TOWER_DEPTH tower convs then the predictor. Conv j reads rows at its
@@ -295,12 +287,13 @@ def run_sparse_head(value_features: SparseFeature, w: HeadWeights,
     first rulebook drives the stem, the branches' first tower convs as one,
     and each branch runs the rest of the schedule on its slice of the stem's
     rows."""
-    n = _branch_count(branches)
     if value_features.channels != w.channels:
         raise ConfigurationError(
             f"value features have {value_features.channels} channels, head expects {w.channels}"
         )
     if schedule is None:
+        # model's one call of build_rulebook, which perfbench hooks (and lists as
+        # absent if gone), so it stays until the benchmark change of ROADMAP item 7
         schedule = build_rulebook(value_features.keys)
     elif not isinstance(schedule, Rulebook) and len(schedule) != TOWER_DEPTH + 1:
         raise ConfigurationError(
@@ -312,8 +305,8 @@ def run_sparse_head(value_features: SparseFeature, w: HeadWeights,
         first, rest = schedule[0], schedule[1:]
     # the stem runs as a branch with no tower convs, so every sparse conv of
     # the head goes through _sparse_branch
-    stem = sparse_relu(_sparse_branch(value_features, [], w.stem_of(n), first))
-    slices = np.split(stem.features, n, axis=1)
+    stem = sparse_relu(_sparse_branch(value_features, [], w.stem_of(query), first))
+    slices = np.split(stem.features, len(BRANCHES if query else SUBNETS), axis=1)
     return HeadOutput(*[_sparse_branch(SparseFeature(stem.keys, x), t[1:], p, rest)
                         for x, (t, p) in zip(slices, w.branches)])
 

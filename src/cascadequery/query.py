@@ -19,14 +19,14 @@ skeleton and differ only in how the children's rows are computed:
          the predictors write at the keys. Every input a key's output
          depends on is computed, so cq matches dense at every key
   ccq    full dense compute at every level, but outputs below the start level
-         are kept only at key positions (exactness baseline)
+         are gathered at the keys alone (exactness baseline)
 
 The query branch exists only to pick the children one level down, so every
-strategy runs it only at the levels whose query scores the cascade reads:
-from the start level down to the level above the finest. Every other level
-runs the cls and reg branches alone (`model.SUBNETS`), its output carries no
-query logits, and it is charged the MACs of those two. The dense strategy
-reads no query score, so it never runs the query branch.
+strategy runs it (the head passes' and cost rule's `query` flag) only at the
+levels whose query scores the cascade reads: from the start level down to the
+level above the finest. Every other level runs the cls and reg branches alone
+(`model.SUBNETS`), carries no query logits, and is charged those two's MACs.
+The dense strategy reads no query score, so it never runs the query branch.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .model import (BRANCHES, RECEPTIVE_FIELD, SUBNETS, TOWER_DEPTH, FeaturePyramid,
-                    HeadOutput, HeadWeights, head_flops_dense, head_flops_sparse,
-                    run_dense_head, run_sparse_head)
+from .model import (RECEPTIVE_FIELD, TOWER_DEPTH, FeaturePyramid, HeadOutput, HeadWeights,
+                    head_flops_dense, head_flops_sparse, run_dense_head, run_sparse_head)
 from .sparse import KeySet, Rulebook, SparseFeature, build_rulebook, dilate, gather
 from .tensor import sigmoid_above
 
@@ -212,18 +211,18 @@ def _schedule(keys: KeySet, radius: int) -> list[Rulebook]:
 
 
 def _sparse_level(feature: SparseFeature, w: HeadWeights, keys: KeySet, radius: int,
-                  branches: tuple[str, ...]) -> tuple[HeadOutput, int, int]:
-    """Sparse pass of `branches` over `_schedule(keys, radius)`, gathered at
-    its widest set and with rows at the keys. Each conv of each branch that
-    runs is charged for its own rulebook.
+                  query: bool) -> tuple[HeadOutput, int, int]:
+    """Sparse pass, with or without the query branch, over `_schedule(keys,
+    radius)`, gathered at its widest set and with rows at the keys. Each conv
+    of each branch that runs is charged for its own rulebook.
     Returns the output, the entries summed over the distinct rulebooks, and
     the level's MACs."""
     per_conv = _schedule(keys, radius)
     built = list(dict.fromkeys(per_conv))
     out = run_sparse_head(gather(feature, per_conv[0].inputs), w,
-                          built[0] if len(built) == 1 else per_conv, branches)
+                          built[0] if len(built) == 1 else per_conv, query=query)
     flops = head_flops_sparse([rb.num_entries for rb in per_conv], w.channels,
-                              w.num_anchors, w.num_classes, len(branches))
+                              w.num_anchors, w.num_classes, query=query)
     return out, sum(rb.num_entries for rb in built), flops
 
 
@@ -275,18 +274,19 @@ def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig) -> Casca
                 else feature.keys)
         # the next level's keys come from this level's query scores
         reads_queries = cascade and levels[-1] < l <= cfg.start_level
-        branches = BRANCHES if reads_queries else SUBNETS
         dense_equiv += head_flops_dense(feature.height, feature.width, w.channels,
                                         w.num_anchors, w.num_classes)
         if child and cfg.strategy in _HALO:
             out, entries, flops = _sparse_level(feature, w, keys, _HALO[cfg.strategy],
-                                                branches)
+                                                reads_queries)
             mode = "sparse"
         else:
-            out = run_dense_head(feature, w, keys, branches)
+            out = run_dense_head(feature, w, query=reads_queries)
+            if child:
+                out = HeadOutput(**{n: gather(r, keys) for n, r in out.branch_rows().items()})
             entries, mode = 0, "masked" if child else "dense"
             flops = head_flops_dense(feature.height, feature.width, w.channels,
-                                     w.num_anchors, w.num_classes, len(branches))
+                                     w.num_anchors, w.num_classes, query=reads_queries)
         queries = extract_queries(out.query_logits, cfg.sigma) if reads_queries else None
         millis = (time.perf_counter() - t0) * 1000.0
         records.append(LevelRecord(l, mode, feature.height, feature.width, out,

@@ -34,10 +34,12 @@ class KeySet:
     def __init__(self, level: int, height: int, width: int, cells=None):
         if height <= 0 or width <= 0:
             raise ValidationError(f"key set bounds must be positive, got {height}x{width}")
-        flat = np.array([] if cells is None else cells, dtype=np.int64)
-        if flat.ndim != 1 or ((flat < 0) | (flat >= height * width)).any():
+        flat = np.asarray([] if cells is None else cells)  # [] is float64: allowed
+        if flat.ndim != 1 or (flat.size and flat.dtype.kind not in "iu") \
+                or ((flat < 0) | (flat >= height * width)).any():
             raise ValidationError(f"key cells must be a flat list of cells of the "
                                   f"{width}x{height} grid of level {level}")
+        flat = flat.astype(np.int64)  # a copy, as the caller's array stays writable
         if (np.diff(flat) <= 0).any():  # not yet canonical: sort and deduplicate
             flat = np.unique(flat)
         flat.setflags(write=False)

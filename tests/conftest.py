@@ -92,7 +92,7 @@ def dense_reference(pyr, weights, dense_result, level):
     no query branch. All hold rows over the level's full grid."""
     want = dense_result.record(level).output.branch_rows()
     feature = pyr.levels[level]
-    want["query_logits"] = cq.run_dense_head(feature, weights, feature.keys).query_logits
+    want["query_logits"] = cq.run_dense_head(feature, weights).query_logits
     return want
 
 

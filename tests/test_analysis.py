@@ -205,7 +205,7 @@ def test_benchmark_records_every_level(tiny_bench):
     assert dense.level_keys[7] == 1  # 128px image leaves a single level-7 cell
     assert all(m >= 0.0 for m in dense.level_millis.values())
     # the dense strategy runs cls and reg alone
-    assert dense.level_flops[2] == head_flops_dense(32, 32, 8, 1, 4, 2)
+    assert dense.level_flops[2] == head_flops_dense(32, 32, 8, 1, 4, query=False)
 
 
 def test_benchmark_best_run_bounds_the_median(tiny_bench):

@@ -713,17 +713,20 @@ def verdict_checks(capsys) -> dict:
 
 def test_verify_catches_masked_outputs_that_drift_from_dense(small_fixture, monkeypatch,
                                                               capsys):
-    real = query_mod.run_dense_head
+    real = query_mod.gather
+    weights = model_mod.load_weights(small_fixture / WEIGHTS_FILE)
+    cls_width = weights.num_anchors * weights.num_classes
+    assert cls_width != weights.channels  # so cls rows are told from a pyramid level
 
-    def masked_drifts(feature, weights, keys, branches):
-        # dense levels keep the full grid; ccq's child levels keep their keys
-        out = real(feature, weights, keys, branches)
-        if len(keys) == keys.height * keys.width:
+    def masked_drifts(rows, keys):
+        # csq and cq gather pyramid levels; ccq's child levels gather the
+        # dense pass's rows at their keys
+        out = real(rows, keys)
+        if rows.channels != cls_width:
             return out
-        drift = np.nextafter(out.cls_logits.features, np.inf)
-        return dataclasses.replace(out, cls_logits=SparseFeature(keys, drift))
+        return SparseFeature(keys, np.nextafter(out.features, np.inf))
 
-    monkeypatch.setattr(query_mod, "run_dense_head", masked_drifts)
+    monkeypatch.setattr(query_mod, "gather", masked_drifts)
     assert main(["verify", "--fixture", str(small_fixture), "--sigma", "0.02"]) == 1
     by_name = verdict_checks(capsys)
     assert by_name["ccq-exact"]["passed"] is False

@@ -17,7 +17,7 @@ KEYS = KeySet.full(2, 2, 2)
 CASES = {
     "pyramid-without-levels": (lambda: FeaturePyramid(64, 64, {}),
                                ConfigurationError, "pyramid has no levels"),
-    "dense-head-channels": (lambda: run_dense_head(SparseFeature(KEYS, np.zeros((4, 4))), W8, KEYS),
+    "dense-head-channels": (lambda: run_dense_head(SparseFeature(KEYS, np.zeros((4, 4))), W8),
                             ConfigurationError, "feature has 4 channels, head expects 8"),
     "sparse-head-channels": (lambda: run_sparse_head(SparseFeature(KEYS, np.zeros((4, 4))), W8),
                              ConfigurationError, "value features have 4 channels"),
@@ -33,6 +33,10 @@ CASES = {
                               ConfigurationError, "must be positive"),
     "keyset-bounds": (lambda: KeySet(2, 0, 4), ValidationError, "bounds must be positive"),
     "keyset-pairs": (lambda: KeySet(2, 4, 4, [[1, 2]]), ValidationError, "flat list of cells"),
+    "keyset-float": (lambda: KeySet(0, 4, 4, np.array([1.7, 3.2])), ValidationError,
+                     "flat list of cells"),
+    "keyset-bool": (lambda: KeySet(0, 4, 4, [True, False]), ValidationError,
+                    "flat list of cells"),
     "sparse-feature-rank": (lambda: SparseFeature(KEYS, np.zeros(4)),
                             ValidationError, "must be (num_keys, C)"),
     "sparse-feature-rows": (lambda: SparseFeature(KEYS, np.zeros((3, 4))),

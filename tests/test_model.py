@@ -181,13 +181,9 @@ def test_blob_runs_the_object_checks_and_its_own(kwargs, message):
 def test_dense_head_output_shapes():
     w = make_fixture_weights(3, 8, 2, 3)
     feature = level_rows(np.random.default_rng(0).standard_normal((8, 6, 7)).astype(np.float32))
-    full = KeySet.full(0, 6, 7)
-    out = run_dense_head(feature, w, full)
-    assert out.keys is full
-    # at the feature's own keys the computed rows are returned as they are
-    own = run_dense_head(feature, w, feature.keys)
-    assert own.keys is feature.keys
-    np.testing.assert_array_equal(own.cls_logits.features, out.cls_logits.features)
+    out = run_dense_head(feature, w)
+    # the computed rows, at the feature's own full-grid keys
+    assert out.keys is feature.keys
     assert out.cls_logits.features.shape == (42, 6)
     assert out.reg_deltas.features.shape == (42, 8)
     assert out.query_logits.features.shape == (42, 1)
@@ -198,7 +194,7 @@ def test_untrained_scores_start_near_the_prior():
     pyr = small_pyramid(seed=2)
     w = make_fixture_weights(2, 8, 1, 4)
     feature = pyr.levels[3]
-    out = run_dense_head(feature, w, KeySet.full(3, feature.height, feature.width))
+    out = run_dense_head(feature, w)
     scores = 1.0 / (1.0 + np.exp(-out.query_logits.features.astype(np.float64)))
     assert np.median(scores) < 0.05
 
@@ -208,7 +204,7 @@ def test_sparse_head_matches_dense_head_on_full_grid():
     w = make_fixture_weights(5, 8, 1, 4)
     feature = pyr.levels[4]
     ks = KeySet.full(4, feature.height, feature.width)
-    dense = run_dense_head(feature, w, ks)
+    dense = run_dense_head(feature, w)
     sparse = run_sparse_head(gather(feature, ks), w)
     for d, s in ((dense.cls_logits, sparse.cls_logits),
                  (dense.reg_deltas, sparse.reg_deltas),
@@ -255,21 +251,22 @@ def test_subnet_stem_is_the_cls_and_reg_first_convs_and_the_stem_keeps_them_apar
     assert w.stem.parts == (16, 8) and sub.parts == ()
 
 
-@pytest.mark.parametrize("channels", [1, 4, 6, 8, 9, 16])
+@pytest.mark.parametrize("channels", [1, 4, 6, 8, 9, 12, 16, 24])
 @pytest.mark.parametrize("head", ["dense", "sparse"])
 def test_cls_and_reg_rows_do_not_depend_on_the_query_branch(channels, head):
-    # a GEMM's rounding can change with its width (at 4 and 8 channels on
-    # some BLAS builds), so the subnets' bits are those of their own GEMM in
-    # both passes; the 24x24 level's rows span more than one row block
+    # a GEMM's rounding can change with its width (at 4, 6-10, 12 and 24
+    # channels on some BLAS builds), so the subnets' bits are those of their
+    # own GEMM in both passes (`ConvWeights.parts`); the 24x24 level's rows
+    # span more than one row block
     feature = small_pyramid(seed=4, image=96, channels=channels).levels[2]
     w = make_fixture_weights(5, channels, 1, 4)
     if head == "dense":
-        run = lambda branches: run_dense_head(feature, w, feature.keys, branches)
+        run = lambda query: run_dense_head(feature, w, query=query)
     else:
         ks = KeySet(2, 24, 24, np.flatnonzero(np.arange(24 * 24) % 5))
         vf = gather(feature, ks)
-        run = lambda branches: run_sparse_head(vf, w, None, branches)
-    full, subnets = run(BRANCHES), run(SUBNETS)
+        run = lambda query: run_sparse_head(vf, w, query=query)
+    full, subnets = run(True), run(False)
     assert full.branches == BRANCHES and full.query_logits is not None
     assert subnets.branches == SUBNETS and subnets.query_logits is None
     assert list(subnets.branch_rows()) == ["cls_logits", "reg_deltas"]
@@ -278,27 +275,16 @@ def test_cls_and_reg_rows_do_not_depend_on_the_query_branch(channels, head):
     np.testing.assert_array_equal(subnets.reg_deltas.features, full.reg_deltas.features)
 
 
-@pytest.mark.parametrize("branches", [(), ("cls",), ("reg", "cls"), ("cls", "query"),
-                                      BRANCHES + ("query",)])
-def test_a_head_pass_runs_all_branches_or_the_subnets(branches):
-    w = make_fixture_weights(5, 8, 1, 4)
-    feature = small_pyramid(seed=4).levels[5]
-    with pytest.raises(ConfigurationError, match="head pass runs"):
-        run_dense_head(feature, w, feature.keys, branches)
-    with pytest.raises(ConfigurationError, match="head pass runs"):
-        run_sparse_head(gather(feature, feature.keys), w, None, branches)
-
-
 def test_the_cost_rule_charges_the_branches_that_run():
     # per cell, C=8, A=2, K=3: towers 4 * 9 * 8 * 8 per branch, predictors
     # 9 * 8 * (6 + 8) for cls and reg and 9 * 8 * 1 for the query logit
-    two, three = head_flops_dense(1, 1, 8, 2, 3, 2), head_flops_dense(1, 1, 8, 2, 3)
+    two = head_flops_dense(1, 1, 8, 2, 3, query=False)
+    three = head_flops_dense(1, 1, 8, 2, 3)
     assert two == 2 * 4 * 9 * 8 * 8 + 9 * 8 * 14
     assert three - two == 4 * 9 * 8 * 8 + 9 * 8 * 1
-    assert head_flops_sparse([5, 4, 3, 2, 1], 8, 2, 3, 2) == 8 * (2 * 8 * 14 + 14 * 1)
-    for bad in (0, 1, 4):
-        with pytest.raises(ConfigurationError, match="branches"):
-            head_flops_dense(1, 1, 8, 2, 3, bad)
+    assert head_flops_sparse([5, 4, 3, 2, 1], 8, 2, 3, query=False) == 8 * (2 * 8 * 14 + 14 * 1)
+    with pytest.raises(TypeError):  # the flag is keyword-only: a branch count is not read as it
+        head_flops_dense(1, 1, 8, 2, 3, 2)
 
 
 def unfused_head_f64(feature, w, mask=1.0):
@@ -327,7 +313,7 @@ def test_stem_heads_match_an_unfused_float64_head(head):
     mask = 1.0
     if head == "dense":
         keys = KeySet.full(2, h, wd)
-        out = run_dense_head(feature, w, keys)
+        out = run_dense_head(feature, w)
     elif head == "csq":  # one submanifold rulebook for every conv
         mask = np.zeros((h, wd))
         mask[keys.ys, keys.xs] = 1.0
@@ -345,7 +331,7 @@ def test_head_output_rejects_mixed_density():
     pyr = small_pyramid(seed=4)
     w = make_fixture_weights(5, 8, 1, 4)
     feature = pyr.levels[4]
-    dense = run_dense_head(feature, w, KeySet.full(4, feature.height, feature.width))
+    dense = run_dense_head(feature, w)
     ks = KeySet(4, feature.height, feature.width, [0])
     sparse = run_sparse_head(gather(feature, ks), w)
     with pytest.raises(ValidationError):

@@ -1,4 +1,5 @@
-"""The package's modules import one another at module top, and without a cycle."""
+"""The package's modules import one another at module top, without a cycle,
+and use every name they import."""
 
 import ast
 from graphlib import TopologicalSorter
@@ -42,3 +43,30 @@ def test_package_imports_sit_at_module_top():
         late += [f"{m}:{node.lineno}" for node, names in sibling_imports(tree)
                  if names and id(node) not in top]
     assert late == []
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """The names a module's top-level imports bind, with their lines; a
+    `from __future__` import binds none."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {(a.asname or a.name.split(".")[0]): node.lineno for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {(a.asname or a.name): node.lineno for a in node.names}
+    return bound
+
+
+def test_package_modules_use_every_name_they_import():
+    # __init__ imports to re-export. A name perfbench hooks (model.conv2d,
+    # query.gather, ...) counts only where the module calls it. Annotations
+    # are unquoted (postponed by `from __future__ import annotations`), so
+    # the names they read are ast.Name nodes too.
+    unused = []
+    for m in MODULES:
+        tree = parse(m)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{m}:{line} {name}" for name, line in imported_names(tree).items()
+                   if name not in used]
+    assert "np" in imported_names(parse("model"))  # the walk sees the imports
+    assert unused == []

@@ -431,7 +431,7 @@ def test_dense_equiv_flops_is_the_dense_charge_of_every_level(pyramid, strategy)
     for r in res.records:
         if r.mode != "sparse":
             assert r.flops == head_flops_dense(r.height, r.width, 16, 3, 5,
-                                               len(r.output.branches))
+                                               query=r.output.query_logits is not None)
     if strategy == "dense":  # cls and reg alone: 2 * 4 * 16 + 15 + 12 of 3 * 4 * 16 + 28
         assert res.total_flops * (3 * 4 * 16 + 28) == res.dense_equiv_flops * (2 * 4 * 16 + 27)
 
