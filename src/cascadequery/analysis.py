@@ -84,6 +84,8 @@ def flops_report(image_h: int, image_w: int, levels, channels: int, num_anchors:
 # Untimed rounds before the timed ones: the first pass pays one-off costs, such
 # as neighbour-table builds and BLAS start-up.
 WARMUP = 2
+# Fewest timed rounds `run_benchmark` takes: its median needs a few samples.
+MIN_REPEATS = 5
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,7 @@ def timer_resolution_warning(spans_millis, resolution_s: float) -> bool:
     return shortest <= 0.0 or resolution_s > 0.01 * shortest
 
 
-def run_benchmark(pyr, weights, configs, repeats: int = 5) -> list[BenchResult]:
+def run_benchmark(pyr, weights, configs, repeats: int = MIN_REPEATS) -> list[BenchResult]:
     """Round-robin timing of every config, one image at a time, end to end:
     `query.run_pipeline`, then `postproc.detections_from_result` at its
     default thresholds.
@@ -159,8 +161,8 @@ def run_benchmark(pyr, weights, configs, repeats: int = 5) -> list[BenchResult]:
     (`end_to_end_samples[r]`, `pipeline_samples[r]`) see the same host.
     Results are in config order. Key and FLOP counters come from each
     config's last run (they are deterministic across runs)."""
-    if repeats < 5:
-        raise ConfigurationError(f"repeats must be >= 5, got {repeats}")
+    if repeats < MIN_REPEATS:
+        raise ConfigurationError(f"repeats must be >= {MIN_REPEATS}, got {repeats}")
     configs = list(configs)
     anchors = postproc.AnchorConfig(num_anchors=weights.num_anchors)
 

@@ -6,11 +6,14 @@ fixture directory), bench (threshold sweep timing), flops (analytic cost
 breakdown), targets-check (query-target maps from a ground-truth file).
 
 Every option is declared once, in OPTIONS: its type, default, bound and help
-text. `main` resolves each option once, CLI flag > JSON config file (--config)
-> default, and checks its type and bound before any subcommand reads or writes
-a file; a bad value exits 2 naming the flag. A config file may set any
-option, whether the subcommand reads it or not, and its values are checked
-either way; unknown config keys are rejected.
+text. An unset option that sets a library parameter takes the library's
+default, which OPTIONS reads rather than restates: QueryConfig's strategy,
+sigma and start level, postproc's thresholds and top-k, and analysis's fewest
+timed rounds. `main` resolves each option once, CLI flag > JSON config file
+(--config) > default, and checks its type and bound before any subcommand
+reads or writes a file; a bad value exits 2 naming the flag. A config file
+may set any option, whether the subcommand reads it or not, and its values
+are checked either way; unknown config keys are rejected.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from .errors import CascadeQueryError, ConfigurationError, FormatError, Validati
 from .model import (Blob, FeaturePyramid, head_flops_dense, level_dims, load_pyramid,
                     load_weights, make_fixture_weights, make_synthetic_pyramid, run_dense_head,
                     save_pyramid, save_weights)
-from .postproc import AnchorConfig, detections_from_result, detections_to_json
+from .postproc import (IOU_THRESHOLD, SCORE_THRESHOLD, TOP_K, AnchorConfig,
+                       detections_from_result, detections_to_json)
 from .query import STRATEGIES, CascadeResult, QueryConfig, run_pipeline
 from .sparse import KeySet, build_rulebook
 from .targets import ANCHOR_BASE, MAX_LEVEL, GroundTruthSet, query_target_for_level
@@ -59,15 +63,16 @@ OPTIONS = {
     "classes": (int, 4, "[1, inf)", "object classes"),
     "min_level": (int, 2, f"[0, {MAX_LEVEL}]", "finest pyramid level"),
     "max_level": (int, 7, f"[0, {MAX_LEVEL}]", "coarsest pyramid level"),
-    "start_level": (int, 4, f"[0, {MAX_LEVEL}]", "finest level the head runs densely"),
-    "strategy": (str, "csq", STRATEGIES, "how the cascade computes query children"),
-    "sigma": (float, 0.15, None, "query score threshold"),
-    "repeats": (int, 5, "[5, inf)", "timed rounds"),
+    "start_level": (int, QueryConfig.start_level, f"[0, {MAX_LEVEL}]",
+                    "finest level the head runs densely"),
+    "strategy": (str, QueryConfig.strategy, STRATEGIES, "how the cascade computes query children"),
+    "sigma": (float, QueryConfig.sigma, None, "query score threshold"),
+    "repeats": (int, analysis.MIN_REPEATS, f"[{analysis.MIN_REPEATS}, inf)", "timed rounds"),
     "blobs": (int, 3, "[0, inf)", "number of random planted objects"),
     "blob": (list, None, None, "explicit object 'cx,cy,w,h[,class[,amplitude]]'"),
-    "score_threshold": (float, 0.05, "[0, 1]", "least detection score"),
-    "iou_threshold": (float, 0.5, "[0, 1]", "NMS overlap threshold"),
-    "top_k": (int, 100, "[0, inf)", "most detections kept"),
+    "score_threshold": (float, SCORE_THRESHOLD, "[0, 1]", "least detection score"),
+    "iou_threshold": (float, IOU_THRESHOLD, "[0, 1]", "NMS overlap threshold"),
+    "top_k": (int, TOP_K, "[0, inf)", "most detections kept"),
 }
 POSTPROC_KEYS = ("score_threshold", "iou_threshold", "top_k")
 

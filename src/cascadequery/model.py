@@ -26,12 +26,13 @@ runs it only where it reads query scores; elsewhere `HeadOutput.query_logits`
 is None, and the cost rule charges the branches that ran.
 
 The towers' first convs read the same input rows, so both head passes run
-them as one conv: `HeadWeights.stem` (C -> 3C) for every branch,
-`HeadWeights.subnet_stem` (C -> 2C) for the subnets alone. That is one
-gather, then a ReLU, and each branch takes its C-column slice into
-`tower[1:]` and its predictor. The 3C stem multiplies its cls and reg columns
-as the 2C stem does, in one GEMM of their own, so the cls and reg rows do not
-depend on whether the query branch ran.
+them as one conv: `HeadWeights.stem` (C -> 3C) for every branch, or
+`HeadWeights.subnet_stem` for the subnets alone, the stem's cls/reg part (a
+view of its first 2C output channels). That is one gather, then a ReLU, and
+each branch takes its C-column slice into `tower[1:]` and its predictor. The
+3C stem multiplies its cls and reg columns as the 2C stem does, in one GEMM
+of their own, so the cls and reg rows do not depend on whether the query
+branch ran.
 """
 
 from __future__ import annotations
@@ -192,19 +193,21 @@ class HeadWeights:
         whether the query branch runs or not. Built once, on first use.
         The query conv stays in it: a query tower gathering its own input was
         as exact and lighter, but slower on csq-sparse, where a second gather
-        costs what the C-wide GEMM does (ROADMAP item 12)."""
-        return self._first_convs(len(BRANCHES), (2 * self.channels, self.channels))
+        costs what the C-wide GEMM does (ROADMAP's "Measured and dropped"
+        item)."""
+        c = self.channels
+        firsts = [tower[0] for tower, _ in self.branches]
+        return ConvWeights(np.concatenate([conv.weights for conv in firsts]),
+                           np.concatenate([conv.bias for conv in firsts]),
+                           (len(SUBNETS) * c, c))
 
     @cached_property
     def subnet_stem(self) -> ConvWeights:
-        """The cls and reg first tower convs as one C -> 2C conv, the stem of a
-        pass without the query branch; built once, on first use."""
-        return self._first_convs(len(SUBNETS))
-
-    def _first_convs(self, count: int, parts: tuple[int, ...] = ()) -> ConvWeights:
-        firsts = [tower[0] for tower, _ in self.branches[:count]]
-        return ConvWeights(np.concatenate([conv.weights for conv in firsts]),
-                           np.concatenate([conv.bias for conv in firsts]), parts)
+        """The stem's cls and reg part, a view of its first 2C output channels:
+        the C -> 2C stem of a pass without the query branch; built once, on
+        first use."""
+        width = self.stem.parts[0]
+        return ConvWeights(self.stem.weights[:width], self.stem.bias[:width])
 
     def stem_of(self, query: bool) -> ConvWeights:
         """The stem of a pass with the query branch, or without it."""
@@ -257,7 +260,7 @@ def run_dense_head(feature: SparseFeature, w: HeadWeights, *, query: bool = True
             f"feature has {feature.channels} channels, head expects {w.channels}"
         )
     stem = relu(conv2d(feature, w.stem_of(query)))
-    slices = np.split(stem.features, len(BRANCHES if query else SUBNETS), axis=1)
+    slices = np.split(stem.features, stem.channels // w.channels, axis=1)
     return HeadOutput(*[_dense_branch(SparseFeature(stem.keys, x), t[1:], p)
                         for x, (t, p) in zip(slices, w.branches)])
 
@@ -266,7 +269,8 @@ def _sparse_branch(vf: SparseFeature, tower: list[ConvWeights], pred: ConvWeight
                    schedule: Rulebook | Sequence[Rulebook]) -> SparseFeature:
     # csq hands every conv one bare Rulebook; perfbench's
     # test_traced_run_survives_a_removed_kernel swaps in a function taking
-    # one, so both forms stay until the benchmark change of ROADMAP item 7
+    # one, so both forms stay until the benchmark change of ROADMAP's
+    # "Library-owned spans" item
     books = [schedule] * (TOWER_DEPTH + 1) if isinstance(schedule, Rulebook) else schedule
     x = vf
     for conv, rb in zip(tower, books):
@@ -293,7 +297,8 @@ def run_sparse_head(value_features: SparseFeature, w: HeadWeights,
         )
     if schedule is None:
         # model's one call of build_rulebook, which perfbench hooks (and lists as
-        # absent if gone), so it stays until the benchmark change of ROADMAP item 7
+        # absent if gone), so it stays until the benchmark change of ROADMAP's
+        # "Library-owned spans" item
         schedule = build_rulebook(value_features.keys)
     elif not isinstance(schedule, Rulebook) and len(schedule) != TOWER_DEPTH + 1:
         raise ConfigurationError(
@@ -306,7 +311,7 @@ def run_sparse_head(value_features: SparseFeature, w: HeadWeights,
     # the stem runs as a branch with no tower convs, so every sparse conv of
     # the head goes through _sparse_branch
     stem = sparse_relu(_sparse_branch(value_features, [], w.stem_of(query), first))
-    slices = np.split(stem.features, len(BRANCHES if query else SUBNETS), axis=1)
+    slices = np.split(stem.features, stem.channels // w.channels, axis=1)
     return HeadOutput(*[_sparse_branch(SparseFeature(stem.keys, x), t[1:], p, rest)
                         for x, (t, p) in zip(slices, w.branches)])
 

@@ -176,6 +176,12 @@ class Candidates:
                          class_id=int(self.classes[row]), level=int(self.levels[row]))
 
 
+# The post-processing defaults, stated once: `nms`, `detections_from_output`,
+# `detections_from_result` and the command line's options read them.
+SCORE_THRESHOLD = 0.05
+IOU_THRESHOLD = 0.5
+TOP_K = 100
+
 # Rows per NMS tile: no IoU matrix is larger than NMS_TILE x NMS_TILE float64
 # (32 KiB), whatever the candidate count or top_k.
 NMS_TILE = 64
@@ -192,8 +198,8 @@ def _suppressed(x1, y1, x2, y2, areas, classes, kept, rows, iou_threshold):
     return (classes[k] == classes[r]) & (inter > 0.0) & (iou > iou_threshold)
 
 
-def nms(candidates: Candidates, iou_threshold: float = 0.5,
-        score_threshold: float = 0.05, top_k: int = 100) -> list[Detection]:
+def nms(candidates: Candidates, iou_threshold: float = IOU_THRESHOLD,
+        score_threshold: float = SCORE_THRESHOLD, top_k: int = TOP_K) -> list[Detection]:
     """Greedy per-class suppression by descending score; ties broken by
     (class, box corners, level) so the result is independent of input order.
 
@@ -236,7 +242,8 @@ def nms(candidates: Candidates, iou_threshold: float = 0.5,
 
 
 def detections_from_output(outputs: Sequence[HeadOutput], cfg: AnchorConfig,
-                           num_classes: int, score_threshold: float = 0.05) -> Candidates:
+                           num_classes: int,
+                           score_threshold: float = SCORE_THRESHOLD) -> Candidates:
     """Score-filtered candidate detections from the levels' head outputs, in
     one batch: a class logit passes where `sigmoid_above` puts its sigmoid
     above score_threshold. Each level hands over only its passing (row,
@@ -273,8 +280,9 @@ def detections_from_output(outputs: Sequence[HeadOutput], cfg: AnchorConfig,
 
 
 def detections_from_result(result, cfg: AnchorConfig, num_classes: int,
-                           iou_threshold: float = 0.5, score_threshold: float = 0.05,
-                           top_k: int = 100) -> list[Detection]:
+                           iou_threshold: float = IOU_THRESHOLD,
+                           score_threshold: float = SCORE_THRESHOLD,
+                           top_k: int = TOP_K) -> list[Detection]:
     """Final detections for a whole pipeline run: every level's candidates in
     one batch, then one global NMS."""
     candidates = detections_from_output([rec.output for rec in result.records], cfg,

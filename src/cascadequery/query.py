@@ -1,13 +1,15 @@
 """Coarse-to-fine query cascade.
 
-High pyramid levels run the dense head; positions whose query score exceeds a
-threshold become *queries*, each query maps to its 2x2 children one level down
-(``(2x+i, 2y+j)`` for i,j in {0,1}), and those children are the only positions
-the next level computes. Every level returns its head's rows at a key set: the
-full grid on the dense levels, the children below. Four strategies share this
-skeleton and differ only in how the children's rows are computed:
+High pyramid levels, down to a start level, run the dense head; positions
+whose query score exceeds a threshold become *queries*, each query maps to its
+2x2 children one level down (``(2x+i, 2y+j)`` for i,j in {0,1}), and those
+children are the only positions the next level computes. Every level returns
+its head's rows at a key set: the full grid on the dense levels, the children
+below. Four strategies share this skeleton and differ only in how the
+children's rows are computed:
 
-  dense  every level computed in full (reference / upper cost bound)
+  dense  the cascade started at the pyramid's finest level, so no level has
+         children: every level computed in full (reference / upper cost bound)
   csq    children computed with submanifold sparse convolutions; the next
          queries are read from the sparse rows themselves, so sparsity
          compounds level after level
@@ -26,7 +28,8 @@ strategy runs it (the head passes' and cost rule's `query` flag) only at the
 levels whose query scores the cascade reads: from the start level down to the
 level above the finest. Every other level runs the cls and reg branches alone
 (`model.SUBNETS`), carries no query logits, and is charged those two's MACs.
-The dense strategy reads no query score, so it never runs the query branch.
+Started at the finest level, the dense strategy reads no query score, so it
+never runs the query branch.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ from .errors import ConfigurationError, ValidationError
 from .model import (RECEPTIVE_FIELD, TOWER_DEPTH, FeaturePyramid, HeadOutput, HeadWeights,
                     head_flops_dense, head_flops_sparse, run_dense_head, run_sparse_head)
 from .sparse import KeySet, Rulebook, SparseFeature, build_rulebook, dilate, gather
-from .tensor import sigmoid_above
+from .targets import MAX_LEVEL
+from .tensor import manifest_int, sigmoid_above
 
 STRATEGIES = ("dense", "csq", "cq", "ccq")
 # Radius by which the sparse strategies widen their keys before the head runs:
@@ -60,8 +64,12 @@ class QueryConfig:
             raise ConfigurationError(
                 f"unknown strategy {self.strategy!r}, expected one of {STRATEGIES}"
             )
-        if not (0.0 <= self.sigma <= 1.0):
-            raise ConfigurationError(f"sigma must be in [0, 1], got {self.sigma}")
+        if isinstance(self.sigma, (bool, np.bool_)) or not (0.0 <= self.sigma <= 1.0):
+            raise ConfigurationError(f"sigma must be in [0, 1], got {self.sigma!r}")
+        # the rule FeaturePyramid applies to level ids
+        if not manifest_int(self.start_level, 0) or self.start_level > MAX_LEVEL:
+            raise ConfigurationError(f"start_level {self.start_level!r} lies outside "
+                                     f"[0, {MAX_LEVEL}] or is not an int")
 
 
 def extract_queries(query_logits: SparseFeature, sigma: float) -> KeySet:
@@ -245,22 +253,23 @@ def crop_patch(feature: SparseFeature, x: int, y: int, patch: int) -> SparseFeat
 def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig) -> CascadeResult:
     """Run one strategy over the pyramid and record every level, top down.
 
-    Levels at or above cfg.start_level always run the full dense head. For the
-    cascade strategies, start_level must be a pyramid level, and each level
-    below it is computed only at the keys derived from the level above; its own
-    query scores, from start_level down, seed the next level. The query branch
-    runs only where those scores are read, from start_level down to the level
-    above the finest; every other level runs SUBNETS.
+    The cascade starts at cfg.start_level, which must be a pyramid level; the
+    dense strategy starts it at the pyramid's finest level. Levels at or above
+    the start run the full dense head, and each level below it is computed
+    only at the keys derived from the level above; its own query scores, from
+    the start down, seed the next level. The query branch runs only where
+    those scores are read, from the start down to the level above the finest;
+    every other level runs SUBNETS.
     """
     if pyr.channels != w.channels:
         raise ConfigurationError(
             f"pyramid has {pyr.channels} channels, head expects {w.channels}"
         )
-    cascade = cfg.strategy != "dense"
-    if cascade and cfg.start_level not in pyr.levels:
-        raise ConfigurationError(f"pyramid levels {sorted(pyr.levels)} lack "
-                                 f"start_level={cfg.start_level}")
     levels = sorted(pyr.levels, reverse=True)
+    start = levels[-1] if cfg.strategy == "dense" else cfg.start_level
+    if start not in pyr.levels:
+        raise ConfigurationError(f"pyramid levels {sorted(pyr.levels)} lack "
+                                 f"start_level={start}")
 
     t_start = time.perf_counter()
     records = []
@@ -269,11 +278,11 @@ def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig) -> Casca
     for l in levels:
         t0 = time.perf_counter()
         feature = pyr.levels[l]
-        child = cascade and l < cfg.start_level
+        child = l < start
         keys = (map_queries_to_keys(queries, feature.height, feature.width) if child
                 else feature.keys)
         # the next level's keys come from this level's query scores
-        reads_queries = cascade and levels[-1] < l <= cfg.start_level
+        reads_queries = levels[-1] < l <= start
         dense_equiv += head_flops_dense(feature.height, feature.width, w.channels,
                                         w.num_anchors, w.num_classes)
         if child and cfg.strategy in _HALO:

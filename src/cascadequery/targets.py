@@ -193,7 +193,8 @@ def _as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def focal_loss(logits, targets, alpha: float = 0.25, gamma: float = 2.0) -> float:
+def focal_loss(logits, targets, alpha: float = LossConfig.alpha,
+               gamma: float = LossConfig.gamma) -> float:
     """Mean focal loss over all entries, computed in float64.
 
     log p and log(1-p) go through logaddexp so large-magnitude logits stay

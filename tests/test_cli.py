@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import shlex
 import shutil
@@ -11,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cascadequery import (GroundTruthSet, KeySet, SparseFeature, build_rulebook,
-                          query_target_for_level)
+from cascadequery import (GroundTruthSet, KeySet, QueryConfig, SparseFeature, build_rulebook,
+                          detections_from_result, query_target_for_level, run_benchmark)
 from cascadequery import cli as cli_mod
 from cascadequery import model as model_mod
 from cascadequery import query as query_mod
@@ -532,6 +533,17 @@ def test_readme_command_examples_parse():
     assert {argv[0] for argv in commands} == set(cli_mod.COMMANDS)
     for argv in commands:
         cli_mod.build_parser().parse_args(argv)
+
+
+def test_library_parameters_default_to_the_librarys_values():
+    # each default is stated once, in the library, and OPTIONS reads it
+    default = {name: spec[1] for name, spec in cli_mod.OPTIONS.items()}
+    assert {k: default[k] for k in ("strategy", "sigma", "start_level")} == \
+        dataclasses.asdict(QueryConfig())
+    post = inspect.signature(detections_from_result).parameters
+    assert {k: default[k] for k in cli_mod.POSTPROC_KEYS} == \
+        {k: post[k].default for k in cli_mod.POSTPROC_KEYS}
+    assert default["repeats"] == inspect.signature(run_benchmark).parameters["repeats"].default
 
 
 def test_every_option_is_offered_by_some_command():

@@ -53,6 +53,12 @@ CASES = {
     "target-map-rank": (lambda: TargetMaps(2, np.zeros(4)), ValidationError, "must be 2-D"),
     "beta-schedule-empty": (lambda: beta_schedule([]), ConfigurationError,
                             "at least one level"),
+    "query-config-start-level-float": (lambda: QueryConfig(start_level=4.0), ConfigurationError,
+                                       "start_level 4.0 lies outside [0, 30] or is not an int"),
+    "query-config-start-level-above-max": (lambda: QueryConfig(start_level=31),
+                                           ConfigurationError, "start_level 31 lies outside"),
+    "query-config-sigma-bool": (lambda: QueryConfig(sigma=True), ConfigurationError,
+                                "sigma must be in [0, 1], got True"),
     "record-missing": (lambda: CascadeResult("dense", QueryConfig(), 64, 64, 8, [], 0.0,
                                              0).record(3),
                        KeyError, "no record for level 3"),

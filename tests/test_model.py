@@ -251,13 +251,30 @@ def test_subnet_stem_is_the_cls_and_reg_first_convs_and_the_stem_keeps_them_apar
     assert w.stem.parts == (16, 8) and sub.parts == ()
 
 
-@pytest.mark.parametrize("channels", [1, 4, 6, 8, 9, 12, 16, 24])
+# widths at which a GEMM's rounding has changed with its width on some BLAS
+# builds (4, 6-10, 12 and 24), and a few around them
+GEMM_WIDTHS = [1, 4, 6, 8, 9, 12, 16, 24]
+
+
+@pytest.mark.parametrize("channels", GEMM_WIDTHS)
+def test_subnet_stem_is_the_stems_own_cls_and_reg_part(channels):
+    # the structural guard on `ConvWeights.parts`: whether the rows test below
+    # sees a missing part depends on the rows, and it misses one at some widths
+    w = make_fixture_weights(5, channels, 1, 4)
+    assert w.stem.parts == (2 * channels, channels)
+    (cols, taps), _ = w.stem.taps
+    assert cols == slice(0, 2 * channels)
+    np.testing.assert_array_equal(taps, w.subnet_stem.taps[0][1])
+    assert np.shares_memory(w.subnet_stem.weights, w.stem.weights)
+    assert np.shares_memory(w.subnet_stem.bias, w.stem.bias)
+
+
+@pytest.mark.parametrize("channels", GEMM_WIDTHS)
 @pytest.mark.parametrize("head", ["dense", "sparse"])
 def test_cls_and_reg_rows_do_not_depend_on_the_query_branch(channels, head):
-    # a GEMM's rounding can change with its width (at 4, 6-10, 12 and 24
-    # channels on some BLAS builds), so the subnets' bits are those of their
-    # own GEMM in both passes (`ConvWeights.parts`); the 24x24 level's rows
-    # span more than one row block
+    # a GEMM's rounding can change with its width, so the subnets' bits are
+    # those of their own GEMM in both passes (`ConvWeights.parts`); the 24x24
+    # level's rows span more than one row block
     feature = small_pyramid(seed=4, image=96, channels=channels).levels[2]
     w = make_fixture_weights(5, channels, 1, 4)
     if head == "dense":

@@ -1,7 +1,8 @@
 """The package's modules import one another at module top, without a cycle,
-and use every name they import."""
+and use every name they import; their text cites ROADMAP items by name."""
 
 import ast
+import re
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -70,3 +71,15 @@ def test_package_modules_use_every_name_they_import():
                    if name not in used]
     assert "np" in imported_names(parse("model"))  # the walk sees the imports
     assert unused == []
+
+
+def test_package_cites_roadmap_items_by_name():
+    # a re-anchor renumbers ROADMAP's items, so a number goes stale where a
+    # name does not
+    cited = re.compile(r"\bitems?\s+#?\d", re.IGNORECASE)
+    assert cited.search("see ROADMAP item 12") and not cited.search("the item's name")
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for n, line in enumerate(path.read_text().splitlines(), 1):
+            found += [f"{path.name}:{n} {m!r}" for m in cited.findall(line)]
+    assert found == []

@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cascadequery import (
+    AnchorConfig,
     Blob,
     ConfigurationError,
     FeaturePyramid,
     QueryConfig,
     ValidationError,
+    detections_from_result,
+    detections_to_json,
     extract_queries,
     head_flops_dense,
     head_flops_sparse,
@@ -441,6 +444,28 @@ def test_dense_strategy_never_runs_the_query_branch(pyramid, weights):
     for rec, row in zip(res.records, res.report()["levels"]):
         assert rec.output.query_logits is None and rec.extracted_queries is None
         assert rec.output.branches == SUBNETS and row["branches"] == list(SUBNETS)
+
+
+@pytest.mark.parametrize("strategy", ["csq", "cq", "ccq"])
+def test_dense_is_the_cascade_started_at_the_finest_level(pyramid, weights, strategy):
+    # no level lies below the start, so none has children or reads query scores
+    dense = run_pipeline(pyramid, weights, QueryConfig(strategy="dense"))
+    res = run_pipeline(pyramid, weights, QueryConfig(strategy=strategy,
+                                                     start_level=min(pyramid.levels)))
+    assert len(res.records) == len(dense.records)
+    for got, want in zip(res.records, dense.records):
+        assert (got.level, got.mode, got.flops) == (want.level, want.mode, want.flops)
+        assert got.computed_keys is None and got.extracted_queries is None
+        assert got.output.keys == want.output.keys
+        assert got.output.branches == want.output.branches == SUBNETS
+        for name, rows in want.output.branch_rows().items():
+            np.testing.assert_array_equal(getattr(got.output, name).features, rows.features)
+    assert (res.total_flops, res.dense_equiv_flops) == (dense.total_flops,
+                                                        dense.dense_equiv_flops)
+    anchors = AnchorConfig(num_anchors=weights.num_anchors)
+    dets = [detections_to_json(detections_from_result(r, anchors, weights.num_classes))
+            for r in (res, dense)]
+    assert dets[0] and dets[0] == dets[1]
 
 
 @pytest.mark.parametrize("strategy", ["csq", "cq", "ccq"])
