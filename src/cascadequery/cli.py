@@ -443,7 +443,7 @@ def cmd_verify(opts: dict) -> int:
 
 def cmd_bench(opts: dict) -> int:
     base_cfg = _query_config(opts)
-    dense_cfg = QueryConfig(strategy="dense", start_level=base_cfg.start_level)
+    dense_cfg = QueryConfig(strategy="dense")
     # One call, so the baseline and the sweep share every timing round.
     configs = [dense_cfg] + [dataclasses.replace(base_cfg, sigma=s)
                              for s in analysis.sweep_sigmas()]

@@ -164,16 +164,30 @@ class Candidates:
                    [d.level for d in dets])
 
     def order(self) -> np.ndarray:
-        """Row indices in `Detection.sort_key` order: one stable lexsort,
-        whose last key is the primary one."""
-        x1, y1, x2, y2 = self.boxes.T
-        return np.lexsort((self.levels, y2, x2, y1, x1, self.classes, -self.scores))
+        """Row indices in `Detection.sort_key` order: a stable argsort by
+        descending score, then one lexsort of only the rows whose score ties
+        another's, keyed (run of equal scores, class, box corners, level),
+        last key primary. That is the permutation of one stable lexsort on
+        all seven keys, at the cost of a sort on one."""
+        rows = np.argsort(-self.scores, kind="stable")
+        ranked = self.scores[rows]
+        same = ranked[1:] == ranked[:-1]  # sorted row i + 1 ties row i
+        tied = np.flatnonzero(np.concatenate([same, [False]]) | np.concatenate([[False], same]))
+        if len(tied):
+            run = np.cumsum(np.concatenate([[0], ~same]))[tied]
+            sub = rows[tied]
+            x1, y1, x2, y2 = self.boxes[sub].T
+            rows[tied] = sub[np.lexsort((self.levels[sub], y2, x2, y1, x1, self.classes[sub],
+                                         run))]
+        return rows
 
-    def detection(self, row: int) -> Detection:
-        """The `Detection` of one row."""
-        x1, y1, x2, y2 = self.boxes[row].tolist()
-        return Detection(box=(x1, y1, x2, y2), score=float(self.scores[row]),
-                         class_id=int(self.classes[row]), level=int(self.levels[row]))
+    def detections(self, rows) -> list[Detection]:
+        """The `Detection`s of `rows`, in order, built from one `.tolist()`
+        per field."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return [Detection(tuple(box), score, cls, level) for box, score, cls, level in
+                zip(self.boxes[rows].tolist(), self.scores[rows].tolist(),
+                    self.classes[rows].tolist(), self.levels[rows].tolist())]
 
 
 # The post-processing defaults, stated once: `nms`, `detections_from_output`,
@@ -238,7 +252,7 @@ def nms(candidates: Candidates, iou_threshold: float = IOU_THRESHOLD,
                     break
                 cleared |= mask
         kept = np.concatenate([kept, tile[settled]])
-    return [candidates.detection(r) for r in rows[kept].tolist()]
+    return candidates.detections(rows[kept])
 
 
 def detections_from_output(outputs: Sequence[HeadOutput], cfg: AnchorConfig,

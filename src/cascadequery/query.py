@@ -35,7 +35,7 @@ never runs the query branch.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -161,7 +161,7 @@ class LevelRecord:
 @dataclass(frozen=True)
 class CascadeResult:
     strategy: str
-    config: QueryConfig
+    config: QueryConfig  # as run: dense's start_level is the pyramid's finest level
     image_height: int
     image_width: int
     channels: int
@@ -303,5 +303,5 @@ def run_pipeline(pyr: FeaturePyramid, w: HeadWeights, cfg: QueryConfig) -> Casca
                                    extracted_queries=queries, rulebook_entries=entries,
                                    flops=flops, millis=millis))
     total_millis = (time.perf_counter() - t_start) * 1000.0
-    return CascadeResult(cfg.strategy, cfg, pyr.image_height, pyr.image_width,
-                         pyr.channels, records, total_millis, dense_equiv)
+    return CascadeResult(cfg.strategy, replace(cfg, start_level=start), pyr.image_height,
+                         pyr.image_width, pyr.channels, records, total_millis, dense_equiv)

@@ -6,8 +6,14 @@ key set, and a pyramid level is the case whose keys are its full grid.
 reads rows in any memory layout, and gathers and multiplies its table in
 blocks of BLOCK_ROWS rows, so a conv's scratch memory is one block's gather
 whatever the grid size. `neighbour_table` is the grid's 3x3 table, built once
-per grid shape. `write_container` makes every payload contiguous before
-writing it.
+per grid shape.
+
+Containers are mapped, not read: `ContainerReader` maps the file private
+copy-on-write and hands out each payload as a view of the map, so a load
+parses the manifest and reads no payload byte, and a write into a loaded
+array never reaches the file. `write_container` makes every payload
+contiguous and writes a sibling temporary file that it renames over the
+path, so arrays loaded from the old file keep their values.
 
 Head outputs stay logits: `sigmoid_above` is the one gate "score above a
 threshold", decided in logit space, and `sigmoid_array` scores only the rows
@@ -18,6 +24,9 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -177,23 +186,51 @@ def manifest_int(v, minimum: int) -> bool:
 
 
 def write_container(path, magic: bytes, manifest: dict, payloads) -> None:
+    """Writes a sibling temporary file, then renames it over `path` (through
+    a symlink, over its target): a mapped reader of the old file keeps the
+    old file's pages, so its arrays neither change nor fault."""
     header = json.dumps(manifest).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(magic)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        for arr in payloads:
-            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as f:
+            f.write(magic)
+            f.write(struct.pack("<I", len(header)))
+            f.write(header)
+            for arr in payloads:
+                f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 class ContainerReader:
-    """Reads one container: checks the magic, parses the manifest, then hands
-    out the payloads in order with `take`."""
+    """Maps one container, checks the magic, parses the manifest, then hands
+    out the payloads in order with `take`, each a view of the map.
+
+    The map is private copy-on-write (`mmap.ACCESS_COPY`): a load reads no
+    payload byte, the OS brings in a page where it is first read, and a write
+    into a loaded array changes this process's copy of the page, never the
+    file. `write_container` replaces a file by rename, so rewriting a loaded
+    file leaves its arrays as they were. Two caveats: no other program may
+    truncate a loaded file in place, since reading a page past the new end
+    raises SIGBUS; and on Python 3.11 each live map holds one file
+    descriptor, until the last array viewing it is freed."""
 
     def __init__(self, path, magic: bytes):
         self.path = path
-        with open(path, "rb") as f:
-            self.data = f.read()
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # opening a FIFO must not block
+        try:
+            st = os.fstat(fd)
+            if not stat.S_ISREG(st.st_mode):
+                raise FormatError(f"{path}: not a regular file")
+            # an empty file cannot be mapped; its empty bytes fail the magic check
+            self.data = (mmap.mmap(fd, st.st_size, access=mmap.ACCESS_COPY) if st.st_size
+                         else b"")
+        finally:
+            os.close(fd)
         if self.data[:8] != magic:
             raise FormatError(f"{path}: bad magic, expected {magic!r}")
         if len(self.data) < 12:
@@ -210,7 +247,10 @@ class ContainerReader:
         self.offset = 12 + hlen
 
     def take(self, shape, what: str) -> np.ndarray:
-        """The next payload, as a float32 array of `shape`: a list of positive ints."""
+        """The next payload, as a writable float32 view of `shape` (a list of
+        positive ints) into the map. It starts after a manifest of any
+        length, so it is most often not 4-byte aligned; NumPy reads such a
+        view as it is."""
         if not (isinstance(shape, list) and shape and all(manifest_int(d, 1) for d in shape)):
             raise FormatError(f"{self.path}: {what}: bad shape {shape!r}")
         count = math.prod(shape)
@@ -218,10 +258,8 @@ class ContainerReader:
             raise FormatError(f"{self.path}: payload truncated while reading {what}")
         arr = np.frombuffer(self.data, dtype="<f4", count=count, offset=self.offset)
         self.offset += count * 4
-        # a payload starts after a manifest of any length: a view would be unaligned and read-only
-        return arr.reshape(shape).copy()
+        return arr.reshape(shape)
 
     def finish(self) -> None:
         if self.offset != len(self.data):
             raise FormatError(f"{self.path}: {len(self.data) - self.offset} trailing bytes")
-

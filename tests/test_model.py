@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import math
+import os
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -409,6 +412,64 @@ def test_container_bytes_are_pinned(tmp_path):
         "p.qdpyr": "a0b85e5389f16f14b717b275164f47e19c5515a92fc46d7b737a2d8081dd8df5",
         "w.qdwts": "0641316a737eb01d0539338b5aada2a093e9d22f83a3c3b8c8f172632396534a",
     }
+
+
+def test_load_pyramid_maps_its_payload_without_copying(tmp_path):
+    # 512 px, C=64, L2-L7: 5.3 MB of payload; a load allocates only the
+    # levels' KeySet.full cells, never a copy of the payload
+    pyr = make_synthetic_pyramid(3, 512, 512, 2, 7, 64)
+    p = tmp_path / "big.qdpyr"
+    save_pyramid(pyr, p)
+    payload = sum(level.features.nbytes for level in pyr.levels.values())
+    del pyr
+    tracemalloc.start()
+    try:
+        back = load_pyramid(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(back.levels) == [2, 3, 4, 5, 6, 7]
+    assert peak < 0.25 * payload, f"load peaked at {peak / payload:.3f}x its payload"
+
+
+def test_a_write_into_a_loaded_level_never_reaches_the_file(tmp_path):
+    pyr = small_pyramid(seed=7)
+    p = tmp_path / "pyr.qdpyr"
+    save_pyramid(pyr, p)
+    before = p.read_bytes()
+    loaded = load_pyramid(p)
+    loaded.levels[3].features[:] = 99.0  # the map is private copy-on-write
+    assert p.read_bytes() == before
+    again = load_pyramid(p)
+    for l, level in pyr.levels.items():
+        np.testing.assert_array_equal(again.levels[l].features, level.features)
+    assert (loaded.levels[3].features == 99.0).all()
+
+
+def test_saving_over_a_loaded_pyramid_leaves_its_rows_unchanged(tmp_path):
+    # the writer renames a new file over the path, so the old map keeps its pages
+    a, b = small_pyramid(seed=7), small_pyramid(seed=8)
+    p = tmp_path / "pyr.qdpyr"
+    save_pyramid(a, p)
+    loaded = load_pyramid(p)
+    save_pyramid(b, p)
+    for l, level in a.levels.items():
+        np.testing.assert_array_equal(loaded.levels[l].features, level.features)
+    for l, level in load_pyramid(p).levels.items():
+        np.testing.assert_array_equal(level.features, b.levels[l].features)
+    assert sorted(os.listdir(tmp_path)) == ["pyr.qdpyr"]  # no temporary file is left
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory"])
+@pytest.mark.parametrize("load", [load_pyramid, load_weights])
+def test_loading_a_path_that_is_not_a_regular_file_raises_format_error(tmp_path, kind, load):
+    p = tmp_path / "not-a-file"
+    if kind == "fifo":
+        os.mkfifo(p)  # with no writer: the loader's open must not wait for one
+    else:
+        p.mkdir()
+    with pytest.raises(FormatError, match=re.escape(f"{p}: not a regular file")):
+        load(p)
 
 
 def test_weights_roundtrip(tmp_path):

@@ -287,8 +287,27 @@ def test_candidate_order_is_detection_sort_key_order(seed, n):
             for b, s, c, lvl in zip(rng.integers(0, len(pool), n), rng.integers(1, 4, n) / 4.0,
                                     rng.integers(0, 3, n), rng.integers(2, 5, n))]
     cands = Candidates.of(dets)
-    assert [cands.detection(i) for i in cands.order()] == \
-        sorted(dets, key=Detection.sort_key)
+    assert cands.detections(cands.order()) == sorted(dets, key=Detection.sort_key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300), tied=st.integers(1, 3))
+def test_candidate_order_is_sorted_rows_under_forced_score_ties(seed, n, tied):
+    # most rows share one of `tied` scores, the rest have their own, and exact
+    # duplicate rows recur: the permutation itself, ties between duplicates
+    # included, must be a stable sorted()'s, and the 7-key lexsort's
+    rng = np.random.default_rng(seed)
+    shared = rng.random(tied)
+    scores = np.where(rng.random(n) < 0.8, shared[rng.integers(0, tied, n)], rng.random(n))
+    corner = rng.integers(-3, 3, (n, 2)) * 0.5
+    boxes = np.concatenate([corner, corner + rng.integers(1, 3, (n, 2)) * 0.5], axis=1)
+    cands = Candidates(boxes, scores, rng.integers(0, 2, n), rng.integers(2, 4, n))
+    dets = cands.detections(range(n))
+    want = sorted(range(n), key=lambda i: dets[i].sort_key())
+    assert cands.order().tolist() == want
+    x1, y1, x2, y2 = cands.boxes.T
+    assert want == np.lexsort((cands.levels, y2, x2, y1, x1, cands.classes,
+                               -cands.scores)).tolist()
 
 
 def test_candidates_of_keeps_rows_in_order():
@@ -297,7 +316,7 @@ def test_candidates_of_keeps_rows_in_order():
             det((0.0, 0.0, 4.0, 4.0), 0.5, cls=2, level=4)]
     whole = Candidates.of(dets)
     assert len(whole) == 3
-    assert [whole.detection(i) for i in range(3)] == dets
+    assert whole.detections(range(3)) == dets
     assert len(Candidates.of([])) == 0
     assert nms(Candidates.of([])) == []
 
@@ -362,7 +381,7 @@ def test_candidates_respect_the_score_threshold():
     query = np.zeros((1, 4, 4), dtype=np.float32)
     cands = detections_from_output([head_output_dense(cls, reg, query)], CFG, 2)
     assert len(cands) == 1
-    d = cands.detection(0)
+    (d,) = cands.detections([0])
     assert d.class_id == 1 and d.level == 3
     assert d.score == pytest.approx(1 / (1 + math.exp(-2.0)))
     np.testing.assert_allclose(d.box, anchor_boxes([3], [2], [0], 3)[0])
@@ -544,11 +563,11 @@ def test_detection_json_is_pinned():
         "bright16/ccq": "bcb1276464a053e72e72ee6f1aac895dc7c7ef138ef243bc86216305c52fa43e",
     }
     assert reports == {
-        "weak64/dense": "7c117557d2486f7f81a8d5695ab605fdeb63c20511e71ae296d92d87cb71378f",
+        "weak64/dense": "8707b4ca9126d0bdf55f36726be762ed538aef9f18f0216b3977fd32b5a3b23f",
         "weak64/csq": "9a9d45301ecf9ad1aa94ba51d6d34f07832f1e399e666383297e353e00d4b552",
         "weak64/cq": "32f971ba422d761befb8a13cdfe181b76cc6d673f404795341ea582df8b75545",
         "weak64/ccq": "dce22480545d90c1bdb4a26be9e8958898fb0a87f2fd609bda4f385b75acdc03",
-        "bright16/dense": "90d867891116f68686d67516c0f74194d5e410d990b7c5b2a5d33e919cb0b0d5",
+        "bright16/dense": "3151bb7a97aad1ba9f7f6435cfee182e0c42b943ecca1ed19ff3a51e0e2306e0",
         "bright16/csq": "162d2304a3bc544b71590689f9bf70507560ea0caed5231a0fa9751e22409d0b",
         "bright16/cq": "58faff26f2d97a4ecc64583684c06a98122469623115195af3cf10a9b143bede",
         "bright16/ccq": "0fbce1a954578050658ef93b362acd49eeb148ab7b3cbd71fed44bae9c597c8b",

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.array_utils import byte_bounds
 
-from cascadequery import ConfigurationError, ValidationError, tensor
+from cascadequery import ConfigurationError, FormatError, ValidationError, tensor
 from cascadequery.model import FeaturePyramid
 from cascadequery.sparse import (KeySet, build_rulebook, conv2d, dilate, gather, relu,
                                  sparse_conv)
@@ -195,6 +196,28 @@ def test_conv2d_output_is_channel_last_rows(tmp_path):
     tensor.write_container(path, magic, {}, [got.features.T])
     np.testing.assert_array_equal(tensor.ContainerReader(path, magic).take([4, 5, 6], "t"),
                                   as_map(got))
+
+
+def test_container_payloads_are_writable_views_of_one_private_map(tmp_path):
+    path, magic = tmp_path / "t.bin", b"TESTMAG\n"
+    tensor.write_container(path, magic, {"n": 1}, [np.arange(6, dtype=np.float32),
+                                                   np.ones(2, dtype=np.float32)])
+    r = tensor.ContainerReader(path, magic)
+    a, b = r.take([2, 3], "a"), r.take([2], "b")
+    r.finish()
+    # b starts where a ends: both view the file's bytes, no copy of either
+    assert byte_bounds(a)[1] == byte_bounds(b)[0]
+    assert a.flags.writeable and a.dtype == np.float32
+    a[0, 0] = -1.0
+    np.testing.assert_array_equal(tensor.ContainerReader(path, magic).take([2, 3], "a"),
+                                  np.arange(6, dtype=np.float32).reshape(2, 3))
+
+
+def test_an_empty_container_file_fails_the_magic_check(tmp_path):
+    path = tmp_path / "empty.bin"
+    path.write_bytes(b"")
+    with pytest.raises(FormatError, match="bad magic"):
+        tensor.ContainerReader(path, b"TESTMAG\n")
 
 
 def test_chained_conv2d_and_relu_match_loop_oracle():
