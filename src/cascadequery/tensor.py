@@ -188,7 +188,10 @@ def manifest_int(v, minimum: int) -> bool:
 def write_container(path, magic: bytes, manifest: dict, payloads) -> None:
     """Writes a sibling temporary file, then renames it over `path` (through
     a symlink, over its target): a mapped reader of the old file keeps the
-    old file's pages, so its arrays neither change nor fault."""
+    old file's pages, so its arrays neither change nor fault. A rewritten
+    file is a new inode: it takes the umask's mode and the writer as owner,
+    hard links to the old file keep the old bytes, and the directory, not
+    only the file, must be writable."""
     header = json.dumps(manifest).encode("utf-8")
     target = os.path.realpath(path)
     tmp = f"{target}.{os.urandom(6).hex()}.tmp"
@@ -216,8 +219,8 @@ class ContainerReader:
     file. `write_container` replaces a file by rename, so rewriting a loaded
     file leaves its arrays as they were. Two caveats: no other program may
     truncate a loaded file in place, since reading a page past the new end
-    raises SIGBUS; and on Python 3.11 each live map holds one file
-    descriptor, until the last array viewing it is freed."""
+    raises SIGBUS; and each live map holds one file descriptor, until the
+    last array viewing it is freed."""
 
     def __init__(self, path, magic: bytes):
         self.path = path
@@ -231,6 +234,15 @@ class ContainerReader:
                          else b"")
         finally:
             os.close(fd)
+        try:
+            self._read_manifest(magic)
+        except BaseException:
+            if isinstance(self.data, mmap.mmap):
+                self.data.close()  # a failed load keeps no descriptor open
+            raise
+
+    def _read_manifest(self, magic: bytes) -> None:
+        path = self.path
         if self.data[:8] != magic:
             raise FormatError(f"{path}: bad magic, expected {magic!r}")
         if len(self.data) < 12:

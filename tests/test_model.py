@@ -472,6 +472,20 @@ def test_loading_a_path_that_is_not_a_regular_file_raises_format_error(tmp_path,
         load(p)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("data", [b"XXXXXXXX\0\0\0\0", b"QDPYR1\n\0" + struct.pack("<I", 2) + b"[]"],
+                         ids=["bad magic", "manifest not an object"])
+def test_a_failed_load_keeps_no_descriptor_open(tmp_path, data):
+    p = tmp_path / "bad.qdpyr"
+    p.write_bytes(data)
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(FormatError) as info:
+        load_pyramid(p)
+    # the traceback, still alive here, holds the reader and its map
+    assert info.value.__traceback__ is not None
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_weights_roundtrip(tmp_path):
     w = standard_weights(16)
     p = tmp_path / "w.qdwts"

@@ -1,13 +1,13 @@
 """Digest a source tree's outputs, and say whether two digests differ.
 
-    python tools/output_digest.py record TREE OUT [--cases all|small] [--images N]
+    python tools/output_digest.py record TREE OUT [--cases all|small]
     python tools/output_digest.py compare A B
 
 `record` imports the `cascadequery` package of TREE (TREE/src) and, for
 `--cases all`, the benchmark's workloads (TREE/perfbench) and the acceptance
 suite's fixture recipes (TREE/tests/conftest.py). It runs:
 
-- per workload, the first N (default 8) seed-1 pool images under every
+- per workload, the first IMAGES (8) seed-1 pool images under every
   strategy at the workload's sigma, each pyramid and the weights first saved
   and loaded back with the tree's own container code, as the benchmark does;
 - criterion 01's ten fixtures at sigma 0.05 and 0.15 under every strategy.
@@ -41,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 EXACT = ("keys", "report", "file")
+IMAGES = 8
 SIGMAS_01 = (0.05, 0.15)
 
 
@@ -153,7 +154,7 @@ def record_small(cq, rec: Recorder, pyr, w, workdir: Path) -> None:
     record_runs(cq, rec, "small", pyr, w, 0.05)
 
 
-def record_tree(tree: Path, out: Path, cases: str, images: int) -> None:
+def record_tree(tree: Path, out: Path, cases: str) -> None:
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench"), str(tree / "tests")]
     import cascadequery as cq
     if Path(cq.__file__).resolve().parent != (tree / "src" / "cascadequery").resolve():
@@ -167,7 +168,7 @@ def record_tree(tree: Path, out: Path, cases: str, images: int) -> None:
             from workloads import SIGMA, WORKLOADS, make_pool, make_weights
             for name, wl in WORKLOADS.items():
                 weights = make_weights(wl)
-                for k, (pyr, _) in enumerate(make_pool(wl, 1, images)):
+                for k, (pyr, _) in enumerate(make_pool(wl, 1, IMAGES)):
                     p, w = record_loads(cq, rec, f"{name}/{k}", pyr, weights, Path(tmp))
                     record_runs(cq, rec, f"{name}/{k}", p, w, SIGMA)
             for seed in CCQ_SEEDS:
@@ -264,13 +265,12 @@ def main(argv=None) -> int:
     r.add_argument("tree", type=Path)
     r.add_argument("out", type=Path)
     r.add_argument("--cases", choices=("all", "small"), default="all")
-    r.add_argument("--images", type=int, default=8, help="pool images per workload")
     c = sub.add_parser("compare", help="compare two digests")
     c.add_argument("a", type=Path)
     c.add_argument("b", type=Path)
     args = p.parse_args(argv)
     if args.command == "record":
-        record_tree(args.tree.resolve(), args.out, args.cases, args.images)
+        record_tree(args.tree.resolve(), args.out, args.cases)
         return 0
     return 1 if compare(args.a, args.b) else 0
 
