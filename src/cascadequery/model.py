@@ -245,6 +245,15 @@ class HeadOutput:
         return {name: getattr(self, name) for name in names}
 
 
+def _branch_inputs(stem: SparseFeature, channels: int) -> list[SparseFeature]:
+    """Each branch's C columns of the stem's ReLU rows, in BRANCHES order,
+    copied into a padded buffer of its own, so that the stem is freed before
+    the towers run and each branch's input is freed after its first conv.
+    The head passes pop them as the branches run."""
+    return [SparseFeature.from_padded(stem.keys, np.ascontiguousarray(cols))
+            for cols in np.split(stem.padded, stem.channels // channels, axis=1)]
+
+
 def _dense_branch(x: SparseFeature, tower: list[ConvWeights], pred: ConvWeights) -> SparseFeature:
     for conv in tower:
         x = relu(conv2d(x, conv))
@@ -259,10 +268,9 @@ def run_dense_head(feature: SparseFeature, w: HeadWeights, *, query: bool = True
         raise ConfigurationError(
             f"feature has {feature.channels} channels, head expects {w.channels}"
         )
-    stem = relu(conv2d(feature, w.stem_of(query)))
-    slices = np.split(stem.features, stem.channels // w.channels, axis=1)
-    return HeadOutput(*[_dense_branch(SparseFeature(stem.keys, x), t[1:], p)
-                        for x, (t, p) in zip(slices, w.branches)])
+    inputs = _branch_inputs(relu(conv2d(feature, w.stem_of(query))), w.channels)
+    return HeadOutput(*[_dense_branch(inputs.pop(0), t[1:], p)
+                        for t, p in w.branches[:len(inputs)]])
 
 
 def _sparse_branch(vf: SparseFeature, tower: list[ConvWeights], pred: ConvWeights,
@@ -310,10 +318,10 @@ def run_sparse_head(value_features: SparseFeature, w: HeadWeights,
         first, rest = schedule[0], schedule[1:]
     # the stem runs as a branch with no tower convs, so every sparse conv of
     # the head goes through _sparse_branch
-    stem = sparse_relu(_sparse_branch(value_features, [], w.stem_of(query), first))
-    slices = np.split(stem.features, stem.channels // w.channels, axis=1)
-    return HeadOutput(*[_sparse_branch(SparseFeature(stem.keys, x), t[1:], p, rest)
-                        for x, (t, p) in zip(slices, w.branches)])
+    inputs = _branch_inputs(sparse_relu(_sparse_branch(value_features, [], w.stem_of(query),
+                                                       first)), w.channels)
+    return HeadOutput(*[_sparse_branch(inputs.pop(0), t[1:], p, rest)
+                        for t, p in w.branches[:len(inputs)]])
 
 
 @dataclass(frozen=True)

@@ -90,15 +90,16 @@ def extract_queries(query_logits: SparseFeature, sigma: float) -> KeySet:
 def map_queries_to_keys(queries: KeySet, child_height: int, child_width: int) -> KeySet:
     """Each query (x, y) owns the four child cells {(2x+i, 2y+j) : i,j in {0,1}}
     one level down, kept as flat cells of the child grid. Children are
-    deduplicated and clipped to the child grid: a ceil-sized child side that
-    is odd is one short of twice its parent's, so the last parent row or
-    column there owns only the even children."""
+    clipped to the child grid: a ceil-sized child side that is odd is one
+    short of twice its parent's, so the last parent row or column there owns
+    only the even children. Children of distinct parents are distinct, so
+    sorting them is all the key set needs: it skips its deduplication."""
     xs, ys = queries.xs, queries.ys
     cx = np.concatenate([2 * xs, 2 * xs + 1, 2 * xs, 2 * xs + 1])
     cy = np.concatenate([2 * ys, 2 * ys, 2 * ys + 1, 2 * ys + 1])
     inside = (cx < child_width) & (cy < child_height)
     return KeySet(queries.level - 1, child_height, child_width,
-                  (cy * child_width + cx)[inside])
+                  np.sort((cy * child_width + cx)[inside]))
 
 
 @dataclass(frozen=True)

@@ -92,10 +92,16 @@ class KeySet:
 @dataclass(frozen=True)
 class SparseFeature:
     """Per-key feature vectors, one row of length C per key, in key order, in
-    any memory layout: a column slice or a transposed view is held uncopied."""
+    any memory layout: a column slice or a transposed view is held uncopied.
+
+    `padded`, set only by `from_padded`, is the (len(keys) + 1, C) float32
+    buffer the rows sit in, whose last row is zero: a conv gathers from it
+    where it lies. Rows without one are copied once into such a buffer by
+    each conv that reads them."""
 
     keys: KeySet
     features: np.ndarray
+    padded: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float32)
@@ -106,6 +112,20 @@ class SparseFeature:
                 f"feature rows ({feats.shape[0]}) != key count ({len(self.keys)})"
             )
         object.__setattr__(self, "features", feats)
+
+    @classmethod
+    def from_padded(cls, keys: KeySet, padded: np.ndarray) -> "SparseFeature":
+        """Rows at `keys` that are the first len(keys) rows of `padded`, a
+        float32 buffer with one more row, whose last row is zero."""
+        if padded.dtype != np.float32 or padded.ndim != 2 or len(padded) != len(keys) + 1:
+            raise ValidationError(f"a padded buffer for {len(keys)} keys must be "
+                                  f"({len(keys) + 1}, C) float32, got {padded.shape} "
+                                  f"{padded.dtype}")
+        if padded[-1].any():
+            raise ValidationError("the last row of a padded buffer must be zero")
+        sf = cls(keys, padded[:-1])
+        object.__setattr__(sf, "padded", padded)
+        return sf
 
     @property
     def channels(self) -> int:
@@ -191,7 +211,8 @@ def conv2d(inp: SparseFeature, w: ConvWeights) -> SparseFeature:
         )
     _full_grid(inp)
     return SparseFeature(inp.keys, conv_rows(inp.features, w,
-                                             neighbour_table(inp.height, inp.width)))
+                                             neighbour_table(inp.height, inp.width),
+                                             inp.padded))
 
 
 def sparse_conv(inp: SparseFeature, w: ConvWeights, rb: Rulebook) -> SparseFeature:
@@ -207,11 +228,18 @@ def sparse_conv(inp: SparseFeature, w: ConvWeights, rb: Rulebook) -> SparseFeatu
         )
     if rb.inputs is not inp.keys and rb.inputs != inp.keys:
         raise ValidationError("input rows are not on the rulebook's input key set")
-    return SparseFeature(rb.keys, conv_rows(inp.features, w, rb.table))
+    return SparseFeature(rb.keys, conv_rows(inp.features, w, rb.table, inp.padded))
 
 
 def sparse_relu(sf: SparseFeature) -> SparseFeature:
-    return SparseFeature(sf.keys, np.maximum(sf.features, np.float32(0.0)))
+    """max(rows, 0) at the same keys, written into a fresh padded buffer
+    (`SparseFeature.from_padded`), so the conv that reads them copies
+    nothing; `sf` is left unchanged."""
+    n, c = sf.features.shape
+    padded = np.empty((n + 1, c), dtype=np.float32)
+    np.maximum(sf.features, np.float32(0.0), out=padded[:n])
+    padded[n] = 0.0
+    return SparseFeature.from_padded(sf.keys, padded)
 
 
 relu = sparse_relu  # the full-grid passes' name for it, which perfbench times apart

@@ -3,9 +3,11 @@
 Every feature is rows: `sparse.SparseFeature` holds one (C,) row per key of a
 key set, and a pyramid level is the case whose keys are its full grid.
 `conv_rows`, the one kernel under `sparse.conv2d` and `sparse.sparse_conv`,
-reads rows in any memory layout, and gathers and multiplies its table in
-blocks of BLOCK_ROWS rows, so a conv's scratch memory is one block's gather
-whatever the grid size. `neighbour_table` is the grid's 3x3 table, built once
+gathers from rows followed by a zero row: a padded buffer that the caller
+hands it is read where it lies, and rows in any other memory layout are
+copied into one. It gathers and multiplies its table in blocks of
+BLOCK_ROWS rows, so a conv's scratch memory is one block's gather whatever
+the grid size. `neighbour_table` is the grid's 3x3 table, built once
 per grid shape.
 
 Containers are mapped, not read: `ContainerReader` maps the file private
@@ -100,25 +102,30 @@ class ConvWeights:
 BLOCK_ROWS = 256
 
 
-def conv_rows(rows: np.ndarray, w: ConvWeights, table: np.ndarray) -> np.ndarray:
+def conv_rows(rows: np.ndarray, w: ConvWeights, table: np.ndarray,
+              padded: np.ndarray | None = None) -> np.ndarray:
     """The one convolution kernel: output row n = bias + sum over taps t of
     rows[table[n, t]] times tap t's weights.
 
-    `rows` is (M, C) in any memory layout; it is copied once into the padded
-    buffer. Index M in `table` stands for a shared zero row, used for
-    padding and for inactive neighbours. The table is computed in blocks of
-    BLOCK_ROWS rows: each block's neighbours are gathered with `np.take` into
-    a (block, 9 * C) matrix, and one float32 GEMM per part of `w` writes the
-    block's rows of the preallocated output, so no more than one block's
-    gather is held at a time. The blocks depend only on the number of table
-    rows, so the same table and rows give the same bits whichever caller
-    built them. `table` is
+    Index M in `table` stands for a shared zero row, used for padding and
+    for inactive neighbours, so the kernel gathers from an (M + 1, C) buffer
+    whose first M rows are `rows` and whose last row is zero. `padded` is
+    that buffer when the caller holds one (`sparse.relu` writes its rows
+    into one), and the kernel reads it where it lies; without it, `rows`,
+    (M, C) in any memory layout, is copied once into a fresh buffer. Beyond
+    that buffer and its output, a conv holds one block's gather: the table
+    is computed in blocks of BLOCK_ROWS rows, each block's neighbours are
+    gathered with `np.take` into a (block, 9 * C) matrix, and one float32
+    GEMM per part of `w` writes the block's rows of the preallocated output.
+    The blocks depend only on the number of table rows, so the same table
+    and rows give the same bits whichever caller built them. `table` is
     only read, so a cached read-only table can be passed.
     """
     m, c = rows.shape
-    padded = np.empty((m + 1, c), dtype=np.float32)
-    padded[:m] = rows
-    padded[m] = 0.0
+    if padded is None:
+        padded = np.empty((m + 1, c), dtype=np.float32)
+        padded[:m] = rows
+        padded[m] = 0.0
     if not np.isfinite(padded).all():
         raise ValidationError("convolution input contains non-finite values")
     out = np.empty((len(table), w.out_channels), dtype=np.float32)

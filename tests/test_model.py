@@ -2,8 +2,8 @@ import dataclasses
 import hashlib
 import math
 import os
-import re
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -347,6 +347,26 @@ def test_stem_heads_match_an_unfused_float64_head(head):
         np.testing.assert_allclose(got.features, want[:, keys.ys, keys.xs].T, rtol=0, atol=1e-4)
 
 
+def test_dense_head_holds_four_feature_maps_at_most():
+    # each branch gets its own padded copy of its stem columns and the stem
+    # is freed before the towers run, so the peak is the stem's moment: its
+    # 2C conv output and its 2C ReLU rows
+    feature = make_synthetic_pyramid(3, 256, 256, 2, 2, 64).levels[2]
+    w = make_fixture_weights(7, 64, 1, 4)
+    assert (feature.height, feature.width) == (64, 64)
+    want = run_dense_head(feature, w, query=False)  # cached tables and taps built first
+    tracemalloc.start()
+    try:
+        got = run_dense_head(feature, w, query=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    maps = peak / feature.features.nbytes
+    assert maps <= 4.1, f"the dense head peaked at {maps:.2f} feature maps"
+    for name, rows in got.branch_rows().items():
+        np.testing.assert_array_equal(rows.features, getattr(want, name).features)
+
+
 def test_head_output_rejects_mixed_density():
     pyr = small_pyramid(seed=4)
     w = make_fixture_weights(5, 8, 1, 4)
@@ -468,8 +488,28 @@ def test_loading_a_path_that_is_not_a_regular_file_raises_format_error(tmp_path,
         os.mkfifo(p)  # with no writer: the loader's open must not wait for one
     else:
         p.mkdir()
-    with pytest.raises(FormatError, match=re.escape(f"{p}: not a regular file")):
-        load(p)
+    raised = []
+
+    def attempt():
+        try:
+            load(p)
+        except Exception as e:
+            raised.append(e)
+
+    # on a thread, so that an open that waits for a writer fails the test
+    # in seconds instead of stalling the suite
+    loader = threading.Thread(target=attempt, daemon=True)
+    loader.start()
+    loader.join(timeout=10)
+    if loader.is_alive():
+        if kind == "fifo":
+            try:  # a writer releases a reader waiting in open()
+                os.close(os.open(p, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:
+                pass
+        pytest.fail(f"loading the {kind} {p} blocked for 10 s")
+    assert len(raised) == 1 and isinstance(raised[0], FormatError), raised
+    assert f"{p}: not a regular file" in str(raised[0])
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")

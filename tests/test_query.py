@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cascadequery import (
@@ -127,6 +127,29 @@ def test_children_are_clipped_to_odd_child_dims():
 def test_empty_queries_give_empty_keys():
     kids = map_queries_to_keys(KeySet(4, 4, 4), 8, 8)
     assert len(kids) == 0
+
+
+@st.composite
+def child_grid_and_queries(draw):
+    # the parent grid is the ceil-halved child grid, so an odd child side
+    # clips the last parent row or column's odd children
+    ch, cw = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    return ch, cw, draw(st.sets(st.integers(0, -(-ch // 2) * -(-cw // 2) - 1)))
+
+
+@given(child_grid_and_queries())
+@example((7, 8, set()))  # odd and even child sides, no queries
+def test_children_are_the_sorted_set_of_the_queries_clipped_children(case):
+    ch, cw, cells = case
+    ph, pw = -(-ch // 2), -(-cw // 2)
+    want = {(2 * y + j) * cw + 2 * x + i for y, x in map(lambda c: divmod(c, pw), cells)
+            for i in (0, 1) for j in (0, 1) if 2 * x + i < cw and 2 * y + j < ch}
+    with pytest.MonkeyPatch.context() as mp:
+        # sorted children of distinct parents need no deduplication
+        mp.setattr(np, "unique", lambda *a, **k: pytest.fail("children were deduplicated"))
+        kids = map_queries_to_keys(KeySet(4, ph, pw, sorted(cells)), ch, cw)
+    assert kids.cells.tolist() == sorted(want)
+    assert (kids.level, kids.height, kids.width) == (3, ch, cw)
 
 
 # --- config ----------------------------------------------------------------------

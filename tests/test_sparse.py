@@ -367,6 +367,36 @@ def test_rulebook_reuse_is_equivalent_to_rebuilding():
     np.testing.assert_array_equal(chained.features, fresh.features)
 
 
+@pytest.mark.parametrize("layout", ["rows", "column slice"])
+def test_relu_writes_a_padded_buffer_and_leaves_its_input_unchanged(layout):
+    rng = np.random.default_rng(8)
+    ks = keyset([0, 9, 27, 40])
+    x = rng.standard_normal((4, 6)).astype(np.float32)
+    rows = x if layout == "rows" else x[:, 1:4]
+    before = rows.copy()
+    out = sparse_relu(SparseFeature(ks, rows))
+    np.testing.assert_array_equal(rows, before)
+    np.testing.assert_array_equal(out.features, np.maximum(before, 0.0))
+    # the rows are the first len(keys) rows of a buffer whose last row is zero
+    assert out.padded.shape == (len(ks) + 1, rows.shape[1])
+    assert out.features.base is out.padded
+    np.testing.assert_array_equal(out.padded[-1], 0.0)
+
+
+def test_a_padded_buffer_is_float32_one_row_longer_than_the_keys_and_ends_in_zero():
+    ks = keyset([0, 9])
+    with pytest.raises(ValidationError, match="padded"):
+        SparseFeature.from_padded(ks, np.zeros((2, 3), dtype=np.float32))
+    with pytest.raises(ValidationError, match="padded"):
+        SparseFeature.from_padded(ks, np.zeros((3, 3), dtype=np.float64))
+    with pytest.raises(ValidationError, match="padded"):
+        SparseFeature.from_padded(ks, np.ones((3, 3), dtype=np.float32))
+    # only from_padded sets the buffer, so rows and buffer cannot disagree
+    with pytest.raises(TypeError):
+        SparseFeature(ks, np.ones((2, 3), dtype=np.float32), np.zeros((3, 3), dtype=np.float32))
+    assert SparseFeature(ks, np.ones((2, 3), dtype=np.float32)).padded is None
+
+
 def test_sparse_relu_matches_dense_relu():
     rng = np.random.default_rng(8)
     ks = keyset([0, 27])

@@ -182,6 +182,35 @@ def test_conv2d_holds_one_row_block_of_gather_at_a_time():
     assert peak < rows + one_block + ufunc_buffers < n * 9 * c * 4
 
 
+@pytest.mark.parametrize("conv", ["conv2d", "sparse_conv"])
+def test_a_conv_fed_by_relu_reads_its_rows_uncopied(conv):
+    # relu writes its rows into a padded buffer, so the conv holds its output
+    # rows and one block's gather, never another (N + 1, C) buffer
+    c, out_c, h, wd = 16, 16, 64, 64
+    n = h * wd
+    x, ww, b = random_case(np.random.default_rng(9), out_c, c, h, wd)
+    inp, w = relu(level_rows(x)), ConvWeights(ww, b)
+    if conv == "conv2d":
+        run = lambda: conv2d(inp, w)
+    else:
+        rb = build_rulebook(inp.keys)  # the full grid: the two share a table
+        run = lambda: sparse_conv(inp, w, rb)
+    want = run().features  # the cached table and taps are built outside the measurement
+    tracemalloc.start()
+    try:
+        got = run().features
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = n * out_c * 4
+    one_block = tensor.BLOCK_ROWS * 9 * c * 4
+    ufunc_buffers = 64 * 1024  # NumPy's fixed-size ufunc buffers, whatever n is
+    assert peak < out + one_block + ufunc_buffers < out + (n + 1) * c * 4
+    # and the rows are the ones a copy of the input gives
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, conv2d(level_rows(np.maximum(x, 0.0)), w).features)
+
+
 def test_conv2d_output_is_channel_last_rows(tmp_path):
     # the GEMM's (H * W, C) rows at the input's keys, in row-major cell order
     rng = np.random.default_rng(7)
